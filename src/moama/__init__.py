@@ -3,7 +3,7 @@
 from .errors import ConfigError, DataError, MoamaError, NumericsError, SmilesError
 from .fingerprint import Fingerprint, morgan_fingerprint, tanimoto
 from .gin import EncoderConfig, ParamStore, TensorGraph, decode_attrs, encode, init_params, predict_label, readout
-from .influence import analyze_dataset, inf_ratios, influence_pair, mrr_scores
+from .influence import analyze_dataset, influence_pair
 from .loss import LossConfig, aux_loss, rec_loss, total_loss
 from .masking import MaskConfig, MaskPlan, MaskToken, apply_mask, random_mask, sample_motifs
 from .molgraph import AtomAttr, Bond, MolGraph, adjacency, k_hop_neighborhood, ring_bonds

@@ -5,6 +5,11 @@ Every op validates that its output is finite and raises NumericsError
 otherwise. Scatter-style gradients use ``np.add.at`` on index arrays that
 callers keep in a fixed order, so repeated runs are bit-identical.
 
+``segment_sum`` adds each segment's rows one at a time from +0.0 in a
+canonical order, so its result depends only on the multiset of addends. Only
+segments with three or more addends need sorting by contents: IEEE addition
+is commutative, -0.0 included, so (0 + a) + b == (0 + b) + a bit for bit.
+
 Tensors built from parents with ``requires_grad=False`` record no tape, which
 makes pure inference (e.g. influence analysis) allocation-light.
 """
@@ -269,6 +274,8 @@ def _canonical_order(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
     Accumulating in this order makes per-segment sums independent of how the
     caller labeled the rows: the addend multiset fixes the result bit-for-bit
     (ties hold equal values, which add identically in either order).
+    ``segment_sum`` applies it only to segments of three or more rows; with
+    two addends or fewer every order gives the same bits.
     """
     flat = values.reshape(values.shape[0], -1)
     keys = [flat[:, i] for i in range(flat.shape[1] - 1, -1, -1)]
@@ -277,15 +284,29 @@ def _canonical_order(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def segment_sum(a, segments, n_segments: int) -> Tensor:
-    """out[s] = sum of rows i with segments[i] == s, in canonical row order."""
+    """out[s] = sum of rows i with segments[i] == s, in canonical row order.
+
+    Each segment accumulates from +0.0, one addend per pass: pass r adds the
+    r-th row of every segment that has one. Rows of 2-D (and wider) inputs
+    follow ``_canonical_order`` within segments of three or more rows; 1-D
+    inputs keep their given order. Segments of at most two rows skip the
+    content sort, which cannot change their sum (see the module docstring).
+    """
     a = _lift(a)
     seg = np.asarray(segments, dtype=np.int64)
-    out_vals = np.zeros((n_segments,) + a.values.shape[1:], dtype=np.float64)
-    if a.values.ndim >= 2 and a.values.shape[0] > 1:
-        order = _canonical_order(seg, a.values)
-        np.add.at(out_vals, seg[order], a.values[order])
-    else:
-        np.add.at(out_vals, seg, a.values)
+    vals = a.values
+    out_vals = np.zeros((n_segments,) + vals.shape[1:], dtype=np.float64)
+    order = np.argsort(seg, kind="stable")
+    counts = np.bincount(seg, minlength=n_segments)
+    if vals.ndim >= 2:
+        big = counts[seg[order]] >= 3
+        if big.any():
+            rows = order[big]
+            order[big] = rows[_canonical_order(seg[rows], vals[rows])]
+    starts = np.cumsum(counts) - counts
+    for r in range(int(counts.max(initial=0))):
+        segs = np.flatnonzero(counts > r)
+        out_vals[segs] += vals[order[starts[segs] + r]]
 
     def back(g):
         _accum(a, g[seg])

@@ -161,17 +161,21 @@ def cmd_finetune(cfg, out_dir: Path) -> None:
 def cmd_influence(cfg, out_dir: Path) -> None:
     if not cfg["run.checkpoint"]:
         raise ConfigError("influence requires run.checkpoint")
+    top_k = typed(cfg, "influence.top_k")
+    if top_k < 1:
+        raise ConfigError("influence.top_k must be >= 1")
+    limit = typed(cfg, "influence.max_graphs")
+    if limit < 0:
+        raise ConfigError("influence.max_graphs must be >= 0 (0 = no limit)")
     ckpt = load_checkpoint(cfg["run.checkpoint"])
     enc = ckpt.encoder_config()
     data = read_dataset(_require_input(cfg))
     rules = _rules_for(cfg)
     graphs = data.graphs()
-    limit = typed(cfg, "influence.max_graphs")
     if limit:
         graphs = graphs[:limit]
     decomps = [decompose(g, rules) for g in graphs]
-    report = analyze_dataset(graphs, decomps, ckpt.store, enc,
-                             top_k=typed(cfg, "influence.top_k"),
+    report = analyze_dataset(graphs, decomps, ckpt.store, enc, top_k=top_k,
                              mode=cfg["influence.inter_mode"])
     _write_csv(out_dir / "influence_nodes.csv",
                ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],

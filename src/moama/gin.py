@@ -238,8 +238,9 @@ def encode(tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
            zero_nodes=()) -> Tensor:
     """Node representation matrix H, shape (n_nodes, embed_dim).
 
-    ``zero_nodes`` replaces those nodes' layer-0 embeddings with zero vectors
-    (used by the influence analysis); all other inputs stay unchanged.
+    ``zero_nodes`` replaces those nodes' layer-0 embeddings with zero vectors;
+    all other inputs stay unchanged. The influence analysis passes a graph of
+    stacked copies of one molecule and zeroes one node in each copy.
     """
     h = ad.take_rows(store["embed.atom"], tg.atom_type) + ad.take_rows(
         store["embed.chirality"], tg.chirality

@@ -3,7 +3,9 @@
 The influence of a source node u on a target node v is the L2 distance
 between v's encoder representation and the representation obtained when u's
 layer-0 embedding is replaced by the zero vector, everything else unchanged.
-Encoding always runs on clean (unmasked) attributes.
+Encoding always runs on clean (unmasked) attributes. One encode covers a
+molecule's clean copy and its n zeroed copies stacked into one graph, split
+into chunks only for large molecules.
 
 Motif-level influence averages the top-k most influential candidate nodes so
 small motifs and large inter-motif pools compare on equal footing; pools
@@ -21,8 +23,6 @@ Aggregates:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,24 +34,60 @@ from .motif import MotifDecomposition
 
 INTER_MODES = ("top_k", "size_weighted")
 
-
-def worker_count() -> int:
-    """Worker cap from MOAMA_THREADS (default 1)."""
-    raw = os.environ.get("MOAMA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# Node rows per stacked encode. A molecule's copies are encoded in chunks of
+# at most this many rows (one copy at least), so memory stays bounded for
+# large molecules; datagen molecules fit in a single chunk.
+STACK_ROWS = 1024
 
 
 def _inference_store(store: ParamStore) -> ParamStore:
-    frozen = ParamStore({n: ad.const(t.values) for n, t in store.params.items()})
-    return frozen
+    """Constant copies of the parameters, so encodes record no tape. A store
+    of constants is returned as is."""
+    if not any(t.requires_grad for t in store.params.values()):
+        return store
+    return ParamStore({n: ad.const(t.values) for n, t in store.params.items()})
 
 
-def _encode_values(tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
-                   zero_nodes=()) -> np.ndarray:
-    return encode(tg, store, cfg, zero_nodes=zero_nodes).values
+def _stack(tg: TensorGraph, copies: int) -> TensorGraph:
+    """``copies`` disjoint copies of a one-molecule graph; copy c holds rows
+    c*n .. c*n+n-1. Edges stay sorted by (destination, source)."""
+    n = tg.n_nodes
+    shift = n * np.arange(copies, dtype=np.int64)[:, None]
+    return TensorGraph(np.tile(tg.atom_type, copies), np.tile(tg.chirality, copies),
+                       (tg.edge_src + shift).ravel(), (tg.edge_dst + shift).ravel(),
+                       np.tile(tg.edge_order, copies),
+                       np.repeat(np.arange(copies, dtype=np.int64), n), n * copies, copies)
+
+
+def _influence_rows(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
+                    sources) -> np.ndarray:
+    """S[i, v] = s(sources[i], v), with S[i, sources[i]] = 0.
+
+    Copy 0 of a stacked graph is the clean molecule and copy c >= 1 has
+    source c-1 zeroed; copies never share an edge, so each encodes exactly as
+    it would alone. The copies go through ``encode`` in chunks of at most
+    STACK_ROWS node rows.
+    """
+    tg = single(g)
+    frozen = _inference_store(store)
+    n = g.n_atoms
+    per_chunk = max(1, STACK_ROWS // n)
+    copies = len(sources) + 1
+    s = np.zeros((len(sources), n))
+    for lo in range(0, copies, per_chunk):
+        hi = min(copies, lo + per_chunk)
+        zeroed = range(max(lo, 1), hi)
+        out = encode(_stack(tg, hi - lo), frozen, cfg,
+                     zero_nodes=[(c - lo) * n + sources[c - 1] for c in zeroed])
+        out = out.values.reshape(hi - lo, n, -1)
+        if lo == 0:
+            h = out[0]
+        for c in zeroed:
+            u, h_wo = sources[c - 1], out[c - lo]
+            for v in range(n):
+                if v != u:
+                    s[c - 1, v] = np.linalg.norm(h[v] - h_wo[v])
+    return s
 
 
 def influence_pair(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
@@ -59,52 +95,25 @@ def influence_pair(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
     """s(u, v): representation shift at v when u's initial embedding is zero."""
     if u == v:
         raise ValueError("influence_pair requires u != v")
-    tg = single(g)
-    frozen = _inference_store(store)
-    h = _encode_values(tg, frozen, cfg)
-    h_wo = _encode_values(tg, frozen, cfg, zero_nodes=(u,))
-    return float(np.linalg.norm(h[v] - h_wo[v]))
+    return float(_influence_rows(g, store, cfg, [u])[0, v])
 
 
 def influence_matrix(g: MolGraph, store: ParamStore, cfg: EncoderConfig) -> np.ndarray:
     """S[u, v] = s(u, v) for all ordered pairs; diagonal fixed at 0."""
-    tg = single(g)
-    frozen = _inference_store(store)
-    h = _encode_values(tg, frozen, cfg)
-    n = g.n_atoms
-    s = np.zeros((n, n))
-    for u in range(n):
-        h_wo = _encode_values(tg, frozen, cfg, zero_nodes=(u,))
-        for v in range(n):
-            if v != u:
-                s[u, v] = np.linalg.norm(h[v] - h_wo[v])
-    return s
+    return _influence_rows(g, store, cfg, range(g.n_atoms))
 
 
-def _topk_mean(values: np.ndarray, top_k: int | None) -> tuple[float, bool]:
-    """Mean of the top_k largest values; (value, truncated-pool flag)."""
+def _topk_mean(values: np.ndarray, top_k: int | None) -> float:
+    """Mean of the top_k largest values (of all of them if top_k is None)."""
     if top_k is None or len(values) <= top_k:
-        return float(values.mean()), len(values) < (top_k or 0)
-    part = np.sort(values)[::-1][:top_k]
-    return float(part.mean()), False
+        return float(values.mean())
+    return float(np.sort(values)[::-1][:top_k].mean())
 
 
-def motif_influence(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
-                    v: int, motif_nodes, top_k: int = 3,
-                    s_row: np.ndarray | None = None) -> float | None:
-    """Mean influence on v from the top_k most influential motif members.
-
-    Returns None (undefined) when the motif has no member other than v.
-    ``s_row`` may carry precomputed s(., v) values to avoid re-encoding.
-    """
-    candidates = [u for u in motif_nodes if u != v]
-    if not candidates:
-        return None
-    if s_row is None:
-        vals = np.array([influence_pair(g, store, cfg, u, v) for u in candidates])
-    else:
-        vals = s_row[candidates]
-    return _topk_mean(vals, top_k)[0]
+def _motif_mean(s_col: np.ndarray, nodes, v: int, top_k: int | None) -> float | None:
+    """Top-k mean of s(u, v) over the members u != v; None if there are none."""
+    candidates = [u for u in nodes if u != v]
+    return _topk_mean(s_col[candidates], top_k) if candidates else None
 
 
 @dataclass(frozen=True)
@@ -118,52 +127,56 @@ class NodeInfluence:
     truncated: bool
 
 
+def _node_row(gi: int, dec: MotifDecomposition, s_col: np.ndarray, v: int,
+              top_k: int, mode: str) -> NodeInfluence:
+    """Influence row of node v from its column s_col = S[:, v].
+
+    ``top_k`` mode draws the same number of top candidates from the node's
+    own motif and from the pooled outside nodes; ``size_weighted`` keeps the
+    plain means over all candidates on both sides. Motifs are ranked by their
+    top_k means in either mode.
+    """
+    if mode not in INTER_MODES:
+        raise ValueError(f"unknown inter mode {mode!r}")
+    k = top_k if mode == "top_k" else None
+    own = dec.motif_of[v]
+    intra = _motif_mean(s_col, dec.motifs[own].node_ids, v, k)
+    inter_nodes = [u for u, m in enumerate(dec.motif_of) if m != own]
+    inter = _topk_mean(s_col[inter_nodes], k) if inter_nodes else None
+    truncated = intra is not None and dec.motifs[own].size - 1 < top_k
+    rank = None
+    if dec.n_motifs >= 2 and intra is not None:
+        keys = []
+        for mi, motif in enumerate(dec.motifs):
+            val = _motif_mean(s_col, motif.node_ids, v, top_k)
+            keys.append((np.inf if val is None else -val, mi))
+        rank = 1 + sum(key < keys[own] for key in keys)
+    return NodeInfluence(gi, v, dec.n_motifs, intra, inter, rank, truncated)
+
+
+def motif_influence(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
+                    v: int, motif_nodes, top_k: int = 3,
+                    s_row: np.ndarray | None = None) -> float | None:
+    """Mean influence on v from the top_k most influential motif members.
+
+    Returns None (undefined) when the motif has no member other than v.
+    ``s_row`` may carry precomputed s(., v) values to avoid re-encoding.
+    """
+    if s_row is None:
+        s_row = influence_matrix(g, store, cfg)[:, v]
+    return _motif_mean(s_row, motif_nodes, v, top_k)
+
+
 def intra_inter(g: MolGraph, dec: MotifDecomposition, store: ParamStore,
                 cfg: EncoderConfig, v: int, top_k: int = 3,
                 mode: str = "top_k",
                 s_col: np.ndarray | None = None) -> tuple[float | None, float | None]:
-    """(intra, inter) influence means for one node.
-
-    ``top_k`` mode draws the same number of top candidates from the node's
-    own motif and from the pooled outside nodes; ``size_weighted`` keeps the
-    plain means over all candidates on both sides.
-    """
-    if mode not in INTER_MODES:
-        raise ValueError(f"unknown inter mode {mode!r}")
+    """(intra, inter) influence means for one node, as ``analyze_dataset``
+    reports them. ``s_col`` may carry precomputed s(., v) values."""
     if s_col is None:
-        s = influence_matrix(g, store, cfg)
-        s_col = s[:, v]
-    k = top_k if mode == "top_k" else None
-    own = dec.motif_of[v]
-    intra_nodes = [u for u in dec.motifs[own].node_ids if u != v]
-    inter_nodes = [u for u in range(g.n_atoms) if dec.motif_of[u] != own]
-    intra = _topk_mean(s_col[intra_nodes], k)[0] if intra_nodes else None
-    inter = _topk_mean(s_col[inter_nodes], k)[0] if inter_nodes else None
-    return intra, inter
-
-
-def _node_rows_for_graph(args) -> list[NodeInfluence]:
-    gi, g, dec, store, cfg, top_k, mode = args
-    rows = []
-    n_motifs = dec.n_motifs
-    s = influence_matrix(g, store, cfg)
-    k = top_k if mode == "top_k" else None
-    for v in range(g.n_atoms):
-        own = dec.motif_of[v]
-        intra_nodes = [u for u in dec.motifs[own].node_ids if u != v]
-        truncated = bool(intra_nodes) and len(intra_nodes) < top_k
-        intra, inter = intra_inter(g, dec, store, cfg, v, top_k, mode, s_col=s[:, v])
-        rank = None
-        if n_motifs >= 2 and intra is not None:
-            per_motif = []
-            for mi, motif in enumerate(dec.motifs):
-                cand = [u for u in motif.node_ids if u != v]
-                val = _topk_mean(s[cand, v], top_k)[0] if cand else -np.inf
-                per_motif.append((mi, val))
-            order = sorted(per_motif, key=lambda t: (-t[1], t[0]))
-            rank = next(i for i, (mi, _) in enumerate(order, start=1) if mi == own)
-        rows.append(NodeInfluence(gi, v, n_motifs, intra, inter, rank, truncated))
-    return rows
+        s_col = influence_matrix(g, store, cfg)[:, v]
+    row = _node_row(-1, dec, s_col, v, top_k, mode)
+    return row.intra, row.inter
 
 
 @dataclass(frozen=True)
@@ -183,15 +196,12 @@ class InfluenceReport:
 def analyze_dataset(graphs, decomps, store: ParamStore, cfg: EncoderConfig,
                     top_k: int = 3, mode: str = "top_k") -> InfluenceReport:
     """Per-node influence rows plus dataset-level aggregates."""
-    jobs = [(gi, g, dec, store, cfg, top_k, mode)
-            for gi, (g, dec) in enumerate(zip(graphs, decomps))]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_graph = list(pool.map(_node_rows_for_graph, jobs))
-    else:
-        per_graph = [_node_rows_for_graph(j) for j in jobs]
-    rows = tuple(r for chunk in per_graph for r in chunk)
+    store = _inference_store(store)
+    rows = []
+    for gi, (g, dec) in enumerate(zip(graphs, decomps)):
+        s = influence_matrix(g, store, cfg)
+        rows.extend(_node_row(gi, dec, s[:, v], v, top_k, mode) for v in range(g.n_atoms))
+    rows = tuple(rows)
 
     ratios_by_graph: dict[int, list[float]] = {}
     excluded = 0
@@ -243,17 +253,3 @@ def mrr_from_rows(rows) -> dict:
         inter_table.append((n, 1.0 - restricted, len(gids)))
     return {"node": mrr_node, "graph": mrr_graph, "motif": float(mrr_motif),
             "inter": tuple(inter_table)}
-
-
-def inf_ratios(graphs, decomps, store: ParamStore, cfg: EncoderConfig,
-               top_k: int = 3, mode: str = "top_k") -> tuple[float, float]:
-    """(node-level, graph-level) inter/intra influence ratio means."""
-    report = analyze_dataset(graphs, decomps, store, cfg, top_k, mode)
-    return report.inf_ratio_node, report.inf_ratio_graph
-
-
-def mrr_scores(graphs, decomps, store: ParamStore, cfg: EncoderConfig,
-               top_k: int = 3) -> tuple[float, float, float, tuple]:
-    """(MRR_node, MRR_graph, MRR_motif, per-motif-count inter table)."""
-    report = analyze_dataset(graphs, decomps, store, cfg, top_k)
-    return report.mrr_node, report.mrr_graph, report.mrr_motif, report.mrr_inter

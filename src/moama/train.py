@@ -124,6 +124,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
+    try:
+        return _decode_checkpoint(data)
+    except (struct.error, ValueError) as e:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the short
+        # buffers np.frombuffer rejects: all mean a truncated or corrupt file
+        raise DataError(f"{path} is truncated or corrupt: {e}") from e
+
+
+def _decode_checkpoint(data: bytes) -> Checkpoint:
     pos = 4
     (version,) = struct.unpack_from("<I", data, pos)
     pos += 4

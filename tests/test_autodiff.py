@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moama import autodiff as ad
 from moama.errors import NumericsError
@@ -67,6 +69,47 @@ def test_segment_sum_values_and_grad():
     out = ad.segment_sum(ad.const(x), seg, 3)
     assert np.allclose(out.values[1], x[2:5].sum(axis=0))
     _fd_check(lambda a: ad.tsum(ad.segment_sum(a, seg, 3) ** 2.0), [x], rng)
+
+
+def _segment_sum_reference(values, seg, n_segments):
+    """Full-width canonical sort, then one sequential scatter-add."""
+    out = np.zeros((n_segments,) + values.shape[1:])
+    if values.ndim >= 2 and values.shape[0] > 1:
+        order = ad._canonical_order(seg, values)
+        np.add.at(out, seg[order], values[order])
+    else:
+        np.add.at(out, seg, values)
+    return out
+
+
+# few distinct magnitudes so ties, duplicate rows and cancellation are common
+_ADDENDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 2.5, 1e-17, -1e16, 1e16])
+
+
+@st.composite
+def _segment_cases(draw):
+    n_segments = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=n_segments, max_size=n_segments))
+    seg = np.array([s for s, k in enumerate(sizes) for _ in range(k)], dtype=np.int64)
+    seg = seg[np.array(draw(st.permutations(range(len(seg)))), dtype=np.int64)]
+    width = draw(st.sampled_from([None, 1, 2, 3]))
+    shape = (len(seg),) if width is None else (len(seg), width)
+    n_cells = int(np.prod(shape))
+    cells = draw(st.lists(_ADDENDS, min_size=n_cells, max_size=n_cells))
+    values = np.array(cells, dtype=np.float64).reshape(shape)
+    if len(seg) > 1 and draw(st.booleans()):
+        values[-1] = values[0]          # an exact duplicate row
+    return values, seg, n_segments
+
+
+@settings(max_examples=400, deadline=None)
+@given(_segment_cases())
+def test_segment_sum_bitwise_matches_reference(case):
+    values, seg, n_segments = case
+    got = ad.segment_sum(ad.const(values), seg, n_segments).values
+    want = _segment_sum_reference(values, seg, n_segments)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_segment_max_first_winner():

@@ -6,7 +6,8 @@ from moama.cli import main
 from moama.datagen import write_corpus_csv
 from moama.gin import EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
-from moama.train import save_checkpoint
+from moama.errors import DataError
+from moama.train import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -186,3 +187,38 @@ def test_finetune_adopts_checkpoint_encoder_settings(tmp_path):
                  "--set", "run.finetune_epochs=2", "--set", "run.batch_finetune=16"])
     assert code == 0
     assert (out / "auc_report.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("influence.top_k", "0"), ("influence.top_k", "-2"),
+                                       ("influence.max_graphs", "-1")])
+def test_influence_rejects_bad_limits(mols_csv, tmp_path, capsys, key, value):
+    cfg = EncoderConfig(layers=2, embed_dim=8)
+    ckpt = tmp_path / "ckpt.moam"
+    save_checkpoint(ckpt, init_params(cfg, seed=0), {
+        "encoder.layers": "2", "encoder.embed_dim": "8", "encoder.readout": "mean",
+        "encoder.epsilon": "0.0", "encoder.learn_epsilon": "false",
+        "encoder.decoder": "gnn"}, {"seed": 0}, 0)
+    out = tmp_path / "out"
+    assert main(["influence", "--out", str(out), "--set", f"data.input={mols_csv}",
+                 "--set", f"run.checkpoint={ckpt}", "--set", f"{key}={value}"]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "influence_nodes.csv").exists()
+
+
+def test_truncated_checkpoint_is_a_data_error(mols_csv, tmp_path, capsys):
+    # every section: header, both JSON blobs, a 0-d and a 2-d tensor
+    store = ParamStore({"enc.0.eps": ad.parameter(np.array(0.5)),
+                        "enc.0.w1": ad.parameter(np.arange(6.0).reshape(2, 3))})
+    full = tmp_path / "full.moam"
+    save_checkpoint(full, store, {"encoder.layers": "1"}, {"seed": 0}, 3)
+    data = full.read_bytes()
+    load_checkpoint(full)
+    cut = tmp_path / "cut.moam"
+    for offset in range(len(data)):
+        cut.write_bytes(data[:offset])
+        with pytest.raises(DataError):
+            load_checkpoint(cut)
+    cut.write_bytes(data[:len(data) // 2])
+    assert main(["influence", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
+                 "--set", f"run.checkpoint={cut}"]) == 2
+    assert "truncated or corrupt" in capsys.readouterr().err

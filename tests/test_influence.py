@@ -7,13 +7,11 @@ from moama.gin import EncoderConfig, ParamStore, init_params
 from moama.influence import (
     NodeInfluence,
     analyze_dataset,
-    inf_ratios,
     influence_matrix,
     influence_pair,
     intra_inter,
     motif_influence,
     mrr_from_rows,
-    mrr_scores,
 )
 from moama.molgraph import shortest_path_lengths
 from moama.motif import decompose
@@ -187,7 +185,8 @@ def test_inf_ratio_arithmetic():
 def test_inf_ratios_single_graph_collapse(store):
     graphs = [parse("CCOC(=O)c1ccccc1")]
     decs = [decompose(g) for g in graphs]
-    node_r, graph_r = inf_ratios(graphs, decs, store, CFG)
+    rep = analyze_dataset(graphs, decs, store, CFG)
+    node_r, graph_r = rep.inf_ratio_node, rep.inf_ratio_graph
     assert node_r == pytest.approx(graph_r)
 
 
@@ -280,7 +279,8 @@ def test_mrr_end_to_end_matches_spreadsheet(store):
             rank = [mi for mi, _ in ordered].index(own) + 1
             expected_rows.append((gi, v, dec.n_motifs, rank))
 
-    node, graph, motif, inter = mrr_scores(graphs, decs, store, CFG)
+    rep = analyze_dataset(graphs, decs, store, CFG)
+    node, graph, motif, inter = rep.mrr_node, rep.mrr_graph, rep.mrr_motif, rep.mrr_inter
     rr = [1.0 / r for _, _, _, r in expected_rows]
     assert node == pytest.approx(np.mean(rr))
     per_graph = {}
@@ -342,10 +342,22 @@ def test_node_beyond_reach_of_other_motifs_has_zero_inter():
     assert intra > 0.0
 
 
-def test_threaded_analysis_matches_sequential(store, monkeypatch):
-    graphs = [parse(s) for s in ("CCc1ccccc1", "CCOC1CCCCC1", "CCOc1ccccc1")]
-    decs = [decompose(g) for g in graphs]
-    seq = analyze_dataset(graphs, decs, store, CFG)
-    monkeypatch.setenv("MOAMA_THREADS", "4")
-    par = analyze_dataset(graphs, decs, store, CFG)
-    assert seq == par
+
+def test_stacked_influence_matches_oracle_at_default_size():
+    # default 5x32 encoder; the last molecule spans more than one stacked chunk
+    from moama.datagen import generate_corpus
+    from moama.influence import STACK_ROWS
+
+    cfg = EncoderConfig()
+    store = init_params(cfg, seed=13)
+    graphs = [parse(s) for s in generate_corpus(6, seed=31)]
+    graphs.append(parse("CCCCCCCCCCc1ccc(cc1)C(=O)NCCOc1ccc(cc1)CCCCCCCCCC"))
+    assert graphs[-1].n_atoms * (graphs[-1].n_atoms + 1) > STACK_ROWS
+    for g in graphs:
+        s = influence_matrix(g, store, cfg)
+        h = encode_oracle(g, store, cfg)
+        for u in range(g.n_atoms):
+            h_wo = encode_oracle(g, store, cfg, zero_node=u)
+            for v in range(g.n_atoms):
+                expected = 0.0 if u == v else float(np.linalg.norm(h[v] - h_wo[v]))
+                assert s[u, v] == expected
