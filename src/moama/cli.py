@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_run_config, effective_config, format_effective, parse_config_file, typed
+from .config import RunConfig, build_section, effective_config, format_effective, parse_config_file
 from .errors import ConfigError, DataError, NumericsError
 from .fingerprint import morgan_fingerprint
 from .influence import analyze_dataset
@@ -58,15 +58,13 @@ def _load_config(args) -> dict[str, str]:
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
         overrides["run.seed"] = str(args.seed)
-    # mask.seed inherits run.seed in effective_config unless set explicitly
     return effective_config(file_values, overrides)
 
 
-def _require_input(cfg) -> str:
-    path = cfg["data.input"]
-    if not path:
+def _require_input(run: RunConfig) -> str:
+    if not run.data.input:
         raise ConfigError("data.input is required (use --set data.input=FILE.csv)")
-    return path
+    return run.data.input
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -76,13 +74,13 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _rules_for(cfg):
-    return load_rules(cfg["motif.rules"]) if cfg["motif.rules"] else None
+def _rules_for(run: RunConfig):
+    return load_rules(run.motif.rules) if run.motif.rules else None
 
 
-def cmd_decompose(cfg, out_dir: Path) -> None:
-    data = read_dataset(_require_input(cfg))
-    rules = _rules_for(cfg)
+def cmd_decompose(run: RunConfig, cfg, out_dir: Path) -> None:
+    data = read_dataset(_require_input(run))
+    rules = _rules_for(run)
     rows = []
     for rec in data.records:
         dec = decompose(rec.graph, rules)
@@ -92,10 +90,9 @@ def cmd_decompose(cfg, out_dir: Path) -> None:
     print(f"decomposed {len(rows)} molecules ({data.skipped} rows skipped)")
 
 
-def cmd_mask_preview(cfg, out_dir: Path) -> None:
-    run = build_run_config(cfg)
-    data = read_dataset(_require_input(cfg))
-    rules = _rules_for(cfg)
+def cmd_mask_preview(run: RunConfig, cfg, out_dir: Path) -> None:
+    data = read_dataset(_require_input(run))
+    rules = _rules_for(run)
     rows = []
     for i, rec in enumerate(data.records):
         dec = decompose(rec.graph, rules)
@@ -114,9 +111,8 @@ def cmd_mask_preview(cfg, out_dir: Path) -> None:
     print(f"planned masks for {len(rows)} molecules")
 
 
-def cmd_pretrain(cfg, out_dir: Path) -> PretrainResult:
-    run = build_run_config(cfg)
-    data = read_dataset(_require_input(cfg))
+def cmd_pretrain(run: RunConfig, cfg, out_dir: Path) -> PretrainResult:
+    data = read_dataset(_require_input(run))
     if not data.records:
         raise DataError("no parseable molecules in the dataset")
 
@@ -135,10 +131,9 @@ def cmd_pretrain(cfg, out_dir: Path) -> PretrainResult:
     return result
 
 
-def cmd_finetune(cfg, out_dir: Path) -> None:
-    run = build_run_config(cfg)
-    label = cfg["data.label"] or "label"
-    data = read_dataset(_require_input(cfg), label_columns=[label])
+def cmd_finetune(run: RunConfig, cfg, out_dir: Path) -> None:
+    label = run.data.label or "label"
+    data = read_dataset(_require_input(run), label_columns=[label])
     graphs = data.graphs()
     labels = np.array([r.labels[0] for r in data.records])
     pretrained = None
@@ -158,25 +153,17 @@ def cmd_finetune(cfg, out_dir: Path) -> None:
           f"epoch {report.best_epoch}, {report.mode})")
 
 
-def cmd_influence(cfg, out_dir: Path) -> None:
-    if not cfg["run.checkpoint"]:
+def cmd_influence(run: RunConfig, cfg, out_dir: Path) -> None:
+    if not run.checkpoint:
         raise ConfigError("influence requires run.checkpoint")
-    top_k = typed(cfg, "influence.top_k")
-    if top_k < 1:
-        raise ConfigError("influence.top_k must be >= 1")
-    limit = typed(cfg, "influence.max_graphs")
-    if limit < 0:
-        raise ConfigError("influence.max_graphs must be >= 0 (0 = no limit)")
-    ckpt = load_checkpoint(cfg["run.checkpoint"])
+    ckpt = load_checkpoint(run.checkpoint)
     enc = ckpt.encoder_config()
-    data = read_dataset(_require_input(cfg))
-    rules = _rules_for(cfg)
-    graphs = data.graphs()
-    if limit:
-        graphs = graphs[:limit]
+    data = read_dataset(_require_input(run))
+    rules = _rules_for(run)
+    graphs = data.graphs()[:run.influence.max_graphs or None]   # 0 = all
     decomps = [decompose(g, rules) for g in graphs]
-    report = analyze_dataset(graphs, decomps, ckpt.store, enc, top_k=top_k,
-                             mode=cfg["influence.inter_mode"])
+    report = analyze_dataset(graphs, decomps, ckpt.store, enc, top_k=run.influence.top_k,
+                             mode=run.influence.inter_mode)
     _write_csv(out_dir / "influence_nodes.csv",
                ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],
                [[r.graph_index, r.node, r.n_motifs,
@@ -195,11 +182,9 @@ def cmd_influence(cfg, out_dir: Path) -> None:
     print(f"influence report over {len(graphs)} molecules -> {out_dir}")
 
 
-def cmd_fingerprint(cfg, out_dir: Path) -> None:
-    data = read_dataset(_require_input(cfg))
-    radius = typed(cfg, "fp.radius")
-    width = typed(cfg, "fp.width")
-    rows = [[rec.smiles, morgan_fingerprint(rec.graph, radius, width).to_hex()]
+def cmd_fingerprint(run: RunConfig, cfg, out_dir: Path) -> None:
+    data = read_dataset(_require_input(run))
+    rows = [[rec.smiles, morgan_fingerprint(rec.graph, run.fp.radius, run.fp.width).to_hex()]
             for rec in data.records]
     _write_csv(out_dir / "fingerprints.csv", ["smiles", "fingerprint_hex"], rows)
     print(f"fingerprinted {len(rows)} molecules")
@@ -219,13 +204,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        run = build_section(RunConfig, "run", cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         effective = format_effective(cfg)
         # command-scoped so runs sharing one --out keep their provenance
         (out_dir / f"effective-config.{args.command}").write_text(effective)
         sys.stdout.write(effective)
-        _HANDLERS[args.command](cfg, out_dir)
+        _HANDLERS[args.command](run, cfg, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -4,17 +4,58 @@ The file format is line-oriented ``section.key=value`` (blank lines and
 ``#`` comments ignored), diff-friendly by design. Flags override file values;
 the resulting effective config is echoed back as an artifact whose re-use
 reproduces the run.
+
+The config dataclasses declare the keys: ``RunConfig``'s scalar fields are
+``run.*`` and each dataclass-typed field is a section. Field types parse the
+value text, defaults give the default text, and ``__post_init__`` validates,
+with messages that begin with the field name so errors can name the key.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
-from .gin import DECODERS, READOUTS, EncoderConfig, TARGETS
-from .loss import AUX_FORMS, REC_KINDS, LossConfig
-from .masking import MASK_MODES, MaskConfig
-from .train import RunConfig
+from .fingerprint import FingerprintConfig
+from .gin import EncoderConfig
+from .influence import InfluenceConfig
+from .loss import LossConfig
+from .masking import MaskConfig
+from .motif import MotifConfig
+from .smiles import DataConfig
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    epochs: int = 30
+    lr: float = 0.001
+    batch_pretrain: int = 32
+    batch_finetune: int = 32
+    seed: int = 0
+    finetune_epochs: int = 20
+    finetune_mode: str = "probe"   # probe (frozen encoder) | full
+    checkpoint: str | None = None
+    data: DataConfig = field(default_factory=DataConfig)
+    mask: MaskConfig = field(default_factory=MaskConfig)
+    loss: LossConfig = field(default_factory=LossConfig)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    fp: FingerprintConfig = field(default_factory=FingerprintConfig)
+    influence: InfluenceConfig = field(default_factory=InfluenceConfig)
+    motif: MotifConfig = field(default_factory=MotifConfig)
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_pretrain", "batch_finetune", "finetune_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.finetune_mode not in ("probe", "full"):
+            raise ValueError("finetune_mode must be one of probe, full")
 
 
 def _boolean(text: str) -> bool:
@@ -25,57 +66,67 @@ def _boolean(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _choice(options):
-    def cast(text):
-        if text not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return text
-    return cast
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
-# key -> (caster, default-as-string)
-SCHEMA: dict[str, tuple] = {
-    "data.input": (str, ""),
-    "data.label": (str, ""),
-    "mask.alpha_min": (float, "0.15"),
-    "mask.alpha_max": (float, "0.25"),
-    "mask.coverage": (float, "1.0"),
-    "mask.mode": (_choice(MASK_MODES), "node_wise"),
-    "mask.hop_k": (int, ""),            # defaults to encoder.layers
-    "mask.seed": (int, ""),             # defaults to run.seed
-    "mask.resample_per_epoch": (_boolean, "true"),
-    "loss.rec_kind": (_choice(REC_KINDS), "sce"),
-    "loss.gamma": (float, "1.0"),
-    "loss.beta": (float, "0.5"),
-    "loss.targets": (_choice(TARGETS), "atom_type"),
-    "loss.aux_form": (_choice(AUX_FORMS), "squared"),
-    "encoder.layers": (int, "5"),
-    "encoder.embed_dim": (int, "32"),
-    "encoder.readout": (_choice(READOUTS), "mean"),
-    "encoder.epsilon": (float, "0.0"),
-    "encoder.learn_epsilon": (_boolean, "false"),
-    "encoder.decoder": (_choice(DECODERS), "gnn"),
-    "run.epochs": (int, "30"),
-    "run.lr": (float, "0.001"),
-    "run.batch_pretrain": (int, "32"),
-    "run.batch_finetune": (int, "32"),
-    "run.seed": (int, "0"),
-    "run.finetune_epochs": (int, "20"),
-    "run.finetune_mode": (_choice(("probe", "full")), "probe"),
-    "run.checkpoint": (str, ""),
-    "fp.radius": (int, "2"),
-    "fp.width": (int, "2048"),
-    "influence.top_k": (int, "3"),
-    "influence.inter_mode": (_choice(("top_k", "size_weighted")), "top_k"),
-    "influence.max_graphs": (int, "0"),   # 0 = no limit
-    "motif.rules": (str, ""),
-}
+# field type -> parser of its value text
+_PARSERS = {int: int, float: _finite, bool: _boolean, str: str,
+            str | None: lambda text: text or None}
+
+
+def _defaults(cls, section: str):
+    """(key, default text) of every key that ``cls`` declares; the text
+    parses back to the field's default."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _defaults(hints[f.name], f.name)
+        elif isinstance(f.default, bool):
+            yield f"{section}.{f.name}", str(f.default).lower()
+        else:
+            yield f"{section}.{f.name}", "" if f.default is None else str(f.default)
+
+
+# keys that take another key's value when left empty
+INHERITS = {"mask.hop_k": "encoder.layers", "mask.seed": "run.seed"}
+
+DEFAULTS: dict[str, str] = {key: "" if key in INHERITS else text
+                            for key, text in _defaults(RunConfig, "run")}
+
+
+def build_section(cls, section: str, values):
+    """``cls`` built from the ``section.*`` entries of a flat config, its
+    dataclass-typed fields from their own sections. A missing key, or a value
+    that does not parse or that ``__post_init__`` rejects, is a ConfigError
+    naming the key."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            kwargs[f.name] = build_section(kind, f.name, values)
+            continue
+        key = f"{section}.{f.name}"
+        if key not in values:
+            raise ConfigError(f"{key} is missing")
+        try:
+            kwargs[f.name] = _PARSERS[kind](values[key])
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from e
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{section}.{e}") from e
 
 
 def parse_config_file(path) -> dict[str, str]:
     try:
         text = Path(path).read_text("utf-8")
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL or bad UTF-8
         raise ConfigError(f"cannot read config {path}: {e}") from e
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -92,69 +143,19 @@ def parse_config_file(path) -> dict[str, str]:
 def effective_config(file_values: dict[str, str] | None,
                      overrides: dict[str, str] | None = None) -> dict[str, str]:
     """Merge defaults, file values, and flag overrides; validate keys."""
-    merged = {k: default for k, (_, default) in SCHEMA.items()}
+    merged = dict(DEFAULTS)
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
-            if key not in SCHEMA:
+            if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
+            # the echo is read back line by line
+            if "".join(value.splitlines()) != value:
+                raise ConfigError(f"{key}: a value cannot contain a line break")
             merged[key] = value
-    if merged["mask.seed"] == "":
-        merged["mask.seed"] = merged["run.seed"]
-    if merged["mask.hop_k"] == "":
-        merged["mask.hop_k"] = merged["encoder.layers"]
+    for key, source in INHERITS.items():
+        if merged[key] == "":
+            merged[key] = merged[source]
     return merged
-
-
-def typed(cfg: dict[str, str], key: str):
-    caster, _ = SCHEMA[key]
-    raw = cfg[key]
-    try:
-        return caster(str(raw))
-    except ValueError as e:
-        raise ConfigError(f"bad value for {key}: {e}") from e
-
-
-def build_run_config(cfg: dict[str, str]) -> RunConfig:
-    try:
-        mask = MaskConfig(
-            alpha_min=typed(cfg, "mask.alpha_min"),
-            alpha_max=typed(cfg, "mask.alpha_max"),
-            coverage=typed(cfg, "mask.coverage"),
-            mode=typed(cfg, "mask.mode"),
-            hop_k=typed(cfg, "mask.hop_k"),
-            seed=typed(cfg, "mask.seed"),
-            resample_per_epoch=typed(cfg, "mask.resample_per_epoch"),
-        )
-        lossc = LossConfig(
-            rec_kind=typed(cfg, "loss.rec_kind"),
-            gamma=typed(cfg, "loss.gamma"),
-            beta=typed(cfg, "loss.beta"),
-            targets=typed(cfg, "loss.targets"),
-            aux_form=typed(cfg, "loss.aux_form"),
-        )
-        enc = EncoderConfig(
-            layers=typed(cfg, "encoder.layers"),
-            embed_dim=typed(cfg, "encoder.embed_dim"),
-            readout=typed(cfg, "encoder.readout"),
-            epsilon=typed(cfg, "encoder.epsilon"),
-            learn_epsilon=typed(cfg, "encoder.learn_epsilon"),
-            decoder=typed(cfg, "encoder.decoder"),
-        )
-        return RunConfig(
-            epochs=typed(cfg, "run.epochs"),
-            lr=typed(cfg, "run.lr"),
-            batch_pretrain=typed(cfg, "run.batch_pretrain"),
-            batch_finetune=typed(cfg, "run.batch_finetune"),
-            seed=typed(cfg, "run.seed"),
-            finetune_epochs=typed(cfg, "run.finetune_epochs"),
-            finetune_mode=typed(cfg, "run.finetune_mode"),
-            checkpoint=cfg["run.checkpoint"] or None,
-            mask=mask,
-            loss=lossc,
-            encoder=enc,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
 
 
 def format_effective(cfg: dict[str, str]) -> str:

@@ -15,6 +15,7 @@ from .molgraph import BOND_ORDER_INDEX, MolGraph
 
 _MASK64 = (1 << 64) - 1
 _SEED = 0x6D6F616D61  # fixed hash seed
+MAX_WIDTH = 1 << 16  # a fingerprint is one int of width bits; cap its memory
 
 
 def _mix(h: int, value: int) -> int:
@@ -33,6 +34,20 @@ def _hash_ints(values) -> int:
     for v in values:
         h = _mix(h, v)
     return h
+
+
+@dataclass(frozen=True)
+class FingerprintConfig:
+    """The ``fp.*`` keys; also checks ``morgan_fingerprint``'s arguments."""
+
+    radius: int = 2
+    width: int = 2048
+
+    def __post_init__(self):
+        if self.radius < 0:
+            raise ValueError("radius must be >= 0")
+        if not 0 < self.width <= MAX_WIDTH or self.width & (self.width - 1):
+            raise ValueError(f"width must be a power of two <= {MAX_WIDTH}")
 
 
 @dataclass(frozen=True)
@@ -59,11 +74,7 @@ def morgan_fingerprint(g: MolGraph, radius: int = 2, width: int = 2048) -> Finge
     Invariant under node relabeling: neighbor multisets are sorted before
     hashing and initial codes depend only on local attributes.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if width <= 0 or width & (width - 1):
-        raise ValueError("width must be a power of two")
-
+    FingerprintConfig(radius, width)  # raises ValueError on bad arguments
     codes = [
         _hash_ints((0, a.atom_type, g.degree(v), a.chirality))
         for v, a in enumerate(g.atoms)

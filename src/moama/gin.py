@@ -45,9 +45,9 @@ class EncoderConfig:
         if self.layers < 1 or self.embed_dim < 1:
             raise ValueError("layers and embed_dim must be >= 1")
         if self.readout not in READOUTS:
-            raise ValueError(f"unknown readout {self.readout!r}")
+            raise ValueError(f"readout must be one of {', '.join(READOUTS)}")
         if self.decoder not in DECODERS:
-            raise ValueError(f"unknown decoder {self.decoder!r}")
+            raise ValueError(f"decoder must be one of {', '.join(DECODERS)}")
 
 
 @dataclass(frozen=True)

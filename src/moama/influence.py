@@ -40,6 +40,23 @@ INTER_MODES = ("top_k", "size_weighted")
 STACK_ROWS = 1024
 
 
+@dataclass(frozen=True)
+class InfluenceConfig:
+    """The ``influence.*`` keys of the ``influence`` command."""
+
+    top_k: int = 3
+    inter_mode: str = "top_k"
+    max_graphs: int = 0   # 0 = no limit
+
+    def __post_init__(self):
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        if self.inter_mode not in INTER_MODES:
+            raise ValueError(f"inter_mode must be one of {', '.join(INTER_MODES)}")
+        if self.max_graphs < 0:
+            raise ValueError("max_graphs must be >= 0 (0 = no limit)")
+
+
 def _inference_store(store: ParamStore) -> ParamStore:
     """Constant copies of the parameters, so encodes record no tape. A store
     of constants is returned as is."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .fingerprint import tanimoto
-from .gin import ATOM_LOGITS, CHIRALITY_LOGITS
+from .gin import ATOM_LOGITS, CHIRALITY_LOGITS, TARGETS
 
 _NORM_FLOOR = 1e-24   # smooths the cosine at an all-zero row
 _COS_EPS = 1e-12
@@ -40,13 +40,15 @@ class LossConfig:
 
     def __post_init__(self):
         if self.rec_kind not in REC_KINDS:
-            raise ValueError(f"unknown reconstruction loss {self.rec_kind!r}")
+            raise ValueError(f"rec_kind must be one of {', '.join(REC_KINDS)}")
         if self.gamma < 1.0:
             raise ValueError("gamma must be >= 1")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
+        if self.targets not in TARGETS:
+            raise ValueError(f"targets must be one of {', '.join(TARGETS)}")
         if self.aux_form not in AUX_FORMS:
-            raise ValueError(f"unknown aux form {self.aux_form!r}")
+            raise ValueError(f"aux_form must be one of {', '.join(AUX_FORMS)}")
 
 
 _DIM_OF = {"atom_type": (0, ATOM_LOGITS), "chirality": (1, CHIRALITY_LOGITS)}

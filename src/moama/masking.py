@@ -40,11 +40,11 @@ class MaskConfig:
 
     def __post_init__(self):
         if not 0.0 < self.alpha_min < self.alpha_max < 1.0:
-            raise ValueError("need 0 < alpha_min < alpha_max < 1")
+            raise ValueError("alpha_min and alpha_max need 0 < alpha_min < alpha_max < 1")
         if not 0.0 < self.coverage <= 1.0:
             raise ValueError("coverage must be in (0, 1]")
         if self.mode not in MASK_MODES:
-            raise ValueError(f"unknown masking mode {self.mode!r}")
+            raise ValueError(f"mode must be one of {', '.join(MASK_MODES)}")
         if self.hop_k < 0:
             raise ValueError("hop_k must be >= 0")
         if self.seed < 0:

@@ -183,6 +183,13 @@ def _env_matches(env: EnvPattern, ctx: _GraphContext, v: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class MotifConfig:
+    """The ``motif.*`` keys; empty ``rules`` selects the bundled table."""
+
+    rules: str = ""
+
+
 def load_rules(path=None) -> tuple[BricsRule, ...]:
     """Load a rule table; the bundled default when ``path`` is None."""
     if path is None:
@@ -192,7 +199,7 @@ def load_rules(path=None) -> tuple[BricsRule, ...]:
         origin = str(path)
         try:
             text = Path(path).read_text("utf-8")
-        except OSError as e:
+        except (OSError, ValueError) as e:  # ValueError: a NUL or bad UTF-8
             raise DataError(f"cannot read rule file {path}: {e}") from e
 
     envs: dict[str, EnvPattern] = {}

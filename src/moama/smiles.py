@@ -272,6 +272,14 @@ class Dataset:
         return [r.graph for r in self.records]
 
 
+@dataclass(frozen=True)
+class DataConfig:
+    """The ``data.*`` keys; finetune reads the ``label`` column if none is set."""
+
+    input: str = ""
+    label: str = ""
+
+
 def read_dataset(path, label_columns=None) -> Dataset:
     """Read a CSV with a ``smiles`` column and optional numeric label columns.
 
@@ -281,7 +289,7 @@ def read_dataset(path, label_columns=None) -> Dataset:
     path = Path(path)
     try:
         fh = path.open(newline="", encoding="utf-8")
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise DataError(f"cannot read dataset {path}: {e}") from e
     with fh:
         reader = csv.DictReader(fh)

@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError
+from .config import RunConfig, build_section
+from .errors import ConfigError, DataError
 from .fingerprint import morgan_fingerprint
 from .gin import (
     EncoderConfig,
@@ -36,39 +37,13 @@ from .gin import (
     predict_label,
     readout,
 )
-from .loss import LossConfig, aux_loss, rec_loss, total_loss
-from .masking import MaskConfig, apply_mask, build_plan, plan_rng
+from .loss import aux_loss, rec_loss, total_loss
+from .masking import apply_mask, build_plan, plan_rng
 from .molgraph import BOND_ORDER_INDEX, MolGraph
 from .motif import decompose
 
 CHECKPOINT_MAGIC = b"MOAM"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    epochs: int = 30
-    lr: float = 0.001
-    batch_pretrain: int = 32
-    batch_finetune: int = 32
-    seed: int = 0
-    finetune_epochs: int = 20
-    finetune_mode: str = "probe"   # probe (frozen encoder) | full
-    checkpoint: str | None = None
-    mask: MaskConfig = field(default_factory=MaskConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_pretrain", "batch_finetune", "finetune_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.finetune_mode not in ("probe", "full"):
-            raise ValueError(f"unknown finetune mode {self.finetune_mode!r}")
 
 
 @dataclass
@@ -79,19 +54,10 @@ class Checkpoint:
     epoch: int
 
     def encoder_config(self) -> EncoderConfig:
-        c = self.config
         try:
-            return EncoderConfig(
-                layers=int(c["encoder.layers"]),
-                embed_dim=int(c["encoder.embed_dim"]),
-                readout=c["encoder.readout"],
-                epsilon=float(c["encoder.epsilon"]),
-                learn_epsilon=c["encoder.learn_epsilon"] == "true",
-                decoder=c["encoder.decoder"],
-            )
-        except KeyError as e:
-            raise DataError(
-                f"checkpoint config snapshot lacks encoder setting {e}") from e
+            return build_section(EncoderConfig, "encoder", self.config)
+        except ConfigError as e:
+            raise DataError(f"checkpoint config snapshot: {e}") from e
 
 
 def save_checkpoint(path, store: ParamStore, config: dict[str, str],

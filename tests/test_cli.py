@@ -1,8 +1,13 @@
 import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from moama.cli import main
+from moama.config import DEFAULTS
 from moama.datagen import write_corpus_csv
 from moama.gin import EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
@@ -190,7 +195,9 @@ def test_finetune_adopts_checkpoint_encoder_settings(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("influence.top_k", "0"), ("influence.top_k", "-2"),
-                                       ("influence.max_graphs", "-1")])
+                                       ("influence.max_graphs", "-1"),
+                                       ("influence.inter_mode", "bogus"),
+                                       ("loss.targets", "bogus")])
 def test_influence_rejects_bad_limits(mols_csv, tmp_path, capsys, key, value):
     cfg = EncoderConfig(layers=2, embed_dim=8)
     ckpt = tmp_path / "ckpt.moam"
@@ -222,3 +229,119 @@ def test_truncated_checkpoint_is_a_data_error(mols_csv, tmp_path, capsys):
     assert main(["influence", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
                  "--set", f"run.checkpoint={cut}"]) == 2
     assert "truncated or corrupt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["yes", "1"])
+def test_learn_epsilon_spelling_survives_checkpoint(tmp_path, spelling):
+    data = tmp_path / "corpus.csv"
+    write_corpus_csv(data, 16, seed=5)
+    outs = {}
+    for value in ("true", spelling):
+        pre, inf = tmp_path / f"pre-{value}", tmp_path / f"inf-{value}"
+        assert main(["pretrain", "--out", str(pre), "--seed", "3",
+                     "--set", f"data.input={data}", "--set", "run.epochs=2",
+                     "--set", "run.batch_pretrain=8", "--set", "encoder.layers=2",
+                     "--set", "encoder.embed_dim=8",
+                     "--set", f"encoder.learn_epsilon={value}"]) == 0
+        ckpt = pre / "checkpoint.moam"
+        assert load_checkpoint(ckpt).encoder_config().learn_epsilon is True
+        assert main(["influence", "--out", str(inf), "--set", f"data.input={data}",
+                     "--set", f"run.checkpoint={ckpt}"]) == 0
+        outs[value] = [(inf / name).read_bytes() for name in
+                       ("influence_nodes.csv", "influence_summary.csv", "mrr_inter.csv")]
+    assert outs[spelling] == outs["true"]
+
+
+def test_malformed_checkpoint_encoder_setting_is_a_data_error(mols_csv, tmp_path):
+    ckpt = tmp_path / "ckpt.moam"
+    save_checkpoint(ckpt, init_params(EncoderConfig(layers=2, embed_dim=8), seed=0), {
+        "encoder.layers": "two", "encoder.embed_dim": "8", "encoder.readout": "mean",
+        "encoder.epsilon": "0.0", "encoder.learn_epsilon": "false",
+        "encoder.decoder": "gnn"}, {"seed": 0}, 0)
+    with pytest.raises(DataError, match="encoder.layers"):
+        load_checkpoint(ckpt).encoder_config()
+    assert main(["influence", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
+                 "--set", f"run.checkpoint={ckpt}"]) == 2
+
+
+@pytest.mark.parametrize("key,value", [("fp.width", "1000"), ("fp.width", "0"),
+                                       ("fp.width", str(2 ** 17)), ("fp.width", str(2 ** 40)),
+                                       ("fp.radius", "-1")])
+def test_fingerprint_rejects_bad_settings(mols_csv, tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    assert main(["fingerprint", "--out", str(out), "--set", f"data.input={mols_csv}",
+                 "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
+    assert not (out / "fingerprints.csv").exists()
+
+
+def test_default_effective_config_is_unchanged(tmp_path):
+    out = tmp_path / "out"
+    assert main(["decompose", "--out", str(out)]) == 1   # data.input is required
+    assert (out / "effective-config.decompose").read_text() == """\
+data.input=
+data.label=
+encoder.decoder=gnn
+encoder.embed_dim=32
+encoder.epsilon=0.0
+encoder.layers=5
+encoder.learn_epsilon=false
+encoder.readout=mean
+fp.radius=2
+fp.width=2048
+influence.inter_mode=top_k
+influence.max_graphs=0
+influence.top_k=3
+loss.aux_form=squared
+loss.beta=0.5
+loss.gamma=1.0
+loss.rec_kind=sce
+loss.targets=atom_type
+mask.alpha_max=0.25
+mask.alpha_min=0.15
+mask.coverage=1.0
+mask.hop_k=5
+mask.mode=node_wise
+mask.resample_per_epoch=true
+mask.seed=0
+motif.rules=
+run.batch_finetune=32
+run.batch_pretrain=32
+run.checkpoint=
+run.epochs=30
+run.finetune_epochs=20
+run.finetune_mode=probe
+run.lr=0.001
+run.seed=0
+"""
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("Configuration is flat", 1)[1].split("```")[1]
+    listed = {line.split("=", 1)[0] for line in block.splitlines() if "=" in line}
+    assert listed >= set(DEFAULTS)
+
+
+_VALUES = st.one_of(st.just(""), st.text(max_size=12), st.integers(),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(DEFAULTS)), value=_VALUES)
+@example(key="run.lr", value="abc")
+@example(key="data.label", value="a\nb")
+@example(key="mask.mode", value="a\u2028b")
+@example(key="data.input", value="\x00")
+@example(key="motif.rules", value="\x00")
+def test_any_single_setting_ends_in_an_exit_code(mols_csv, tmp_path, key, value):
+    text = str(value)
+    code = main(["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
+                 "--set", f"{key}={text}"])
+    assert code in (0, 1, 2)
+    if len(text.strip().splitlines()) > 1:   # the echo could not round-trip it
+        assert code == 1
+    if key == "run.lr" and text == "abc":
+        assert code == 1
