@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, NumericsError
 from .fingerprint import morgan_fingerprint
 from .influence import analyze_dataset
 from .masking import build_plan, plan_rng
-from .motif import decompose, load_rules
+from .motif import decompose
 from .smiles import read_dataset
 from .train import (
     PretrainResult,
@@ -74,13 +74,9 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _rules_for(run: RunConfig):
-    return load_rules(run.motif.rules) if run.motif.rules else None
-
-
 def cmd_decompose(run: RunConfig, cfg, out_dir: Path) -> None:
     data = read_dataset(_require_input(run))
-    rules = _rules_for(run)
+    rules = run.motif.rule_table()
     rows = []
     for rec in data.records:
         dec = decompose(rec.graph, rules)
@@ -92,7 +88,7 @@ def cmd_decompose(run: RunConfig, cfg, out_dir: Path) -> None:
 
 def cmd_mask_preview(run: RunConfig, cfg, out_dir: Path) -> None:
     data = read_dataset(_require_input(run))
-    rules = _rules_for(run)
+    rules = run.motif.rule_table()
     rows = []
     for i, rec in enumerate(data.records):
         dec = decompose(rec.graph, rules)
@@ -159,7 +155,7 @@ def cmd_influence(run: RunConfig, cfg, out_dir: Path) -> None:
     ckpt = load_checkpoint(run.checkpoint)
     enc = ckpt.encoder_config()
     data = read_dataset(_require_input(run))
-    rules = _rules_for(run)
+    rules = run.motif.rule_table()
     graphs = data.graphs()[:run.influence.max_graphs or None]   # 0 = all
     decomps = [decompose(g, rules) for g in graphs]
     report = analyze_dataset(graphs, decomps, ckpt.store, enc, top_k=run.influence.top_k,

@@ -151,6 +151,11 @@ def effective_config(file_values: dict[str, str] | None,
             # the echo is read back line by line
             if "".join(value.splitlines()) != value:
                 raise ConfigError(f"{key}: a value cannot contain a line break")
+            # the echo is UTF-8; undecodable argv bytes arrive as lone surrogates
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise ConfigError(f"{key}: a value must be valid UTF-8") from e
             merged[key] = value
     for key, source in INHERITS.items():
         if merged[key] == "":

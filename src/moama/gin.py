@@ -1,9 +1,10 @@
 """GIN encoder, attribute decoders, prediction head, and Adam updates.
 
 Everything runs in double precision on the autodiff tape. Graphs are batched
-by concatenating nodes and keeping a graph-id per node; directed edge arrays
-are sorted by (destination, source) once at construction so neighbor sums
-always accumulate in ascending node order and runs stay bit-reproducible.
+by concatenating nodes and keeping a graph-id per node. Each molecule sorts its
+directed edges by (destination, source) once, when it is built, and a batch
+concatenates them, so neighbor sums always accumulate in ascending node order
+and runs stay bit-reproducible.
 
 Layer update, for layer weights (w1, b1, w2, b2) and scalar eps:
     h_v <- w2 . relu(w1 . ((1 + eps) h_v + sum_{u in N(v)} (h_u + bond_emb))
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .molgraph import BOND_ORDER_INDEX, MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph
+from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph
 
 N_ATOM_EMBED = MASK_ATOM_TYPE + 1      # 120 rows, mask code included
 N_CHIRALITY_EMBED = MASK_CHIRALITY + 1  # 5 rows
@@ -67,40 +68,25 @@ class TensorGraph:
     def from_graphs(cls, graphs, x_list=None) -> "TensorGraph":
         """Build from molecules, optionally with masked attribute matrices."""
         graphs = list(graphs)
-        types, chir, gids = [], [], []
-        src, dst, order = [], [], []
-        offset = 0
-        for gi, g in enumerate(graphs):
-            x = g.X if x_list is None else x_list[gi]
-            if x.shape != (g.n_atoms, 2):
-                raise ValueError("attribute matrix shape mismatch")
-            types.extend(int(v) for v in x[:, 0])
-            chir.extend(int(v) for v in x[:, 1])
-            gids.extend([gi] * g.n_atoms)
-            for b in g.bonds:
-                code = BOND_ORDER_INDEX[b.order]
-                src.extend((offset + b.u, offset + b.v))
-                dst.extend((offset + b.v, offset + b.u))
-                order.extend((code, code))
-            offset += g.n_atoms
-
-        ts = np.asarray(types, dtype=np.int64)
-        cs = np.asarray(chir, dtype=np.int64)
-        if ts.size == 0:
+        if not graphs:
             raise ValueError("empty batch")
+        xs = [g.X if x_list is None else x_list[i] for i, g in enumerate(graphs)]
+        if any(x.shape != (g.n_atoms, 2) for g, x in zip(graphs, xs)):
+            raise ValueError("attribute matrix shape mismatch")
+        ts, cs = np.concatenate([x.T for x in xs], axis=1).astype(np.int64, copy=False)
         if ts.min() < 0 or ts.max() >= N_ATOM_EMBED:
             raise ValueError("atom_type code out of range")
         if cs.min() < 0 or cs.max() >= N_CHIRALITY_EMBED:
             raise ValueError("chirality code out of range")
 
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        order_arr = np.asarray(order, dtype=np.int64)
-        if src.size:
-            perm = np.lexsort((src, dst))
-            src, dst, order_arr = src[perm], dst[perm], order_arr[perm]
-        return cls(ts, cs, src, dst, order_arr,
-                   np.asarray(gids, dtype=np.int64), offset, len(graphs))
+        sizes = [g.n_atoms for g in graphs]
+        edges = np.concatenate([g.edges for g in graphs], axis=1)
+        # each molecule's edges are (dst, src)-sorted and later molecules hold
+        # higher node ids, so the shifted concatenation is sorted as a whole
+        shift = np.repeat(np.cumsum([0] + sizes[:-1]), [g.edges.shape[1] for g in graphs])
+        return cls(ts, cs, edges[0] + shift, edges[1] + shift, edges[2],
+                   np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
+                   sum(sizes), len(graphs))
 
 
 def single(g: MolGraph, x=None) -> TensorGraph:

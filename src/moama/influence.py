@@ -4,8 +4,8 @@ The influence of a source node u on a target node v is the L2 distance
 between v's encoder representation and the representation obtained when u's
 layer-0 embedding is replaced by the zero vector, everything else unchanged.
 Encoding always runs on clean (unmasked) attributes. One encode covers a
-molecule's clean copy and its n zeroed copies stacked into one graph, split
-into chunks only for large molecules.
+molecule's clean copy and its n zeroed copies, batched as n+1 copies of the
+molecule like any other batch, split into chunks only for large molecules.
 
 Motif-level influence averages the top-k most influential candidate nodes so
 small motifs and large inter-motif pools compare on equal footing; pools
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .gin import EncoderConfig, ParamStore, TensorGraph, encode, single
+from .gin import EncoderConfig, ParamStore, TensorGraph, encode
 from .molgraph import MolGraph
 from .motif import MotifDecomposition
 
@@ -65,17 +65,6 @@ def _inference_store(store: ParamStore) -> ParamStore:
     return ParamStore({n: ad.const(t.values) for n, t in store.params.items()})
 
 
-def _stack(tg: TensorGraph, copies: int) -> TensorGraph:
-    """``copies`` disjoint copies of a one-molecule graph; copy c holds rows
-    c*n .. c*n+n-1. Edges stay sorted by (destination, source)."""
-    n = tg.n_nodes
-    shift = n * np.arange(copies, dtype=np.int64)[:, None]
-    return TensorGraph(np.tile(tg.atom_type, copies), np.tile(tg.chirality, copies),
-                       (tg.edge_src + shift).ravel(), (tg.edge_dst + shift).ravel(),
-                       np.tile(tg.edge_order, copies),
-                       np.repeat(np.arange(copies, dtype=np.int64), n), n * copies, copies)
-
-
 def _influence_rows(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
                     sources) -> np.ndarray:
     """S[i, v] = s(sources[i], v), with S[i, sources[i]] = 0.
@@ -85,7 +74,6 @@ def _influence_rows(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
     it would alone. The copies go through ``encode`` in chunks of at most
     STACK_ROWS node rows.
     """
-    tg = single(g)
     frozen = _inference_store(store)
     n = g.n_atoms
     per_chunk = max(1, STACK_ROWS // n)
@@ -94,7 +82,7 @@ def _influence_rows(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
     for lo in range(0, copies, per_chunk):
         hi = min(copies, lo + per_chunk)
         zeroed = range(max(lo, 1), hi)
-        out = encode(_stack(tg, hi - lo), frozen, cfg,
+        out = encode(TensorGraph.from_graphs([g] * (hi - lo)), frozen, cfg,
                      zero_nodes=[(c - lo) * n + sources[c - 1] for c in zeroed])
         out = out.values.reshape(hi - lo, n, -1)
         if lo == 0:

@@ -71,10 +71,13 @@ class MolGraph:
 
     ``bonds`` ring flags are derived with bridge detection at construction
     time, never caller-supplied. The attribute matrix ``X`` is the read-only
-    (|V|, 2) integer matrix of (atom_type, chirality) codes.
+    (|V|, 2) integer matrix of (atom_type, chirality) codes. ``edges`` is the
+    read-only (3, 2|E|) integer array of directed edges, rows (src, dst, bond
+    order code), sorted by (dst, src): the order in which the encoder sums
+    each node's messages.
     """
 
-    __slots__ = ("atoms", "bonds", "_adjacency", "_X")
+    __slots__ = ("atoms", "bonds", "_adjacency", "_X", "_edges")
 
     def __init__(self, atoms, bonds):
         """Build a graph from AtomAttr values and (u, v, order) bond specs."""
@@ -112,6 +115,16 @@ class MolGraph:
         x.setflags(write=False)
         self._X = x
 
+        # each adjacency list is sorted by neighbor, so walking the lists in
+        # node order yields the directed edges sorted by (dst, src)
+        codes = [BOND_ORDER_INDEX[b.order] for b in self.bonds]
+        nbrs = self._adjacency
+        e = np.array([[u for a in nbrs for u, _ in a],
+                      [v for v, a in enumerate(nbrs) for _ in a],
+                      [codes[i] for a in nbrs for _, i in a]], dtype=np.int64)
+        e.setflags(write=False)
+        self._edges = e
+
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
@@ -119,6 +132,10 @@ class MolGraph:
     @property
     def X(self) -> np.ndarray:
         return self._X
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(u for u, _ in self._adjacency[v])

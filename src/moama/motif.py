@@ -189,6 +189,10 @@ class MotifConfig:
 
     rules: str = ""
 
+    def rule_table(self):
+        """The rule table to decompose with; None selects the bundled one."""
+        return load_rules(self.rules) if self.rules else None
+
 
 def load_rules(path=None) -> tuple[BricsRule, ...]:
     """Load a rule table; the bundled default when ``path`` is None."""

@@ -22,6 +22,7 @@ report the byte offset of the offending token.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -288,41 +289,41 @@ def read_dataset(path, label_columns=None) -> Dataset:
     """
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
-    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
+        with path.open(newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path or bad UTF-8
         raise DataError(f"cannot read dataset {path}: {e}") from e
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "smiles" not in reader.fieldnames:
-            raise DataError(f"dataset {path} is missing a 'smiles' column")
-        names = tuple(label_columns or ())
-        missing = [c for c in names if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"dataset {path} is missing label columns {missing}")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or "smiles" not in reader.fieldnames:
+        raise DataError(f"dataset {path} is missing a 'smiles' column")
+    names = tuple(label_columns or ())
+    missing = [c for c in names if c not in reader.fieldnames]
+    if missing:
+        raise DataError(f"dataset {path} is missing label columns {missing}")
 
-        records = []
-        errors = []
-        for row_idx, row in enumerate(reader):
-            smi = (row.get("smiles") or "").strip()
-            try:
-                graph = parse(smi)
-            except SmilesError as e:
-                errors.append((row_idx, str(e)))
-                continue
-            labels = None
-            if names:
-                vals = []
-                for c in names:
-                    cell = (row.get(c) or "").strip()
-                    if not cell:
-                        vals.append(float("nan"))
-                    else:
-                        try:
-                            vals.append(float(cell))
-                        except ValueError as e:
-                            raise DataError(
-                                f"row {row_idx}: label {c}={cell!r} is not numeric"
-                            ) from e
-                labels = np.array(vals, dtype=np.float64)
-            records.append(DatasetRecord(smi, graph, labels))
+    records = []
+    errors = []
+    for row_idx, row in enumerate(reader):
+        smi = (row.get("smiles") or "").strip()
+        try:
+            graph = parse(smi)
+        except SmilesError as e:
+            errors.append((row_idx, str(e)))
+            continue
+        labels = None
+        if names:
+            vals = []
+            for c in names:
+                cell = (row.get(c) or "").strip()
+                if not cell:
+                    vals.append(float("nan"))
+                else:
+                    try:
+                        vals.append(float(cell))
+                    except ValueError as e:
+                        raise DataError(
+                            f"row {row_idx}: label {c}={cell!r} is not numeric"
+                        ) from e
+            labels = np.array(vals, dtype=np.float64)
+        records.append(DatasetRecord(smi, graph, labels))
     return Dataset(tuple(records), len(errors), tuple(errors), tuple(names))

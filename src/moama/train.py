@@ -177,12 +177,14 @@ def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = No
     graphs = list(graphs)
     if not graphs:
         raise DataError("empty pre-training corpus")
-    decomps = [decompose(g) for g in graphs]
+    rules = cfg.motif.rule_table()
+    decomps = [decompose(g, rules) for g in graphs]
     if all(d.n_motifs == 1 for d in decomps) and cfg.mask.mode != "random_baseline":
         raise DataError("every molecule is a single motif; nothing can be masked")
 
     use_aux = cfg.loss.beta < 1.0
-    fps = [morgan_fingerprint(g) for g in graphs] if use_aux else None
+    fps = ([morgan_fingerprint(g, cfg.fp.radius, cfg.fp.width) for g in graphs]
+           if use_aux else None)
 
     if resume is not None:
         store = resume.store

@@ -276,6 +276,40 @@ def test_fingerprint_rejects_bad_settings(mols_csv, tmp_path, capsys, key, value
     assert not (out / "fingerprints.csv").exists()
 
 
+def test_pretrain_uses_the_configured_rules_and_fingerprint(mols_csv, tmp_path, capsys,
+                                                             monkeypatch):
+    import moama.train
+
+    rules = tmp_path / "comments.tsv"
+    rules.write_text("# a table without rules\n")
+    args = ["--set", f"data.input={mols_csv}", "--set", "run.epochs=1",
+            "--set", "encoder.layers=2", "--set", "encoder.embed_dim=8"]
+    for command in ("decompose", "pretrain"):
+        assert main([command, "--out", str(tmp_path / command), *args,
+                     "--set", f"motif.rules={rules}"]) == 2
+        assert "no rules found" in capsys.readouterr().err
+
+    seen = []
+    real = moama.train.morgan_fingerprint
+
+    def spy(g, *shape):
+        seen.append(shape)
+        return real(g, *shape)
+
+    monkeypatch.setattr(moama.train, "morgan_fingerprint", spy)
+    assert main(["pretrain", "--out", str(tmp_path / "fp"), *args,
+                 "--set", "fp.radius=1", "--set", "fp.width=64"]) == 0
+    assert seen == [(1, 64)] * 3
+
+
+def test_dataset_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"smiles\nCCO\n\xff\xfeCC\n")
+    assert main(["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={data}"]) == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and "Traceback" not in err
+
+
 def test_default_effective_config_is_unchanged(tmp_path):
     out = tmp_path / "out"
     assert main(["decompose", "--out", str(out)]) == 1   # data.input is required
@@ -336,6 +370,7 @@ _VALUES = st.one_of(st.just(""), st.text(max_size=12), st.integers(),
 @example(key="mask.mode", value="a\u2028b")
 @example(key="data.input", value="\x00")
 @example(key="motif.rules", value="\x00")
+@example(key="data.label", value="\udcff")
 def test_any_single_setting_ends_in_an_exit_code(mols_csv, tmp_path, key, value):
     text = str(value)
     code = main(["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",

@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moama import autodiff as ad
 from moama import parse
@@ -14,7 +18,8 @@ from moama.gin import (
     readout,
     single,
 )
-from moama.molgraph import relabel, shortest_path_lengths
+from moama.masking import MaskPlan, apply_mask
+from moama.molgraph import BOND_ORDER_INDEX, AtomAttr, MolGraph, relabel, shortest_path_lengths
 
 from conftest import encode_oracle, random_molgraph
 
@@ -238,9 +243,84 @@ def test_loss_decreases_over_50_steps_overfit():
     assert losses[-1] < losses[0]
 
 
+def _loop_and_lexsort_batch(graphs, x_list=None) -> dict:
+    """TensorGraph fields as the batch builder made them before molecules
+    carried their own edge arrays: per-atom and per-bond loops, one lexsort."""
+    types, chir, gids, src, dst, order = [], [], [], [], [], []
+    offset = 0
+    for gi, g in enumerate(graphs):
+        x = g.X if x_list is None else x_list[gi]
+        types.extend(int(v) for v in x[:, 0])
+        chir.extend(int(v) for v in x[:, 1])
+        gids.extend([gi] * g.n_atoms)
+        for b in g.bonds:
+            code = BOND_ORDER_INDEX[b.order]
+            src.extend((offset + b.u, offset + b.v))
+            dst.extend((offset + b.v, offset + b.u))
+            order.extend((code, code))
+        offset += g.n_atoms
+    src, dst, order = (np.asarray(a, dtype=np.int64) for a in (src, dst, order))
+    perm = np.lexsort((src, dst))
+    return {"atom_type": np.asarray(types, dtype=np.int64),
+            "chirality": np.asarray(chir, dtype=np.int64),
+            "edge_src": src[perm], "edge_dst": dst[perm], "edge_order": order[perm],
+            "graph_ids": np.asarray(gids, dtype=np.int64),
+            "n_nodes": offset, "n_graphs": len(graphs)}
+
+
+def _assert_batch_equals_reference(graphs, x_list=None):
+    tg = TensorGraph.from_graphs(graphs, x_list)
+    want = _loop_and_lexsort_batch(graphs, x_list)
+    for f in fields(TensorGraph):
+        got = getattr(tg, f.name)
+        assert np.array_equal(got, want[f.name]), f.name
+        assert np.asarray(got).dtype == np.asarray(want[f.name]).dtype, f.name
+
+
+def _bondless_molgraph(rng) -> MolGraph:
+    n = int(rng.integers(1, 4))
+    return MolGraph([AtomAttr(int(rng.choice([5, 6, 7])), int(rng.integers(0, 4)))
+                     for _ in range(n)], [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 10), masked=st.booleans())
+def test_from_graphs_matches_loop_and_lexsort_builder(seed, size, masked):
+    rng = np.random.default_rng(seed)
+    graphs = [_bondless_molgraph(rng) if rng.random() < 0.25 else random_molgraph(rng)
+              for _ in range(size)]
+    x_list = None
+    if masked:
+        x_list = [apply_mask(g, MaskPlan((), tuple(
+            tuple(np.flatnonzero(rng.random(g.n_atoms) < 0.3)) for _ in range(2)), 0.0, True))
+            for g in graphs]
+    _assert_batch_equals_reference(graphs, x_list)
+
+
+def test_from_graphs_of_repeated_molecule_matches_reference():
+    # the influence analysis batches n+1 copies of one molecule
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        g = random_molgraph(rng)
+        for copies in (1, 2, g.n_atoms + 1):
+            _assert_batch_equals_reference([g] * copies)
+    _assert_batch_equals_reference([_bondless_molgraph(rng)] * 4)
+
+
 def test_empty_graph_rejected():
     with pytest.raises(ValueError):
         TensorGraph.from_graphs([])
+
+
+def test_from_graphs_rejects_bad_attribute_matrix():
+    g = parse("CCO")
+    with pytest.raises(ValueError, match="shape mismatch"):
+        TensorGraph.from_graphs([g, g], [g.X, g.X[:2]])
+    for row, name in (((120, 0), "atom_type"), ((-1, 0), "atom_type"), ((5, 5), "chirality")):
+        x = np.array(g.X)
+        x[1] = row
+        with pytest.raises(ValueError, match=f"{name} code out of range"):
+            TensorGraph.from_graphs([g, g], [g.X, x])
 
 
 def test_learnable_epsilon_matches_oracle_and_gets_gradient():
