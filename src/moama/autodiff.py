@@ -327,14 +327,13 @@ def segment_max(a, segments, n_segments: int) -> Tensor:
     def back(g):
         if not a.requires_grad:
             return
-        ga = np.zeros_like(a.values)
-        taken = np.zeros_like(out_vals, dtype=bool)
-        for i in range(a.values.shape[0]):
-            s = seg[i]
-            hit = (a.values[i] == out_vals[s]) & ~taken[s]
-            ga[i] = g[s] * hit
-            taken[s] |= hit
-        _accum(a, ga)
+        # per segment and column, the lowest row id that attains the max
+        n = a.values.shape[0]
+        rows = np.arange(n).reshape((n,) + (1,) * (a.values.ndim - 1))
+        first = np.full(out_vals.shape, n)
+        np.minimum.at(first, seg, np.where(a.values == out_vals[seg], rows, n))
+        # a product, not np.where: g * False is -0.0 where g is negative
+        _accum(a, g[seg] * (rows == first[seg]))
 
     return Tensor(out_vals, _parents=(a,), _backprop=back)
 

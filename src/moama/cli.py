@@ -117,8 +117,12 @@ def cmd_pretrain(run: RunConfig, cfg, out_dir: Path) -> PretrainResult:
         print(f"epoch {stats.epoch}: loss={stats.loss:.5f} rec={stats.rec:.5f}"
               f"{aux} feasible={stats.feasible_frac:.2f}")
 
-    result = pretrain(data.graphs(), run, config_snapshot=cfg, progress=progress)
     ckpt_path = Path(run.checkpoint) if run.checkpoint else out_dir / "checkpoint.moam"
+    # checked before training, so a mistyped path costs no epochs
+    if not ckpt_path.parent.is_dir():
+        raise DataError(f"cannot write checkpoint {ckpt_path}: "
+                        f"no directory {ckpt_path.parent}")
+    result = pretrain(data.graphs(), run, config_snapshot=cfg, progress=progress)
     save_checkpoint(ckpt_path, result.store, cfg, {"seed": run.seed}, run.epochs)
     curve_path = out_dir / "loss.csv"
     curve_path.write_text("\n".join(loss_curve_rows(result.curve, run.loss.beta < 1.0)) + "\n")
@@ -202,10 +206,13 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         run = build_section(RunConfig, "run", cfg)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         effective = format_effective(cfg)
-        # command-scoped so runs sharing one --out keep their provenance
-        (out_dir / f"effective-config.{args.command}").write_text(effective)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            # command-scoped so runs sharing one --out keep their provenance
+            (out_dir / f"effective-config.{args.command}").write_text(effective)
+        except OSError as e:
+            raise DataError(f"cannot write to --out {out_dir}: {e}") from e
         sys.stdout.write(effective)
         _HANDLERS[args.command](run, cfg, out_dir)
     except ConfigError as e:

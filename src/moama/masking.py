@@ -12,6 +12,12 @@ Selection criteria for a motif:
      masked nodes keep access to unmasked context inside the receptive field;
   2. selected motifs are pairwise non-adjacent.
 
+Criterion 1 depends only on the molecule, its decomposition and hop_k, and
+draws no random numbers. ``eligible_motifs`` is its one implementation; a
+caller that plans the same molecule many times (pre-training, once per epoch)
+computes it once per molecule and passes it to ``build_plan``, which otherwise
+computes it itself.
+
 Molecules where no selection can reach alpha_min (e.g. a single giant motif)
 keep an empty or undersized plan with ``feasible=False``.
 """
@@ -81,27 +87,40 @@ def _rng_for(cfg: MaskConfig, rng) -> np.random.Generator:
     return np.random.default_rng(cfg.seed)
 
 
-def sample_motifs(
-    g: MolGraph,
-    dec: MotifDecomposition,
-    cfg: MaskConfig,
-    rng: np.random.Generator | None = None,
-) -> MaskPlan:
-    """Draw a motif-aware plan: shuffled greedy selection, then coverage."""
-    rng = _rng_for(cfg, rng)
+def eligible_motifs(g: MolGraph, dec: MotifDecomposition, hop_k: int) -> tuple[int, ...]:
+    """Ascending indices of the motifs whose every member has a non-member
+    within hop_k hops (selection criterion 1)."""
     n = g.n_atoms
-
     eligible = []
     for mi, motif in enumerate(dec.motifs):
         members = set(motif.node_ids)
         if len(members) == n:
             continue  # no inter-motif nodes exist
         ok = all(
-            any(u not in members for u in k_hop_neighborhood(g, v, cfg.hop_k))
+            any(u not in members for u in k_hop_neighborhood(g, v, hop_k))
             for v in motif.node_ids
         )
         if ok:
             eligible.append(mi)
+    return tuple(eligible)
+
+
+def sample_motifs(
+    g: MolGraph,
+    dec: MotifDecomposition,
+    cfg: MaskConfig,
+    rng: np.random.Generator | None = None,
+    eligible: tuple[int, ...] | None = None,
+) -> MaskPlan:
+    """Draw a motif-aware plan: shuffled greedy selection, then coverage.
+
+    ``eligible`` is ``eligible_motifs(g, dec, cfg.hop_k)``, computed here
+    when not given.
+    """
+    rng = _rng_for(cfg, rng)
+    n = g.n_atoms
+    if eligible is None:
+        eligible = eligible_motifs(g, dec, cfg.hop_k)
 
     adj = motif_adjacency(dec)
     selected: list[int] = []
@@ -163,11 +182,15 @@ def build_plan(
     dec: MotifDecomposition,
     cfg: MaskConfig,
     rng: np.random.Generator | None = None,
+    eligible: tuple[int, ...] | None = None,
 ) -> MaskPlan:
-    """Dispatch on cfg.mode; the baseline budget is the alpha midpoint."""
+    """Dispatch on cfg.mode; the baseline budget is the alpha midpoint.
+
+    ``eligible`` is passed on to ``sample_motifs``; the baseline ignores it.
+    """
     if cfg.mode == "random_baseline":
         return random_mask(g, (cfg.alpha_min + cfg.alpha_max) / 2.0, cfg, rng)
-    return sample_motifs(g, dec, cfg, rng)
+    return sample_motifs(g, dec, cfg, rng, eligible)
 
 
 def apply_mask(g: MolGraph, plan: MaskPlan, token: MaskToken = MaskToken()) -> np.ndarray:

@@ -38,7 +38,7 @@ from .gin import (
     readout,
 )
 from .loss import aux_loss, rec_loss, total_loss
-from .masking import apply_mask, build_plan, plan_rng
+from .masking import apply_mask, build_plan, eligible_motifs, plan_rng
 from .molgraph import BOND_ORDER_INDEX, MolGraph
 from .motif import decompose
 
@@ -80,7 +80,10 @@ def save_checkpoint(path, store: ParamStore, config: dict[str, str],
         out.append(struct.pack(f"<{t.values.ndim}I", *t.values.shape))
         for arr in (t.values, store.m[name], store.v[name]):
             out.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(out))
+    try:
+        Path(path).write_bytes(b"".join(out))
+    except OSError as e:
+        raise DataError(f"cannot write checkpoint {path}: {e}") from e
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -172,15 +175,20 @@ def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = No
 
     Per epoch: fresh mask plans per molecule, encode the masked attributes,
     decode, combine losses, one Adam step per batch. Molecules whose plan is
-    infeasible flow through unmasked and add zero reconstruction loss.
+    infeasible flow through unmasked and add zero reconstruction loss. Each
+    molecule's mask eligibility (``masking.eligible_motifs``) does not depend
+    on the epoch, so it is computed once per molecule, before the first epoch.
     """
     graphs = list(graphs)
     if not graphs:
         raise DataError("empty pre-training corpus")
     rules = cfg.motif.rule_table()
     decomps = [decompose(g, rules) for g in graphs]
-    if all(d.n_motifs == 1 for d in decomps) and cfg.mask.mode != "random_baseline":
+    motif_masking = cfg.mask.mode != "random_baseline"
+    if all(d.n_motifs == 1 for d in decomps) and motif_masking:
         raise DataError("every molecule is a single motif; nothing can be masked")
+    eligible = ([eligible_motifs(g, d, cfg.mask.hop_k) for g, d in zip(graphs, decomps)]
+                if motif_masking else [None] * len(graphs))
 
     use_aux = cfg.loss.beta < 1.0
     fps = ([morgan_fingerprint(g, cfg.fp.radius, cfg.fp.width) for g in graphs]
@@ -206,7 +214,7 @@ def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = No
             batch_graphs = [graphs[i] for i in batch_idx]
             plans = [
                 build_plan(graphs[i], decomps[i], cfg.mask,
-                           plan_rng(cfg.mask.seed, int(i), epoch_resample))
+                           plan_rng(cfg.mask.seed, int(i), epoch_resample), eligible[i])
                 for i in batch_idx
             ]
             n_feasible += sum(p.feasible for p in plans)

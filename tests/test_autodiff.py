@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moama import autodiff as ad
@@ -118,6 +118,40 @@ def test_segment_max_first_winner():
     assert np.allclose(out.values[:, 0], [5.0, 2.0])
     ad.tsum(out).backward()
     assert np.allclose(x.grad[:, 0], [0.0, 1.0, 0.0, 1.0])  # tie -> lowest row
+
+
+def _segment_max_grad_reference(values, seg, out_vals, g):
+    """Row-by-row scan: each row takes g where it is the first max seen."""
+    ga = np.zeros_like(values)
+    taken = np.zeros_like(out_vals, dtype=bool)
+    for i in range(values.shape[0]):
+        s = seg[i]
+        hit = (values[i] == out_vals[s]) & ~taken[s]
+        ga[i] = g[s] * hit
+        taken[s] |= hit
+    return ga
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_segment_cases(), data=st.data())
+def test_segment_max_grad_bitwise_matches_reference(case, data):
+    values, seg, _ = case
+    assume(len(seg) > 0)
+    _, seg = np.unique(seg, return_inverse=True)   # segment_max rejects empty segments
+    n_segments = int(seg.max()) + 1
+    # integer-valued, so ties within a segment and column are common
+    values = np.trunc(values).clip(-3.0, 3.0)
+    x = ad.parameter(values)
+    out = ad.segment_max(x, seg, n_segments)
+    # negative entries make the reference write -0.0 on rows that lose
+    g_cells = data.draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, -2.0, 0.0, -0.0]),
+                                 min_size=out.values.size, max_size=out.values.size))
+    g = np.array(g_cells, dtype=np.float64).reshape(out.values.shape)
+    # -0.0 is the exact additive identity, so the accumulated grad is ga bit for bit
+    x.grad = np.full_like(values, -0.0)
+    out._backprop(g)
+    want = _segment_max_grad_reference(values, seg, out.values, g)
+    assert np.array_equal(x.grad.view(np.uint64), want.view(np.uint64))
 
 
 def test_slice_cols_grad():

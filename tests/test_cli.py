@@ -310,6 +310,36 @@ def test_dataset_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert str(data) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_cannot_be_created_is_a_data_error(mols_csv, tmp_path, capsys, below):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    assert main(["decompose", "--out", str(out), "--set", f"data.input={mols_csv}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_checkpoint_that_cannot_be_written_is_a_data_error(mols_csv, tmp_path, capsys):
+    args = ["pretrain", "--set", f"data.input={mols_csv}", "--set", "run.epochs=1",
+            "--set", "encoder.layers=2", "--set", "encoder.embed_dim=8"]
+    missing = tmp_path / "no_such_dir" / "x.moam"
+    assert main(args + ["--out", str(tmp_path / "a"), "--set", f"run.checkpoint={missing}"]) == 2
+    captured = capsys.readouterr()
+    assert "epoch 1" not in captured.out          # rejected before any training
+    assert str(missing.parent) in captured.err and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+    # a path the pre-check lets through still fails as a data error
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    assert main(args + ["--out", str(tmp_path / "b"), "--set", f"run.checkpoint={a_dir}"]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write checkpoint" in captured.err and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_default_effective_config_is_unchanged(tmp_path):
     out = tmp_path / "out"
     assert main(["decompose", "--out", str(out)]) == 1   # data.input is required

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moama import apply_mask, parse, random_mask, sample_motifs
-from moama.masking import MaskConfig, MaskToken, build_plan, plan_rng
+from moama.masking import MaskConfig, MaskToken, build_plan, eligible_motifs, plan_rng
 from moama.molgraph import k_hop_neighborhood
-from moama.motif import decompose, motif_adjacency
+from moama.motif import BricsRule, EnvPattern, decompose, motif_adjacency
+
+from conftest import bfs_oracle, random_molgraph
+
+# cuts every acyclic single or double bond: the bundled table leaves most
+# random graphs whole, this one splits them into several motifs
+_ANY_ATOM = EnvPattern.compile("deg>=1")
+_CUT_CHAIN_BONDS = tuple(BricsRule(1, _ANY_ATOM, _ANY_ATOM, order)
+                         for order in ("single", "double"))
 
 
 def _plan_for(smi, seed=0, **kw):
@@ -193,3 +203,23 @@ def test_plan_rng_reproducible_and_index_sensitive():
     plans = {sample_motifs(g, dec, cfg, plan_rng(0, i)).selected_motifs
              for i in range(20)}
     assert len(plans) > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hop_k=st.integers(0, 6),
+       mode=st.sampled_from(["node_wise", "element_wise"]),
+       coverage=st.sampled_from([0.5, 1.0]),
+       rules=st.sampled_from([None, _CUT_CHAIN_BONDS]))
+def test_precomputed_eligibility_gives_the_same_plans(seed, hop_k, mode, coverage, rules):
+    rng = np.random.default_rng(seed)
+    g = random_molgraph(rng, n_min=2, n_max=16)
+    dec = decompose(g, rules)
+    eligible = eligible_motifs(g, dec, hop_k)
+    # criterion 1 by plain BFS: every member sees a non-member within hop_k
+    assert eligible == tuple(
+        mi for mi, m in enumerate(dec.motifs)
+        if all(bfs_oracle(g, v, hop_k) - set(m.node_ids) for v in m.node_ids))
+    cfg = MaskConfig(hop_k=hop_k, mode=mode, coverage=coverage)
+    for epoch in range(4):
+        with_cache = build_plan(g, dec, cfg, plan_rng(seed, 5, epoch), eligible)
+        assert with_cache == build_plan(g, dec, cfg, plan_rng(seed, 5, epoch))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,25 @@ def test_probe_single_class_split_rejected():
     cfg = RunConfig(encoder=EncoderConfig(layers=1, embed_dim=8))
     with pytest.raises(DataError):
         finetune_probe(None, graphs, np.ones_like(labels), cfg)
+
+
+def test_mask_eligibility_is_computed_once_per_molecule(small_corpus, monkeypatch):
+    import moama.masking
+
+    calls = []
+    real = moama.masking.k_hop_neighborhood
+
+    def counting(g, v, k):
+        calls.append(v)
+        return real(g, v, k)
+
+    monkeypatch.setattr(moama.masking, "k_hop_neighborhood", counting)
+    baseline = MaskConfig(hop_k=2, mode="random_baseline")
+    counts = []
+    for cfg in (replace(DESK, epochs=1), replace(DESK, epochs=3),
+                replace(DESK, epochs=3, mask=baseline)):
+        calls.clear()
+        pretrain(small_corpus, cfg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert counts[2] == 0
