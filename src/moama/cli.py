@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,22 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_section, effective_config, format_effective, parse_config_file
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, DataError, NumericsError, write_output
 from .fingerprint import morgan_fingerprint
 from .influence import analyze_dataset
 from .masking import build_plan, plan_rng
 from .motif import decompose
 from .smiles import read_dataset
-from .train import (
-    PretrainResult,
-    finetune_probe,
-    load_checkpoint,
-    loss_curve_rows,
-    pretrain,
-    save_checkpoint,
-)
-
-COMMANDS = ("decompose", "mask-preview", "pretrain", "finetune", "influence", "fingerprint")
+from .train import finetune_probe, load_checkpoint, loss_curve_rows, pretrain, save_checkpoint
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -67,14 +59,21 @@ def _require_input(run: RunConfig) -> str:
     return run.data.input
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _output_paths(command: str, run: RunConfig, out_dir: Path) -> dict[str, Path]:
+    paths = {role: out_dir / name for role, name in COMMANDS[command][1].items()}
+    if command == "pretrain" and run.checkpoint:
+        paths["checkpoint"] = Path(run.checkpoint)
+    # command-scoped, so runs that share one --out keep their provenance
+    return {"config": out_dir / f"effective-config.{command}", **paths}
 
 
-def cmd_decompose(run: RunConfig, cfg, out_dir: Path) -> None:
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def cmd_decompose(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
     rules = run.motif.rule_table()
     rows = []
@@ -82,11 +81,11 @@ def cmd_decompose(run: RunConfig, cfg, out_dir: Path) -> None:
         dec = decompose(rec.graph, rules)
         sizes = "|".join(str(m.size) for m in dec.motifs)
         rows.append([rec.smiles, dec.n_motifs, sizes, len(dec.cut_edges)])
-    _write_csv(out_dir / "motifs.csv", ["smiles", "n_motifs", "motif_sizes", "cut_edges"], rows)
+    write_output(out["motifs"], _csv_text(["smiles", "n_motifs", "motif_sizes", "cut_edges"], rows))
     print(f"decomposed {len(rows)} molecules ({data.skipped} rows skipped)")
 
 
-def cmd_mask_preview(run: RunConfig, cfg, out_dir: Path) -> None:
+def cmd_mask_preview(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
     rules = run.motif.rule_table()
     rows = []
@@ -101,13 +100,13 @@ def cmd_mask_preview(run: RunConfig, cfg, out_dir: Path) -> None:
             "|".join(map(str, plan.masked_nodes[0])),
             "|".join(map(str, plan.masked_nodes[1])),
         ])
-    _write_csv(out_dir / "mask_plans.csv",
-               ["smiles", "feasible", "realized_alpha", "selected_motifs",
-                "masked_atom_type", "masked_chirality"], rows)
+    write_output(out["plans"], _csv_text(
+        ["smiles", "feasible", "realized_alpha", "selected_motifs",
+         "masked_atom_type", "masked_chirality"], rows))
     print(f"planned masks for {len(rows)} molecules")
 
 
-def cmd_pretrain(run: RunConfig, cfg, out_dir: Path) -> PretrainResult:
+def cmd_pretrain(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
     if not data.records:
         raise DataError("no parseable molecules in the dataset")
@@ -117,21 +116,14 @@ def cmd_pretrain(run: RunConfig, cfg, out_dir: Path) -> PretrainResult:
         print(f"epoch {stats.epoch}: loss={stats.loss:.5f} rec={stats.rec:.5f}"
               f"{aux} feasible={stats.feasible_frac:.2f}")
 
-    ckpt_path = Path(run.checkpoint) if run.checkpoint else out_dir / "checkpoint.moam"
-    # checked before training, so a mistyped path costs no epochs
-    if not ckpt_path.parent.is_dir():
-        raise DataError(f"cannot write checkpoint {ckpt_path}: "
-                        f"no directory {ckpt_path.parent}")
     result = pretrain(data.graphs(), run, config_snapshot=cfg, progress=progress)
-    save_checkpoint(ckpt_path, result.store, cfg, {"seed": run.seed}, run.epochs)
-    curve_path = out_dir / "loss.csv"
-    curve_path.write_text("\n".join(loss_curve_rows(result.curve, run.loss.beta < 1.0)) + "\n")
-    print(f"checkpoint: {ckpt_path}")
-    print(f"loss curve: {curve_path}")
-    return result
+    save_checkpoint(out["checkpoint"], result.store, cfg, {"seed": run.seed}, run.epochs)
+    write_output(out["curve"], "\n".join(loss_curve_rows(result.curve, run.loss.beta < 1.0)) + "\n")
+    print(f"checkpoint: {out['checkpoint']}")
+    print(f"loss curve: {out['curve']}")
 
 
-def cmd_finetune(run: RunConfig, cfg, out_dir: Path) -> None:
+def cmd_finetune(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     label = run.data.label or "label"
     data = read_dataset(_require_input(run), label_columns=[label])
     graphs = data.graphs()
@@ -145,15 +137,15 @@ def cmd_finetune(run: RunConfig, cfg, out_dir: Path) -> None:
             print(f"using encoder settings from checkpoint: {enc}")
             run = replace(run, encoder=enc)
     report = finetune_probe(pretrained, graphs, labels, run)
-    _write_csv(out_dir / "auc_report.csv",
-               ["test_auc", "valid_auc", "best_epoch", "mode", "train", "valid", "test"],
-               [[repr(report.test_auc), repr(report.valid_auc), report.best_epoch,
-                 report.mode, *report.split_sizes]])
+    write_output(out["report"], _csv_text(
+        ["test_auc", "valid_auc", "best_epoch", "mode", "train", "valid", "test"],
+        [[repr(report.test_auc), repr(report.valid_auc), report.best_epoch,
+          report.mode, *report.split_sizes]]))
     print(f"test AUC {report.test_auc:.4f} (valid {report.valid_auc:.4f}, "
           f"epoch {report.best_epoch}, {report.mode})")
 
 
-def cmd_influence(run: RunConfig, cfg, out_dir: Path) -> None:
+def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     if not run.checkpoint:
         raise ConfigError("influence requires run.checkpoint")
     ckpt = load_checkpoint(run.checkpoint)
@@ -164,39 +156,42 @@ def cmd_influence(run: RunConfig, cfg, out_dir: Path) -> None:
     decomps = [decompose(g, rules) for g in graphs]
     report = analyze_dataset(graphs, decomps, ckpt.store, enc, top_k=run.influence.top_k,
                              mode=run.influence.inter_mode)
-    _write_csv(out_dir / "influence_nodes.csv",
-               ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],
-               [[r.graph_index, r.node, r.n_motifs,
-                 "" if r.intra is None else repr(r.intra),
-                 "" if r.inter is None else repr(r.inter),
-                 "" if r.rank is None else r.rank,
-                 int(r.truncated)] for r in report.nodes])
-    _write_csv(out_dir / "influence_summary.csv",
-               ["inf_ratio_node", "inf_ratio_graph", "mrr_node", "mrr_graph",
-                "mrr_motif", "top_k", "inter_mode", "excluded_nodes"],
-               [[repr(report.inf_ratio_node), repr(report.inf_ratio_graph),
-                 repr(report.mrr_node), repr(report.mrr_graph), repr(report.mrr_motif),
-                 report.top_k, report.inter_mode, report.excluded_nodes]])
-    _write_csv(out_dir / "mrr_inter.csv", ["n", "score", "graph_count"],
-               [[n, repr(score), count] for n, score, count in report.mrr_inter])
-    print(f"influence report over {len(graphs)} molecules -> {out_dir}")
+    write_output(out["nodes"], _csv_text(
+        ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],
+        [[r.graph_index, r.node, r.n_motifs,
+          "" if r.intra is None else repr(r.intra),
+          "" if r.inter is None else repr(r.inter),
+          "" if r.rank is None else r.rank,
+          int(r.truncated)] for r in report.nodes]))
+    write_output(out["summary"], _csv_text(
+        ["inf_ratio_node", "inf_ratio_graph", "mrr_node", "mrr_graph",
+         "mrr_motif", "top_k", "inter_mode", "excluded_nodes"],
+        [[repr(report.inf_ratio_node), repr(report.inf_ratio_graph),
+          repr(report.mrr_node), repr(report.mrr_graph), repr(report.mrr_motif),
+          report.top_k, report.inter_mode, report.excluded_nodes]]))
+    write_output(out["mrr"], _csv_text(["n", "score", "graph_count"], [
+        [n, repr(score), count] for n, score, count in report.mrr_inter]))
+    print(f"influence report over {len(graphs)} molecules -> {out['nodes'].parent}")
 
 
-def cmd_fingerprint(run: RunConfig, cfg, out_dir: Path) -> None:
+def cmd_fingerprint(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
     rows = [[rec.smiles, morgan_fingerprint(rec.graph, run.fp.radius, run.fp.width).to_hex()]
             for rec in data.records]
-    _write_csv(out_dir / "fingerprints.csv", ["smiles", "fingerprint_hex"], rows)
+    write_output(out["fingerprints"], _csv_text(["smiles", "fingerprint_hex"], rows))
     print(f"fingerprinted {len(rows)} molecules")
 
 
-_HANDLERS = {
-    "decompose": cmd_decompose,
-    "mask-preview": cmd_mask_preview,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "influence": cmd_influence,
-    "fingerprint": cmd_fingerprint,
+# Each command's handler and the files it writes under --out, by role; README's
+# table lists the same files. pretrain's checkpoint goes to run.checkpoint if set.
+COMMANDS = {
+    "decompose": (cmd_decompose, {"motifs": "motifs.csv"}),
+    "mask-preview": (cmd_mask_preview, {"plans": "mask_plans.csv"}),
+    "pretrain": (cmd_pretrain, {"checkpoint": "checkpoint.moam", "curve": "loss.csv"}),
+    "finetune": (cmd_finetune, {"report": "auc_report.csv"}),
+    "influence": (cmd_influence, {"nodes": "influence_nodes.csv",
+                                  "summary": "influence_summary.csv", "mrr": "mrr_inter.csv"}),
+    "fingerprint": (cmd_fingerprint, {"fingerprints": "fingerprints.csv"}),
 }
 
 
@@ -206,15 +201,21 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         run = build_section(RunConfig, "run", cfg)
         out_dir = Path(args.out)
-        effective = format_effective(cfg)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            # command-scoped so runs sharing one --out keep their provenance
-            (out_dir / f"effective-config.{args.command}").write_text(effective)
         except OSError as e:
-            raise DataError(f"cannot write to --out {out_dir}: {e}") from e
+            raise DataError(f"cannot create --out {out_dir}: {e.strerror or e}") from e
+        out = _output_paths(args.command, run, out_dir)
+        for role, path in out.items():   # before any work, so a bad path costs none
+            reason = ("it is a directory" if path.is_dir() else
+                      f"no directory {path.parent}" if not path.parent.is_dir() else
+                      "it holds a NUL byte" if "\0" in str(path) else None)
+            if reason:
+                raise DataError(f"cannot write {role} {path}: {reason}")
+        effective = format_effective(cfg)
+        write_output(out["config"], effective, "config")
         sys.stdout.write(effective)
-        _HANDLERS[args.command](run, cfg, out_dir)
+        COMMANDS[args.command][0](run, cfg, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -1,6 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the one writer of output files."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class MoamaError(Exception):
@@ -25,3 +27,15 @@ class SmilesError(DataError):
 
 class NumericsError(MoamaError, ArithmeticError):
     """Non-finite value produced by the numerics core."""
+
+
+def write_output(path, data: str | bytes, what: str = "file") -> None:
+    """Write one output file: a ``str`` as UTF-8 with no newline translation,
+    ``bytes`` as they are. An ``OSError`` becomes a ``DataError`` naming the path.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise DataError(f"cannot write {what} {path}: {e.strerror or e}") from e

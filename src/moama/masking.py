@@ -206,6 +206,7 @@ def apply_mask(g: MolGraph, plan: MaskPlan, token: MaskToken = MaskToken()) -> n
 def plan_rng(seed: int, molecule_index: int, epoch: int = 0) -> np.random.Generator:
     """Per-molecule mask RNG: seed XOR molecule index, epoch as extra entropy.
 
-    Stateless derivation keeps plans reproducible regardless of worker count.
+    Stateless derivation keeps plans reproducible whatever order molecules are
+    planned in.
     """
     return np.random.default_rng([seed ^ molecule_index, epoch])

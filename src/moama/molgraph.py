@@ -2,8 +2,8 @@
 
 Molecules are heavy-atom graphs: nodes carry a (atom_type, chirality) code
 pair, bonds carry an order and a derived ring flag. Hydrogens are implicit and
-never appear as nodes. Graphs are immutable after construction so they can be
-shared freely between workers.
+never appear as nodes. Graphs are immutable after construction, so arrays
+derived once (``edges``) can be shared by every batch that holds the graph.
 
 Attribute code spaces:
   atom_type  0..118 for real atoms (element number - 1); 119 is reserved for

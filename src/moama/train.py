@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig, build_section
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, write_output
 from .fingerprint import morgan_fingerprint
 from .gin import (
     EncoderConfig,
@@ -80,10 +80,7 @@ def save_checkpoint(path, store: ParamStore, config: dict[str, str],
         out.append(struct.pack(f"<{t.values.ndim}I", *t.values.shape))
         for arr in (t.values, store.m[name], store.v[name]):
             out.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    try:
-        Path(path).write_bytes(b"".join(out))
-    except OSError as e:
-        raise DataError(f"cannot write checkpoint {path}: {e}") from e
+    write_output(path, b"".join(out), "checkpoint")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -174,8 +171,9 @@ def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = No
     """Masked-reconstruction pre-training over a molecule corpus.
 
     Per epoch: fresh mask plans per molecule, encode the masked attributes,
-    decode, combine losses, one Adam step per batch. Molecules whose plan is
-    infeasible flow through unmasked and add zero reconstruction loss. Each
+    decode, combine losses, one Adam step per batch. An infeasible plan (one
+    that stays at or below ``alpha_min``) still masks the motifs it selected;
+    only a molecule whose plan is empty adds no reconstruction loss. Each
     molecule's mask eligibility (``masking.eligible_motifs``) does not depend
     on the epoch, so it is computed once per molecule, before the first epoch.
     """
@@ -391,6 +389,9 @@ def finetune_probe(pretrained: ParamStore | None, graphs, labels,
         raise DataError("labels and graphs differ in length")
     if np.isnan(labels).any():
         raise DataError("missing labels in fine-tuning dataset")
+    bad = labels[~np.isin(labels, (0.0, 1.0))]
+    if bad.size:
+        raise DataError(f"fine-tuning labels must be 0 or 1, got {float(bad[0])}")
     train_idx, valid_idx, test_idx = scaffold_split(graphs)
     for name, idx in (("train", train_idx), ("valid", valid_idx), ("test", test_idx)):
         if not idx:

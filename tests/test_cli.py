@@ -1,4 +1,5 @@
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from moama.cli import main
+from moama.cli import COMMANDS, main
 from moama.config import DEFAULTS
 from moama.datagen import write_corpus_csv
 from moama.gin import EncoderConfig, ParamStore, init_params
@@ -331,13 +332,114 @@ def test_checkpoint_that_cannot_be_written_is_a_data_error(mols_csv, tmp_path, c
     assert str(missing.parent) in captured.err and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
-    # a path the pre-check lets through still fails as a data error
+    # a checkpoint path taken by a directory is a data error too
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
     assert main(args + ["--out", str(tmp_path / "b"), "--set", f"run.checkpoint={a_dir}"]) == 2
     captured = capsys.readouterr()
     assert "cannot write checkpoint" in captured.err and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+_SMALL = ["--set", "encoder.layers=2", "--set", "encoder.embed_dim=8", "--set", "run.epochs=1",
+          "--set", "run.finetune_epochs=1", "--set", "run.batch_pretrain=8"]
+
+
+@pytest.fixture()
+def small_inputs(tmp_path):
+    """A corpus, a labelled corpus and a checkpoint, enough for every command."""
+    corpus, labeled, ckpt = tmp_path / "corpus.csv", tmp_path / "labeled.csv", tmp_path / "c.moam"
+    write_corpus_csv(corpus, 16, seed=5)
+    write_corpus_csv(labeled, 60, seed=11, labeled=True)
+    save_checkpoint(ckpt, init_params(EncoderConfig(layers=2, embed_dim=8), seed=0), {
+        "encoder.layers": "2", "encoder.embed_dim": "8"}, {"seed": 0}, 0)
+    return {"corpus": corpus, "labeled": labeled, "checkpoint": ckpt}
+
+
+def _inputs_for(command, small_inputs):
+    data = small_inputs["labeled" if command == "finetune" else "corpus"]
+    args = ["--set", f"data.input={data}", *_SMALL]
+    if command == "influence":
+        args += ["--set", f"run.checkpoint={small_inputs['checkpoint']}"]
+    return args
+
+
+@pytest.mark.parametrize("command,name", [
+    ("decompose", "motifs.csv"), ("decompose", "effective-config.decompose"),
+    ("mask-preview", "mask_plans.csv"), ("fingerprint", "fingerprints.csv"),
+    ("pretrain", "loss.csv"), ("pretrain", "checkpoint.moam"),
+    ("finetune", "auc_report.csv"), ("influence", "influence_nodes.csv"),
+    ("influence", "influence_summary.csv"), ("influence", "mrr_inter.csv"),
+])
+def test_output_name_taken_by_a_directory_is_a_data_error(small_inputs, tmp_path, capsys,
+                                                           command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--out", str(out), *_inputs_for(command, small_inputs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+    assert str(out / name) in captured.err and "Traceback" not in captured.err
+    assert "epoch 1" not in captured.out          # rejected before any work
+
+
+def test_checkpoint_path_holding_a_nul_is_a_data_error(small_inputs, tmp_path, capsys):
+    args = ["--set", f"data.input={small_inputs['corpus']}", *_SMALL,
+            "--set", f"run.checkpoint={tmp_path / 'a'}\x00b"]
+    assert main(["pretrain", "--out", str(tmp_path / "out"), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: cannot write checkpoint")
+    assert captured.err.count("\n") == 1 and "epoch 1" not in captured.out
+
+
+@pytest.mark.parametrize("bad,every,labels", [("0.5", 3, {"0", "0.5", "1"}),
+                                              ("-3", 1, {"-3", "1"})])
+def test_finetune_rejects_labels_other_than_0_and_1(small_inputs, tmp_path, capsys,
+                                                    bad, every, labels):
+    rows = _read_rows(small_inputs["labeled"])
+    for i, r in enumerate(rows):
+        if r["label"] == "0" and i % every == 0:
+            r["label"] = bad
+    assert {r["label"] for r in rows} == labels
+    data = tmp_path / "relabeled.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, ["smiles", "label"])
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "out"
+    assert main(["finetune", "--out", str(out), "--set", f"data.input={data}", *_SMALL]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "auc_report.csv").exists()
+
+
+def test_outputs_keep_their_line_endings_and_encoding(small_inputs, tmp_path):
+    out = tmp_path / "out"
+    for command in ("decompose", "pretrain", "finetune"):
+        assert main([command, "--out", str(out), *_inputs_for(command, small_inputs)]) == 0
+    assert main(["decompose", "--out", str(tmp_path / "u"), "--set", "data.label=\u00e9t\u00e9",
+                 "--set", f"data.input={small_inputs['corpus']}"]) == 0
+    written = {name: (out / name).read_bytes() for name in (
+        "motifs.csv", "auc_report.csv", "loss.csv", "effective-config.decompose",
+        "effective-config.pretrain", "effective-config.finetune")}
+    written["accented config"] = (tmp_path / "u" / "effective-config.decompose").read_bytes()
+    assert "data.label=\u00e9t\u00e9\n".encode("utf-8") in written["accented config"]
+    for name, raw in written.items():
+        raw.decode("utf-8")
+        if name in ("motifs.csv", "auc_report.csv"):   # csv.writer's line ends
+            assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), name
+        else:
+            assert raw.endswith(b"\n") and b"\r" not in raw, name
+
+
+def test_readme_command_table_matches_the_outputs_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("| command", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    listed = {}
+    for line in table:
+        command, files = (cell.strip() for cell in line.split("|")[1:3])
+        names = set(re.findall(r"`([^`]+)`", files)) - set(DEFAULTS)   # config keys named in passing
+        listed[command.strip("`")] = names
+    assert listed == {command: set(names.values()) for command, (_, names) in COMMANDS.items()}
 
 
 def test_default_effective_config_is_unchanged(tmp_path):
