@@ -2,8 +2,10 @@
 
 Small on purpose: just the operations the encoder, decoders, and losses need.
 Every op validates that its output is finite and raises NumericsError
-otherwise. Scatter-style gradients use ``np.add.at`` on index arrays that
-callers keep in a fixed order, so repeated runs are bit-identical.
+otherwise. Scatter-adds (``segment_sum``'s forward, ``take_rows``' backward)
+go through ``_scatter_add``, which is ``np.add.at`` on flat views: each cell
+takes its addends one at a time in a fixed order, so repeated runs are
+bit-identical.
 
 ``segment_sum`` adds each segment's rows one at a time from +0.0 in a
 canonical order, so its result depends only on the multiset of addends. Only
@@ -15,6 +17,8 @@ makes pure inference (e.g. influence analysis) allocation-light.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -119,8 +123,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # g + 0.0 is zeros + g bit for bit (IEEE addition commutes), without
+        # the zero buffer; ``out`` keeps a 0-d gradient an array
+        t.grad = np.add(g, 0.0, out=np.empty(t.values.shape))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -253,8 +260,23 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def _scatter_add(dst, idx, src) -> None:
+    """``np.add.at(dst, idx, src)``: dst[idx[i]] += src[i] for i in order.
+
+    It runs on flat views, one index per cell, which takes numpy's fast 1-D
+    path. Each cell still takes its addends one at a time in the order of
+    ``idx``, so the bits are the row-wise call's, into any starting ``dst``.
+    """
+    if not dst.flags.c_contiguous:      # no flat view to add into
+        return np.add.at(dst, idx, src)
+    width = math.prod(dst.shape[1:])
+    cells = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(dst.reshape(-1), cells, src.reshape(-1))
+
+
 def take_rows(a, idx) -> Tensor:
-    """Gather rows by integer index; gradient scatter-adds in index order."""
+    """Gather rows by integer index; gradient scatter-adds in index order
+    (``_scatter_add``, the bits of ``np.add.at``)."""
     a = _lift(a)
     idx = np.asarray(idx, dtype=np.int64)
 
@@ -262,8 +284,8 @@ def take_rows(a, idx) -> Tensor:
         if not a.requires_grad:
             return
         if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        np.add.at(a.grad, idx, g)
+            a.grad = np.zeros(a.values.shape)
+        _scatter_add(a.grad, idx, g)
 
     return Tensor(a.values[idx], _parents=(a,), _backprop=back)
 
@@ -276,37 +298,43 @@ def _canonical_order(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
     (ties hold equal values, which add identically in either order).
     ``segment_sum`` applies it only to segments of three or more rows; with
     two addends or fewer every order gives the same bits.
+
+    One stable sort of one byte string per row: the segment, then each value
+    as an unsigned 64-bit integer in the same order as the floats (sign bit
+    set: all bits flipped; else the sign bit set), all big-endian, so bytewise
+    order is (segment, values) order. ``+ 0.0`` first turns -0.0 into 0.0,
+    which it equals. The permutation is ``np.lexsort``'s over the same keys.
     """
-    flat = values.reshape(values.shape[0], -1)
-    keys = [flat[:, i] for i in range(flat.shape[1] - 1, -1, -1)]
-    keys.append(seg)
-    return np.lexsort(keys)
+    n = values.shape[0]
+    bits = (values.reshape(n, -1) + 0.0).view(np.int64)
+    flip = bits >> 63                 # all bits where the sign bit is set
+    flip |= np.int64(-1 << 63)        # and the sign bit everywhere
+    keys = np.empty((n, bits.shape[1] + 1), dtype=">u8")
+    keys[:, 0] = seg
+    keys[:, 1:] = (bits ^ flip).view(np.uint64)
+    return np.argsort(keys.view(f"S{keys.shape[1] * 8}").ravel(), kind="stable")
 
 
 def segment_sum(a, segments, n_segments: int) -> Tensor:
     """out[s] = sum of rows i with segments[i] == s, in canonical row order.
 
-    Each segment accumulates from +0.0, one addend per pass: pass r adds the
-    r-th row of every segment that has one. Rows of 2-D (and wider) inputs
-    follow ``_canonical_order`` within segments of three or more rows; 1-D
-    inputs keep their given order. Segments of at most two rows skip the
-    content sort, which cannot change their sum (see the module docstring).
+    Each segment accumulates from +0.0, one addend at a time
+    (``_scatter_add``). Rows of 2-D (and wider) inputs follow
+    ``_canonical_order`` within segments of three or more rows; 1-D inputs
+    keep their given order. Segments of at most two rows skip the content
+    sort, which cannot change their sum (see the module docstring).
     """
     a = _lift(a)
     seg = np.asarray(segments, dtype=np.int64)
     vals = a.values
     out_vals = np.zeros((n_segments,) + vals.shape[1:], dtype=np.float64)
-    order = np.argsort(seg, kind="stable")
-    counts = np.bincount(seg, minlength=n_segments)
+    order = np.arange(seg.size)
     if vals.ndim >= 2:
-        big = counts[seg[order]] >= 3
+        big = np.bincount(seg, minlength=n_segments)[seg] >= 3
         if big.any():
             rows = order[big]
             order[big] = rows[_canonical_order(seg[rows], vals[rows])]
-    starts = np.cumsum(counts) - counts
-    for r in range(int(counts.max(initial=0))):
-        segs = np.flatnonzero(counts > r)
-        out_vals[segs] += vals[order[starts[segs] + r]]
+    _scatter_add(out_vals, seg[order], vals[order])
 
     def back(g):
         _accum(a, g[seg])

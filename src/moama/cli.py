@@ -108,8 +108,6 @@ def cmd_mask_preview(run: RunConfig, cfg, out: dict[str, Path]) -> None:
 
 def cmd_pretrain(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
-    if not data.records:
-        raise DataError("no parseable molecules in the dataset")
 
     def progress(stats):
         aux = "" if stats.aux is None else f" aux={stats.aux:.5f}"

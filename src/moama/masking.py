@@ -89,18 +89,19 @@ def _rng_for(cfg: MaskConfig, rng) -> np.random.Generator:
 
 def eligible_motifs(g: MolGraph, dec: MotifDecomposition, hop_k: int) -> tuple[int, ...]:
     """Ascending indices of the motifs whose every member has a non-member
-    within hop_k hops (selection criterion 1)."""
+    within hop_k hops (selection criterion 1).
+
+    Distance is symmetric, so that holds when one BFS from all of the
+    motif's non-members, cut at hop_k, reaches every member.
+    """
     n = g.n_atoms
     eligible = []
     for mi, motif in enumerate(dec.motifs):
         members = set(motif.node_ids)
         if len(members) == n:
             continue  # no inter-motif nodes exist
-        ok = all(
-            any(u not in members for u in k_hop_neighborhood(g, v, hop_k))
-            for v in motif.node_ids
-        )
-        if ok:
+        outside = [u for u in range(n) if u not in members]
+        if members <= k_hop_neighborhood(g, outside, hop_k):
             eligible.append(mi)
     return tuple(eligible)
 

@@ -15,6 +15,7 @@ Attribute code spaces:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,19 +158,25 @@ def ring_bonds(g: MolGraph) -> frozenset[int]:
     return frozenset(i for i, b in enumerate(g.bonds) if b.in_ring)
 
 
-def k_hop_neighborhood(g: MolGraph, v: int, k: int) -> frozenset[int]:
-    """All nodes at shortest-path distance <= k from v, including v."""
-    if not 0 <= v < g.n_atoms:
-        raise ValueError(f"node id {v} out of range")
+def k_hop_neighborhood(g: MolGraph, v: int | Iterable[int], k: int) -> frozenset[int]:
+    """All nodes at shortest-path distance <= k from v, including v.
+
+    ``v`` is one node id or a collection of them; for a collection, one BFS
+    gives the nodes within k hops of any of them.
+    """
+    sources = [int(v)] if isinstance(v, (int, np.integer)) else [int(s) for s in v]
+    for s in sources:
+        if not 0 <= s < g.n_atoms:
+            raise ValueError(f"node id {s} out of range")
     if k < 0:
         raise ValueError("hop count must be >= 0")
-    dist = {v: 0}
-    queue = deque([v])
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
     while queue:
         node = queue.popleft()
         if dist[node] == k:
             continue
-        for u in g.neighbors(node):
+        for u, _ in g._adjacency[node]:
             if u not in dist:
                 dist[u] = dist[node] + 1
                 queue.append(u)

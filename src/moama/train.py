@@ -179,7 +179,7 @@ def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = No
     """
     graphs = list(graphs)
     if not graphs:
-        raise DataError("empty pre-training corpus")
+        raise DataError("no parseable molecules in the dataset")
     rules = cfg.motif.rule_table()
     decomps = [decompose(g, rules) for g in graphs]
     motif_masking = cfg.mask.mode != "random_baseline"

@@ -4,7 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moama import autodiff as ad
+from moama.datagen import generate_corpus
 from moama.errors import NumericsError
+from moama.gin import EncoderConfig
+from moama.smiles import parse
+from moama.train import RunConfig, pretrain, save_checkpoint
 
 from conftest import fd_gradient
 
@@ -71,11 +75,28 @@ def test_segment_sum_values_and_grad():
     _fd_check(lambda a: ad.tsum(ad.segment_sum(a, seg, 3) ** 2.0), [x], rng)
 
 
+def _canonical_order_reference(seg, values):
+    """The former kernel: np.lexsort over the segment and every column."""
+    flat = values.reshape(values.shape[0], -1)
+    keys = [flat[:, i] for i in range(flat.shape[1] - 1, -1, -1)]
+    keys.append(seg)
+    return np.lexsort(keys)
+
+
+def _accum_reference(t, g):
+    """The former first gradient: a zero buffer, then += g."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.values)
+    t.grad += g
+
+
 def _segment_sum_reference(values, seg, n_segments):
     """Full-width canonical sort, then one sequential scatter-add."""
     out = np.zeros((n_segments,) + values.shape[1:])
     if values.ndim >= 2 and values.shape[0] > 1:
-        order = ad._canonical_order(seg, values)
+        order = _canonical_order_reference(seg, values)
         np.add.at(out, seg[order], values[order])
     else:
         np.add.at(out, seg, values)
@@ -110,6 +131,89 @@ def test_segment_sum_bitwise_matches_reference(case):
     want = _segment_sum_reference(values, seg, n_segments)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# extremes of the float order too: subnormals and the largest finite values
+_KEY_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.5, 1e-17, -1e16, 1e16,
+                        5e-324, -5e-324, 1.7e308, -1.7e308])
+
+
+def _bits_equal(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), width=st.integers(1, 33),
+       n_segments=st.integers(1, 4), relu=st.booleans(), duplicates=st.booleans())
+def test_canonical_order_matches_lexsort(seed, n, width, n_segments, relu, duplicates):
+    rng = np.random.default_rng(seed)
+    seg = rng.integers(0, n_segments, n)
+    values = rng.choice(_KEY_VALUES, size=(n, width))
+    if relu:
+        # first-column ties between unequal rows, as GIN messages have
+        # where the rectifier zeroed column 0 of both sources
+        values[:, 0] = rng.choice([0.0, -0.0], size=n)
+    if duplicates and n > 1:
+        values[rng.integers(0, n, n // 2)] = values[rng.integers(0, n)]
+    want = _canonical_order_reference(seg, values)
+    got = ad._canonical_order(seg, values)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 40), n_idx=st.integers(0, 300),
+       width=st.sampled_from([None, 1, 3, 32]), high=st.booleans(),
+       start=st.sampled_from(["none", "filled", "fortran"]))
+def test_take_rows_grad_bitwise_matches_add_at(seed, n_rows, n_idx, width, high, start):
+    rng = np.random.default_rng(seed)
+    # high multiplicity: at most 3 rows take up to 300 indices (atom types);
+    # otherwise the indices spread over every row (edge sources)
+    idx = rng.integers(0, min(n_rows, 3) if high else n_rows, n_idx)
+    shape = (n_rows,) if width is None else (n_rows, width)
+    x = ad.parameter(rng.choice(_KEY_VALUES[:10], size=shape))
+    out = ad.take_rows(x, idx)
+    g = rng.choice(_KEY_VALUES[:10], size=out.values.shape)
+    want = np.zeros(shape)
+    if start != "none":
+        want = rng.choice(_KEY_VALUES[:10], size=shape)
+        x.grad = np.asfortranarray(want) if start == "fortran" else want.copy()
+    np.add.at(want, idx, g)
+    out._backprop(g)
+    assert _bits_equal(x.grad, want)
+
+
+def test_first_gradient_is_zeros_plus_g_and_stays_an_array():
+    g = np.array([[-0.0, 0.0, 1.5], [-2.0, -0.0, 3.0]])
+    got, want = ad.parameter(np.ones((2, 3))), ad.parameter(np.ones((2, 3)))
+    ad._accum(got, g)
+    _accum_reference(want, g)
+    assert _bits_equal(got.grad, want.grad)     # -0.0 + 0.0 is +0.0
+    eps = ad.parameter(np.array(0.25))          # a learned epsilon's 0-d gradient
+    ad._accum(eps, np.array(-0.0))
+    assert isinstance(eps.grad, np.ndarray) and eps.grad.shape == ()
+    ad._accum(eps, np.array(1.5))
+    assert eps.grad == 1.5 and isinstance(eps.grad, np.ndarray)
+
+
+@pytest.mark.parametrize("learn_epsilon", [False, True])
+def test_pretrain_checkpoint_bytes_match_reference_kernels(tmp_path, monkeypatch, learn_epsilon):
+    """Whole training runs: the shipped kernels against the former ones."""
+    graphs = [parse(s) for s in generate_corpus(40, seed=3)]
+    cfg = RunConfig(epochs=2, batch_pretrain=16, seed=1,
+                    encoder=EncoderConfig(learn_epsilon=learn_epsilon))
+
+    def run(name):
+        result = pretrain(graphs, cfg)
+        path = tmp_path / name
+        save_checkpoint(path, result.store, {}, {"seed": 1}, cfg.epochs)
+        return path.read_bytes(), [(s.loss, s.rec, s.aux) for s in result.curve]
+
+    shipped = run("shipped.moam")
+    monkeypatch.setattr(ad, "_canonical_order", _canonical_order_reference)
+    monkeypatch.setattr(ad, "_scatter_add", np.add.at)
+    monkeypatch.setattr(ad, "_accum", _accum_reference)
+    reference = run("reference.moam")
+    assert shipped == reference
 
 
 def test_segment_max_first_winner():

@@ -391,6 +391,16 @@ def test_checkpoint_path_holding_a_nul_is_a_data_error(small_inputs, tmp_path, c
     assert captured.err.count("\n") == 1 and "epoch 1" not in captured.out
 
 
+def test_pretrain_on_only_unparseable_smiles_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "unparseable.csv"
+    data.write_text("smiles\nC1CC\nnot-a-smiles\n(((\n")
+    out = tmp_path / "out"
+    assert main(["pretrain", "--out", str(out), "--set", f"data.input={data}", *_SMALL]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: no parseable molecules in the dataset\n"
+    assert not (out / "checkpoint.moam").exists()
+
+
 @pytest.mark.parametrize("bad,every,labels", [("0.5", 3, {"0", "0.5", "1"}),
                                               ("-3", 1, {"-3", "1"})])
 def test_finetune_rejects_labels_other_than_0_and_1(small_inputs, tmp_path, capsys,

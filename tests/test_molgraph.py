@@ -96,10 +96,24 @@ def test_k_hop_monotone_and_saturates():
         assert prev == k_hop_neighborhood(g, v, g.n_atoms)
 
 
+def test_k_hop_from_many_sources_is_the_union():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        g = random_molgraph(rng)
+        sources = [int(v) for v in rng.choice(g.n_atoms, int(rng.integers(0, g.n_atoms + 1)),
+                                              replace=False)]
+        for k in range(4):
+            union = frozenset().union(*(bfs_oracle(g, v, k) for v in sources))
+            assert k_hop_neighborhood(g, sources, k) == union
+            assert k_hop_neighborhood(g, np.array(sources, dtype=np.int64), k) == union
+
+
 def test_k_hop_rejects_bad_node():
     g = parse("CC")
     with pytest.raises(ValueError):
         k_hop_neighborhood(g, 5, 1)
+    with pytest.raises(ValueError):
+        k_hop_neighborhood(g, [0, 2], 1)
 
 
 def test_attr_matrix_mirrors_atoms():

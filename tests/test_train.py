@@ -252,6 +252,11 @@ def test_probe_single_class_split_rejected():
         finetune_probe(None, graphs, np.ones_like(labels), cfg)
 
 
+def test_empty_corpus_is_rejected_with_the_cli_message():
+    with pytest.raises(DataError, match="^no parseable molecules in the dataset$"):
+        pretrain([], DESK)
+
+
 def test_mask_eligibility_is_computed_once_per_molecule(small_corpus, monkeypatch):
     import moama.masking
 
