@@ -1,10 +1,11 @@
-"""Circular bit fingerprints and Tanimoto similarity.
+"""Circular bit fingerprints (Rogers & Hahn 2010) and Tanimoto similarity.
 
 Neighborhood codes are hashed with a fixed splitmix64-style mixer so
 fingerprints are identical across platforms and runs. Round 0 hashes
 (atom_type, degree, chirality); each later round hashes an atom's previous
-code together with the sorted multiset of (bond order, neighbor code) pairs.
-Every code from every round sets one bit (code mod width).
+code together with the sorted multiset of (bond order, neighbor code) pairs
+(``refine``, which ``train.scaffold_key`` also uses). Every code from every
+round sets one bit (code mod width).
 """
 
 from __future__ import annotations
@@ -34,6 +35,22 @@ def _hash_ints(values) -> int:
     for v in values:
         h = _mix(h, v)
     return h
+
+
+def refine(g: MolGraph, codes, v: int, tag: int, kept=None) -> int:
+    """One neighborhood-refinement step: the hash of ``[tag, codes[v]]`` and
+    v's sorted (bond order, neighbor code) pairs, over the neighbors in
+    ``kept`` when it is given. Sorting keeps it independent of node labels.
+    """
+    adjacent = g._adjacency[v]
+    if kept is not None:
+        adjacent = [(u, bid) for u, bid in adjacent if u in kept]
+    parts = [tag, codes[v]]
+    for order, code in sorted((BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
+                              for u, bid in adjacent):
+        parts.append(order)
+        parts.append(code)
+    return _hash_ints(parts)
 
 
 @dataclass(frozen=True)
@@ -83,18 +100,7 @@ def morgan_fingerprint(g: MolGraph, radius: int = 2, width: int = 2048) -> Finge
     for c in codes:
         bits |= 1 << (c % width)
     for r in range(1, radius + 1):
-        nxt = []
-        for v in range(g.n_atoms):
-            env = sorted(
-                (BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
-                for u, bid in g._adjacency[v]
-            )
-            parts = [r, codes[v]]
-            for order, code in env:
-                parts.append(order)
-                parts.append(code)
-            nxt.append(_hash_ints(parts))
-        codes = nxt
+        codes = [refine(g, codes, v, r) for v in range(g.n_atoms)]
         for c in codes:
             bits |= 1 << (c % width)
     return Fingerprint(bits, width, radius)

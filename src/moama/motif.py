@@ -5,10 +5,17 @@ environments against a rule table (see ``rules/brics.tsv`` for the bundled
 sixteen link environments and the predicate grammar). Cleaving removes edges
 only; motifs are the connected components that remain, so their union always
 reconstructs the molecule exactly and ring bonds are never cut.
+
+Each predicate compiles, when the table loads, into a test ``(ctx, v) ->
+bool`` on one atom; ``nbr(...)`` compiles its bond mark and target into
+smaller tests. ``match_rules`` lists the environments each bond endpoint
+matches and looks the pair up in one set of (bond order, left expr, right
+expr) triples that holds every rule in both orientations.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -21,24 +28,22 @@ from .smiles import ATOM_CODE
 _C = ATOM_CODE["C"]
 _O = ATOM_CODE["O"]
 
-_CMP = {
-    "=": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-}
+_CMP = {"=": operator.eq, ">=": operator.ge, "<=": operator.le}
 
 _DEG_RE = re.compile(r"^deg(?P<op>>=|<=|=)(?P<n>\d+)$")
 _NBR_RE = re.compile(r"^nbr\((?P<spec>[^)]+)\)(?P<op>>=|<=|=)(?P<n>\d+)$")
 _ELEMSET_RE = re.compile(r"^[A-Z][a-z]?(\|[A-Z][a-z]?)*$")
 
+# The one table of bond marks. Its order is the match order: a mark is tried
+# before any mark that is a prefix of it ("!-" and "-@" before "-").
 _BOND_MARKS = {
-    "!-": "nonsingle",
-    "-@": "single_ring",
-    "-": "single",
-    "=": "double",
-    "#": "triple",
-    ":": "aromatic",
-    "@": "ring",
+    "!-": lambda b: b.order != "single",
+    "-@": lambda b: b.order == "single" and b.in_ring,
+    "-": lambda b: b.order == "single",
+    "=": lambda b: b.order == "double",
+    "#": lambda b: b.order == "triple",
+    ":": lambda b: b.order == "aromatic",
+    "@": lambda b: b.in_ring,
 }
 
 
@@ -53,38 +58,53 @@ def _parse_elemset(text: str) -> frozenset[int]:
     return frozenset(codes)
 
 
+def _parse_target(spec: str):
+    if spec == "*":
+        return lambda ctx, u: True
+    if spec == "C=O":
+        return lambda ctx, u: ctx.carbonyl[u]
+    if spec.startswith("!"):
+        codes = _parse_elemset(spec[1:])
+        return lambda ctx, u: ctx.elem[u] not in codes
+    codes = _parse_elemset(spec)
+    return lambda ctx, u: ctx.elem[u] in codes
+
+
+def _nbr_count(spec: str, cmp, n: int):
+    bond_ok = None
+    for mark, mark_test in _BOND_MARKS.items():
+        if spec.startswith(mark):
+            bond_ok, spec = mark_test, spec[len(mark):]
+            break
+    target = _parse_target(spec)
+
+    def test(ctx, v):
+        count = 0
+        for u, bid in ctx.g._adjacency[v]:
+            if (bond_ok is None or bond_ok(ctx.g.bonds[bid])) and target(ctx, u):
+                count += 1
+        return cmp(count, n)
+
+    return test
+
+
 def _parse_pred(text: str):
-    if text == "ar":
-        return ("arom", True)
-    if text == "al":
-        return ("arom", False)
-    if text == "ring":
-        return ("ring", True)
-    if text == "acyclic":
-        return ("ring", False)
+    """Compile one predicate into a test ``(ctx, v) -> bool``."""
+    if text in ("ar", "al"):
+        want = text == "ar"
+        return lambda ctx, v: ctx.aromatic[v] == want
+    if text in ("ring", "acyclic"):
+        want = text == "ring"
+        return lambda ctx, v: ctx.on_ring[v] == want
     m = _DEG_RE.match(text)
     if m:
-        return ("deg", m.group("op"), int(m.group("n")))
+        cmp, n = _CMP[m.group("op")], int(m.group("n"))
+        return lambda ctx, v: cmp(ctx.degree[v], n)
     m = _NBR_RE.match(text)
     if m:
-        spec = m.group("spec")
-        bond = "any"
-        for mark in ("!-", "-@", "-", "=", "#", ":", "@"):
-            if spec.startswith(mark):
-                bond = _BOND_MARKS[mark]
-                spec = spec[len(mark):]
-                break
-        if spec == "*":
-            target = ("any",)
-        elif spec == "C=O":
-            target = ("carbonyl",)
-        elif spec.startswith("!"):
-            target = ("notelem", _parse_elemset(spec[1:]))
-        else:
-            target = ("elem", _parse_elemset(spec))
-        return ("nbr", bond, target, m.group("op"), int(m.group("n")))
+        return _nbr_count(m.group("spec"), _CMP[m.group("op")], int(m.group("n")))
     if _ELEMSET_RE.match(text):
-        return ("elem", _parse_elemset(text))
+        return _parse_target(text)  # the element-set target, tested on v
     raise DataError(f"cannot parse rule predicate {text!r}")
 
 
@@ -121,65 +141,22 @@ class _GraphContext:
         self.degree = [g.degree(v) for v in range(n)]
         self.aromatic = [False] * n
         self.on_ring = [False] * n
+        self.carbonyl = [False] * n
         for b in g.bonds:
             if b.order == "aromatic":
                 self.aromatic[b.u] = self.aromatic[b.v] = True
             if b.in_ring:
                 self.on_ring[b.u] = self.on_ring[b.v] = True
-        self.carbonyl = [False] * n
-        for b in g.bonds:
             if b.order == "double":
                 for a, o in ((b.u, b.v), (b.v, b.u)):
                     if self.elem[a] == _C and self.elem[o] == _O:
                         self.carbonyl[a] = True
 
 
-def _bond_matches(kind: str, bond) -> bool:
-    if kind == "any":
-        return True
-    if kind == "ring":
-        return bond.in_ring
-    if kind == "single_ring":
-        return bond.order == "single" and bond.in_ring
-    if kind == "nonsingle":
-        return bond.order != "single"
-    return bond.order == kind
-
-
-def _target_matches(target, ctx: _GraphContext, u: int) -> bool:
-    if target[0] == "any":
-        return True
-    if target[0] == "elem":
-        return ctx.elem[u] in target[1]
-    if target[0] == "notelem":
-        return ctx.elem[u] not in target[1]
-    return ctx.carbonyl[u]
-
-
 def _env_matches(env: EnvPattern, ctx: _GraphContext, v: int) -> bool:
     for pred in env.preds:
-        kind = pred[0]
-        if kind == "elem":
-            if ctx.elem[v] not in pred[1]:
-                return False
-        elif kind == "arom":
-            if ctx.aromatic[v] != pred[1]:
-                return False
-        elif kind == "ring":
-            if ctx.on_ring[v] != pred[1]:
-                return False
-        elif kind == "deg":
-            if not _CMP[pred[1]](ctx.degree[v], pred[2]):
-                return False
-        else:  # nbr count
-            _, bond_kind, target, op, n = pred
-            count = 0
-            for u, bid in ctx.g._adjacency[v]:
-                b = ctx.g.bonds[bid]
-                if _bond_matches(bond_kind, b) and _target_matches(target, ctx, u):
-                    count += 1
-            if not _CMP[op](count, n):
-                return False
+        if not pred(ctx, v):
+            return False
     return True
 
 
@@ -246,31 +223,29 @@ def default_rules() -> tuple[BricsRule, ...]:
 
 
 def match_rules(g: MolGraph, rules=None) -> frozenset[int]:
-    """Bond ids cleavable under the rule table. Ring bonds never match."""
+    """Bond ids cleavable under the rule table. Ring bonds never match.
+
+    Each endpoint of an acyclic bond is matched once against every distinct
+    environment, keyed by its expression text. The bond is cleavable when one
+    (endpoint-0 env, endpoint-1 env) pair is in the set of (bond order, left,
+    right) rule triples, which holds every rule in both orientations.
+    """
     if rules is None:
         rules = default_rules()
+    pairs = {(r.bond_order, a.expr, b.expr)
+             for r in rules for a, b in ((r.left, r.right), (r.right, r.left))}
+    envs = {e.expr: e for r in rules for e in (r.left, r.right)}
     ctx = _GraphContext(g)
-    cache: dict[tuple[int, int], bool] = {}
-
-    def matches(env: EnvPattern, v: int) -> bool:
-        key = (id(env), v)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = _env_matches(env, ctx, v)
-        return got
-
+    matched: dict[int, list[str]] = {}
     out = set()
     for i, b in enumerate(g.bonds):
         if b.in_ring:
             continue
-        for rule in rules:
-            if rule.bond_order != b.order:
-                continue
-            if (matches(rule.left, b.u) and matches(rule.right, b.v)) or (
-                matches(rule.left, b.v) and matches(rule.right, b.u)
-            ):
-                out.add(i)
-                break
+        for v in (b.u, b.v):
+            if v not in matched:
+                matched[v] = [e for e, env in envs.items() if _env_matches(env, ctx, v)]
+        if any((b.order, x, y) in pairs for x in matched[b.u] for y in matched[b.v]):
+            out.add(i)
     return frozenset(out)
 
 

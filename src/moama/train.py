@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig, build_section
 from .errors import ConfigError, DataError, write_output
-from .fingerprint import morgan_fingerprint
+from .fingerprint import _hash_ints, morgan_fingerprint, refine
 from .gin import (
     EncoderConfig,
     ParamStore,
@@ -39,7 +39,7 @@ from .gin import (
 )
 from .loss import aux_loss, rec_loss, total_loss
 from .masking import apply_mask, build_plan, eligible_motifs, plan_rng
-from .molgraph import BOND_ORDER_INDEX, MolGraph
+from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph
 from .motif import decompose
 
 CHECKPOINT_MAGIC = b"MOAM"
@@ -218,12 +218,9 @@ def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = No
             n_feasible += sum(p.feasible for p in plans)
             x_masked = [apply_mask(g, p) for g, p in zip(batch_graphs, plans)]
             tg = TensorGraph.from_graphs(batch_graphs, x_masked)
-
-            offsets = np.cumsum([0] + [g.n_atoms for g in batch_graphs[:-1]])
-            masked = ([], [])
-            for off, plan in zip(offsets, plans):
-                for d in range(2):
-                    masked[d].extend(off + v for v in plan.masked_nodes[d])
+            # mask codes lie outside the real code spaces: they mark the plans
+            masked = (np.flatnonzero(tg.atom_type == MASK_ATOM_TYPE),
+                      np.flatnonzero(tg.chirality == MASK_CHIRALITY))
             x_true = np.concatenate([g.X for g in batch_graphs])
 
             h = encode(tg, store, cfg.encoder)
@@ -267,12 +264,10 @@ def scaffold_key(g: MolGraph) -> str:
     """Canonical key for the molecule's ring systems plus linkers.
 
     Side chains are pruned by repeatedly deleting non-ring atoms of degree
-    <= 1; the remainder is hashed with iterated neighborhood refinement over
-    (atom type, bond order), so isomorphic scaffolds share a key and acyclic
-    molecules map to the empty key.
+    <= 1; the remainder is hashed with iterated neighborhood refinement
+    (``fingerprint.refine``) over (atom type, bond order), so isomorphic
+    scaffolds share a key and acyclic molecules map to the empty key.
     """
-    from .fingerprint import _hash_ints
-
     kept = set(range(g.n_atoms))
     on_ring = {v for b in g.bonds if b.in_ring for v in (b.u, b.v)}
     changed = True
@@ -290,18 +285,7 @@ def scaffold_key(g: MolGraph) -> str:
 
     codes = {v: _hash_ints((1, g.atoms[v].atom_type)) for v in kept}
     for _ in range(len(kept)):
-        # sorted (bond order, neighbor code) multiset keeps the refinement
-        # independent of node labeling
-        codes = {
-            v: _hash_ints(
-                [2, codes[v]]
-                + [x for pair in sorted(
-                    (BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
-                    for u, bid in g._adjacency[v] if u in kept)
-                   for x in pair]
-            )
-            for v in kept
-        }
+        codes = {v: refine(g, codes, v, 2, kept) for v in kept}
     final = _hash_ints([len(kept)] + sorted(codes.values()))
     return format(final, "016x")
 

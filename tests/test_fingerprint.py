@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moama import morgan_fingerprint, parse, tanimoto
-from moama.fingerprint import Fingerprint
-from moama.molgraph import relabel
+from moama.fingerprint import Fingerprint, _hash_ints, refine
+from moama.molgraph import BOND_ORDER_INDEX, relabel
 
 
 def _fp_from_bits(on_bits, width=256):
@@ -86,3 +86,43 @@ def test_hex_round_trip():
     fp = morgan_fingerprint(parse("CCO"), width=256)
     assert len(fp.to_hex()) == 64
     assert int(fp.to_hex(), 16) == fp.bits
+
+
+def _morgan_reference(g, radius, width):
+    """The per-round loop morgan_fingerprint ran before it called refine."""
+    codes = [_hash_ints((0, a.atom_type, g.degree(v), a.chirality))
+             for v, a in enumerate(g.atoms)]
+    bits = 0
+    for c in codes:
+        bits |= 1 << (c % width)
+    for r in range(1, radius + 1):
+        nxt = []
+        for v in range(g.n_atoms):
+            env = sorted((BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
+                         for u, bid in g._adjacency[v])
+            parts = [r, codes[v]]
+            for order, code in env:
+                parts += [order, code]
+            nxt.append(_hash_ints(parts))
+        codes = nxt
+        for c in codes:
+            bits |= 1 << (c % width)
+    return bits
+
+
+@pytest.mark.parametrize("radius,width", [(2, 2048), (3, 64)])
+def test_fingerprint_bits_match_the_reference_loop(corpus500, radius, width):
+    for g in corpus500[:200]:
+        assert morgan_fingerprint(g, radius, width).bits == _morgan_reference(g, radius, width)
+
+
+def test_refine_over_kept_hashes_the_filtered_sorted_pairs(corpus500):
+    rng = np.random.default_rng(0)
+    for g in corpus500[:100]:
+        codes = {v: int(rng.integers(0, 2**63)) for v in range(g.n_atoms)}
+        kept = {v for v in range(g.n_atoms) if rng.random() < 0.7}
+        for v in kept:
+            pairs = sorted((BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
+                           for u, bid in g._adjacency[v] if u in kept)
+            expected = _hash_ints([2, codes[v]] + [x for pair in pairs for x in pair])
+            assert refine(g, codes, v, 2, kept) == expected

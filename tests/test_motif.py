@@ -1,10 +1,31 @@
+import operator
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moama import decompose, load_rules, match_rules, motif_adjacency, parse, ring_bonds
+from moama import (
+    Motif,
+    MotifDecomposition,
+    decompose,
+    load_rules,
+    match_rules,
+    motif_adjacency,
+    parse,
+    ring_bonds,
+)
+from moama.cli import main
 from moama.errors import DataError
 from moama.molgraph import relabel
-from moama.motif import EnvPattern, _GraphContext, _env_matches
+from moama.motif import _BOND_MARKS, EnvPattern, _GraphContext, _env_matches
+from moama.smiles import ATOM_CODE
+
+from conftest import random_molgraph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _bond_id(g, u, v):
@@ -172,3 +193,248 @@ def test_env_grammar_predicates():
     hetero = EnvPattern.compile("C;ar;nbr(:N|O|S)>=1;nbr(:C|N|O|S)>=2")
     assert _env_matches(hetero, pctx, 2)
     assert not _env_matches(hetero, pctx, 1)
+
+
+# --- reference matcher ------------------------------------------------------
+# The tuple interpreter and the loop over rules that match_rules replaced,
+# kept as the oracle: each predicate parses to a tagged tuple, each bond tries
+# every rule in both orientations, and atom facts come from the graph directly.
+
+_ORACLE_CMP = {"=": operator.eq, ">=": operator.ge, "<=": operator.le}
+_ORACLE_ORDER = {"-": "single", "=": "double", "#": "triple", ":": "aromatic"}
+
+
+def _oracle_elems(text):
+    return frozenset(ATOM_CODE[sym] for sym in text.split("|"))
+
+
+def _oracle_mark(spec):
+    for mark in ("!-", "-@", "-", "=", "#", ":", "@"):
+        if spec.startswith(mark):
+            return mark, spec[len(mark):]
+    return "any", spec
+
+
+def _oracle_pred(text):
+    if text in ("ar", "al"):
+        return ("arom", text == "ar")
+    if text in ("ring", "acyclic"):
+        return ("ring", text == "ring")
+    m = re.fullmatch(r"deg(>=|<=|=)(\d+)", text)
+    if m:
+        return ("deg", m[1], int(m[2]))
+    m = re.fullmatch(r"nbr\(([^)]+)\)(>=|<=|=)(\d+)", text)
+    if m:
+        bond, spec = _oracle_mark(m[1])
+        if spec == "*":
+            target = ("any",)
+        elif spec == "C=O":
+            target = ("carbonyl",)
+        elif spec.startswith("!"):
+            target = ("notelem", _oracle_elems(spec[1:]))
+        else:
+            target = ("elem", _oracle_elems(spec))
+        return ("nbr", bond, target, m[2], int(m[3]))
+    return ("elem", _oracle_elems(text))
+
+
+def _oracle_bond(kind, b):
+    if kind == "any":
+        return True
+    if kind == "@":
+        return b.in_ring
+    if kind == "-@":
+        return b.order == "single" and b.in_ring
+    if kind == "!-":
+        return b.order != "single"
+    return b.order == _ORACLE_ORDER[kind]
+
+
+def _oracle_target(target, facts, u):
+    elem, _, _, carbonyl = facts
+    if target[0] == "any":
+        return True
+    if target[0] == "elem":
+        return elem[u] in target[1]
+    if target[0] == "notelem":
+        return elem[u] not in target[1]
+    return u in carbonyl
+
+
+def _oracle_env(preds, g, facts, v):
+    elem, arom, ring, _ = facts
+    for pred in preds:
+        kind = pred[0]
+        if kind == "elem":
+            ok = elem[v] in pred[1]
+        elif kind == "arom":
+            ok = (v in arom) == pred[1]
+        elif kind == "ring":
+            ok = (v in ring) == pred[1]
+        elif kind == "deg":
+            ok = _ORACLE_CMP[pred[1]](len(g._adjacency[v]), pred[2])
+        else:
+            _, bond, target, op, n = pred
+            count = sum(1 for u, bid in g._adjacency[v]
+                        if _oracle_bond(bond, g.bonds[bid]) and _oracle_target(target, facts, u))
+            ok = _ORACLE_CMP[op](count, n)
+        if not ok:
+            return False
+    return True
+
+
+def _oracle_match(g, rules):
+    elem = [a.atom_type for a in g.atoms]
+    c, o = ATOM_CODE["C"], ATOM_CODE["O"]
+    facts = (
+        elem,
+        {x for b in g.bonds if b.order == "aromatic" for x in (b.u, b.v)},
+        {x for b in g.bonds if b.in_ring for x in (b.u, b.v)},
+        {a for b in g.bonds if b.order == "double"
+         for a, other in ((b.u, b.v), (b.v, b.u)) if elem[a] == c and elem[other] == o},
+    )
+
+    def preds(env):
+        return [_oracle_pred(p.strip()) for p in env.expr.split(";") if p.strip()]
+
+    parsed = [(r.bond_order, preds(r.left), preds(r.right)) for r in rules]
+    out = set()
+    for i, b in enumerate(g.bonds):
+        if b.in_ring:
+            continue
+        for order, left, right in parsed:
+            if order != b.order:
+                continue
+            if (_oracle_env(left, g, facts, b.u) and _oracle_env(right, g, facts, b.v)) or (
+                _oracle_env(left, g, facts, b.v) and _oracle_env(right, g, facts, b.u)
+            ):
+                out.add(i)
+                break
+    return frozenset(out)
+
+
+def _oracle_decompose(g, cut):
+    # union by smaller root, so each component's root is its smallest member
+    # and motifs come out in order of their smallest member
+    root = list(range(g.n_atoms))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, b in enumerate(g.bonds):
+        if i not in cut:
+            ru, rv = find(b.u), find(b.v)
+            root[max(ru, rv)] = min(ru, rv)
+    index = {r: k for k, r in enumerate(sorted({find(v) for v in range(g.n_atoms)}))}
+    motif_of = tuple(index[find(v)] for v in range(g.n_atoms))
+    motifs = tuple(
+        Motif(tuple(v for v in range(g.n_atoms) if motif_of[v] == k),
+              tuple(i for i, b in enumerate(g.bonds) if i not in cut and motif_of[b.u] == k))
+        for k in range(len(index))
+    )
+    cut_sorted = tuple(sorted(cut))
+    pairs = tuple((g.bonds[i].u, g.bonds[i].v) for i in cut_sorted)
+    return MotifDecomposition(motifs, cut_sorted, pairs, motif_of)
+
+
+# Asymmetric rules over every predicate kind, every bond mark (and none),
+# every nbr target (*, a set, !set, C=O) and every comparator.
+EVERY_KIND_TABLE = """\
+# rule_id\tleft_env\tright_env\tbond_order
+1\tC;al;deg>=2;nbr(-*)>=1\tN|O;deg<=2;nbr(=*)=0\tsingle
+2\tC|N;ar;nbr(:C)>=2\tC;al;deg>=2;nbr(-*)>=1\tsingle
+3\tC;ring;nbr(-@C|N)>=1\tO|S|Cl;acyclic;deg=1\tsingle
+4\tC|N;nbr(!-*)>=1;nbr(C=O)<=1\tC|S;nbr(@!O)>=2;deg<=3\tsingle
+5\tC;al;deg>=2;nbr(-*)>=1\tN|C;nbr(#*)=1\ttriple
+6\tC;acyclic;nbr(!N|O)>=1;nbr(*)<=3\tO;nbr(C=O)>=1\tsingle
+7\tC;nbr(=O)>=1\tC|N;ar;nbr(:C)>=2\tsingle
+8\tC|N;nbr(!-*)>=1;nbr(C=O)<=1\tC|N;nbr(!-*)>=1;nbr(C=O)<=1\tdouble
+9\tN|O;deg<=2;nbr(=*)=0\tC|S;nbr(@!O)>=2;deg<=3\tdouble
+10\tC;al;deg>=2;nbr(-*)>=1\tO|S|Cl;acyclic;deg=1\tsingle
+11\tS|N;al;nbr(C|N|O)>=1;nbr(@*)=0\tC;nbr(-C)>=1;deg<=4\tsingle
+12\tC|N|O;nbr(!-*)>=1\tC|N|O|S|Cl;acyclic\tsingle
+13\tC;ring;nbr(-@C|N)<=1\tC|N|O;acyclic;deg<=2\tsingle
+14\tC|N;nbr(:*)=2\tC|N|O|S|Cl;acyclic\tsingle
+15\tC|N;nbr(*)>=3\tC|N|O|S|Cl;acyclic\tsingle
+16\tC|N|O|S;nbr(C=O)=0\tC;al\tsingle
+"""
+
+
+@pytest.fixture(scope="module")
+def rule_tables(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rules") / "every_kind.tsv"
+    path.write_text(EVERY_KIND_TABLE)
+    return {"bundled": load_rules(), "every_kind": load_rules(path)}
+
+
+def test_every_kind_table_covers_the_grammar(rule_tables, corpus500):
+    specs, ops, plain = set(), set(), set()
+    for line in EVERY_KIND_TABLE.splitlines()[1:]:
+        for pred in ";".join(line.split("\t")[1:3]).split(";"):
+            m = re.fullmatch(r"nbr\((.+)\)(>=|<=|=)\d+", pred)
+            if m:
+                specs.add(m[1])
+                ops.add(m[2])
+            else:
+                plain.add(re.sub(r"\d+$", "", pred))
+    marks, targets = zip(*map(_oracle_mark, specs))
+    assert set(marks) == set(_BOND_MARKS) | {"any"}
+    assert {"*", "C=O"} <= set(targets)
+    assert any(t.startswith("!") for t in targets)
+    assert any(t[0].isupper() and t != "C=O" for t in targets)
+    assert ops == {"=", ">=", "<="}
+    assert {"ar", "al", "ring", "acyclic", "deg=", "deg>=", "deg<=", "C|N"} <= plain
+    assert sum(len(match_rules(g, rule_tables["every_kind"])) for g in corpus500) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.sampled_from(["bundled", "every_kind"]),
+       source=st.one_of(st.tuples(st.just("random"), st.integers(0, 2**32 - 1)),
+                        st.tuples(st.just("datagen"), st.integers(0, 499))))
+def test_matching_equals_the_tuple_interpreter(rule_tables, corpus500, table, source):
+    kind, key = source
+    if kind == "random":
+        g = random_molgraph(np.random.default_rng(key), 2, 16)
+    else:
+        g = corpus500[key]
+    rules = rule_tables[table]
+    expected = _oracle_match(g, rules)
+    assert match_rules(g, rules) == expected
+    assert decompose(g, rules) == _oracle_decompose(g, expected)
+    for i in range(len(rules)):  # alone, so no other rule hides a wrong match
+        assert match_rules(g, rules[i:i + 1]) == _oracle_match(g, rules[i:i + 1])
+
+
+@pytest.mark.parametrize("pred", ["nbr(=)>=1", "nbr(!)=0", "nbr(-Xx)=1", "deg>3", "nbr(C)"])
+def test_malformed_predicate_names_its_line_and_exits_2(tmp_path, capsys, pred):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# one malformed predicate\n4\tC;al;{pred}\tO;al;deg=2\tsingle\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: ")):
+        load_rules(path)
+    data = tmp_path / "mols.csv"
+    data.write_text("smiles\nCCOCC\n")
+    code = main(["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={data}",
+                 "--set", f"motif.rules={path}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: {path}:2: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_docs_name_every_bond_mark_and_their_examples_compile():
+    readme = (ROOT / "README.md").read_text("utf-8")
+    paragraph = readme.split("## Motif rule table", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", paragraph)
+    readme_tokens = {t for span in spans for t in span.split()}
+    table = (ROOT / "src/moama/rules/brics.tsv").read_text("utf-8")
+    header_tokens = {t for line in table.splitlines() if line.startswith("#")
+                     for t in line[1:].split()}
+    for mark in _BOND_MARKS:
+        assert mark in readme_tokens, mark
+        assert mark in header_tokens, mark
+    examples = [span for span in spans if span.startswith(("nbr(", "deg"))]
+    assert len(examples) >= 5
+    for example in examples:
+        EnvPattern.compile(example)

@@ -277,3 +277,34 @@ def test_mask_eligibility_is_computed_once_per_molecule(small_corpus, monkeypatc
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
     assert counts[2] == 0
+
+
+@pytest.mark.parametrize("mode", ["node_wise", "element_wise", "random_baseline"])
+def test_rec_loss_gets_each_plans_entries_at_its_batch_offset(small_corpus, monkeypatch, mode):
+    import moama.train
+
+    plans, checked = [], []
+    real_plan, real_rec = moama.train.build_plan, moama.train.rec_loss
+
+    def planning(g, *args, **kwargs):
+        plan = real_plan(g, *args, **kwargs)
+        plans.append((g.n_atoms, plan))
+        return plan
+
+    def checking(logits, x_true, masked, cfg):
+        # the batch's plans were all built, in batch order, before its loss
+        expected, offset = ([], []), 0
+        for n_atoms, plan in plans:
+            for d in range(2):
+                expected[d].extend(offset + v for v in plan.masked_nodes[d])
+            offset += n_atoms
+        assert [list(m) for m in masked] == list(expected)
+        checked.append(len(expected[0]) + len(expected[1]))
+        plans.clear()
+        return real_rec(logits, x_true, masked, cfg)
+
+    monkeypatch.setattr(moama.train, "build_plan", planning)
+    monkeypatch.setattr(moama.train, "rec_loss", checking)
+    mask = MaskConfig(hop_k=2, mode=mode, coverage=0.5)
+    pretrain(small_corpus, replace(DESK, epochs=1, mask=mask))
+    assert len(checked) == 3 and sum(checked) > 0
