@@ -32,6 +32,13 @@ READOUTS = ("mean", "sum", "max")
 DECODERS = ("gnn", "mlp")
 TARGETS = ("atom_type", "chirality", "both_one_decoder", "both_two_decoders")
 
+# Upper bounds that cap an encoder's memory. The largest allowed model (16
+# layers of width 512, two gnn decoders) holds 9.85M parameters: 79 MB of
+# values, 315 MB with Adam's two moments and a gradient, plus activations that
+# grow with the batch. Paper scale is 5 layers of width 300.
+MAX_LAYERS = 16
+MAX_EMBED_DIM = 512
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -43,8 +50,10 @@ class EncoderConfig:
     decoder: str = "gnn"
 
     def __post_init__(self):
-        if self.layers < 1 or self.embed_dim < 1:
-            raise ValueError("layers and embed_dim must be >= 1")
+        if not 1 <= self.layers <= MAX_LAYERS:
+            raise ValueError(f"layers must be between 1 and {MAX_LAYERS}")
+        if not 1 <= self.embed_dim <= MAX_EMBED_DIM:
+            raise ValueError(f"embed_dim must be between 1 and {MAX_EMBED_DIM}")
         if self.readout not in READOUTS:
             raise ValueError(f"readout must be one of {', '.join(READOUTS)}")
         if self.decoder not in DECODERS:
@@ -94,7 +103,11 @@ def single(g: MolGraph, x=None) -> TensorGraph:
 
 
 class ParamStore:
-    """Named parameter tensors plus per-parameter Adam moment buffers."""
+    """Named parameter tensors plus per-parameter Adam moment buffers.
+
+    A constant tensor (``ad.const``) is never trained: it records no tape and
+    ``adam_step`` leaves it as it is. ``frozen`` makes parameters constant.
+    """
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = dict(params)
@@ -112,12 +125,15 @@ class ParamStore:
         for t in self.params.values():
             t.grad = None
 
-    def adam_step(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, names=None) -> None:
-        """Bias-corrected Adam update over ``names`` (default: all), in
-        sorted-name order. Parameters with no gradient see a zero gradient."""
+    def adam_step(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+        """Bias-corrected Adam update of every parameter that is not a
+        constant, in sorted-name order. A parameter with no gradient sees a
+        zero gradient; a constant keeps its values and moments."""
         self.t += 1
-        for name in sorted(names) if names is not None else self.names():
+        for name in self.names():
             p = self.params[name]
+            if not p.requires_grad:
+                continue
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
             self.m[name] = beta1 * self.m[name] + (1.0 - beta1) * g
             self.v[name] = beta2 * self.v[name] + (1.0 - beta2) * (g * g)
@@ -126,10 +142,23 @@ class ParamStore:
             p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + eps)
 
     def copy(self) -> "ParamStore":
-        dup = ParamStore({n: ad.parameter(t.values.copy()) for n, t in self.params.items()})
+        """Deep copy; each tensor stays a parameter or a constant."""
+        dup = ParamStore({n: Tensor(t.values.copy(), t.requires_grad)
+                          for n, t in self.params.items()})
         dup.m = {n: v.copy() for n, v in self.m.items()}
         dup.v = {n: v.copy() for n, v in self.v.items()}
         dup.t = self.t
+        return dup
+
+    def frozen(self, names=None) -> "ParamStore":
+        """A copy whose named parameters (default: all) are constants. A store
+        with nothing left to freeze is returned as is."""
+        names = self.names() if names is None else names
+        if not any(self.params[n].requires_grad for n in names):
+            return self
+        dup = self.copy()
+        for n in names:
+            dup.params[n] = ad.const(dup.params[n].values)
         return dup
 
     def load_values(self, other: "ParamStore", names) -> None:
@@ -286,15 +315,8 @@ def decode_attrs(tg: TensorGraph, h: Tensor, store: ParamStore,
 
 
 def predict_label(h_graph: Tensor, store: ParamStore) -> Tensor:
-    """Task logits from graph vectors; sigmoid is applied only at evaluation."""
+    """Task logits from graph vectors. Nothing applies a sigmoid: training
+    takes binary cross-entropy on the logits and AUC ranks them."""
     z = ad.relu(h_graph @ store["head.w1"] + store["head.b1"])
     return z @ store["head.w2"] + store["head.b2"]
 
-
-def sigmoid(values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    pos = values >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-values[pos]))
-    ez = np.exp(values[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out

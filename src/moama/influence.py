@@ -3,7 +3,8 @@
 The influence of a source node u on a target node v is the L2 distance
 between v's encoder representation and the representation obtained when u's
 layer-0 embedding is replaced by the zero vector, everything else unchanged.
-Encoding always runs on clean (unmasked) attributes. One encode covers a
+Encoding always runs on clean (unmasked) attributes, through a frozen store
+(``ParamStore.frozen``), so no encode records a tape. One encode covers a
 molecule's clean copy and its n zeroed copies, batched as n+1 copies of the
 molecule like any other batch, split into chunks only for large molecules.
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .gin import EncoderConfig, ParamStore, TensorGraph, encode
 from .molgraph import MolGraph
 from .motif import MotifDecomposition
@@ -57,14 +57,6 @@ class InfluenceConfig:
             raise ValueError("max_graphs must be >= 0 (0 = no limit)")
 
 
-def _inference_store(store: ParamStore) -> ParamStore:
-    """Constant copies of the parameters, so encodes record no tape. A store
-    of constants is returned as is."""
-    if not any(t.requires_grad for t in store.params.values()):
-        return store
-    return ParamStore({n: ad.const(t.values) for n, t in store.params.items()})
-
-
 def _influence_rows(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
                     sources) -> np.ndarray:
     """S[i, v] = s(sources[i], v), with S[i, sources[i]] = 0.
@@ -74,7 +66,7 @@ def _influence_rows(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
     it would alone. The copies go through ``encode`` in chunks of at most
     STACK_ROWS node rows.
     """
-    frozen = _inference_store(store)
+    frozen = store.frozen()
     n = g.n_atoms
     per_chunk = max(1, STACK_ROWS // n)
     copies = len(sources) + 1
@@ -159,31 +151,6 @@ def _node_row(gi: int, dec: MotifDecomposition, s_col: np.ndarray, v: int,
     return NodeInfluence(gi, v, dec.n_motifs, intra, inter, rank, truncated)
 
 
-def motif_influence(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
-                    v: int, motif_nodes, top_k: int = 3,
-                    s_row: np.ndarray | None = None) -> float | None:
-    """Mean influence on v from the top_k most influential motif members.
-
-    Returns None (undefined) when the motif has no member other than v.
-    ``s_row`` may carry precomputed s(., v) values to avoid re-encoding.
-    """
-    if s_row is None:
-        s_row = influence_matrix(g, store, cfg)[:, v]
-    return _motif_mean(s_row, motif_nodes, v, top_k)
-
-
-def intra_inter(g: MolGraph, dec: MotifDecomposition, store: ParamStore,
-                cfg: EncoderConfig, v: int, top_k: int = 3,
-                mode: str = "top_k",
-                s_col: np.ndarray | None = None) -> tuple[float | None, float | None]:
-    """(intra, inter) influence means for one node, as ``analyze_dataset``
-    reports them. ``s_col`` may carry precomputed s(., v) values."""
-    if s_col is None:
-        s_col = influence_matrix(g, store, cfg)[:, v]
-    row = _node_row(-1, dec, s_col, v, top_k, mode)
-    return row.intra, row.inter
-
-
 @dataclass(frozen=True)
 class InfluenceReport:
     nodes: tuple[NodeInfluence, ...]
@@ -201,7 +168,7 @@ class InfluenceReport:
 def analyze_dataset(graphs, decomps, store: ParamStore, cfg: EncoderConfig,
                     top_k: int = 3, mode: str = "top_k") -> InfluenceReport:
     """Per-node influence rows plus dataset-level aggregates."""
-    store = _inference_store(store)
+    store = store.frozen()  # once here, so each molecule's encode reuses it
     rows = []
     for gi, (g, dec) in enumerate(zip(graphs, decomps)):
         s = influence_matrix(g, store, cfg)

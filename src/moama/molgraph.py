@@ -63,9 +63,6 @@ class Bond:
         if self.order not in BOND_ORDER_INDEX:
             raise ValueError(f"unknown bond order {self.order!r}")
 
-    def other(self, node: int) -> int:
-        return self.v if node == self.u else self.u
-
 
 class MolGraph:
     """Immutable attributed molecular graph.
@@ -143,9 +140,6 @@ class MolGraph:
 
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
-
-    def incident_bonds(self, v: int) -> tuple[int, ...]:
-        return tuple(i for _, i in self._adjacency[v])
 
 
 def adjacency(g: MolGraph) -> tuple[tuple[int, ...], ...]:

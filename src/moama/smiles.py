@@ -56,7 +56,6 @@ ELEMENTS = (
 )
 ATOM_CODE = {sym: i for i, sym in enumerate(ELEMENTS)}
 
-ORGANIC_SUBSET = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 AROMATIC_SUBSET = {"b", "c", "n", "o", "p", "s"}
 
 _BOND_CHAR_ORDER = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",

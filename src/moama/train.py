@@ -365,7 +365,9 @@ def finetune_probe(pretrained: ParamStore | None, graphs, labels,
 
     Attaches a fresh prediction head, trains with binary cross-entropy,
     selects the epoch by validation AUC, reports test AUC. ``probe`` mode
-    updates only the head; ``full`` updates everything.
+    freezes every parameter except ``head.*`` (``ParamStore.frozen``), so the
+    encoder records no tape and backward stops at the readout; ``full``
+    updates everything.
     """
     graphs = list(graphs)
     labels = np.asarray(labels, dtype=np.float64)
@@ -394,9 +396,8 @@ def finetune_probe(pretrained: ParamStore | None, graphs, labels,
                 f"checkpoint does not match the encoder configuration "
                 f"(missing {missing[0]}); use the checkpoint's encoder settings")
         store.load_values(pretrained, encoder_names)
-    trainable = None
     if cfg.finetune_mode == "probe":
-        trainable = [n for n in store.names() if n.startswith("head.")]
+        store = store.frozen([n for n in store.names() if not n.startswith("head.")])
 
     def scores_for(idx):
         tg = TensorGraph.from_graphs([graphs[i] for i in idx])
@@ -417,7 +418,7 @@ def finetune_probe(pretrained: ParamStore | None, graphs, labels,
             lossv = _bce(logits, y)
             store.zero_grad()
             lossv.backward()
-            store.adam_step(lr=cfg.lr, names=trainable)
+            store.adam_step(lr=cfg.lr)
         v_auc = auc_score(scores_for(valid_idx), labels[valid_idx])
         if v_auc > best[0]:
             best = (v_auc, epoch + 1, store.copy())

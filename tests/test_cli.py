@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from moama.cli import COMMANDS, main
 from moama.config import DEFAULTS
 from moama.datagen import write_corpus_csv
-from moama.gin import EncoderConfig, ParamStore, init_params
+from moama.gin import MAX_EMBED_DIM, MAX_LAYERS, EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
 from moama.errors import DataError
 from moama.train import load_checkpoint, save_checkpoint
@@ -275,6 +275,50 @@ def test_fingerprint_rejects_bad_settings(mols_csv, tmp_path, capsys, key, value
     err = capsys.readouterr().err
     assert key in err and err.count("\n") == 1
     assert not (out / "fingerprints.csv").exists()
+
+
+def _no_init(*args, **kwargs):
+    raise AssertionError("an out-of-range encoder reached init_params")
+
+
+@pytest.mark.parametrize("key,value", [("encoder.layers", str(MAX_LAYERS + 1)),
+                                       ("encoder.embed_dim", str(MAX_EMBED_DIM + 1))])
+def test_oversized_encoder_is_a_config_error(mols_csv, tmp_path, capsys, monkeypatch,
+                                             key, value):
+    import moama.train
+
+    monkeypatch.setattr(moama.train, "init_params", _no_init)
+    out = tmp_path / "out"
+    assert main(["pretrain", "--out", str(out), "--set", f"data.input={mols_csv}",
+                 "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
+    assert not (out / "loss.csv").exists()
+    # the bounds themselves are allowed, and so is paper scale
+    EncoderConfig(layers=MAX_LAYERS, embed_dim=MAX_EMBED_DIM)
+    EncoderConfig(layers=5, embed_dim=300)
+
+
+@pytest.mark.parametrize("key,value", [("encoder.layers", str(MAX_LAYERS + 1)),
+                                       ("encoder.embed_dim", str(MAX_EMBED_DIM + 1))])
+def test_oversized_encoder_in_a_checkpoint_is_a_data_error(mols_csv, tmp_path, capsys,
+                                                           monkeypatch, key, value):
+    import moama.train
+
+    ckpt = tmp_path / "ckpt.moam"
+    snapshot = {"encoder.layers": "2", "encoder.embed_dim": "8", "encoder.readout": "mean",
+                "encoder.epsilon": "0.0", "encoder.learn_epsilon": "false",
+                "encoder.decoder": "gnn", key: value}
+    save_checkpoint(ckpt, init_params(EncoderConfig(layers=2, embed_dim=8), seed=0),
+                    snapshot, {"seed": 0}, 0)
+    with pytest.raises(DataError, match=key):
+        load_checkpoint(ckpt).encoder_config()
+    monkeypatch.setattr(moama.train, "init_params", _no_init)
+    capsys.readouterr()
+    assert main(["influence", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
+                 "--set", f"run.checkpoint={ckpt}"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
 
 
 def test_pretrain_uses_the_configured_rules_and_fingerprint(mols_csv, tmp_path, capsys,

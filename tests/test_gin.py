@@ -154,14 +154,11 @@ def test_logit_shapes_per_target():
 
 
 def test_predict_label_zero_weights_gives_half_probability():
-    from moama.gin import sigmoid
-
     cfg = EncoderConfig(layers=1, embed_dim=4)
     store = _zeroed(init_params(cfg, seed=9))
     hg = ad.const(np.ones((2, 4)))
     logits = predict_label(hg, store).values
     assert np.array_equal(logits, np.zeros((2, 1)))
-    assert np.allclose(sigmoid(logits), 0.5)
 
 
 def test_predict_label_final_layer_linearity_and_determinism():
@@ -205,6 +202,72 @@ def test_adam_moment_shapes_match():
     for n, t in store.params.items():
         assert store.m[n].shape == t.values.shape
         assert store.v[n].shape == t.values.shape
+
+
+def _trained_one_step(store: ParamStore, cfg: EncoderConfig) -> ParamStore:
+    h = encode(single(parse("CCOC")), store, cfg)
+    lossv = ad.tmean(h * h)
+    store.zero_grad()
+    lossv.backward()
+    store.adam_step(lr=0.01)
+    return store
+
+
+def test_adam_step_leaves_a_constant_bit_for_bit_and_advances_t():
+    cfg = EncoderConfig(layers=1, embed_dim=4)
+    store = _trained_one_step(init_params(cfg, seed=14), cfg).frozen(["enc.0.w1"])
+    rng = np.random.default_rng(3)
+    store.m["enc.0.w1"] = rng.normal(size=store.m["enc.0.w1"].shape)
+    store.v["enc.0.w1"] = rng.random(store.v["enc.0.w1"].shape)
+    const = store["enc.0.w1"]
+    before = {n: (store[n].values.copy(), store.m[n].copy(), store.v[n].copy())
+              for n in store.names()}
+    _trained_one_step(store, cfg)
+    const.grad = np.ones_like(const.values)     # a stray gradient is ignored too
+    store.adam_step(lr=0.01)
+    assert store.t == 3
+    assert store["enc.0.w1"] is const
+    for got, want in zip((const.values, store.m["enc.0.w1"], store.v["enc.0.w1"]),
+                         before["enc.0.w1"]):
+        assert got.tobytes() == want.tobytes()
+    # every parameter that is not a constant moved
+    assert not np.array_equal(store["enc.0.w2"].values, before["enc.0.w2"][0])
+    assert not np.array_equal(store.m["enc.0.w2"], before["enc.0.w2"][1])
+
+
+def test_copy_keeps_constness_and_values():
+    cfg = EncoderConfig(layers=1, embed_dim=4)
+    store = init_params(cfg, seed=15).frozen(["embed.atom", "enc.0.b1"])
+    dup = store.copy()
+    for n in store.names():
+        assert dup[n].requires_grad == store[n].requires_grad
+        assert dup[n] is not store[n]
+        assert dup[n].values.tobytes() == store[n].values.tobytes()
+    assert not dup["embed.atom"].requires_grad and dup["enc.0.w1"].requires_grad
+
+
+def test_frozen_leaves_its_source_and_returns_a_frozen_store_as_is():
+    cfg = EncoderConfig(layers=1, embed_dim=4, learn_epsilon=True)
+    store = _trained_one_step(init_params(cfg, seed=16), cfg)
+    before = {n: (t, t.values.copy()) for n, t in store.params.items()}
+    frozen = store.frozen()
+    assert all(not frozen[n].requires_grad for n in frozen.names())
+    for n, (t, values) in before.items():
+        assert store[n] is t and t.requires_grad
+        assert t.values.tobytes() == values.tobytes()
+        assert frozen[n].values.tobytes() == values.tobytes()
+        assert frozen.m[n].tobytes() == store.m[n].tobytes()
+    assert frozen.t == store.t
+    assert frozen.frozen() is frozen
+    assert frozen.frozen(["enc.0.w1"]) is frozen
+    part = store.frozen([n for n in store.names() if not n.startswith("head.")])
+    assert part.frozen([n for n in part.names() if n.startswith("enc.")]) is part
+    # a frozen encoder records no tape: the head alone receives gradients
+    h = encode(single(parse("CCOC")), part, cfg)
+    out = predict_label(readout(h, "mean", np.zeros(4, dtype=np.int64), 1), part)
+    ad.tsum(out).backward()
+    assert {n for n in part.names() if part[n].grad is not None} == {
+        "head.w1", "head.b1", "head.w2", "head.b2"}
 
 
 def test_loss_decreases_over_50_steps_overfit():

@@ -6,11 +6,11 @@ from moama import parse
 from moama.gin import EncoderConfig, ParamStore, init_params
 from moama.influence import (
     NodeInfluence,
+    _motif_mean,
+    _node_row,
     analyze_dataset,
     influence_matrix,
     influence_pair,
-    intra_inter,
-    motif_influence,
     mrr_from_rows,
 )
 from moama.molgraph import shortest_path_lengths
@@ -82,23 +82,29 @@ def test_influence_matrix_matches_pairs(store):
                 assert s[u, v] == influence_pair(g, store, CFG, u, v)
 
 
+def _intra_inter(s, dec, v, top_k=3, mode="top_k"):
+    """(intra, inter) of node v as ``analyze_dataset`` reports them."""
+    row = _node_row(-1, dec, s[:, v], v, top_k, mode)
+    return row.intra, row.inter
+
+
 def test_motif_influence_truncation_rules(store):
     g = parse("CCOC(=O)c1ccccc1")
     s = influence_matrix(g, store, CFG)
     # singleton motif containing only v -> undefined
-    assert motif_influence(g, store, CFG, 0, [0], top_k=3, s_row=s[:, 0]) is None
+    assert _motif_mean(s[:, 0], [0], 0, 3) is None
     # two candidates with top_k=3 -> mean of both
-    got = motif_influence(g, store, CFG, 0, [0, 1, 2], top_k=3, s_row=s[:, 0])
+    got = _motif_mean(s[:, 0], [0, 1, 2], 0, 3)
     assert got == pytest.approx(np.mean([s[1, 0], s[2, 0]]))
     # top_k=1 -> max over candidates
-    got1 = motif_influence(g, store, CFG, 0, [0, 1, 2], top_k=1, s_row=s[:, 0])
+    got1 = _motif_mean(s[:, 0], [0, 1, 2], 0, 1)
     assert got1 == pytest.approx(max(s[1, 0], s[2, 0]))
 
 
 def test_intra_inter_single_motif_graph_undefined(store):
     g = parse("c1ccccc1")
     dec = decompose(g)
-    intra, inter = intra_inter(g, dec, store, CFG, 0)
+    intra, inter = _intra_inter(influence_matrix(g, store, CFG), dec, 0)
     assert intra is not None
     assert inter is None
 
@@ -123,7 +129,7 @@ def test_intra_inter_symmetric_star():
         motifs=(Motif((0, 1, 2), (0, 1)), Motif((3, 4), (3,))),
         cut_edges=(2,), cut_pairs=((2, 3),), motif_of=(0, 0, 0, 1, 1),
     )
-    intra, inter = intra_inter(g, dec, store, CFG, 2, top_k=2)
+    intra, inter = _intra_inter(s, dec, 2, top_k=2)
     assert intra == pytest.approx(inter)
 
 
@@ -136,7 +142,7 @@ def test_intra_inter_matches_pair_enumeration(store):
         own = dec.motif_of[v]
         intra_nodes = [u for u in dec.motifs[own].node_ids if u != v]
         inter_nodes = [u for u in range(g.n_atoms) if dec.motif_of[u] != own]
-        intra, inter = intra_inter(g, dec, store, CFG, v, top_k=3)
+        intra, inter = _intra_inter(s, dec, v, top_k=3)
         if intra_nodes:
             vals = sorted((s[u, v] for u in intra_nodes), reverse=True)[:3]
             assert intra == pytest.approx(np.mean(vals))
@@ -153,7 +159,7 @@ def test_size_weighted_mode_plain_means(store):
     v = 0
     own = dec.motif_of[v]
     inter_nodes = [u for u in range(g.n_atoms) if dec.motif_of[u] != own]
-    intra, inter = intra_inter(g, dec, store, CFG, v, mode="size_weighted")
+    intra, inter = _intra_inter(s, dec, v, mode="size_weighted")
     assert inter == pytest.approx(np.mean([s[u, v] for u in inter_nodes]))
     # the size-weighted average of per-motif means collapses to this mean
     total = 0.0
@@ -337,7 +343,7 @@ def test_node_beyond_reach_of_other_motifs_has_zero_inter():
     dec = decompose(g)
     assert dec.motif_of[0] == dec.motif_of[4]      # pentyl chain is one motif
     assert dec.motif_of[5] != dec.motif_of[0]      # ether oxygen is not
-    intra, inter = intra_inter(g, dec, store1, cfg1, 0)
+    intra, inter = _intra_inter(influence_matrix(g, store1, cfg1), dec, 0)
     assert inter == 0.0
     assert intra > 0.0
 

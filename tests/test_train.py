@@ -3,14 +3,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from moama import autodiff as ad
 from moama import parse
 from moama.datagen import generate_corpus, has_carbonyl
 from moama.errors import DataError
-from moama.gin import EncoderConfig, encode, single
+from moama.gin import (
+    EncoderConfig,
+    ParamStore,
+    TensorGraph,
+    encode,
+    init_params,
+    predict_label,
+    readout,
+    single,
+)
 from moama.loss import LossConfig
 from moama.masking import MaskConfig
 from moama.train import (
+    ProbeReport,
     RunConfig,
+    _bce,
     auc_score,
     finetune_probe,
     load_checkpoint,
@@ -308,3 +320,95 @@ def test_rec_loss_gets_each_plans_entries_at_its_batch_offset(small_corpus, monk
     mask = MaskConfig(hop_k=2, mode=mode, coverage=0.5)
     pretrain(small_corpus, replace(DESK, epochs=1, mask=mask))
     assert len(checked) == 3 and sum(checked) > 0
+
+
+def _name_filtered_adam(store, lr, names):
+    """Adam as ``ParamStore.adam_step(names=...)`` ran it before parameters
+    could be frozen: every tensor trainable, only ``names`` updated."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    store.t += 1
+    for name in sorted(names) if names is not None else store.names():
+        p = store.params[name]
+        g = p.grad if p.grad is not None else np.zeros_like(p.values)
+        store.m[name] = beta1 * store.m[name] + (1.0 - beta1) * g
+        store.v[name] = beta2 * store.v[name] + (1.0 - beta2) * (g * g)
+        m_hat = store.m[name] / (1.0 - beta1 ** store.t)
+        v_hat = store.v[name] / (1.0 - beta2 ** store.t)
+        p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _finetune_probe_oracle(pretrained, graphs, labels, cfg):
+    """``finetune_probe``'s training loop as it was before probe mode froze
+    the encoder: backward runs through the whole store and probe mode
+    filters Adam by name."""
+    labels = np.asarray(labels, dtype=np.float64)
+    train_idx, valid_idx, test_idx = scaffold_split(graphs)
+    store = init_params(cfg.encoder, cfg.loss.targets, n_tasks=1, seed=cfg.seed + 104729)
+    if pretrained is not None:
+        store.load_values(pretrained, [n for n in store.names()
+                                       if n.startswith(("embed.", "enc."))])
+    trainable = None
+    if cfg.finetune_mode == "probe":
+        trainable = [n for n in store.names() if n.startswith("head.")]
+
+    def logits_for(idx):
+        tg = TensorGraph.from_graphs([graphs[i] for i in idx])
+        h = encode(tg, store, cfg.encoder)
+        return predict_label(readout(h, cfg.encoder.readout, tg.graph_ids, tg.n_graphs), store)
+
+    best = (-1.0, 0, None)
+    for epoch in range(cfg.finetune_epochs):
+        order = np.random.default_rng([cfg.seed, 11, epoch]).permutation(len(train_idx))
+        for lo in range(0, len(train_idx), cfg.batch_finetune):
+            batch = [train_idx[i] for i in order[lo:lo + cfg.batch_finetune]]
+            lossv = _bce(logits_for(batch), ad.const(labels[batch][:, None]))
+            store.zero_grad()
+            lossv.backward()
+            _name_filtered_adam(store, cfg.lr, trainable)
+        v_auc = auc_score(logits_for(valid_idx).values[:, 0], labels[valid_idx])
+        if v_auc > best[0]:
+            best = (v_auc, epoch + 1, store.copy())
+    store = best[2]
+    test_auc = auc_score(logits_for(test_idx).values[:, 0], labels[test_idx])
+    return ProbeReport(test_auc, best[0], best[1], cfg.finetune_mode,
+                       (len(train_idx), len(valid_idx), len(test_idx)))
+
+
+def _probe_cfg(mode, learn_epsilon):
+    encoder = EncoderConfig(layers=2, embed_dim=8, learn_epsilon=learn_epsilon, epsilon=0.25)
+    return RunConfig(epochs=1, finetune_epochs=4, batch_finetune=16, batch_pretrain=16,
+                     seed=2, lr=0.01, encoder=encoder, mask=MaskConfig(hop_k=2),
+                     finetune_mode=mode)
+
+
+@pytest.mark.parametrize("learn_epsilon", [False, True], ids=["fixed_eps", "learn_eps"])
+@pytest.mark.parametrize("pretrained", [False, True], ids=["fresh", "pretrained"])
+@pytest.mark.parametrize("mode", ["probe", "full"])
+def test_finetune_equals_the_name_filtered_adam_loop(mode, pretrained, learn_epsilon):
+    graphs, labels = _labeled_task()
+    cfg = _probe_cfg(mode, learn_epsilon)
+    store = pretrain(graphs[:32], cfg).store if pretrained else None
+    got = finetune_probe(store, graphs, labels, cfg)
+    assert got == _finetune_probe_oracle(store, graphs, labels, cfg)
+    assert got.mode == mode
+
+
+@pytest.mark.parametrize("mode", ["probe", "full"])
+def test_probe_step_leaves_gradients_only_on_the_head(mode, monkeypatch):
+    seen = []
+    real = ParamStore.adam_step
+
+    def recording(self, *args, **kwargs):
+        seen.append({n for n, p in self.params.items() if p.grad is not None})
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParamStore, "adam_step", recording)
+    graphs, labels = _labeled_task()
+    finetune_probe(None, graphs, labels, replace(_probe_cfg(mode, True), finetune_epochs=1))
+    assert seen
+    head = {"head.w1", "head.b1", "head.w2", "head.b2"}
+    for names in seen:
+        if mode == "probe":
+            assert names == head
+        else:
+            assert names > head and "enc.0.w1" in names and "enc.1.eps" in names
