@@ -114,7 +114,7 @@ def cmd_pretrain(run: RunConfig, cfg, out: dict[str, Path]) -> None:
         print(f"epoch {stats.epoch}: loss={stats.loss:.5f} rec={stats.rec:.5f}"
               f"{aux} feasible={stats.feasible_frac:.2f}")
 
-    result = pretrain(data.graphs(), run, config_snapshot=cfg, progress=progress)
+    result = pretrain(data.graphs(), run, progress=progress)
     save_checkpoint(out["checkpoint"], result.store, cfg, {"seed": run.seed}, run.epochs)
     write_output(out["curve"], "\n".join(loss_curve_rows(result.curve, run.loss.beta < 1.0)) + "\n")
     print(f"checkpoint: {out['checkpoint']}")
@@ -122,10 +122,9 @@ def cmd_pretrain(run: RunConfig, cfg, out: dict[str, Path]) -> None:
 
 
 def cmd_finetune(run: RunConfig, cfg, out: dict[str, Path]) -> None:
-    label = run.data.label or "label"
-    data = read_dataset(_require_input(run), label_columns=[label])
+    data = read_dataset(_require_input(run), label=run.data.label or "label")
     graphs = data.graphs()
-    labels = np.array([r.labels[0] for r in data.records])
+    labels = np.array([r.label for r in data.records])
     pretrained = None
     if run.checkpoint:
         ckpt = load_checkpoint(run.checkpoint)
@@ -152,8 +151,7 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     rules = run.motif.rule_table()
     graphs = data.graphs()[:run.influence.max_graphs or None]   # 0 = all
     decomps = [decompose(g, rules) for g in graphs]
-    report = analyze_dataset(graphs, decomps, ckpt.store, enc, top_k=run.influence.top_k,
-                             mode=run.influence.inter_mode)
+    report = analyze_dataset(graphs, decomps, ckpt.store, enc, run.influence)
     write_output(out["nodes"], _csv_text(
         ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],
         [[r.graph_index, r.node, r.n_motifs,
@@ -174,7 +172,7 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
 
 def cmd_fingerprint(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
-    rows = [[rec.smiles, morgan_fingerprint(rec.graph, run.fp.radius, run.fp.width).to_hex()]
+    rows = [[rec.smiles, morgan_fingerprint(rec.graph, run.fp).to_hex()]
             for rec in data.records]
     write_output(out["fingerprints"], _csv_text(["smiles", "fingerprint_hex"], rows))
     print(f"fingerprinted {len(rows)} molecules")

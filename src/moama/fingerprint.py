@@ -30,7 +30,8 @@ def _mix(h: int, value: int) -> int:
     return h
 
 
-def _hash_ints(values) -> int:
+def hash_ints(values) -> int:
+    """The fixed-seed hash of a sequence of integers."""
     h = _SEED
     for v in values:
         h = _mix(h, v)
@@ -50,12 +51,12 @@ def refine(g: MolGraph, codes, v: int, tag: int, kept=None) -> int:
                               for u, bid in adjacent):
         parts.append(order)
         parts.append(code)
-    return _hash_ints(parts)
+    return hash_ints(parts)
 
 
 @dataclass(frozen=True)
 class FingerprintConfig:
-    """The ``fp.*`` keys; also checks ``morgan_fingerprint``'s arguments."""
+    """The ``fp.*`` keys: ``morgan_fingerprint``'s radius and width."""
 
     radius: int = 2
     width: int = 2048
@@ -85,15 +86,15 @@ class Fingerprint:
         return frozenset(i for i in range(self.width) if (self.bits >> i) & 1)
 
 
-def morgan_fingerprint(g: MolGraph, radius: int = 2, width: int = 2048) -> Fingerprint:
+def morgan_fingerprint(g: MolGraph, cfg: FingerprintConfig = FingerprintConfig()) -> Fingerprint:
     """Iterative neighborhood-hashing fingerprint.
 
     Invariant under node relabeling: neighbor multisets are sorted before
     hashing and initial codes depend only on local attributes.
     """
-    FingerprintConfig(radius, width)  # raises ValueError on bad arguments
+    radius, width = cfg.radius, cfg.width
     codes = [
-        _hash_ints((0, a.atom_type, g.degree(v), a.chirality))
+        hash_ints((0, a.atom_type, g.degree(v), a.chirality))
         for v, a in enumerate(g.atoms)
     ]
     bits = 0

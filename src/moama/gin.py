@@ -20,13 +20,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph
+from .molgraph import BOND_ORDERS, MASK_ATOM_TYPE, MASK_CHIRALITY, N_ATOM_TYPES, N_CHIRALITY, MolGraph
 
 N_ATOM_EMBED = MASK_ATOM_TYPE + 1      # 120 rows, mask code included
 N_CHIRALITY_EMBED = MASK_CHIRALITY + 1  # 5 rows
-N_BOND_EMBED = 4
-ATOM_LOGITS = 119
-CHIRALITY_LOGITS = 4
+N_BOND_EMBED = len(BOND_ORDERS)
+ATOM_LOGITS = N_ATOM_TYPES             # decoders predict real codes only
+CHIRALITY_LOGITS = N_CHIRALITY
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 READOUTS = ("mean", "sum", "max")
 DECODERS = ("gnn", "mlp")
@@ -125,7 +130,7 @@ class ParamStore:
         for t in self.params.values():
             t.grad = None
 
-    def adam_step(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    def adam_step(self, lr=1e-3) -> None:
         """Bias-corrected Adam update of every parameter that is not a
         constant, in sorted-name order. A parameter with no gradient sees a
         zero gradient; a constant keeps its values and moments."""
@@ -135,11 +140,11 @@ class ParamStore:
             if not p.requires_grad:
                 continue
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
-            self.m[name] = beta1 * self.m[name] + (1.0 - beta1) * g
-            self.v[name] = beta2 * self.v[name] + (1.0 - beta2) * (g * g)
-            m_hat = self.m[name] / (1.0 - beta1 ** self.t)
-            v_hat = self.v[name] / (1.0 - beta2 ** self.t)
-            p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = self.m[name] / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[name] / (1.0 - ADAM_BETA2 ** self.t)
+            p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def copy(self) -> "ParamStore":
         """Deep copy; each tensor stays a parameter or a constant."""
@@ -179,50 +184,50 @@ def decoder_heads(targets: str) -> tuple[tuple[str, int], ...]:
     raise ValueError(f"unknown reconstruction targets {targets!r}")
 
 
-def init_params(cfg: EncoderConfig, targets: str = "atom_type",
-                n_tasks: int = 1, seed: int = 0) -> ParamStore:
-    """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
-    rng = np.random.default_rng(seed)
+def _mlp_block(prefix: str, k: int, out_dim: int) -> dict[str, tuple[int, ...]]:
+    return {f"{prefix}.w1": (k, k), f"{prefix}.b1": (k,),
+            f"{prefix}.w2": (k, out_dim), f"{prefix}.b2": (out_dim,)}
+
+
+def encoder_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each encoder parameter (``embed.*``, ``enc.*``), in the order
+    ``init_params`` draws them."""
     k = cfg.embed_dim
-    params: dict[str, Tensor] = {}
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return ad.parameter(rng.uniform(-bound, bound, size=shape))
-
-    def zeros(shape):
-        return ad.parameter(np.zeros(shape))
-
-    params["embed.atom"] = uniform((N_ATOM_EMBED, k), k)
-    params["embed.chirality"] = uniform((N_CHIRALITY_EMBED, k), k)
-    params["embed.bond"] = uniform((N_BOND_EMBED, k), k)
-
-    def mlp_block(prefix, out_dim=None):
-        params[f"{prefix}.w1"] = uniform((k, k), k)
-        params[f"{prefix}.b1"] = zeros((k,))
-        params[f"{prefix}.w2"] = uniform((k, out_dim or k), k)
-        params[f"{prefix}.b2"] = zeros((out_dim or k,))
-
+    shapes = {"embed.atom": (N_ATOM_EMBED, k), "embed.chirality": (N_CHIRALITY_EMBED, k),
+              "embed.bond": (N_BOND_EMBED, k)}
     for layer in range(cfg.layers):
-        mlp_block(f"enc.{layer}")
+        shapes.update(_mlp_block(f"enc.{layer}", k, k))
         if cfg.learn_epsilon:
-            params[f"enc.{layer}.eps"] = ad.parameter(np.full((), cfg.epsilon))
+            shapes[f"enc.{layer}.eps"] = ()
+    return shapes
 
+
+def init_params(cfg: EncoderConfig, targets: str = "atom_type", seed: int = 0) -> ParamStore:
+    """Seeded init: weights (2-D) uniform in +-1/sqrt(embed_dim), biases
+    (1-D) zero, epsilons (0-D) at ``cfg.epsilon``. The label head has one
+    output: fine-tuning reads one binary label."""
+    k = cfg.embed_dim
+    shapes = encoder_shapes(cfg)
     for head, out_dim in decoder_heads(targets):
         if cfg.decoder == "gnn":
-            mlp_block(f"dec.{head}")
+            shapes.update(_mlp_block(f"dec.{head}", k, k))
             if cfg.learn_epsilon:
-                params[f"dec.{head}.eps"] = ad.parameter(np.full((), cfg.epsilon))
-            params[f"dec.{head}.proj.w"] = uniform((k, out_dim), k)
-            params[f"dec.{head}.proj.b"] = zeros((out_dim,))
+                shapes[f"dec.{head}.eps"] = ()
+            shapes[f"dec.{head}.proj.w"] = (k, out_dim)
+            shapes[f"dec.{head}.proj.b"] = (out_dim,)
         else:
-            mlp_block(f"dec.{head}", out_dim)
+            shapes.update(_mlp_block(f"dec.{head}", k, out_dim))
+    shapes.update(_mlp_block("head", k, 1))
 
-    params["head.w1"] = uniform((k, k), k)
-    params["head.b1"] = zeros((k,))
-    params["head.w2"] = uniform((k, n_tasks), k)
-    params["head.b2"] = zeros((n_tasks,))
-    return ParamStore(params)
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(k)
+
+    def value(shape):
+        if len(shape) == 2:
+            return rng.uniform(-bound, bound, size=shape)
+        return np.zeros(shape) if shape else np.full((), cfg.epsilon)
+
+    return ParamStore({name: ad.parameter(value(shape)) for name, shape in shapes.items()})
 
 
 def _epsilon(store: ParamStore, cfg: EncoderConfig, name: str):

@@ -62,9 +62,11 @@ def _influence_rows(g: MolGraph, store: ParamStore, cfg: EncoderConfig,
     """S[i, v] = s(sources[i], v), with S[i, sources[i]] = 0.
 
     Copy 0 of a stacked graph is the clean molecule and copy c >= 1 has
-    source c-1 zeroed; copies never share an edge, so each encodes exactly as
-    it would alone. The copies go through ``encode`` in chunks of at most
-    STACK_ROWS node rows.
+    source c-1 zeroed; copies never share an edge. Each copy encodes to the
+    same bits as it would alone only where BLAS row results do not depend on
+    the batch: that fails at widths congruent to 4 mod 8 from 76 up, and for
+    one-row products (a one-atom molecule alone). The copies go through ``encode`` in
+    chunks of at most STACK_ROWS node rows.
     """
     frozen = store.frozen()
     n = g.n_atoms
@@ -125,7 +127,7 @@ class NodeInfluence:
 
 
 def _node_row(gi: int, dec: MotifDecomposition, s_col: np.ndarray, v: int,
-              top_k: int, mode: str) -> NodeInfluence:
+              settings: InfluenceConfig) -> NodeInfluence:
     """Influence row of node v from its column s_col = S[:, v].
 
     ``top_k`` mode draws the same number of top candidates from the node's
@@ -133,9 +135,8 @@ def _node_row(gi: int, dec: MotifDecomposition, s_col: np.ndarray, v: int,
     plain means over all candidates on both sides. Motifs are ranked by their
     top_k means in either mode.
     """
-    if mode not in INTER_MODES:
-        raise ValueError(f"unknown inter mode {mode!r}")
-    k = top_k if mode == "top_k" else None
+    top_k = settings.top_k
+    k = top_k if settings.inter_mode == "top_k" else None
     own = dec.motif_of[v]
     intra = _motif_mean(s_col, dec.motifs[own].node_ids, v, k)
     inter_nodes = [u for u, m in enumerate(dec.motif_of) if m != own]
@@ -166,13 +167,15 @@ class InfluenceReport:
 
 
 def analyze_dataset(graphs, decomps, store: ParamStore, cfg: EncoderConfig,
-                    top_k: int = 3, mode: str = "top_k") -> InfluenceReport:
-    """Per-node influence rows plus dataset-level aggregates."""
+                    settings: InfluenceConfig = InfluenceConfig()) -> InfluenceReport:
+    """Per-node influence rows plus dataset-level aggregates, by
+    ``settings.top_k`` and ``settings.inter_mode``. Every graph given is
+    analysed: ``max_graphs`` is for the caller to apply."""
     store = store.frozen()  # once here, so each molecule's encode reuses it
     rows = []
     for gi, (g, dec) in enumerate(zip(graphs, decomps)):
         s = influence_matrix(g, store, cfg)
-        rows.extend(_node_row(gi, dec, s[:, v], v, top_k, mode) for v in range(g.n_atoms))
+        rows.extend(_node_row(gi, dec, s[:, v], v, settings) for v in range(g.n_atoms))
     rows = tuple(rows)
 
     ratios_by_graph: dict[int, list[float]] = {}
@@ -188,7 +191,7 @@ def analyze_dataset(graphs, decomps, store: ParamStore, cfg: EncoderConfig,
     inf_graph = float(np.mean(per_graph_means)) if per_graph_means else float("nan")
 
     mrr = mrr_from_rows(rows)
-    return InfluenceReport(rows, top_k, mode, inf_node, inf_graph,
+    return InfluenceReport(rows, settings.top_k, settings.inter_mode, inf_node, inf_graph,
                            mrr["node"], mrr["graph"], mrr["motif"],
                            mrr["inter"], excluded)
 

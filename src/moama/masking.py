@@ -58,13 +58,6 @@ class MaskConfig:
 
 
 @dataclass(frozen=True)
-class MaskToken:
-    """Reserved per-dimension codes lying outside the real attribute spaces."""
-
-    codes: tuple[int, int] = (MASK_ATOM_TYPE, MASK_CHIRALITY)
-
-
-@dataclass(frozen=True)
 class MaskPlan:
     selected_motifs: tuple[int, ...]
     masked_nodes: tuple[tuple[int, ...], tuple[int, ...]]  # per attribute dim
@@ -79,12 +72,6 @@ class MaskPlan:
 def _coverage_count(size: int, coverage: float) -> int:
     # round half-up with a floor of one node
     return max(1, int(np.floor(coverage * size + 0.5)))
-
-
-def _rng_for(cfg: MaskConfig, rng) -> np.random.Generator:
-    if rng is not None:
-        return rng
-    return np.random.default_rng(cfg.seed)
 
 
 def eligible_motifs(g: MolGraph, dec: MotifDecomposition, hop_k: int) -> tuple[int, ...]:
@@ -110,7 +97,7 @@ def sample_motifs(
     g: MolGraph,
     dec: MotifDecomposition,
     cfg: MaskConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     eligible: tuple[int, ...] | None = None,
 ) -> MaskPlan:
     """Draw a motif-aware plan: shuffled greedy selection, then coverage.
@@ -118,7 +105,6 @@ def sample_motifs(
     ``eligible`` is ``eligible_motifs(g, dec, cfg.hop_k)``, computed here
     when not given.
     """
-    rng = _rng_for(cfg, rng)
     n = g.n_atoms
     if eligible is None:
         eligible = eligible_motifs(g, dec, cfg.hop_k)
@@ -162,16 +148,10 @@ def sample_motifs(
     )
 
 
-def random_mask(
-    g: MolGraph,
-    fraction: float,
-    cfg: MaskConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> MaskPlan:
+def random_mask(g: MolGraph, fraction: float, rng: np.random.Generator) -> MaskPlan:
     """Uniform node sample without motif constraints (baseline strategy)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    rng = _rng_for(cfg or MaskConfig(), rng)
     n = g.n_atoms
     count = _coverage_count(n, fraction)
     picked = tuple(sorted(int(x) for x in rng.choice(n, size=count, replace=False)))
@@ -182,7 +162,7 @@ def build_plan(
     g: MolGraph,
     dec: MotifDecomposition,
     cfg: MaskConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     eligible: tuple[int, ...] | None = None,
 ) -> MaskPlan:
     """Dispatch on cfg.mode; the baseline budget is the alpha midpoint.
@@ -190,17 +170,19 @@ def build_plan(
     ``eligible`` is passed on to ``sample_motifs``; the baseline ignores it.
     """
     if cfg.mode == "random_baseline":
-        return random_mask(g, (cfg.alpha_min + cfg.alpha_max) / 2.0, cfg, rng)
+        return random_mask(g, (cfg.alpha_min + cfg.alpha_max) / 2.0, rng)
     return sample_motifs(g, dec, cfg, rng, eligible)
 
 
-def apply_mask(g: MolGraph, plan: MaskPlan, token: MaskToken = MaskToken()) -> np.ndarray:
-    """Masked attribute matrix: token codes on masked entries, X elsewhere."""
+def apply_mask(g: MolGraph, plan: MaskPlan) -> np.ndarray:
+    """Masked attribute matrix: the mask codes (``MASK_ATOM_TYPE``,
+    ``MASK_CHIRALITY``), which lie outside the real code spaces, on masked
+    entries and X elsewhere."""
     x = np.array(g.X, dtype=np.int64)
-    for d in range(2):
+    for d, code in enumerate((MASK_ATOM_TYPE, MASK_CHIRALITY)):
         idx = list(plan.masked_nodes[d])
         if idx:
-            x[idx, d] = token.codes[d]
+            x[idx, d] = code
     return x
 
 

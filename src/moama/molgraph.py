@@ -96,7 +96,7 @@ class MolGraph:
             seen.add(key)
             specs.append((key[0], key[1], order))
 
-        bridge = _bridge_flags(n, [(u, v) for u, v, _ in specs])
+        bridge = bridge_flags(n, [(u, v) for u, v, _ in specs])
         self.atoms = atoms
         self.bonds = tuple(
             Bond(u, v, order, in_ring=not bridge[i])
@@ -202,7 +202,7 @@ def relabel(g: MolGraph, perm) -> MolGraph:
     return MolGraph(atoms, bonds)
 
 
-def _bridge_flags(n: int, edges: list[tuple[int, int]]) -> list[bool]:
+def bridge_flags(n: int, edges: list[tuple[int, int]]) -> list[bool]:
     """Mark bridge edges (removal disconnects) via iterative low-link DFS."""
     adj = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):

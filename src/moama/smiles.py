@@ -27,8 +27,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError, SmilesError
 from .molgraph import (
     CHIRALITY_NONE,
@@ -37,7 +35,7 @@ from .molgraph import (
     CHIRALITY_TET2,
     AtomAttr,
     MolGraph,
-    _bridge_flags,
+    bridge_flags,
 )
 
 ELEMENTS = (
@@ -241,7 +239,7 @@ def parse(smiles: str) -> MolGraph:
 
     # Ring perception: bonds with no written order become aromatic only when
     # both endpoints are aromatic atoms and the bond sits on a cycle.
-    bridge = _bridge_flags(len(atoms), [(u, v) for u, v, _ in bonds])
+    bridge = bridge_flags(len(atoms), [(u, v) for u, v, _ in bonds])
     resolved = []
     for i, (u, v, order) in enumerate(bonds):
         if order is None:
@@ -258,7 +256,7 @@ def parse(smiles: str) -> MolGraph:
 class DatasetRecord:
     smiles: str
     graph: MolGraph
-    labels: np.ndarray | None
+    label: float   # NaN when the cell is empty or no label column was read
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,6 @@ class Dataset:
     records: tuple[DatasetRecord, ...]
     skipped: int
     parse_errors: tuple[tuple[int, str], ...]
-    label_names: tuple[str, ...]
 
     def graphs(self) -> list[MolGraph]:
         return [r.graph for r in self.records]
@@ -280,8 +277,9 @@ class DataConfig:
     label: str = ""
 
 
-def read_dataset(path, label_columns=None) -> Dataset:
-    """Read a CSV with a ``smiles`` column and optional numeric label columns.
+def read_dataset(path, label: str | None = None) -> Dataset:
+    """Read a CSV with a ``smiles`` column and, if ``label`` names one, a
+    numeric label column.
 
     Unparseable SMILES rows are skipped and counted, not fatal. Record order
     matches file order. Empty label cells become NaN (missing).
@@ -295,10 +293,8 @@ def read_dataset(path, label_columns=None) -> Dataset:
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None or "smiles" not in reader.fieldnames:
         raise DataError(f"dataset {path} is missing a 'smiles' column")
-    names = tuple(label_columns or ())
-    missing = [c for c in names if c not in reader.fieldnames]
-    if missing:
-        raise DataError(f"dataset {path} is missing label columns {missing}")
+    if label is not None and label not in reader.fieldnames:
+        raise DataError(f"dataset {path} is missing label column {label!r}")
 
     records = []
     errors = []
@@ -309,20 +305,10 @@ def read_dataset(path, label_columns=None) -> Dataset:
         except SmilesError as e:
             errors.append((row_idx, str(e)))
             continue
-        labels = None
-        if names:
-            vals = []
-            for c in names:
-                cell = (row.get(c) or "").strip()
-                if not cell:
-                    vals.append(float("nan"))
-                else:
-                    try:
-                        vals.append(float(cell))
-                    except ValueError as e:
-                        raise DataError(
-                            f"row {row_idx}: label {c}={cell!r} is not numeric"
-                        ) from e
-            labels = np.array(vals, dtype=np.float64)
-        records.append(DatasetRecord(smi, graph, labels))
-    return Dataset(tuple(records), len(errors), tuple(errors), tuple(names))
+        cell = (row.get(label) or "").strip() if label is not None else ""
+        try:
+            value = float(cell) if cell else float("nan")
+        except ValueError as e:
+            raise DataError(f"row {row_idx}: label {label}={cell!r} is not numeric") from e
+        records.append(DatasetRecord(smi, graph, value))
+    return Dataset(tuple(records), len(errors), tuple(errors))

@@ -26,13 +26,14 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig, build_section
 from .errors import ConfigError, DataError, write_output
-from .fingerprint import _hash_ints, morgan_fingerprint, refine
+from .fingerprint import hash_ints, morgan_fingerprint, refine
 from .gin import (
     EncoderConfig,
     ParamStore,
     TensorGraph,
     decode_attrs,
     encode,
+    encoder_shapes,
     init_params,
     predict_label,
     readout,
@@ -45,6 +46,9 @@ from .motif import decompose
 CHECKPOINT_MAGIC = b"MOAM"
 CHECKPOINT_VERSION = 1
 
+# Train/valid/test shares of the scaffold split (Hu et al. 2020)
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
+
 
 @dataclass
 class Checkpoint:
@@ -54,10 +58,33 @@ class Checkpoint:
     epoch: int
 
     def encoder_config(self) -> EncoderConfig:
+        """The encoder settings of the config snapshot, checked against the
+        checkpoint's own encoder tensors."""
         try:
-            return build_section(EncoderConfig, "encoder", self.config)
+            enc = build_section(EncoderConfig, "encoder", self.config)
         except ConfigError as e:
             raise DataError(f"checkpoint config snapshot: {e}") from e
+        check_encoder_tensors(self.store, enc)
+        return enc
+
+
+def check_encoder_tensors(store: ParamStore, enc: EncoderConfig) -> list[str]:
+    """Names of the encoder tensors (``embed.*``, ``enc.*``) of ``enc``.
+
+    Raises DataError unless ``store`` holds exactly those encoder tensors,
+    each with the shape ``init_params(enc)`` gives it.
+    """
+    want = encoder_shapes(enc)
+    have = {n: store[n].values.shape for n in store.names() if n.startswith(("embed.", "enc."))}
+    for name in sorted(have.keys() | want.keys()):
+        if name not in have:
+            raise DataError(f"checkpoint lacks encoder tensor {name}")
+        if name not in want:
+            raise DataError(f"checkpoint tensor {name} is not in its encoder settings")
+        if have[name] != want[name]:
+            raise DataError(f"checkpoint tensor {name} has shape {have[name]}, "
+                            f"its encoder settings need {want[name]}")
+    return sorted(want)
 
 
 def save_checkpoint(path, store: ParamStore, config: dict[str, str],
@@ -151,7 +178,6 @@ class EpochStats:
 class PretrainResult:
     store: ParamStore
     curve: list[EpochStats]
-    config: dict[str, str]
 
 
 def loss_curve_rows(curve, include_aux: bool) -> list[str]:
@@ -166,8 +192,8 @@ def loss_curve_rows(curve, include_aux: bool) -> list[str]:
     return rows
 
 
-def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = None,
-             resume: Checkpoint | None = None, progress=None) -> PretrainResult:
+def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
+             progress=None) -> PretrainResult:
     """Masked-reconstruction pre-training over a molecule corpus.
 
     Per epoch: fresh mask plans per molecule, encode the masked attributes,
@@ -189,8 +215,7 @@ def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = No
                 if motif_masking else [None] * len(graphs))
 
     use_aux = cfg.loss.beta < 1.0
-    fps = ([morgan_fingerprint(g, cfg.fp.radius, cfg.fp.width) for g in graphs]
-           if use_aux else None)
+    fps = [morgan_fingerprint(g, cfg.fp) for g in graphs] if use_aux else None
 
     if resume is not None:
         store = resume.store
@@ -254,8 +279,7 @@ def pretrain(graphs, cfg: RunConfig, config_snapshot: dict[str, str] | None = No
         if progress is not None:
             progress(stats)
 
-    snapshot = dict(config_snapshot or {})
-    return PretrainResult(store, curve, snapshot)
+    return PretrainResult(store, curve)
 
 
 # --- scaffold splitting ----------------------------------------------------
@@ -283,22 +307,21 @@ def scaffold_key(g: MolGraph) -> str:
     if not kept:
         return ""
 
-    codes = {v: _hash_ints((1, g.atoms[v].atom_type)) for v in kept}
+    codes = {v: hash_ints((1, g.atoms[v].atom_type)) for v in kept}
     for _ in range(len(kept)):
         codes = {v: refine(g, codes, v, 2, kept) for v in kept}
-    final = _hash_ints([len(kept)] + sorted(codes.values()))
+    final = hash_ints([len(kept)] + sorted(codes.values()))
     return format(final, "016x")
 
 
-def scaffold_split(graphs, fractions=(0.8, 0.1, 0.1)):
+def scaffold_split(graphs):
     """Group records by scaffold key and fill train/valid/test in order.
 
     Groups are sorted by descending size then key and never straddle splits:
-    train fills until it holds >= fractions[0] of records, then valid until
-    train+valid >= fractions[0]+fractions[1], the rest is test.
+    train fills until it holds at least its share (``SPLIT_FRACTIONS``) of
+    records, then valid until train and valid hold theirs; the rest is test.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    train_share, valid_share, _ = SPLIT_FRACTIONS
     groups: dict[str, list[int]] = {}
     for i, g in enumerate(graphs):
         groups.setdefault(scaffold_key(g), []).append(i)
@@ -307,9 +330,9 @@ def scaffold_split(graphs, fractions=(0.8, 0.1, 0.1)):
     n = sum(len(members) for members in groups.values())
     train, valid, test = [], [], []
     for _, members in ordered:
-        if len(train) < fractions[0] * n:
+        if len(train) < train_share * n:
             train.extend(members)
-        elif len(train) + len(valid) < (fractions[0] + fractions[1]) * n:
+        elif len(train) + len(valid) < (train_share + valid_share) * n:
             valid.extend(members)
         else:
             test.extend(members)
@@ -385,17 +408,10 @@ def finetune_probe(pretrained: ParamStore | None, graphs, labels,
         if len(set(labels[idx])) < 2:
             raise DataError(f"single-class {name} split; AUC undefined")
 
-    store = init_params(cfg.encoder, cfg.loss.targets, n_tasks=1,
-                        seed=cfg.seed + 104729)
+    store = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed + 104729)
     if pretrained is not None:
         # only the encoder transfers; decoders stay behind, the head is fresh
-        encoder_names = [n for n in store.names() if n.startswith(("embed.", "enc."))]
-        missing = [n for n in encoder_names if n not in pretrained.params]
-        if missing:
-            raise DataError(
-                f"checkpoint does not match the encoder configuration "
-                f"(missing {missing[0]}); use the checkpoint's encoder settings")
-        store.load_values(pretrained, encoder_names)
+        store.load_values(pretrained, check_encoder_tensors(pretrained, cfg.encoder))
     if cfg.finetune_mode == "probe":
         store = store.frozen([n for n in store.names() if not n.startswith("head.")])
 

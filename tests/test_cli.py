@@ -337,9 +337,9 @@ def test_pretrain_uses_the_configured_rules_and_fingerprint(mols_csv, tmp_path, 
     seen = []
     real = moama.train.morgan_fingerprint
 
-    def spy(g, *shape):
-        seen.append(shape)
-        return real(g, *shape)
+    def spy(g, cfg):
+        seen.append((cfg.radius, cfg.width))
+        return real(g, cfg)
 
     monkeypatch.setattr(moama.train, "morgan_fingerprint", spy)
     assert main(["pretrain", "--out", str(tmp_path / "fp"), *args,
@@ -433,6 +433,29 @@ def test_checkpoint_path_holding_a_nul_is_a_data_error(small_inputs, tmp_path, c
     captured = capsys.readouterr()
     assert captured.err.startswith("data error: cannot write checkpoint")
     assert captured.err.count("\n") == 1 and "epoch 1" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["influence", "finetune"])
+@pytest.mark.parametrize("key,value,tensor", [("encoder.layers", "3", "enc.2."),
+                                              ("encoder.embed_dim", "16", "embed.atom")])
+def test_checkpoint_tensors_that_disagree_with_its_encoder_settings_are_a_data_error(
+        small_inputs, tmp_path, capsys, command, key, value, tensor):
+    # 2 layers of width 8, saved under a snapshot that says otherwise
+    ckpt = tmp_path / "mismatched.moam"
+    save_checkpoint(ckpt, init_params(EncoderConfig(layers=2, embed_dim=8), seed=0), {
+        "encoder.layers": "2", "encoder.embed_dim": "8", "encoder.readout": "mean",
+        "encoder.epsilon": "0.0", "encoder.learn_epsilon": "false",
+        "encoder.decoder": "gnn", key: value}, {"seed": 0}, 0)
+    with pytest.raises(DataError, match=tensor):
+        load_checkpoint(ckpt).encoder_config()
+    data = small_inputs["labeled" if command == "finetune" else "corpus"]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", f"data.input={data}", *_SMALL,
+                 "--set", f"run.checkpoint={ckpt}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert tensor in err and "Traceback" not in err
+    assert not any(out.glob("*.csv"))
 
 
 def test_pretrain_on_only_unparseable_smiles_is_a_data_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moama import morgan_fingerprint, parse, tanimoto
-from moama.fingerprint import Fingerprint, _hash_ints, refine
+from moama.fingerprint import Fingerprint, FingerprintConfig, hash_ints, refine
 from moama.molgraph import BOND_ORDER_INDEX, relabel
 
 
@@ -16,7 +16,7 @@ def _fp_from_bits(on_bits, width=256):
 
 
 def test_single_atom_radius_zero_one_bit():
-    fp = morgan_fingerprint(parse("C"), radius=0)
+    fp = morgan_fingerprint(parse("C"), FingerprintConfig(radius=0))
     assert fp.popcount() == 1
 
 
@@ -46,9 +46,9 @@ def test_fingerprint_deterministic():
 
 def test_width_must_be_power_of_two():
     with pytest.raises(ValueError):
-        morgan_fingerprint(parse("C"), width=100)
+        FingerprintConfig(width=100)
     with pytest.raises(ValueError):
-        morgan_fingerprint(parse("C"), radius=-1)
+        FingerprintConfig(radius=-1)
 
 
 def test_tanimoto_trivial_values():
@@ -83,14 +83,14 @@ def test_tanimoto_matches_set_oracle(sa, sb):
 
 
 def test_hex_round_trip():
-    fp = morgan_fingerprint(parse("CCO"), width=256)
+    fp = morgan_fingerprint(parse("CCO"), FingerprintConfig(width=256))
     assert len(fp.to_hex()) == 64
     assert int(fp.to_hex(), 16) == fp.bits
 
 
 def _morgan_reference(g, radius, width):
     """The per-round loop morgan_fingerprint ran before it called refine."""
-    codes = [_hash_ints((0, a.atom_type, g.degree(v), a.chirality))
+    codes = [hash_ints((0, a.atom_type, g.degree(v), a.chirality))
              for v, a in enumerate(g.atoms)]
     bits = 0
     for c in codes:
@@ -103,7 +103,7 @@ def _morgan_reference(g, radius, width):
             parts = [r, codes[v]]
             for order, code in env:
                 parts += [order, code]
-            nxt.append(_hash_ints(parts))
+            nxt.append(hash_ints(parts))
         codes = nxt
         for c in codes:
             bits |= 1 << (c % width)
@@ -113,7 +113,7 @@ def _morgan_reference(g, radius, width):
 @pytest.mark.parametrize("radius,width", [(2, 2048), (3, 64)])
 def test_fingerprint_bits_match_the_reference_loop(corpus500, radius, width):
     for g in corpus500[:200]:
-        assert morgan_fingerprint(g, radius, width).bits == _morgan_reference(g, radius, width)
+        assert morgan_fingerprint(g, FingerprintConfig(radius, width)).bits == _morgan_reference(g, radius, width)
 
 
 def test_refine_over_kept_hashes_the_filtered_sorted_pairs(corpus500):
@@ -124,5 +124,5 @@ def test_refine_over_kept_hashes_the_filtered_sorted_pairs(corpus500):
         for v in kept:
             pairs = sorted((BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
                            for u, bid in g._adjacency[v] if u in kept)
-            expected = _hash_ints([2, codes[v]] + [x for pair in pairs for x in pair])
+            expected = hash_ints([2, codes[v]] + [x for pair in pairs for x in pair])
             assert refine(g, codes, v, 2, kept) == expected

@@ -5,6 +5,7 @@ from moama import autodiff as ad
 from moama import parse
 from moama.gin import EncoderConfig, ParamStore, init_params
 from moama.influence import (
+    InfluenceConfig,
     NodeInfluence,
     _motif_mean,
     _node_row,
@@ -84,7 +85,7 @@ def test_influence_matrix_matches_pairs(store):
 
 def _intra_inter(s, dec, v, top_k=3, mode="top_k"):
     """(intra, inter) of node v as ``analyze_dataset`` reports them."""
-    row = _node_row(-1, dec, s[:, v], v, top_k, mode)
+    row = _node_row(-1, dec, s[:, v], v, InfluenceConfig(top_k=top_k, inter_mode=mode))
     return row.intra, row.inter
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moama import apply_mask, parse, random_mask, sample_motifs
-from moama.masking import MaskConfig, MaskToken, build_plan, eligible_motifs, plan_rng
-from moama.molgraph import k_hop_neighborhood
+from moama.masking import MaskConfig, build_plan, eligible_motifs, plan_rng
+from moama.molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, N_ATOM_TYPES, N_CHIRALITY, k_hop_neighborhood
 from moama.motif import BricsRule, EnvPattern, decompose, motif_adjacency
 
 from conftest import bfs_oracle, random_molgraph
@@ -174,9 +174,9 @@ def test_random_mask_rounding_and_determinism():
     p2 = random_mask(g, 0.3, rng=np.random.default_rng(5))
     assert p1 == p2
     with pytest.raises(ValueError):
-        random_mask(g, 1.0)
+        random_mask(g, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        random_mask(g, 0.0)
+        random_mask(g, 0.0, np.random.default_rng(0))
 
 
 def test_build_plan_random_baseline_budget():
@@ -189,8 +189,8 @@ def test_build_plan_random_baseline_budget():
     assert plan.feasible
 
 
-def test_mask_token_default_codes():
-    assert MaskToken().codes == (119, 4)
+def test_mask_codes_lie_just_outside_the_real_code_spaces():
+    assert (MASK_ATOM_TYPE, MASK_CHIRALITY) == (N_ATOM_TYPES, N_CHIRALITY) == (119, 4)
 
 
 def test_plan_rng_reproducible_and_index_sensitive():

@@ -142,8 +142,8 @@ def test_read_dataset_skips_malformed(tmp_path):
 def test_read_dataset_labels_in_row_order(tmp_path):
     p = tmp_path / "mols.csv"
     p.write_text("smiles,y\nC,1\nCC,0\nCCC,\n")
-    ds = read_dataset(p, label_columns=["y"])
-    vals = [r.labels[0] for r in ds.records]
+    ds = read_dataset(p, label="y")
+    vals = [r.label for r in ds.records]
     assert vals[0] == 1.0 and vals[1] == 0.0 and np.isnan(vals[2])
 
 

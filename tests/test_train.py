@@ -86,10 +86,10 @@ def test_all_single_motif_corpus_rejected():
 
 
 def test_checkpoint_round_trip_bytes_and_forward(tmp_path, small_corpus):
-    result = pretrain(small_corpus, DESK, config_snapshot={"encoder.layers": "2"})
+    result = pretrain(small_corpus, DESK)
     p1 = tmp_path / "a.moam"
     p2 = tmp_path / "b.moam"
-    save_checkpoint(p1, result.store, result.config, {"seed": 0}, DESK.epochs)
+    save_checkpoint(p1, result.store, {"encoder.layers": "2"}, {"seed": 0}, DESK.epochs)
     ck = load_checkpoint(p1)
     save_checkpoint(p2, ck.store, ck.config, ck.rng, ck.epoch)
     assert p1.read_bytes() == p2.read_bytes()
@@ -192,9 +192,10 @@ def test_split_groups_never_straddle():
     for name, idx in (("t", train), ("v", valid), ("s", test)):
         for i in idx:
             assign[i] = name
-    for i, gi in enumerate(graphs):
-        for j, gj in enumerate(graphs):
-            if i < j and scaffold_key(gi) == scaffold_key(gj):
+    keys = [scaffold_key(g) for g in graphs]
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
+            if i < j and ki == kj:
                 assert assign[i] == assign[j]
 
 
@@ -343,7 +344,7 @@ def _finetune_probe_oracle(pretrained, graphs, labels, cfg):
     filters Adam by name."""
     labels = np.asarray(labels, dtype=np.float64)
     train_idx, valid_idx, test_idx = scaffold_split(graphs)
-    store = init_params(cfg.encoder, cfg.loss.targets, n_tasks=1, seed=cfg.seed + 104729)
+    store = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed + 104729)
     if pretrained is not None:
         store.load_values(pretrained, [n for n in store.names()
                                        if n.startswith(("embed.", "enc."))])
@@ -391,6 +392,17 @@ def test_finetune_equals_the_name_filtered_adam_loop(mode, pretrained, learn_eps
     got = finetune_probe(store, graphs, labels, cfg)
     assert got == _finetune_probe_oracle(store, graphs, labels, cfg)
     assert got.mode == mode
+
+
+@pytest.mark.parametrize("encoder,tensor", [(EncoderConfig(layers=3, embed_dim=8), "enc.2."),
+                                            (EncoderConfig(layers=2, embed_dim=16), "embed.atom")],
+                         ids=["deeper", "wider"])
+def test_finetune_rejects_a_store_that_does_not_fit_the_encoder(encoder, tensor):
+    graphs, labels = _labeled_task()
+    pretrained = init_params(EncoderConfig(layers=2, embed_dim=8), seed=0)
+    cfg = replace(_probe_cfg("probe", False), encoder=encoder)
+    with pytest.raises(DataError, match=tensor):
+        finetune_probe(pretrained, graphs, labels, cfg)
 
 
 @pytest.mark.parametrize("mode", ["probe", "full"])
