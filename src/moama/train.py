@@ -202,10 +202,17 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
     only a molecule whose plan is empty adds no reconstruction loss. Each
     molecule's mask eligibility (``masking.eligible_motifs``) does not depend
     on the epoch, so it is computed once per molecule, before the first epoch.
+    A ``resume`` store whose encoder tensors do not fit ``cfg.encoder`` is a
+    DataError.
     """
     graphs = list(graphs)
     if not graphs:
         raise DataError("no parseable molecules in the dataset")
+    if resume is not None:
+        check_encoder_tensors(resume.store, cfg.encoder)
+        store, start_epoch = resume.store, resume.epoch
+    else:
+        store, start_epoch = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed), 0
     rules = cfg.motif.rule_table()
     decomps = [decompose(g, rules) for g in graphs]
     motif_masking = cfg.mask.mode != "random_baseline"
@@ -216,13 +223,6 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
 
     use_aux = cfg.loss.beta < 1.0
     fps = [morgan_fingerprint(g, cfg.fp) for g in graphs] if use_aux else None
-
-    if resume is not None:
-        store = resume.store
-        start_epoch = resume.epoch
-    else:
-        store = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed)
-        start_epoch = 0
 
     curve: list[EpochStats] = []
     n = len(graphs)
@@ -382,15 +382,39 @@ def _bce(logits, y_const):
     return ad.tmean(ad.relu(z) - z * y_const + ad.log(1.0 + ad.exp(-abs_z)))
 
 
+def _graph_vectors(graphs, store: ParamStore, enc: EncoderConfig) -> ad.Tensor:
+    """Readout of one batch of molecules: one row per molecule."""
+    tg = TensorGraph.from_graphs(graphs)
+    return readout(encode(tg, store, enc), enc.readout, tg.graph_ids, tg.n_graphs)
+
+
+def _frozen_graph_vectors(graphs, store: ParamStore, cfg: RunConfig) -> np.ndarray:
+    """One readout row per molecule, in corpus order, from an encoder that
+    ``store`` holds constant. Encodes chunks of ``cfg.batch_finetune``
+    molecules. A chunk of one node row would take BLAS's matrix-vector path,
+    whose bits differ from those of a row of a matrix product, so it joins
+    its neighbour unless the whole corpus is one row."""
+    chunks = []
+    for lo in range(0, len(graphs), cfg.batch_finetune):
+        chunk = graphs[lo:lo + cfg.batch_finetune]
+        if chunks and 1 in (sum(g.n_atoms for g in chunk), sum(g.n_atoms for g in chunks[-1])):
+            chunks[-1] = chunks[-1] + chunk
+        else:
+            chunks.append(chunk)
+    return np.concatenate([_graph_vectors(chunk, store, cfg.encoder).values for chunk in chunks])
+
+
 def finetune_probe(pretrained: ParamStore | None, graphs, labels,
                    cfg: RunConfig) -> ProbeReport:
     """Scaffold-split probe or full fine-tune on a binary task.
 
     Attaches a fresh prediction head, trains with binary cross-entropy,
     selects the epoch by validation AUC, reports test AUC. ``probe`` mode
-    freezes every parameter except ``head.*`` (``ParamStore.frozen``), so the
-    encoder records no tape and backward stops at the readout; ``full``
-    updates everything.
+    freezes every parameter except ``head.*`` (``ParamStore.frozen``), so a
+    molecule's graph vector cannot change: it encodes and reads out each
+    molecule once, before the first epoch, in chunks of ``batch_finetune``
+    molecules (``_frozen_graph_vectors``), and the head trains on those rows.
+    ``full`` updates everything and encodes every batch.
     """
     graphs = list(graphs)
     labels = np.asarray(labels, dtype=np.float64)
@@ -414,22 +438,23 @@ def finetune_probe(pretrained: ParamStore | None, graphs, labels,
         store.load_values(pretrained, check_encoder_tensors(pretrained, cfg.encoder))
     if cfg.finetune_mode == "probe":
         store = store.frozen([n for n in store.names() if not n.startswith("head.")])
+        hg_all = _frozen_graph_vectors(graphs, store, cfg)
+
+        def graph_vectors(idx):
+            return ad.const(hg_all[idx])
+    else:
+        def graph_vectors(idx):
+            return _graph_vectors([graphs[i] for i in idx], store, cfg.encoder)
 
     def scores_for(idx):
-        tg = TensorGraph.from_graphs([graphs[i] for i in idx])
-        h = encode(tg, store, cfg.encoder)
-        hg = readout(h, cfg.encoder.readout, tg.graph_ids, tg.n_graphs)
-        return predict_label(hg, store).values[:, 0]
+        return predict_label(graph_vectors(idx), store).values[:, 0]
 
     best = (-1.0, 0, None)
     for epoch in range(cfg.finetune_epochs):
         order = np.random.default_rng([cfg.seed, 11, epoch]).permutation(len(train_idx))
         for lo in range(0, len(train_idx), cfg.batch_finetune):
             batch = [train_idx[i] for i in order[lo:lo + cfg.batch_finetune]]
-            tg = TensorGraph.from_graphs([graphs[i] for i in batch])
-            h = encode(tg, store, cfg.encoder)
-            hg = readout(h, cfg.encoder.readout, tg.graph_ids, tg.n_graphs)
-            logits = predict_label(hg, store)
+            logits = predict_label(graph_vectors(batch), store)
             y = ad.const(labels[batch][:, None])
             lossv = _bce(logits, y)
             store.zero_grad()

@@ -395,8 +395,10 @@ def small_inputs(tmp_path):
     corpus, labeled, ckpt = tmp_path / "corpus.csv", tmp_path / "labeled.csv", tmp_path / "c.moam"
     write_corpus_csv(corpus, 16, seed=5)
     write_corpus_csv(labeled, 60, seed=11, labeled=True)
-    save_checkpoint(ckpt, init_params(EncoderConfig(layers=2, embed_dim=8), seed=0), {
-        "encoder.layers": "2", "encoder.embed_dim": "8"}, {"seed": 0}, 0)
+    snapshot = {key: text for key, text in DEFAULTS.items() if key.startswith("encoder.")}
+    snapshot.update({"encoder.layers": "2", "encoder.embed_dim": "8"})
+    save_checkpoint(ckpt, init_params(EncoderConfig(layers=2, embed_dim=8), seed=0),
+                    snapshot, {"seed": 0}, 0)
     return {"corpus": corpus, "labeled": labeled, "checkpoint": ckpt}
 
 
@@ -406,6 +408,17 @@ def _inputs_for(command, small_inputs):
     if command == "influence":
         args += ["--set", f"run.checkpoint={small_inputs['checkpoint']}"]
     return args
+
+
+@pytest.mark.parametrize("command,name", [("influence", "influence_nodes.csv"),
+                                          ("finetune", "auc_report.csv")])
+def test_commands_that_read_the_small_checkpoint_succeed(small_inputs, tmp_path, command, name):
+    args = _inputs_for(command, small_inputs)
+    if command == "finetune":
+        args += ["--set", f"run.checkpoint={small_inputs['checkpoint']}"]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *args]) == 0
+    assert (out / name).is_file()
 
 
 @pytest.mark.parametrize("command,name", [

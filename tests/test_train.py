@@ -23,6 +23,7 @@ from moama.train import (
     ProbeReport,
     RunConfig,
     _bce,
+    _frozen_graph_vectors,
     auc_score,
     finetune_probe,
     load_checkpoint,
@@ -111,6 +112,15 @@ def test_resume_matches_uninterrupted(tmp_path, small_corpus):
     for n in full.store.names():
         assert np.array_equal(full.store.params[n].values, resumed.store.params[n].values)
     assert loss_curve_rows(full.curve, True)[2:] == loss_curve_rows(resumed.curve, True)[1:]
+
+
+def test_resume_of_a_store_that_does_not_fit_the_encoder_is_a_data_error(tmp_path, small_corpus):
+    path = tmp_path / "narrow.moam"
+    save_checkpoint(path, init_params(EncoderConfig(layers=2, embed_dim=8), seed=0),
+                    {}, {"seed": 0}, 1)
+    wider = replace(DESK, encoder=EncoderConfig(layers=2, embed_dim=16))
+    with pytest.raises(DataError, match="embed.atom"):
+        pretrain(small_corpus, wider, resume=load_checkpoint(path))
 
 
 def test_bad_checkpoint_rejected(tmp_path):
@@ -375,8 +385,9 @@ def _finetune_probe_oracle(pretrained, graphs, labels, cfg):
                        (len(train_idx), len(valid_idx), len(test_idx)))
 
 
-def _probe_cfg(mode, learn_epsilon):
-    encoder = EncoderConfig(layers=2, embed_dim=8, learn_epsilon=learn_epsilon, epsilon=0.25)
+def _probe_cfg(mode, learn_epsilon, readout_mode="mean", embed_dim=8):
+    encoder = EncoderConfig(layers=2, embed_dim=embed_dim, readout=readout_mode,
+                            learn_epsilon=learn_epsilon, epsilon=0.25)
     return RunConfig(epochs=1, finetune_epochs=4, batch_finetune=16, batch_pretrain=16,
                      seed=2, lr=0.01, encoder=encoder, mask=MaskConfig(hop_k=2),
                      finetune_mode=mode)
@@ -387,11 +398,12 @@ def _probe_cfg(mode, learn_epsilon):
 @pytest.mark.parametrize("mode", ["probe", "full"])
 def test_finetune_equals_the_name_filtered_adam_loop(mode, pretrained, learn_epsilon):
     graphs, labels = _labeled_task()
-    cfg = _probe_cfg(mode, learn_epsilon)
-    store = pretrain(graphs[:32], cfg).store if pretrained else None
-    got = finetune_probe(store, graphs, labels, cfg)
-    assert got == _finetune_probe_oracle(store, graphs, labels, cfg)
-    assert got.mode == mode
+    for readout_mode in ("mean", "sum", "max"):
+        cfg = _probe_cfg(mode, learn_epsilon, readout_mode)
+        store = pretrain(graphs[:32], cfg).store if pretrained else None
+        got = finetune_probe(store, graphs, labels, cfg)
+        assert got == _finetune_probe_oracle(store, graphs, labels, cfg), readout_mode
+        assert got.mode == mode
 
 
 @pytest.mark.parametrize("encoder,tensor", [(EncoderConfig(layers=3, embed_dim=8), "enc.2."),
@@ -424,3 +436,73 @@ def test_probe_step_leaves_gradients_only_on_the_head(mode, monkeypatch):
             assert names == head
         else:
             assert names > head and "enc.0.w1" in names and "enc.1.eps" in names
+
+
+def _batch_graph_vectors(graphs, store, cfg, idx):
+    tg = TensorGraph.from_graphs([graphs[i] for i in idx])
+    h = encode(tg, store, cfg.encoder)
+    return readout(h, cfg.encoder.readout, tg.graph_ids, tg.n_graphs).values
+
+
+@pytest.mark.parametrize("readout_mode", ["mean", "sum", "max"])
+@pytest.mark.parametrize("embed_dim", [8, 32])
+def test_cached_graph_vectors_equal_per_batch_encodes(embed_dim, readout_mode):
+    # widths 76 and up are left out: there BLAS rows depend on the batch
+    graphs, _ = _labeled_task()
+    cfg = _probe_cfg("probe", True, readout_mode, embed_dim)
+    store = init_params(cfg.encoder, seed=4).frozen()
+    cached = _frozen_graph_vectors(graphs, store, cfg)
+    assert cached.shape == (len(graphs), embed_dim)
+    order = np.random.default_rng(0).permutation(len(graphs))
+    for size in (cfg.batch_finetune, 5, len(graphs)):
+        for lo in range(0, len(graphs), size):
+            idx = order[lo:lo + size]
+            assert np.array_equal(cached[idx], _batch_graph_vectors(graphs, store, cfg, idx))
+
+
+@pytest.mark.parametrize("embed_dim", [8, 32])
+def test_a_one_row_tail_chunk_joins_the_chunk_before_it(embed_dim):
+    graphs, _ = _labeled_task(n=32)
+    graphs.append(parse("C"))                      # one atom, n = 33 = 1 (mod 16)
+    cfg = _probe_cfg("probe", False, "mean", embed_dim)
+    store = init_params(cfg.encoder, seed=4).frozen()
+    cached = _frozen_graph_vectors(graphs, store, cfg)
+    for idx in ([31, 32], [0, 32], list(range(16, 33))):
+        assert np.array_equal(cached[32], _batch_graph_vectors(graphs, store, cfg, idx)[-1])
+
+
+def _counting_encodes(monkeypatch):
+    import moama.train
+
+    calls = []
+    real = moama.train.encode
+
+    def counting(tg, *args, **kwargs):
+        calls.append(tg.n_graphs)
+        return real(tg, *args, **kwargs)
+
+    monkeypatch.setattr(moama.train, "encode", counting)
+    return calls
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["no_tail", "one_row_tail"])
+def test_probe_encodes_each_molecule_once(tail, monkeypatch):
+    graphs, labels = _labeled_task()
+    if tail:                                       # n = 91 = 1 (mod 15)
+        graphs, labels = graphs + [parse("C")], np.append(labels, 0.0)
+    cfg = replace(_probe_cfg("probe", False), batch_finetune=15 if tail else 16)
+    calls = _counting_encodes(monkeypatch)
+    finetune_probe(None, graphs, labels, cfg)
+    chunks = -(-len(graphs) // cfg.batch_finetune)
+    assert len(calls) == (chunks - 1 if tail else chunks)
+    assert sum(calls) == len(graphs)
+
+
+def test_full_mode_encodes_every_batch_and_each_evaluation(monkeypatch):
+    graphs, labels = _labeled_task()
+    cfg = _probe_cfg("full", False)
+    calls = _counting_encodes(monkeypatch)
+    finetune_probe(None, graphs, labels, cfg)
+    n_train = len(scaffold_split(graphs)[0])
+    per_epoch = -(-n_train // cfg.batch_finetune) + 1     # training batches, then valid
+    assert len(calls) == cfg.finetune_epochs * per_epoch + 1
