@@ -202,10 +202,11 @@ def encoder_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: EncoderConfig, targets: str = "atom_type", seed: int = 0) -> ParamStore:
-    """Seeded init: weights (2-D) uniform in +-1/sqrt(embed_dim), biases
-    (1-D) zero, epsilons (0-D) at ``cfg.epsilon``. The label head has one
-    output: fine-tuning reads one binary label."""
+def param_shapes(cfg: EncoderConfig, targets: str) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter: the encoder's, the decoders' (``dec.*``) for
+    ``targets`` and the label head's (``head.*``), in the order ``init_params``
+    draws them. The label head has one output: fine-tuning reads one binary
+    label."""
     k = cfg.embed_dim
     shapes = encoder_shapes(cfg)
     for head, out_dim in decoder_heads(targets):
@@ -218,9 +219,15 @@ def init_params(cfg: EncoderConfig, targets: str = "atom_type", seed: int = 0) -
         else:
             shapes.update(_mlp_block(f"dec.{head}", k, out_dim))
     shapes.update(_mlp_block("head", k, 1))
+    return shapes
 
+
+def init_params(cfg: EncoderConfig, targets: str = "atom_type", seed: int = 0) -> ParamStore:
+    """Seeded init of ``param_shapes(cfg, targets)``: weights (2-D) uniform in
+    +-1/sqrt(embed_dim), biases (1-D) zero, epsilons (0-D) at ``cfg.epsilon``."""
+    shapes = param_shapes(cfg, targets)
     rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(k)
+    bound = 1.0 / np.sqrt(cfg.embed_dim)
 
     def value(shape):
         if len(shape) == 2:

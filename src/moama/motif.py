@@ -8,9 +8,10 @@ reconstructs the molecule exactly and ring bonds are never cut.
 
 Each predicate compiles, when the table loads, into a test ``(ctx, v) ->
 bool`` on one atom; ``nbr(...)`` compiles its bond mark and target into
-smaller tests. ``match_rules`` lists the environments each bond endpoint
-matches and looks the pair up in one set of (bond order, left expr, right
-expr) triples that holds every rule in both orientations.
+smaller tests. A loaded table (``RuleTable``) also builds, once, the set of
+(bond order, left expr, right expr) triples that holds every rule in both
+orientations and the table of distinct environments. ``match_rules`` lists
+the environments each bond endpoint matches and looks the pair up in that set.
 """
 
 from __future__ import annotations
@@ -160,6 +161,20 @@ def _env_matches(env: EnvPattern, ctx: _GraphContext, v: int) -> bool:
     return True
 
 
+class RuleTable(tuple):
+    """A tuple of rules, compiled for ``match_rules`` once: ``pairs`` holds
+    every rule's (bond order, left expr, right expr) in both orientations and
+    ``envs`` each distinct environment by its expression text. A slice is a
+    plain tuple, which ``match_rules`` compiles per call."""
+
+    def __new__(cls, rules):
+        table = super().__new__(cls, rules)
+        table.pairs = frozenset((r.bond_order, a.expr, b.expr) for r in table
+                                for a, b in ((r.left, r.right), (r.right, r.left)))
+        table.envs = {e.expr: e for r in table for e in (r.left, r.right)}
+        return table
+
+
 @dataclass(frozen=True)
 class MotifConfig:
     """The ``motif.*`` keys; empty ``rules`` selects the bundled table."""
@@ -171,7 +186,7 @@ class MotifConfig:
         return load_rules(self.rules) if self.rules else None
 
 
-def load_rules(path=None) -> tuple[BricsRule, ...]:
+def load_rules(path=None) -> RuleTable:
     """Load a rule table; the bundled default when ``path`` is None."""
     if path is None:
         text = resources.files("moama").joinpath("rules/brics.tsv").read_text("utf-8")
@@ -209,13 +224,13 @@ def load_rules(path=None) -> tuple[BricsRule, ...]:
         rules.append(BricsRule(rid, lenv, renv, order))
     if not rules:
         raise DataError(f"{origin}: no rules found")
-    return tuple(rules)
+    return RuleTable(rules)
 
 
-_default_rules: tuple[BricsRule, ...] | None = None
+_default_rules: RuleTable | None = None
 
 
-def default_rules() -> tuple[BricsRule, ...]:
+def default_rules() -> RuleTable:
     global _default_rules
     if _default_rules is None:
         _default_rules = load_rules()
@@ -228,13 +243,14 @@ def match_rules(g: MolGraph, rules=None) -> frozenset[int]:
     Each endpoint of an acyclic bond is matched once against every distinct
     environment, keyed by its expression text. The bond is cleavable when one
     (endpoint-0 env, endpoint-1 env) pair is in the set of (bond order, left,
-    right) rule triples, which holds every rule in both orientations.
+    right) rule triples, which holds every rule in both orientations. Any
+    sequence of rules works; a ``RuleTable`` brings its set already built.
     """
     if rules is None:
         rules = default_rules()
-    pairs = {(r.bond_order, a.expr, b.expr)
-             for r in rules for a, b in ((r.left, r.right), (r.right, r.left))}
-    envs = {e.expr: e for r in rules for e in (r.left, r.right)}
+    if not isinstance(rules, RuleTable):
+        rules = RuleTable(rules)
+    pairs, envs = rules.pairs, rules.envs
     ctx = _GraphContext(g)
     matched: dict[int, list[str]] = {}
     out = set()

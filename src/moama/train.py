@@ -35,6 +35,7 @@ from .gin import (
     encode,
     encoder_shapes,
     init_params,
+    param_shapes,
     predict_label,
     readout,
 )
@@ -74,16 +75,24 @@ def check_encoder_tensors(store: ParamStore, enc: EncoderConfig) -> list[str]:
     Raises DataError unless ``store`` holds exactly those encoder tensors,
     each with the shape ``init_params(enc)`` gives it.
     """
-    want = encoder_shapes(enc)
-    have = {n: store[n].values.shape for n in store.names() if n.startswith(("embed.", "enc."))}
+    return _check_tensors(store, encoder_shapes(enc), ("embed.", "enc."))
+
+
+def _check_tensors(store: ParamStore, shapes: dict, prefixes: tuple[str, ...]) -> list[str]:
+    """Names of the tensors in ``shapes`` under ``prefixes``; raises DataError
+    unless ``store`` holds exactly those tensors under them, each with its
+    shape. The message names the tensor."""
+    want = {n: s for n, s in shapes.items() if n.startswith(prefixes)}
+    have = {n: store[n].values.shape for n in store.names() if n.startswith(prefixes)}
     for name in sorted(have.keys() | want.keys()):
+        part = "decoder" if name.startswith("dec.") else "encoder"
         if name not in have:
-            raise DataError(f"checkpoint lacks encoder tensor {name}")
+            raise DataError(f"checkpoint lacks {part} tensor {name}")
         if name not in want:
-            raise DataError(f"checkpoint tensor {name} is not in its encoder settings")
+            raise DataError(f"checkpoint tensor {name} is not in its {part} settings")
         if have[name] != want[name]:
             raise DataError(f"checkpoint tensor {name} has shape {have[name]}, "
-                            f"its encoder settings need {want[name]}")
+                            f"its {part} settings need {want[name]}")
     return sorted(want)
 
 
@@ -202,14 +211,15 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
     only a molecule whose plan is empty adds no reconstruction loss. Each
     molecule's mask eligibility (``masking.eligible_motifs``) does not depend
     on the epoch, so it is computed once per molecule, before the first epoch.
-    A ``resume`` store whose encoder tensors do not fit ``cfg.encoder`` is a
-    DataError.
+    A ``resume`` store whose encoder or decoder tensors do not fit
+    ``cfg.encoder`` and ``cfg.loss.targets`` is a DataError.
     """
     graphs = list(graphs)
     if not graphs:
         raise DataError("no parseable molecules in the dataset")
     if resume is not None:
         check_encoder_tensors(resume.store, cfg.encoder)
+        _check_tensors(resume.store, param_shapes(cfg.encoder, cfg.loss.targets), ("dec.",))
         store, start_epoch = resume.store, resume.epoch
     else:
         store, start_epoch = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed), 0

@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +422,21 @@ def test_commands_that_read_the_small_checkpoint_succeed(small_inputs, tmp_path,
     out = tmp_path / "out"
     assert main([command, "--out", str(out), *args]) == 0
     assert (out / name).is_file()
+
+
+def test_influence_leaves_numpy_random_unloaded(small_inputs, tmp_path):
+    # importing numpy.random costs about 6 MB of resident memory, and nothing
+    # the influence command runs draws a random number
+    args = ["influence", "--out", str(tmp_path / "out"), *_inputs_for("influence", small_inputs)]
+    script = ("import sys\nfrom moama.cli import main\n"
+              f"code = main({args!r})\nprint(code, 'numpy.random' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split()[-2:] == ["0", "False"]
 
 
 @pytest.mark.parametrize("command,name", [

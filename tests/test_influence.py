@@ -3,23 +3,85 @@ import pytest
 
 from moama import autodiff as ad
 from moama import parse
-from moama.gin import EncoderConfig, ParamStore, init_params
+from moama.datagen import generate_corpus
+from moama.gin import EncoderConfig, ParamStore, TensorGraph, encode, init_params
 from moama.influence import (
+    INTER_MODES,
+    STACK_ROWS,
     InfluenceConfig,
     NodeInfluence,
-    _motif_mean,
-    _node_row,
+    _node_rows,
     analyze_dataset,
     influence_matrix,
     influence_pair,
     mrr_from_rows,
 )
 from moama.molgraph import shortest_path_lengths
-from moama.motif import decompose
+from moama.motif import Motif, MotifDecomposition, decompose
 
 from conftest import encode_oracle, random_molgraph
 
 CFG = EncoderConfig(layers=2, embed_dim=8)
+
+
+# The per-pair norm loop and the per-node list code that ``_influence_rows``
+# and ``_node_rows`` replaced, kept as bitwise oracles.
+
+def _influence_matrix_oracle(g, store, cfg):
+    """S[u, v] by one ``np.linalg.norm`` call per ordered pair, encoding the
+    stacked copies in the same STACK_ROWS chunks as ``influence_matrix``."""
+    frozen = store.frozen()
+    n = g.n_atoms
+    sources = range(n)
+    per_chunk = max(1, STACK_ROWS // n)
+    copies = n + 1
+    s = np.zeros((n, n))
+    for lo in range(0, copies, per_chunk):
+        hi = min(copies, lo + per_chunk)
+        zeroed = range(max(lo, 1), hi)
+        out = encode(TensorGraph.from_graphs([g] * (hi - lo)), frozen, cfg,
+                     zero_nodes=[(c - lo) * n + sources[c - 1] for c in zeroed])
+        out = out.values.reshape(hi - lo, n, -1)
+        if lo == 0:
+            h = out[0]
+        for c in zeroed:
+            u, h_wo = sources[c - 1], out[c - lo]
+            for v in range(n):
+                if v != u:
+                    s[c - 1, v] = np.linalg.norm(h[v] - h_wo[v])
+    return s
+
+
+def _topk_mean(values, top_k):
+    """Mean of the top_k largest values (of all of them if top_k is None)."""
+    if top_k is None or len(values) <= top_k:
+        return float(values.mean())
+    return float(np.sort(values)[::-1][:top_k].mean())
+
+
+def _motif_mean(s_col, nodes, v, top_k):
+    """Top-k mean of s(u, v) over the members u != v; None if there are none."""
+    candidates = [u for u in nodes if u != v]
+    return _topk_mean(s_col[candidates], top_k) if candidates else None
+
+
+def _node_row(gi, dec, s_col, v, settings):
+    """Influence row of node v from its column s_col = S[:, v]."""
+    top_k = settings.top_k
+    k = top_k if settings.inter_mode == "top_k" else None
+    own = dec.motif_of[v]
+    intra = _motif_mean(s_col, dec.motifs[own].node_ids, v, k)
+    inter_nodes = [u for u, m in enumerate(dec.motif_of) if m != own]
+    inter = _topk_mean(s_col[inter_nodes], k) if inter_nodes else None
+    truncated = intra is not None and dec.motifs[own].size - 1 < top_k
+    rank = None
+    if dec.n_motifs >= 2 and intra is not None:
+        keys = []
+        for mi, motif in enumerate(dec.motifs):
+            val = _motif_mean(s_col, motif.node_ids, v, top_k)
+            keys.append((np.inf if val is None else -val, mi))
+        rank = 1 + sum(key < keys[own] for key in keys)
+    return NodeInfluence(gi, v, dec.n_motifs, intra, inter, rank, truncated)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +147,7 @@ def test_influence_matrix_matches_pairs(store):
 
 def _intra_inter(s, dec, v, top_k=3, mode="top_k"):
     """(intra, inter) of node v as ``analyze_dataset`` reports them."""
-    row = _node_row(-1, dec, s[:, v], v, InfluenceConfig(top_k=top_k, inter_mode=mode))
+    row = _node_rows(-1, dec, s, InfluenceConfig(top_k=top_k, inter_mode=mode))[v]
     return row.intra, row.inter
 
 
@@ -368,3 +430,61 @@ def test_stacked_influence_matches_oracle_at_default_size():
             for v in range(g.n_atoms):
                 expected = 0.0 if u == v else float(np.linalg.norm(h[v] - h_wo[v]))
                 assert s[u, v] == expected
+
+
+def _random_partition(rng, n):
+    """A decomposition of n nodes into random, not necessarily connected,
+    motifs, numbered by their lowest node."""
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n).tolist()
+    first = {lab: i for i, lab in reversed(list(enumerate(labels)))}
+    index = {lab: mi for mi, lab in enumerate(sorted(first, key=first.get))}
+    motif_of = tuple(index[lab] for lab in labels)
+    motifs = tuple(Motif(tuple(v for v in range(n) if motif_of[v] == mi), ())
+                   for mi in range(len(index)))
+    return MotifDecomposition(motifs, (), (), motif_of)
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs():
+    """(graph, decomposition) pairs: random graphs under their rule-based and
+    random decompositions, datagen molecules, a one-atom molecule, single-motif
+    graphs, pools of 9 or more candidates and a molecule spanning two chunks."""
+    rng = np.random.default_rng(77)
+    pairs = []
+    for _ in range(8):
+        g = random_molgraph(rng, n_min=2, n_max=14)
+        pairs += [(g, decompose(g)), (g, _random_partition(rng, g.n_atoms))]
+    for smi in generate_corpus(6, seed=5) + ["C", "c1ccccc1", "CCCCCCCCCCCC",
+                                             "CCCCCCCCCCOc1ccccc1"]:
+        pairs.append((parse(smi), decompose(parse(smi))))
+    big = parse("CCCCCCCCCCc1ccc(cc1)C(=O)NCCOc1ccc(cc1)CCCCCCCCCC")
+    assert big.n_atoms * (big.n_atoms + 1) > STACK_ROWS
+    pairs.append((big, decompose(big)))
+    assert any(m.size - 1 >= 9 for _, d in pairs for m in d.motifs)
+    assert any(len(d.motif_of) - m.size >= 9 for _, d in pairs for m in d.motifs)
+    return pairs
+
+
+@pytest.mark.parametrize("width", [8, 32])
+def test_influence_matrix_equals_the_per_pair_norm_loop(oracle_graphs, width):
+    cfg = EncoderConfig(layers=2, embed_dim=width)
+    store = init_params(cfg, seed=width)
+    for g, _ in oracle_graphs:
+        got = influence_matrix(g, store, cfg)
+        assert got.tobytes() == _influence_matrix_oracle(g, store, cfg).tobytes()
+
+
+@pytest.mark.parametrize("mode", INTER_MODES)
+@pytest.mark.parametrize("top_k", [1, 2, 3, 5, 8])
+def test_node_rows_equal_the_node_row_oracle(oracle_graphs, store, mode, top_k):
+    settings = InfluenceConfig(top_k=top_k, inter_mode=mode)
+    graphs, decs = zip(*oracle_graphs)
+    expected = []
+    for gi, (g, dec) in enumerate(oracle_graphs):
+        s = _influence_matrix_oracle(g, store, CFG)
+        expected += [_node_row(gi, dec, s[:, v], v, settings) for v in range(g.n_atoms)]
+    rep = analyze_dataset(graphs, decs, store, CFG, settings)
+    # repr tells float from numpy scalar and -0.0 from 0.0
+    assert repr(rep.nodes) == repr(tuple(expected))
+    assert rep.excluded_nodes == sum(r.intra is None or r.inter is None or r.intra <= 0.0
+                                     for r in expected)

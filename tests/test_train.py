@@ -123,6 +123,19 @@ def test_resume_of_a_store_that_does_not_fit_the_encoder_is_a_data_error(tmp_pat
         pretrain(small_corpus, wider, resume=load_checkpoint(path))
 
 
+@pytest.mark.parametrize("change,tensor", [
+    ({"loss": LossConfig(targets="chirality")}, "dec.atom.b1"),
+    ({"encoder": replace(DESK.encoder, decoder="mlp")}, "dec.atom.b2"),
+])
+def test_resume_of_a_store_whose_decoder_does_not_fit_is_a_data_error(
+        tmp_path, small_corpus, change, tensor):
+    # an atom_type store with gnn decoders, resumed under other decoder settings
+    path = tmp_path / "atom_gnn.moam"
+    save_checkpoint(path, init_params(DESK.encoder, "atom_type", seed=0), {}, {"seed": 0}, 1)
+    with pytest.raises(DataError, match=f"tensor {tensor} .*decoder settings"):
+        pretrain(small_corpus, replace(DESK, **change), resume=load_checkpoint(path))
+
+
 def test_bad_checkpoint_rejected(tmp_path):
     bad = tmp_path / "bad.moam"
     bad.write_bytes(b"NOPE" + b"\x00" * 16)
