@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 
 from .molgraph import MolGraph
-from .smiles import ATOM_CODE
+from .motif import carbonyl_carbons
 
 _RINGS = (
     "c1ccccc1", "c1ccncc1", "c1ccncn1", "c1ccsc1", "c1ccoc1",
@@ -64,13 +64,7 @@ def generate_corpus(n: int, seed: int = 0, balanced_labels: bool = False) -> lis
 
 
 def has_carbonyl(g: MolGraph) -> bool:
-    c, o = ATOM_CODE["C"], ATOM_CODE["O"]
-    for b in g.bonds:
-        if b.order == "double":
-            pair = {g.atoms[b.u].atom_type, g.atoms[b.v].atom_type}
-            if pair == {c, o}:
-                return True
-    return False
+    return bool(carbonyl_carbons(g))
 
 
 def write_corpus_csv(path, n: int, seed: int = 0, labeled: bool = False) -> None:

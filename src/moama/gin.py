@@ -25,8 +25,6 @@ from .molgraph import BOND_ORDERS, MASK_ATOM_TYPE, MASK_CHIRALITY, N_ATOM_TYPES,
 N_ATOM_EMBED = MASK_ATOM_TYPE + 1      # 120 rows, mask code included
 N_CHIRALITY_EMBED = MASK_CHIRALITY + 1  # 5 rows
 N_BOND_EMBED = len(BOND_ORDERS)
-ATOM_LOGITS = N_ATOM_TYPES             # decoders predict real codes only
-CHIRALITY_LOGITS = N_CHIRALITY
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 ADAM_BETA1 = 0.9
@@ -35,7 +33,18 @@ ADAM_EPS = 1e-8
 
 READOUTS = ("mean", "sum", "max")
 DECODERS = ("gnn", "mlp")
-TARGETS = ("atom_type", "chirality", "both_one_decoder", "both_two_decoders")
+
+# What each ``loss.targets`` value reconstructs: its decoder heads in the order
+# ``init_params`` draws them, each with the attributes its logit columns hold,
+# left to right. Each attribute is one column of ``MolGraph.X`` and gets one
+# logit per real code; the mask code is never predicted.
+TARGETS = {
+    "atom_type": (("atom", ("atom_type",)),),
+    "chirality": (("chir", ("chirality",)),),
+    "both_one_decoder": (("joint", ("atom_type", "chirality")),),
+    "both_two_decoders": (("atom", ("atom_type",)), ("chir", ("chirality",))),
+}
+ATTRIBUTES = {"atom_type": (0, N_ATOM_TYPES), "chirality": (1, N_CHIRALITY)}
 
 # Upper bounds that cap an encoder's memory. The largest allowed model (16
 # layers of width 512, two gnn decoders) holds 9.85M parameters: 79 MB of
@@ -172,18 +181,6 @@ class ParamStore:
             self.params[n].values = other.params[n].values.copy()
 
 
-def decoder_heads(targets: str) -> tuple[tuple[str, int], ...]:
-    if targets == "atom_type":
-        return (("atom", ATOM_LOGITS),)
-    if targets == "chirality":
-        return (("chir", CHIRALITY_LOGITS),)
-    if targets == "both_one_decoder":
-        return (("joint", ATOM_LOGITS + CHIRALITY_LOGITS),)
-    if targets == "both_two_decoders":
-        return (("atom", ATOM_LOGITS), ("chir", CHIRALITY_LOGITS))
-    raise ValueError(f"unknown reconstruction targets {targets!r}")
-
-
 def _mlp_block(prefix: str, k: int, out_dim: int) -> dict[str, tuple[int, ...]]:
     return {f"{prefix}.w1": (k, k), f"{prefix}.b1": (k,),
             f"{prefix}.w2": (k, out_dim), f"{prefix}.b2": (out_dim,)}
@@ -209,7 +206,8 @@ def param_shapes(cfg: EncoderConfig, targets: str) -> dict[str, tuple[int, ...]]
     label."""
     k = cfg.embed_dim
     shapes = encoder_shapes(cfg)
-    for head, out_dim in decoder_heads(targets):
+    for head, attrs in TARGETS[targets]:
+        out_dim = sum(ATTRIBUTES[a][1] for a in attrs)
         if cfg.decoder == "gnn":
             shapes.update(_mlp_block(f"dec.{head}", k, k))
             if cfg.learn_epsilon:
@@ -251,7 +249,12 @@ def _gin_layer(h: Tensor, tg: TensorGraph, store: ParamStore,
         z = h * (1.0 + _epsilon(store, cfg, prefix)) + agg
     else:
         z = h * (1.0 + _epsilon(store, cfg, prefix))
-    z = ad.relu(z @ store[f"{prefix}.w1"] + store[f"{prefix}.b1"])
+    return _mlp(z, store, prefix)
+
+
+def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    """``w2 . relu(w1 . x + b1) + b2`` on the ``_mlp_block`` named ``prefix``."""
+    z = ad.relu(x @ store[f"{prefix}.w1"] + store[f"{prefix}.b1"])
     return z @ store[f"{prefix}.w2"] + store[f"{prefix}.b2"]
 
 
@@ -301,34 +304,30 @@ def readout(h: Tensor, mode: str, graph_ids, n_graphs: int) -> Tensor:
 
 def decode_attrs(tg: TensorGraph, h: Tensor, store: ParamStore,
                  cfg: EncoderConfig, targets: str = "atom_type") -> dict[str, Tensor]:
-    """Per-node reconstruction rows keyed by attribute dimension.
+    """Per-node reconstruction rows keyed by attribute, in ``TARGETS`` order.
 
     The gnn decoder applies one more GIN layer over H (no re-masking) and a
-    linear projection; the mlp decoder is a per-node 2-layer MLP.
+    linear projection; the mlp decoder is a per-node 2-layer MLP. A head that
+    holds two attributes is sliced into their column ranges.
     """
     bond_embed = _bond_embedding(tg, store)
     out: dict[str, Tensor] = {}
-    for head, _dim in decoder_heads(targets):
+    for head, attrs in TARGETS[targets]:
         if cfg.decoder == "gnn":
             z = _gin_layer(h, tg, store, cfg, f"dec.{head}", bond_embed)
             logits = z @ store[f"dec.{head}.proj.w"] + store[f"dec.{head}.proj.b"]
         else:
-            z = ad.relu(h @ store[f"dec.{head}.w1"] + store[f"dec.{head}.b1"])
-            logits = z @ store[f"dec.{head}.w2"] + store[f"dec.{head}.b2"]
-        if head == "joint":
-            out["atom_type"] = ad.slice_cols(logits, 0, ATOM_LOGITS)
-            out["chirality"] = ad.slice_cols(logits, ATOM_LOGITS,
-                                             ATOM_LOGITS + CHIRALITY_LOGITS)
-        elif head == "atom":
-            out["atom_type"] = logits
-        else:
-            out["chirality"] = logits
+            logits = _mlp(h, store, f"dec.{head}")
+        col = 0
+        for attr in attrs:
+            width = ATTRIBUTES[attr][1]
+            out[attr] = logits if len(attrs) == 1 else ad.slice_cols(logits, col, col + width)
+            col += width
     return out
 
 
 def predict_label(h_graph: Tensor, store: ParamStore) -> Tensor:
     """Task logits from graph vectors. Nothing applies a sigmoid: training
     takes binary cross-entropy on the logits and AUC ranks them."""
-    z = ad.relu(h_graph @ store["head.w1"] + store["head.b1"])
-    return z @ store["head.w2"] + store["head.b2"]
+    return _mlp(h_graph, store, "head")
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .fingerprint import tanimoto
-from .gin import ATOM_LOGITS, CHIRALITY_LOGITS, TARGETS
+from .gin import ATTRIBUTES, TARGETS
 
 _NORM_FLOOR = 1e-24   # smooths the cosine at an all-zero row
 _COS_EPS = 1e-12
@@ -49,9 +49,6 @@ class LossConfig:
             raise ValueError(f"targets must be one of {', '.join(TARGETS)}")
         if self.aux_form not in AUX_FORMS:
             raise ValueError(f"aux_form must be one of {', '.join(AUX_FORMS)}")
-
-
-_DIM_OF = {"atom_type": (0, ATOM_LOGITS), "chirality": (1, CHIRALITY_LOGITS)}
 
 
 def _one_dim_loss(rows: Tensor, target_codes: np.ndarray, n_classes: int,
@@ -84,7 +81,7 @@ def rec_loss(logits: dict[str, Tensor], x_true: np.ndarray,
     terms = []
     n_masked = 0
     for name in logits:
-        dim, n_classes = _DIM_OF[name]
+        dim, n_classes = ATTRIBUTES[name]
         idx = np.asarray(masked_nodes[dim], dtype=np.int64)
         if idx.size == 0:
             continue
@@ -96,8 +93,8 @@ def rec_loss(logits: dict[str, Tensor], x_true: np.ndarray,
         return ad.const(0.0), 0
     if len(terms) == 1:
         return terms[0], n_masked
-    if cfg.targets == "both_two_decoders":
-        # the two decoders' losses are independent; average them
+    if len(TARGETS[cfg.targets]) == 2:
+        # two decoders' losses are independent; average them
         return (terms[0] + terms[1]) * 0.5, n_masked
     return terms[0] + terms[1], n_masked
 

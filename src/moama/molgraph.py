@@ -164,6 +164,17 @@ def k_hop_neighborhood(g: MolGraph, v: int | Iterable[int], k: int) -> frozenset
             raise ValueError(f"node id {s} out of range")
     if k < 0:
         raise ValueError("hop count must be >= 0")
+    return frozenset(_bfs(g, sources, k))
+
+
+def shortest_path_lengths(g: MolGraph, v: int) -> dict[int, int]:
+    """BFS distances from v to every reachable node."""
+    return _bfs(g, [v])
+
+
+def _bfs(g: MolGraph, sources, k: int | None = None) -> dict[int, int]:
+    """Distance from the nearest source to each node within k hops (every
+    reachable node when k is None), in visiting order."""
     dist = dict.fromkeys(sources, 0)
     queue = deque(dist)
     while queue:
@@ -171,19 +182,6 @@ def k_hop_neighborhood(g: MolGraph, v: int | Iterable[int], k: int) -> frozenset
         if dist[node] == k:
             continue
         for u, _ in g._adjacency[node]:
-            if u not in dist:
-                dist[u] = dist[node] + 1
-                queue.append(u)
-    return frozenset(dist)
-
-
-def shortest_path_lengths(g: MolGraph, v: int) -> dict[int, int]:
-    """BFS distances from v to every reachable node."""
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        node = queue.popleft()
-        for u in g.neighbors(node):
             if u not in dist:
                 dist[u] = dist[node] + 1
                 queue.append(u)

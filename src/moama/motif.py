@@ -63,7 +63,7 @@ def _parse_target(spec: str):
     if spec == "*":
         return lambda ctx, u: True
     if spec == "C=O":
-        return lambda ctx, u: ctx.carbonyl[u]
+        return lambda ctx, u: u in ctx.carbonyl
     if spec.startswith("!"):
         codes = _parse_elemset(spec[1:])
         return lambda ctx, u: ctx.elem[u] not in codes
@@ -142,16 +142,19 @@ class _GraphContext:
         self.degree = [g.degree(v) for v in range(n)]
         self.aromatic = [False] * n
         self.on_ring = [False] * n
-        self.carbonyl = [False] * n
+        self.carbonyl = carbonyl_carbons(g)
         for b in g.bonds:
             if b.order == "aromatic":
                 self.aromatic[b.u] = self.aromatic[b.v] = True
             if b.in_ring:
                 self.on_ring[b.u] = self.on_ring[b.v] = True
-            if b.order == "double":
-                for a, o in ((b.u, b.v), (b.v, b.u)):
-                    if self.elem[a] == _C and self.elem[o] == _O:
-                        self.carbonyl[a] = True
+
+
+def carbonyl_carbons(g: MolGraph) -> frozenset[int]:
+    """Ids of the carbons double-bonded to an oxygen."""
+    return frozenset(a for b in g.bonds if b.order == "double"
+                     for a, o in ((b.u, b.v), (b.v, b.u))
+                     if g.atoms[a].atom_type == _C and g.atoms[o].atom_type == _O)
 
 
 def _env_matches(env: EnvPattern, ctx: _GraphContext, v: int) -> bool:
@@ -198,7 +201,6 @@ def load_rules(path=None) -> RuleTable:
         except (OSError, ValueError) as e:  # ValueError: a NUL or bad UTF-8
             raise DataError(f"cannot read rule file {path}: {e}") from e
 
-    envs: dict[str, EnvPattern] = {}
     rules = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip("\n")
@@ -217,11 +219,10 @@ def load_rules(path=None) -> RuleTable:
         if order not in BOND_ORDERS:
             raise DataError(f"{origin}:{lineno}: unknown bond order {order!r}")
         try:
-            lenv = envs.setdefault(left, EnvPattern.compile(left))
-            renv = envs.setdefault(right, EnvPattern.compile(right))
+            rules.append(BricsRule(rid, EnvPattern.compile(left), EnvPattern.compile(right),
+                                   order))
         except DataError as e:
             raise DataError(f"{origin}:{lineno}: {e}") from e
-        rules.append(BricsRule(rid, lenv, renv, order))
     if not rules:
         raise DataError(f"{origin}: no rules found")
     return RuleTable(rules)

@@ -59,27 +59,18 @@ AROMATIC_SUBSET = {"b", "c", "n", "o", "p", "s"}
 _BOND_CHAR_ORDER = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
                     "/": "single", "\\": "single"}
 
+# each group name is the kind of the tokens it matches
 _TOKEN_RE = re.compile(
-    r"""(?P<bracket>\[[^\]]*\])
-      | (?P<organic>Cl|Br|[BCNOPSFI]|[bcnops])
+    r"""(?P<bracket_atom>\[[^\]]*\])
+      | (?P<organic_atom>Cl|Br|[BCNOPSFI]|[bcnops])
       | (?P<bond>[-=\#:/\\])
-      | (?P<open>\()
-      | (?P<close>\))
-      | (?P<ring>%\d{2}|\d)
+      | (?P<branch_open>\()
+      | (?P<branch_close>\))
+      | (?P<ring_closure>%\d{2}|\d)
       | (?P<dot>\.)
     """,
     re.X,
 )
-
-_TOKEN_KINDS = {
-    "bracket": "bracket-atom",
-    "organic": "organic-atom",
-    "bond": "bond",
-    "open": "branch-open",
-    "close": "branch-close",
-    "ring": "ring-closure-digit",
-    "dot": "dot",
-}
 
 _BRACKET_RE = re.compile(
     r"""^\[
@@ -101,7 +92,9 @@ class SmilesToken:
 
 
 def tokenize(smiles: str) -> list[SmilesToken]:
-    """Lex a SMILES string; token texts concatenate back to the input."""
+    """Lex a SMILES string; token texts concatenate back to the input. Each
+    token's kind is one of ``bracket_atom``, ``organic_atom``, ``bond``,
+    ``branch_open``, ``branch_close``, ``ring_closure`` and ``dot``."""
     tokens = []
     i = 0
     while i < len(smiles):
@@ -110,9 +103,19 @@ def tokenize(smiles: str) -> list[SmilesToken]:
             if smiles[i] == "[":
                 raise SmilesError("unterminated bracket atom", i)
             raise SmilesError(f"unexpected character {smiles[i]!r}", i)
-        tokens.append(SmilesToken(_TOKEN_KINDS[m.lastgroup], m.group(), i))
+        tokens.append(SmilesToken(m.lastgroup, m.group(), i))
         i = m.end()
     return tokens
+
+
+def _element(symbol: str, pos: int) -> tuple[int, bool]:
+    """(atom_type, aromatic-flag) of an element symbol; the aromatic subset
+    is written in lower case."""
+    if symbol in AROMATIC_SUBSET:
+        return ATOM_CODE[symbol.capitalize()], True
+    if symbol in ATOM_CODE:
+        return ATOM_CODE[symbol], False
+    raise SmilesError(f"unknown element symbol {symbol!r}", pos)
 
 
 def _parse_bracket(token: SmilesToken) -> tuple[int, int, bool]:
@@ -120,15 +123,7 @@ def _parse_bracket(token: SmilesToken) -> tuple[int, int, bool]:
     m = _BRACKET_RE.match(token.text)
     if m is None:
         raise SmilesError(f"malformed bracket atom {token.text!r}", token.pos)
-    symbol = m.group("symbol")
-    if symbol in AROMATIC_SUBSET:
-        code = ATOM_CODE[symbol.capitalize()]
-        aromatic = True
-    elif symbol in ATOM_CODE:
-        code = ATOM_CODE[symbol]
-        aromatic = False
-    else:
-        raise SmilesError(f"unknown element symbol {symbol!r}", token.pos)
+    code, aromatic = _element(m.group("symbol"), token.pos)
     mark = m.group("chirality")
     if mark is None:
         chirality = CHIRALITY_NONE
@@ -182,21 +177,21 @@ def parse(smiles: str) -> MolGraph:
             pending_bond = _BOND_CHAR_ORDER[tok.text]
             pending_pos = tok.pos
             continue
-        if tok.kind == "branch-open":
+        if tok.kind == "branch_open":
             if prev is None:
                 raise SmilesError("branch with no preceding atom", tok.pos)
             if pending_bond is not None:
                 raise SmilesError("bond symbol before branch open", tok.pos)
             branch_stack.append((prev, tok.pos))
             continue
-        if tok.kind == "branch-close":
+        if tok.kind == "branch_close":
             if not branch_stack:
                 raise SmilesError("unmatched branch close", tok.pos)
             if pending_bond is not None:
                 raise SmilesError("dangling bond before branch close", tok.pos)
             prev, _ = branch_stack.pop()
             continue
-        if tok.kind == "ring-closure-digit":
+        if tok.kind == "ring_closure":
             if prev is None:
                 raise SmilesError("ring closure with no preceding atom", tok.pos)
             num = int(tok.text[1:]) if tok.text.startswith("%") else int(tok.text)
@@ -213,12 +208,9 @@ def parse(smiles: str) -> MolGraph:
             continue
 
         # atom token
-        if tok.kind == "organic-atom":
-            sym = tok.text
-            if sym in AROMATIC_SUBSET:
-                code, chirality, aromatic = ATOM_CODE[sym.capitalize()], CHIRALITY_NONE, True
-            else:
-                code, chirality, aromatic = ATOM_CODE[sym], CHIRALITY_NONE, False
+        if tok.kind == "organic_atom":
+            code, aromatic = _element(tok.text, tok.pos)
+            chirality = CHIRALITY_NONE
         else:
             code, chirality, aromatic = _parse_bracket(tok)
         atoms.append((code, chirality))
@@ -291,24 +283,27 @@ def read_dataset(path, label: str | None = None) -> Dataset:
     except (OSError, ValueError) as e:  # ValueError: a NUL in the path or bad UTF-8
         raise DataError(f"cannot read dataset {path}: {e}") from e
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None or "smiles" not in reader.fieldnames:
-        raise DataError(f"dataset {path} is missing a 'smiles' column")
-    if label is not None and label not in reader.fieldnames:
-        raise DataError(f"dataset {path} is missing label column {label!r}")
+    try:
+        if reader.fieldnames is None or "smiles" not in reader.fieldnames:
+            raise DataError(f"dataset {path} is missing a 'smiles' column")
+        if label is not None and label not in reader.fieldnames:
+            raise DataError(f"dataset {path} is missing label column {label!r}")
 
-    records = []
-    errors = []
-    for row_idx, row in enumerate(reader):
-        smi = (row.get("smiles") or "").strip()
-        try:
-            graph = parse(smi)
-        except SmilesError as e:
-            errors.append((row_idx, str(e)))
-            continue
-        cell = (row.get(label) or "").strip() if label is not None else ""
-        try:
-            value = float(cell) if cell else float("nan")
-        except ValueError as e:
-            raise DataError(f"row {row_idx}: label {label}={cell!r} is not numeric") from e
-        records.append(DatasetRecord(smi, graph, value))
+        records = []
+        errors = []
+        for row_idx, row in enumerate(reader):
+            smi = (row.get("smiles") or "").strip()
+            try:
+                graph = parse(smi)
+            except SmilesError as e:
+                errors.append((row_idx, str(e)))
+                continue
+            cell = (row.get(label) or "").strip() if label is not None else ""
+            try:
+                value = float(cell) if cell else float("nan")
+            except ValueError as e:
+                raise DataError(f"row {row_idx}: label {label}={cell!r} is not numeric") from e
+            records.append(DatasetRecord(smi, graph, value))
+    except csv.Error as e:  # a field over csv's size limit; line_num counts the lines before it
+        raise DataError(f"cannot read dataset {path} at line {reader.line_num + 1}: {e}") from e
     return Dataset(tuple(records), len(errors), tuple(errors))

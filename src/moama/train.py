@@ -146,6 +146,8 @@ def _decode_checkpoint(data: bytes) -> Checkpoint:
         pos += 4
         blobs.append(json.loads(data[pos:pos + ln].decode()))
         pos += ln
+    if not (isinstance(blobs[0], dict) and all(isinstance(v, str) for v in blobs[0].values())):
+        raise ValueError("its config snapshot is not a JSON object of strings")
     adam_t, epoch = struct.unpack_from("<QI", data, pos)
     pos += 12
     (count,) = struct.unpack_from("<I", data, pos)
@@ -442,9 +444,12 @@ def finetune_probe(pretrained: ParamStore | None, graphs, labels,
         if len(set(labels[idx])) < 2:
             raise DataError(f"single-class {name} split; AUC undefined")
 
-    store = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed + 104729)
+    # drawn with the decoders, which come first, so the head keeps its initial
+    # bits; then the decoders are dropped: nothing here reads them
+    drawn = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed + 104729)
+    store = ParamStore({n: t for n, t in drawn.params.items() if not n.startswith("dec.")})
     if pretrained is not None:
-        # only the encoder transfers; decoders stay behind, the head is fresh
+        # only the encoder transfers; the head is fresh
         store.load_values(pretrained, check_encoder_tensors(pretrained, cfg.encoder))
     if cfg.finetune_mode == "probe":
         store = store.frozen([n for n in store.names() if not n.startswith("head.")])

@@ -489,6 +489,41 @@ def test_checkpoint_tensors_that_disagree_with_its_encoder_settings_are_a_data_e
     assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["influence", "finetune"])
+@pytest.mark.parametrize("snapshot,layers", [
+    (5, 2), ([1], 2), ({"encoder.layers": None}, 2), ({"encoder.layers": 2.5}, 2),
+    ({"encoder.layers": True}, 1),
+], ids=["number", "list", "null", "float", "bool"])
+def test_config_snapshot_that_is_not_an_object_of_strings_is_a_data_error(
+        small_inputs, tmp_path, capsys, command, snapshot, layers):
+    if isinstance(snapshot, dict):
+        snapshot = {**{key: text for key, text in DEFAULTS.items() if key.startswith("encoder.")},
+                    "encoder.embed_dim": "8", **snapshot}
+    ckpt = tmp_path / "typed.moam"
+    save_checkpoint(ckpt, init_params(EncoderConfig(layers=layers, embed_dim=8), seed=0),
+                    snapshot, {"seed": 0}, 0)
+    with pytest.raises(DataError, match="config snapshot"):
+        load_checkpoint(ckpt)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *_inputs_for(command, small_inputs),
+                 "--set", f"run.checkpoint={ckpt}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert str(ckpt) in err and "Traceback" not in err
+    assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+def test_dataset_cell_over_the_csv_field_limit_is_a_data_error(tmp_path, capsys, line):
+    huge = "C" * 200_000
+    data = tmp_path / "huge.csv"
+    data.write_text(f"{huge}\nCCO\n" if line == 1 else f"smiles\nCCO\n{huge}\nCCN\n")
+    assert main(["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={data}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read dataset {data} at line {line}:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_pretrain_on_only_unparseable_smiles_is_a_data_error(tmp_path, capsys):
     data = tmp_path / "unparseable.csv"
     data.write_text("smiles\nC1CC\nnot-a-smiles\n(((\n")

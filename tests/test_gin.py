@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from moama import autodiff as ad
 from moama import parse
 from moama.gin import (
+    TARGETS,
     EncoderConfig,
     ParamStore,
     TensorGraph,
     decode_attrs,
     encode,
     init_params,
+    param_shapes,
     predict_label,
     readout,
     single,
 )
+from moama.loss import LossConfig, _one_dim_loss, rec_loss
 from moama.masking import MaskPlan, apply_mask
 from moama.molgraph import BOND_ORDER_INDEX, AtomAttr, MolGraph, relabel, shortest_path_lengths
 
@@ -404,3 +407,140 @@ def test_learnable_epsilon_matches_oracle_and_gets_gradient():
     flat = eps.values.reshape(-1)
     fd = fd_gradient(lambda: loss().item(), flat, 0)
     assert eps.grad.reshape(-1)[0] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+# --- reference decoders -----------------------------------------------------
+# The if-chain of decoder heads and widths, decode_attrs' per-head branches
+# and rec_loss's target test that the TARGETS table replaced, kept as the
+# oracle. The MLP forward is written out, as each copy of it was.
+
+def _heads_oracle(targets):
+    if targets == "atom_type":
+        return (("atom", 119),)
+    if targets == "chirality":
+        return (("chir", 4),)
+    if targets == "both_one_decoder":
+        return (("joint", 119 + 4),)
+    if targets == "both_two_decoders":
+        return (("atom", 119), ("chir", 4))
+    raise ValueError(targets)
+
+
+def _param_shapes_oracle(cfg, targets):
+    k = cfg.embed_dim
+
+    def block(prefix, out_dim):
+        return {f"{prefix}.w1": (k, k), f"{prefix}.b1": (k,),
+                f"{prefix}.w2": (k, out_dim), f"{prefix}.b2": (out_dim,)}
+
+    shapes = {"embed.atom": (120, k), "embed.chirality": (5, k), "embed.bond": (4, k)}
+    for layer in range(cfg.layers):
+        shapes.update(block(f"enc.{layer}", k))
+        if cfg.learn_epsilon:
+            shapes[f"enc.{layer}.eps"] = ()
+    for head, out_dim in _heads_oracle(targets):
+        if cfg.decoder == "gnn":
+            shapes.update(block(f"dec.{head}", k))
+            if cfg.learn_epsilon:
+                shapes[f"dec.{head}.eps"] = ()
+            shapes[f"dec.{head}.proj.w"] = (k, out_dim)
+            shapes[f"dec.{head}.proj.b"] = (out_dim,)
+        else:
+            shapes.update(block(f"dec.{head}", out_dim))
+    shapes.update(block("head", 1))
+    return shapes
+
+
+def _decode_attrs_oracle(tg, h, store, cfg, targets):
+    out = {}
+    if tg.edge_src.size:   # one bond lookup, shared by the heads
+        bond = ad.take_rows(store["embed.bond"], tg.edge_order)
+    for head, _ in _heads_oracle(targets):
+        p = f"dec.{head}"
+        if cfg.decoder == "gnn":
+            eps = store[f"{p}.eps"] if cfg.learn_epsilon else cfg.epsilon
+            z = h * (1.0 + eps)
+            if tg.edge_src.size:
+                z = z + ad.segment_sum(ad.take_rows(h, tg.edge_src) + bond,
+                                       tg.edge_dst, tg.n_nodes)
+            z = ad.relu(z @ store[f"{p}.w1"] + store[f"{p}.b1"])
+            z = z @ store[f"{p}.w2"] + store[f"{p}.b2"]
+            logits = z @ store[f"{p}.proj.w"] + store[f"{p}.proj.b"]
+        else:
+            z = ad.relu(h @ store[f"{p}.w1"] + store[f"{p}.b1"])
+            logits = z @ store[f"{p}.w2"] + store[f"{p}.b2"]
+        if head == "joint":
+            out["atom_type"] = ad.slice_cols(logits, 0, 119)
+            out["chirality"] = ad.slice_cols(logits, 119, 119 + 4)
+        elif head == "atom":
+            out["atom_type"] = logits
+        else:
+            out["chirality"] = logits
+    return out
+
+
+def _rec_loss_oracle(logits, x_true, masked, cfg):
+    terms, n_masked = [], 0
+    for name in logits:
+        dim, n_classes = {"atom_type": (0, 119), "chirality": (1, 4)}[name]
+        idx = np.asarray(masked[dim], dtype=np.int64)
+        if idx.size == 0:
+            continue
+        n_masked += idx.size
+        rows = ad.take_rows(logits[name], idx)
+        terms.append(_one_dim_loss(rows, x_true[idx, dim], n_classes, cfg))
+    if not terms:
+        return ad.const(0.0), 0
+    if len(terms) == 1:
+        return terms[0], n_masked
+    if cfg.targets == "both_two_decoders":
+        return (terms[0] + terms[1]) * 0.5, n_masked
+    return terms[0] + terms[1], n_masked
+
+
+def _predict_label_oracle(h_graph, store):
+    z = ad.relu(h_graph @ store["head.w1"] + store["head.b1"])
+    return z @ store["head.w2"] + store["head.b2"]
+
+
+def _bits(t):
+    return t.values.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("learn_epsilon", [False, True], ids=["fixed_eps", "learn_eps"])
+@pytest.mark.parametrize("decoder", ["gnn", "mlp"])
+@pytest.mark.parametrize("targets", list(TARGETS))
+def test_decoders_and_losses_equal_the_decoder_heads_oracle(targets, decoder, learn_epsilon):
+    cfg = EncoderConfig(layers=2, embed_dim=8, decoder=decoder, learn_epsilon=learn_epsilon,
+                        epsilon=0.25)
+    shapes = param_shapes(cfg, targets)
+    assert list(shapes.items()) == list(_param_shapes_oracle(cfg, targets).items())
+    store = init_params(cfg, targets, seed=21)
+    rng, bound = np.random.default_rng(21), 1.0 / np.sqrt(cfg.embed_dim)
+    for name, shape in shapes.items():   # one stream, drawn in the oracle's order
+        if len(shape) == 2:
+            want = rng.uniform(-bound, bound, size=shape)
+            assert np.array_equal(store[name].values.view(np.uint64), want.view(np.uint64))
+
+    rng = np.random.default_rng(5)
+    graphs = [parse("C")] + [random_molgraph(rng, 2, 9) for _ in range(5)]
+    tg = TensorGraph.from_graphs(graphs)
+    x_true = np.concatenate([g.X for g in graphs])
+    masked = (np.flatnonzero(rng.random(tg.n_nodes) < 0.4),
+              np.flatnonzero(rng.random(tg.n_nodes) < 0.3))
+    for kind in ("sce", "ce", "mse"):
+        loss_cfg = LossConfig(rec_kind=kind, targets=targets, gamma=2.0)
+        seen = []
+        for decode, rec, predict in ((decode_attrs, rec_loss, predict_label),
+                                     (_decode_attrs_oracle, _rec_loss_oracle,
+                                      _predict_label_oracle)):
+            h = encode(tg, store, cfg)
+            logits = decode(tg, h, store, cfg, targets)
+            loss, n_masked = rec(logits, x_true, masked, loss_cfg)
+            label = predict(readout(h, "mean", tg.graph_ids, tg.n_graphs), store)
+            store.zero_grad()
+            (loss + ad.tmean(label)).backward()
+            seen.append(([(k, _bits(v)) for k, v in logits.items()], _bits(loss), n_masked,
+                         _bits(label), [(n, store[n].grad.view(np.uint64).tolist())
+                                        for n in store.names() if store[n].grad is not None]))
+        assert seen[0] == seen[1]

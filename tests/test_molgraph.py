@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moama import adjacency, k_hop_neighborhood, parse, ring_bonds
-from moama.molgraph import AtomAttr, MolGraph, relabel
+from moama.molgraph import AtomAttr, MolGraph, relabel, shortest_path_lengths
 
 from conftest import bfs_oracle, random_molgraph, ring_bonds_oracle
 
@@ -106,6 +106,27 @@ def test_k_hop_from_many_sources_is_the_union():
             union = frozenset().union(*(bfs_oracle(g, v, k) for v in sources))
             assert k_hop_neighborhood(g, sources, k) == union
             assert k_hop_neighborhood(g, np.array(sources, dtype=np.int64), k) == union
+
+
+def _level_distances(g, v):
+    """Distances by frontier sets, one hop per round, with no queue."""
+    dist, frontier, hops = {v: 0}, {v}, 0
+    while frontier:
+        hops += 1
+        frontier = {u for w in frontier for u in g.neighbors(w)} - dist.keys()
+        dist.update(dict.fromkeys(frontier, hops))
+    return dist
+
+
+def test_shortest_path_lengths_equal_a_plain_bfs():
+    rng = np.random.default_rng(13)
+    graphs = [random_molgraph(rng, 2, 14) for _ in range(60)]
+    graphs += [parse("C"), MolGraph([AtomAttr(5)] * 5, [(0, 1, "single"), (2, 3, "double")])]
+    for g in graphs:
+        for v in range(g.n_atoms):
+            got = shortest_path_lengths(g, v)
+            assert got == _level_distances(g, v)
+            assert list(got.values()) == sorted(got.values())   # visited nearest first
 
 
 def test_k_hop_rejects_bad_node():

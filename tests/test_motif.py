@@ -18,9 +18,10 @@ from moama import (
     ring_bonds,
 )
 from moama.cli import main
+from moama.datagen import has_carbonyl
 from moama.errors import DataError
 from moama.molgraph import relabel
-from moama.motif import _BOND_MARKS, EnvPattern, _GraphContext, _env_matches
+from moama.motif import _BOND_MARKS, EnvPattern, _GraphContext, _env_matches, carbonyl_carbons
 from moama.smiles import ATOM_CODE
 
 from conftest import random_molgraph
@@ -438,3 +439,41 @@ def test_docs_name_every_bond_mark_and_their_examples_compile():
     assert len(examples) >= 5
     for example in examples:
         EnvPattern.compile(example)
+
+
+# --- reference carbonyl tests -----------------------------------------------
+# The two loops that carbonyl_carbons replaced: _GraphContext's per-atom flags
+# and datagen.has_carbonyl's search for a C=O bond.
+
+def _context_carbonyl_oracle(g):
+    elem = [a.atom_type for a in g.atoms]
+    flags = [False] * g.n_atoms
+    for b in g.bonds:
+        if b.order == "double":
+            for a, o in ((b.u, b.v), (b.v, b.u)):
+                if elem[a] == ATOM_CODE["C"] and elem[o] == ATOM_CODE["O"]:
+                    flags[a] = True
+    return flags
+
+
+def _has_carbonyl_oracle(g):
+    c, o = ATOM_CODE["C"], ATOM_CODE["O"]
+    for b in g.bonds:
+        if b.order == "double":
+            if {g.atoms[b.u].atom_type, g.atoms[b.v].atom_type} == {c, o}:
+                return True
+    return False
+
+
+def test_carbonyl_carbons_equal_the_loops_they_replaced(corpus500):
+    rng = np.random.default_rng(17)
+    graphs = list(corpus500) + [random_molgraph(rng, 2, 16) for _ in range(500)]
+    found = 0
+    for g in graphs:
+        got = carbonyl_carbons(g)
+        flags = _context_carbonyl_oracle(g)
+        assert got == frozenset(v for v, flag in enumerate(flags) if flag)
+        assert [v in _GraphContext(g).carbonyl for v in range(g.n_atoms)] == flags
+        assert has_carbonyl(g) == _has_carbonyl_oracle(g) == bool(got)
+        found += bool(got)
+    assert 0 < found < len(graphs)

@@ -4,7 +4,7 @@ import pytest
 from moama import parse, read_dataset, tokenize
 from moama.errors import DataError, SmilesError
 from moama.molgraph import CHIRALITY_NONE, CHIRALITY_OTHER, CHIRALITY_TET1, CHIRALITY_TET2
-from moama.smiles import ATOM_CODE
+from moama.smiles import ATOM_CODE, _TOKEN_RE
 
 
 def test_single_carbon():
@@ -154,3 +154,16 @@ def test_read_dataset_missing_column(tmp_path):
         read_dataset(p)
     with pytest.raises(DataError):
         read_dataset(tmp_path / "absent.csv")
+
+
+def test_token_kinds_are_the_lexer_group_names():
+    table = [("C", "organic_atom"), ("Cl", "organic_atom"), ("c", "organic_atom"),
+             ("[13C@@H+]", "bracket_atom"), ("=", "bond"), ("/", "bond"),
+             ("(", "branch_open"), (")", "branch_close"), ("1", "ring_closure"),
+             ("%12", "ring_closure"), (".", "dot")]
+    tokens = tokenize("".join(text for text, _ in table))
+    assert [(t.text, t.kind) for t in tokens] == table
+    assert [t.pos for t in tokens] == [0, 1, 3, 4, 13, 14, 15, 16, 17, 18, 21]
+    kinds = {kind for _, kind in table}
+    assert kinds == set(_TOKEN_RE.groupindex)
+    assert all(f"``{kind}``" in tokenize.__doc__ for kind in kinds)

@@ -74,3 +74,57 @@ def test_private_import_check_flags_a_sibling_private_name():
               "from . import _helpers\n"
               "from os import _exit\n")
     assert private_imports(source) == ["_bridge", "_hash", "_helpers"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each underscore-prefixed top-level name (a def, a
+    class or an assignment) that no module of ``sources`` reads, sorted. A
+    read is a loaded name, an attribute or an imported name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in assigned if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            defined += [(module, name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert unread_private_names({p.stem: p.read_text("utf-8") for p in ALL_MODULES}) == []
+
+
+def test_unread_private_name_check_flags_a_leftover_copy():
+    sources = {
+        "a": ("_LIMIT = 3\n"
+              "_OLD_LIMIT: int = 4\n"
+              "__all__ = ['public']\n"
+              "def _helper(x):\n"
+              "    return x < _LIMIT\n"
+              "def _old_helper(x):\n"
+              "    return x\n"
+              "class _Box:\n"
+              "    pass\n"
+              "def public(x):\n"
+              "    _unused_local = 1\n"
+              "    return _helper(x)\n"),
+        "b": ("from . import a\n"
+              "from .a import public\n"
+              "_TABLE = {}\n"
+              "def f():\n"
+              "    return a._Box(), public(1)\n"),
+    }
+    assert unread_private_names(sources) == ["a._OLD_LIMIT", "a._old_helper", "b._TABLE"]

@@ -451,6 +451,28 @@ def test_probe_step_leaves_gradients_only_on_the_head(mode, monkeypatch):
             assert names > head and "enc.0.w1" in names and "enc.1.eps" in names
 
 
+@pytest.mark.parametrize("targets", ["atom_type", "both_two_decoders"])
+@pytest.mark.parametrize("mode", ["probe", "full"])
+def test_finetune_store_holds_no_decoder_and_keeps_the_heads_bits(mode, targets, monkeypatch):
+    stores = []
+    real = ParamStore.adam_step
+
+    def recording(self, *args, **kwargs):
+        stores.append(self.names())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParamStore, "adam_step", recording)
+    graphs, labels = _labeled_task()
+    cfg = replace(_probe_cfg(mode, True), loss=LossConfig(targets=targets))
+    got = finetune_probe(None, graphs, labels, cfg)
+    assert stores
+    for names in stores:
+        assert not [n for n in names if n.startswith("dec.")]
+        assert "head.w1" in names and "enc.1.eps" in names
+    # the head is still drawn after the decoders, so its bits do not move
+    assert got == _finetune_probe_oracle(None, graphs, labels, cfg)
+
+
 def _batch_graph_vectors(graphs, store, cfg, idx):
     tg = TensorGraph.from_graphs([graphs[i] for i in idx])
     h = encode(tg, store, cfg.encoder)
