@@ -12,6 +12,24 @@ canonical order, so its result depends only on the multiset of addends. Only
 segments with three or more addends need sorting by contents: IEEE addition
 is commutative, -0.0 included, so (0 + a) + b == (0 + b) + a bit for bit.
 
+``gin_layer`` is one GIN layer as one tape node, with a hand-written
+backward that keeps the bits of the composed ops it replaced. Its contract:
+
+- the forward evaluates the composed ops' numpy expressions in their order,
+  and its neighbour sum is ``_segment_sum_values``, as ``segment_sum``'s is;
+- the backward replays their accumulations in the order the tape ran them:
+  ``h`` takes ``g * (1 + eps)`` before the ``edge_src`` scatter, the bond rows
+  take theirs through ``_accum`` and a learned ``eps`` the full sum;
+- the composed ops stored each intermediate gradient through ``_accum``,
+  whose ``+ 0.0`` turns a -0.0 into +0.0. The fused backward skips those
+  additions. A zero's sign changes only the signs of zero results
+  downstream, and each gradient that leaves the layer goes through
+  ``_accum``, or a scatter into a gradient ``_accum`` stored, which clears it;
+- its parents are ordered so that ``backward``'s DFS reaches the bond rows
+  before ``h``. Tensors the layer shares with other consumers (the bond rows
+  of every layer, the encoder output that the readout and each decoder read)
+  then take their gradients in the composed tape's order.
+
 Tensors built from parents with ``requires_grad=False`` record no tape, which
 makes pure inference (e.g. influence analysis) allocation-light.
 """
@@ -25,13 +43,17 @@ import numpy as np
 from .errors import NumericsError
 
 
+def _check_finite(v: np.ndarray) -> None:
+    if not np.all(np.isfinite(v)):
+        raise NumericsError("non-finite tensor values")
+
+
 class Tensor:
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backprop")
 
     def __init__(self, values, requires_grad=False, _parents=(), _backprop=None):
         v = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise NumericsError("non-finite tensor values")
+        _check_finite(v)
         self.values = v
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
@@ -315,8 +337,8 @@ def _canonical_order(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.argsort(keys.view(f"S{keys.shape[1] * 8}").ravel(), kind="stable")
 
 
-def segment_sum(a, segments, n_segments: int) -> Tensor:
-    """out[s] = sum of rows i with segments[i] == s, in canonical row order.
+def _segment_sum_values(vals: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
+    """out[s] = sum of rows i with seg[i] == s, in canonical row order.
 
     Each segment accumulates from +0.0, one addend at a time
     (``_scatter_add``). Rows of 2-D (and wider) inputs follow
@@ -324,9 +346,6 @@ def segment_sum(a, segments, n_segments: int) -> Tensor:
     keep their given order. Segments of at most two rows skip the content
     sort, which cannot change their sum (see the module docstring).
     """
-    a = _lift(a)
-    seg = np.asarray(segments, dtype=np.int64)
-    vals = a.values
     out_vals = np.zeros((n_segments,) + vals.shape[1:], dtype=np.float64)
     order = np.arange(seg.size)
     if vals.ndim >= 2:
@@ -335,11 +354,92 @@ def segment_sum(a, segments, n_segments: int) -> Tensor:
             rows = order[big]
             order[big] = rows[_canonical_order(seg[rows], vals[rows])]
     _scatter_add(out_vals, seg[order], vals[order])
+    return out_vals
+
+
+def segment_sum(a, segments, n_segments: int) -> Tensor:
+    """Per-segment sums of ``a``'s rows (``_segment_sum_values``)."""
+    a = _lift(a)
+    seg = np.asarray(segments, dtype=np.int64)
 
     def back(g):
         _accum(a, g[seg])
 
-    return Tensor(out_vals, _parents=(a,), _backprop=back)
+    return Tensor(_segment_sum_values(a.values, seg, n_segments), _parents=(a,), _backprop=back)
+
+
+def gin_layer(h, bond_embed, edge_src, edge_dst, n_nodes: int, eps, w1, b1, w2, b2,
+              relu_out: bool) -> Tensor:
+    """One GIN layer as one tape node:
+    ``w2 . relu(w1 . ((1 + eps) h + sum_{src -> dst} (h[src] + bond)) + b1) + b2``,
+    rectified once more when ``relu_out``.
+
+    ``bond_embed`` holds one row per edge (None when there are none) and
+    ``eps`` is a float or a 0-d tensor. The forward evaluates the numpy
+    expressions of the composed ops (take_rows, add, segment_sum, mul, add,
+    matmul, add, relu, matmul, add, relu) in their order, so every value keeps
+    its bits, and checks the messages, z, the pre-activation and the output for
+    finiteness: a non-finite value in any composed tensor reaches one of them.
+    The backward replays the composed ops' accumulations (see the module
+    docstring). With no input that requires a gradient, each intermediate is
+    dropped as soon as the next step has used it.
+    """
+    h, w1, b1, w2, b2 = (_lift(t) for t in (h, w1, b1, w2, b2))
+    learned = isinstance(eps, Tensor)
+    scale = eps.values + 1.0 if learned else 1.0 + eps
+    # bond before h on the stack's top: ``backward``'s DFS reaches the shared
+    # bond rows first, as it did through the composed ops
+    parents = ((h,) + ((bond_embed,) if edge_src.size else ()) + ((eps,) if learned else ())
+               + (w1, b1, w2, b2))
+    tape = any(p.requires_grad for p in parents)
+
+    hv = h.values
+    if edge_src.size:
+        messages = hv[edge_src]
+        messages += bond_embed.values
+        _check_finite(messages)
+        agg = _segment_sum_values(messages, edge_dst, n_nodes)
+        del messages
+        z = hv * scale
+        z += agg
+        del agg
+    else:
+        z = hv * scale
+    _check_finite(z)
+    hidden = z @ w1.values
+    if not tape:
+        z = None
+    hidden += b1.values
+    _check_finite(hidden)
+    hidden *= hidden > 0.0
+    out = hidden @ w2.values
+    out += b2.values
+    if relu_out:
+        _check_finite(out)
+        out *= out > 0.0
+    if not tape:
+        return Tensor(out)
+
+    def back(g):
+        if relu_out:
+            g = g * (out > 0.0)
+        _accum(b2, _unbroadcast(g, b2.values.shape))
+        _accum(w2, hidden.T @ g)
+        g_hidden = g @ w2.values.T
+        g_hidden *= hidden > 0.0
+        _accum(b1, _unbroadcast(g_hidden, b1.values.shape))
+        _accum(w1, z.T @ g_hidden)
+        g_z = g_hidden @ w1.values.T
+        _accum(h, g_z * scale)          # before the edge_src scatter below
+        if learned:
+            _accum(eps, _unbroadcast(g_z * hv, ()))
+        if edge_src.size:
+            g_msg = g_z[edge_dst]
+            _accum(bond_embed, g_msg)
+            if h.requires_grad:
+                _scatter_add(h.grad, edge_src, g_msg)
+
+    return Tensor(out, _parents=parents, _backprop=back)
 
 
 def segment_max(a, segments, n_segments: int) -> Tensor:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .molgraph import BOND_ORDER_INDEX, MolGraph
 
 _MASK64 = (1 << 64) - 1
@@ -115,3 +117,26 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     if union == 0:
         return 1.0
     return (a.bits & b.bits).bit_count() / union
+
+
+def tanimoto_matrix(fps) -> np.ndarray:
+    """``tanimoto(fps[i], fps[j])`` for every pair, bit for bit, as an (n, n)
+    array.
+
+    One product of the 0/1 bit matrices counts every intersection. Its
+    addends are 0 and 1 and every partial sum is an integer below 2**53, so
+    the float64 counts are exact in any summation order, and ``inter / union``
+    is the correctly rounded quotient that Python's int division gives.
+    """
+    for fp in fps:
+        if fp.width != fps[0].width:
+            raise ValueError(f"fingerprint width mismatch: {fps[0].width} != {fp.width}")
+    n_bytes = (max(fp.bits.bit_length() for fp in fps) + 7) // 8
+    raw = b"".join(fp.bits.to_bytes(n_bytes, "little") for fp in fps)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(fps), n_bytes),
+                         axis=1).astype(np.float64)
+    inter = bits @ bits.T
+    counts = np.diagonal(inter)
+    union = counts[:, None] + counts[None, :] - inter
+    empty = union == 0
+    return np.where(empty, 1.0, inter / np.where(empty, 1.0, union))

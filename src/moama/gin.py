@@ -9,7 +9,9 @@ and runs stay bit-reproducible.
 Layer update, for layer weights (w1, b1, w2, b2) and scalar eps:
     h_v <- w2 . relu(w1 . ((1 + eps) h_v + sum_{u in N(v)} (h_u + bond_emb))
            + b1) + b2
-with an extra rectifier between layers except after the last.
+with an extra rectifier between layers except after the last. Each layer,
+that rectifier included, is one tape node (``autodiff.gin_layer``), in the
+encoder and in the gnn decoder alike.
 """
 
 from __future__ import annotations
@@ -241,15 +243,11 @@ def _epsilon(store: ParamStore, cfg: EncoderConfig, name: str):
     return cfg.epsilon
 
 
-def _gin_layer(h: Tensor, tg: TensorGraph, store: ParamStore,
-               cfg: EncoderConfig, prefix: str, bond_embed: Tensor) -> Tensor:
-    if tg.edge_src.size:
-        messages = ad.take_rows(h, tg.edge_src) + bond_embed
-        agg = ad.segment_sum(messages, tg.edge_dst, tg.n_nodes)
-        z = h * (1.0 + _epsilon(store, cfg, prefix)) + agg
-    else:
-        z = h * (1.0 + _epsilon(store, cfg, prefix))
-    return _mlp(z, store, prefix)
+def _gin_layer(h: Tensor, tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
+               prefix: str, bond_embed: Tensor | None, relu_out: bool = False) -> Tensor:
+    w1, b1, w2, b2 = (store[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
+    return ad.gin_layer(h, bond_embed, tg.edge_src, tg.edge_dst, tg.n_nodes,
+                        _epsilon(store, cfg, prefix), w1, b1, w2, b2, relu_out)
 
 
 def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
@@ -281,9 +279,7 @@ def encode(tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
         h = h * ad.const(keep)
     bond_embed = _bond_embedding(tg, store)
     for layer in range(cfg.layers):
-        h = _gin_layer(h, tg, store, cfg, f"enc.{layer}", bond_embed)
-        if layer < cfg.layers - 1:
-            h = ad.relu(h)
+        h = _gin_layer(h, tg, store, cfg, f"enc.{layer}", bond_embed, layer < cfg.layers - 1)
     return h
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .fingerprint import tanimoto
+from .fingerprint import tanimoto_matrix
 from .gin import ATTRIBUTES, TARGETS
 
 _NORM_FLOOR = 1e-24   # smooths the cosine at an all-zero row
@@ -109,8 +109,7 @@ def aux_loss(h_graphs: Tensor, fingerprints, cfg: LossConfig) -> tuple[Tensor, i
     if n < 2:
         return ad.const(0.0), 0
     ii, jj = np.triu_indices(n, k=1)
-    sims = np.array([tanimoto(fingerprints[i], fingerprints[j])
-                     for i, j in zip(ii, jj)])
+    sims = tanimoto_matrix(fingerprints)[ii, jj]
     a = ad.take_rows(h_graphs, ii)
     b = ad.take_rows(h_graphs, jj)
     dots = ad.tsum(a * b, axis=1)

@@ -202,6 +202,7 @@ def load_rules(path=None) -> RuleTable:
             raise DataError(f"cannot read rule file {path}: {e}") from e
 
     rules = []
+    envs: dict[str, EnvPattern] = {}   # each expression text compiled once, shared by its rules
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -219,8 +220,10 @@ def load_rules(path=None) -> RuleTable:
         if order not in BOND_ORDERS:
             raise DataError(f"{origin}:{lineno}: unknown bond order {order!r}")
         try:
-            rules.append(BricsRule(rid, EnvPattern.compile(left), EnvPattern.compile(right),
-                                   order))
+            for expr in (left, right):
+                if expr not in envs:
+                    envs[expr] = EnvPattern.compile(expr)
+            rules.append(BricsRule(rid, envs[left], envs[right], order))
         except DataError as e:
             raise DataError(f"{origin}:{lineno}: {e}") from e
     if not rules:

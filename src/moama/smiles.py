@@ -302,7 +302,9 @@ def read_dataset(path, label: str | None = None) -> Dataset:
             try:
                 value = float(cell) if cell else float("nan")
             except ValueError as e:
-                raise DataError(f"row {row_idx}: label {label}={cell!r} is not numeric") from e
+                # line_num: the file lines read so far, this row's last line included
+                raise DataError(f"dataset {path} at line {reader.line_num}: label "
+                                f"{label}={cell!r} is not numeric") from e
             records.append(DatasetRecord(smi, graph, value))
     except csv.Error as e:  # a field over csv's size limit; line_num counts the lines before it
         raise DataError(f"cannot read dataset {path} at line {reader.line_num + 1}: {e}") from e

@@ -104,6 +104,13 @@ def encode_oracle(g: MolGraph, store, cfg: EncoderConfig, zero_node=None,
     return h
 
 
+def bits(x) -> tuple:
+    """(shape, uint64 words) of a float64 array or of a tensor's values. Two
+    are equal exactly when they hold the same bits, so -0.0 differs from 0.0."""
+    a = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    return a.shape, a.view(np.uint64).tolist()
+
+
 def auc_oracle(scores, labels) -> float:
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)

@@ -10,7 +10,7 @@ from moama.gin import EncoderConfig
 from moama.smiles import parse
 from moama.train import RunConfig, pretrain, save_checkpoint
 
-from conftest import fd_gradient
+from conftest import bits, fd_gradient
 
 
 def _fd_check(build, arrays, rng, n_probes=6, rel=1e-5, atol=1e-8):
@@ -138,10 +138,6 @@ _KEY_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.5, 1e-17, -1e16, 1e16
                         5e-324, -5e-324, 1.7e308, -1.7e308])
 
 
-def _bits_equal(got, want):
-    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), width=st.integers(1, 33),
        n_segments=st.integers(1, 4), relu=st.booleans(), duplicates=st.booleans())
@@ -179,7 +175,7 @@ def test_take_rows_grad_bitwise_matches_add_at(seed, n_rows, n_idx, width, high,
         x.grad = np.asfortranarray(want) if start == "fortran" else want.copy()
     np.add.at(want, idx, g)
     out._backprop(g)
-    assert _bits_equal(x.grad, want)
+    assert bits(x.grad) == bits(want)
 
 
 def test_first_gradient_is_zeros_plus_g_and_stays_an_array():
@@ -187,7 +183,7 @@ def test_first_gradient_is_zeros_plus_g_and_stays_an_array():
     got, want = ad.parameter(np.ones((2, 3))), ad.parameter(np.ones((2, 3)))
     ad._accum(got, g)
     _accum_reference(want, g)
-    assert _bits_equal(got.grad, want.grad)     # -0.0 + 0.0 is +0.0
+    assert bits(got.grad) == bits(want.grad)     # -0.0 + 0.0 is +0.0
     eps = ad.parameter(np.array(0.25))          # a learned epsilon's 0-d gradient
     ad._accum(eps, np.array(-0.0))
     assert isinstance(eps.grad, np.ndarray) and eps.grad.shape == ()

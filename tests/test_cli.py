@@ -524,6 +524,16 @@ def test_dataset_cell_over_the_csv_field_limit_is_a_data_error(tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_non_numeric_label_names_the_file_and_its_line(tmp_path, capsys):
+    data = tmp_path / "labels.csv"
+    data.write_text("smiles,label\nCCO,1\nCCN,x\nCCC,0\n")
+    out = tmp_path / "out"
+    assert main(["finetune", "--out", str(out), "--set", f"data.input={data}", *_SMALL]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: dataset {data} at line 3: label label='x' is not numeric\n"
+    assert not (out / "auc_report.csv").exists()
+
+
 def test_pretrain_on_only_unparseable_smiles_is_a_data_error(tmp_path, capsys):
     data = tmp_path / "unparseable.csv"
     data.write_text("smiles\nC1CC\nnot-a-smiles\n(((\n")

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moama import morgan_fingerprint, parse, tanimoto
-from moama.fingerprint import Fingerprint, FingerprintConfig, hash_ints, refine
+from moama.fingerprint import Fingerprint, FingerprintConfig, hash_ints, refine, tanimoto_matrix
 from moama.molgraph import BOND_ORDER_INDEX, relabel
+
+from conftest import bits
 
 
 def _fp_from_bits(on_bits, width=256):
@@ -80,6 +82,25 @@ def test_tanimoto_matches_set_oracle(sa, sb):
     assert got == expected
     assert got == tanimoto(b, a)
     assert 0.0 <= got <= 1.0
+
+
+@given(st.lists(st.sets(st.integers(0, 255), max_size=60), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_tanimoto_matrix_is_the_pair_loop_bit_for_bit(sets):
+    fps = [_fp_from_bits(s) for s in sets] + [_fp_from_bits([])] * 2
+    want = np.array([[tanimoto(a, b) for b in fps] for a in fps])
+    assert bits(tanimoto_matrix(fps)) == bits(want)
+
+
+def test_tanimoto_matrix_of_datagen_fingerprints_and_its_edge_cases():
+    from moama.datagen import generate_corpus
+
+    fps = [morgan_fingerprint(parse(s)) for s in generate_corpus(40, seed=1)]
+    want = np.array([[tanimoto(a, b) for b in fps] for a in fps])
+    assert bits(tanimoto_matrix(fps)) == bits(want)
+    assert tanimoto_matrix([_fp_from_bits([]), _fp_from_bits([])]).tolist() == [[1.0, 1.0]] * 2
+    with pytest.raises(ValueError, match="width mismatch: 256 != 128"):
+        tanimoto_matrix([_fp_from_bits([1]), _fp_from_bits([1]), _fp_from_bits([1], width=128)])
 
 
 def test_hex_round_trip():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moama import autodiff as ad
-from moama import parse
+from moama import gin, parse
+from moama.errors import NumericsError
+from moama.fingerprint import morgan_fingerprint
 from moama.gin import (
     TARGETS,
     EncoderConfig,
@@ -20,11 +22,11 @@ from moama.gin import (
     readout,
     single,
 )
-from moama.loss import LossConfig, _one_dim_loss, rec_loss
+from moama.loss import LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
 from moama.masking import MaskPlan, apply_mask
 from moama.molgraph import BOND_ORDER_INDEX, AtomAttr, MolGraph, relabel, shortest_path_lengths
 
-from conftest import encode_oracle, random_molgraph
+from conftest import bits, encode_oracle, random_molgraph
 
 
 def _zeroed(store: ParamStore) -> ParamStore:
@@ -503,10 +505,6 @@ def _predict_label_oracle(h_graph, store):
     return z @ store["head.w2"] + store["head.b2"]
 
 
-def _bits(t):
-    return t.values.view(np.uint64).tolist()
-
-
 @pytest.mark.parametrize("learn_epsilon", [False, True], ids=["fixed_eps", "learn_eps"])
 @pytest.mark.parametrize("decoder", ["gnn", "mlp"])
 @pytest.mark.parametrize("targets", list(TARGETS))
@@ -540,7 +538,140 @@ def test_decoders_and_losses_equal_the_decoder_heads_oracle(targets, decoder, le
             label = predict(readout(h, "mean", tg.graph_ids, tg.n_graphs), store)
             store.zero_grad()
             (loss + ad.tmean(label)).backward()
-            seen.append(([(k, _bits(v)) for k, v in logits.items()], _bits(loss), n_masked,
-                         _bits(label), [(n, store[n].grad.view(np.uint64).tolist())
-                                        for n in store.names() if store[n].grad is not None]))
+            seen.append(([(k, bits(v)) for k, v in logits.items()], bits(loss), n_masked,
+                         bits(label), [(n, bits(store[n].grad))
+                                       for n in store.names() if store[n].grad is not None]))
         assert seen[0] == seen[1]
+
+
+# --- reference GIN layer ----------------------------------------------------
+# The composed layer that ``ad.gin_layer`` fused into one tape node: one node
+# per op, with the rectifier between layers as a node of its own. Kept as the
+# oracle for the fused op's values and its gradients' bits.
+
+def _gin_layer_oracle(h, tg, store, cfg, prefix, bond_embed, relu_out=False):
+    eps = store[f"{prefix}.eps"] if cfg.learn_epsilon else cfg.epsilon
+    if tg.edge_src.size:
+        messages = ad.take_rows(h, tg.edge_src) + bond_embed
+        agg = ad.segment_sum(messages, tg.edge_dst, tg.n_nodes)
+        z = h * (1.0 + eps) + agg
+    else:
+        z = h * (1.0 + eps)
+    z = ad.relu(z @ store[f"{prefix}.w1"] + store[f"{prefix}.b1"])
+    out = z @ store[f"{prefix}.w2"] + store[f"{prefix}.b2"]
+    return ad.relu(out) if relu_out else out
+
+
+def _training_step_bits(graphs, store, cfg, targets, beta, zero_nodes=()):
+    """Bits of H, the logits, the loss and every gradient of one pretrain-like
+    step: decoders and (when beta < 1) the readout's aux loss all read H."""
+    tg = TensorGraph.from_graphs(graphs)
+    rng = np.random.default_rng(tg.n_nodes)
+    masked = (np.flatnonzero(rng.random(tg.n_nodes) < 0.5),
+              np.flatnonzero(rng.random(tg.n_nodes) < 0.5))
+    loss_cfg = LossConfig(targets=targets, beta=beta)
+    h = encode(tg, store, cfg, zero_nodes)
+    logits = decode_attrs(tg, h, store, cfg, targets)
+    l_rec, _ = rec_loss(logits, np.concatenate([g.X for g in graphs]), masked, loss_cfg)
+    l_aux = None
+    if beta < 1.0:
+        l_aux, _ = aux_loss(readout(h, cfg.readout, tg.graph_ids, tg.n_graphs),
+                            [morgan_fingerprint(g) for g in graphs], loss_cfg)
+    total = total_loss(l_rec, l_aux, beta)
+    store.zero_grad()
+    total.backward()
+    return (bits(h), [(k, bits(v)) for k, v in logits.items()], bits(total),
+            [(n, None if store[n].grad is None else bits(store[n].grad)) for n in store.names()])
+
+
+def _batches():
+    rng = np.random.default_rng(31)
+    mixed = [parse("C"), parse("CC(=O)Nc1ccncc1")] + [random_molgraph(rng, 2, 10) for _ in range(4)]
+    bondless = [parse("C"), parse("O"), _bondless_molgraph(rng)]
+    return {"mixed": mixed, "bondless": bondless}
+
+
+@pytest.mark.parametrize("learn_epsilon", [False, True], ids=["fixed_eps", "learn_eps"])
+@pytest.mark.parametrize("width", [8, 32, 76])
+def test_fused_layer_keeps_the_composed_layers_bits(monkeypatch, width, learn_epsilon):
+    cfg = EncoderConfig(layers=3, embed_dim=width, learn_epsilon=learn_epsilon, epsilon=0.3)
+    batches = _batches()
+    cases = [("mixed", "both_two_decoders", 0.5, ()),    # H read by two decoders and readout
+             ("mixed", "atom_type", 1.0, (0, 3, 7)),     # zeroed nodes, rec loss only
+             ("bondless", "both_one_decoder", 0.5, ()),
+             ("bondless", "chirality", 1.0, (1,))]
+    for batch, targets, beta, zero_nodes in cases:
+        seen = []
+        for layer in (None, _gin_layer_oracle):
+            store = init_params(cfg, targets, seed=width)
+            with monkeypatch.context() as m:
+                if layer is not None:
+                    m.setattr(gin, "_gin_layer", layer)
+                seen.append(_training_step_bits(batches[batch], store, cfg, targets, beta,
+                                                zero_nodes))
+        assert seen[0] == seen[1], (batch, targets)
+        trained = [n for n, g in seen[0][3] if g is not None]
+        assert {n for n in store.names() if n.startswith(("embed.", "enc."))} - set(trained) == (
+            {"embed.bond"} if batch == "bondless" else set())
+
+
+def test_fused_layer_input_gradients_match_the_composed_ops():
+    # h and the bond rows as parameters with a second consumer each, read
+    # before and after the layer; the incoming gradient holds zero rows
+    rng = np.random.default_rng(9)
+    g = random_molgraph(rng, 6, 10)
+    tg = single(g)
+    cfg = EncoderConfig(layers=1, embed_dim=8, learn_epsilon=True, epsilon=-0.2)
+    store = init_params(cfg, seed=9)
+    h0 = rng.normal(size=(tg.n_nodes, 8))
+    bond0 = rng.normal(size=(tg.edge_src.size, 8))
+    coef = rng.choice([-1.0, 0.0, -0.0, 2.0], size=(tg.n_nodes, 8))
+    coef[1] = -0.0
+    seen = []
+    for layer in (gin._gin_layer, _gin_layer_oracle):
+        h, bond = ad.parameter(h0.copy()), ad.parameter(bond0.copy())
+        store.zero_grad()
+        out = layer(h, tg, store, cfg, "enc.0", bond, True)
+        loss = ad.tsum(out * ad.const(coef)) + ad.tsum(h * h) + ad.tsum(bond * 2.0)
+        loss.backward()
+        seen.append([bits(out), bits(h.grad), bits(bond.grad)]
+                    + [bits(store[n].grad) for n in store.names() if n.startswith("enc.")])
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("huge", [{"embed.atom": 1e10, "enc.0.w1": 1e300},      # pre-activation
+                                  {"embed.atom": 1e308, "embed.bond": 1e308},    # messages
+                                  {"embed.atom": 1e10, "enc.0.eps": 1e308},      # z
+                                  {"embed.atom": 1e10, "enc.0.w2": 1e300}],      # output
+                         ids=["w1", "messages", "eps", "w2"])
+def test_overflow_inside_the_fused_layer_raises_numerics_error(monkeypatch, huge):
+    cfg = EncoderConfig(layers=2, embed_dim=8, learn_epsilon=True)
+    tg = single(parse("CC(=O)Nc1ccncc1"))
+    for layer in (gin._gin_layer, _gin_layer_oracle):
+        store = init_params(cfg, seed=3)
+        for name, value in huge.items():
+            store[name].values = np.full_like(store[name].values, value)
+        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+            m.setattr(gin, "_gin_layer", layer)
+            with pytest.raises(NumericsError):
+                encode(tg, store, cfg)
+
+
+@pytest.mark.parametrize("zero_nodes", [(), (1,)])
+def test_encode_records_one_tape_node_per_layer(zero_nodes):
+    cfg = EncoderConfig(layers=4, embed_dim=8)
+    store = init_params(cfg, seed=4)
+    h = encode(single(parse("CC(=O)Nc1ccncc1")), store, cfg, zero_nodes)
+    nodes, stack = {}, [h]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    ops = [t for t in nodes.values() if t._backprop is not None]
+    # two embedding lookups and their sum, the bond lookup, the zeroing
+    # product, and one node per layer
+    assert len(ops) == 4 + bool(zero_nodes) + cfg.layers
+    for layer in range(cfg.layers):
+        readers = [t for t in ops if any(p is store[f"enc.{layer}.w1"] for p in t._parents)]
+        assert len(readers) == 1

@@ -175,6 +175,15 @@ def test_rule_file_loads_and_validates(tmp_path):
         load_rules(bad_pred)
 
 
+def test_rules_share_one_pattern_per_expression_text():
+    rules = load_rules()
+    sides = [e for r in rules for e in (r.left, r.right)]
+    patterns = {id(e): e for e in sides}
+    assert len(sides) == 92 and len(patterns) == 15
+    assert sorted(e.expr for e in patterns.values()) == sorted({e.expr for e in sides})
+    assert all(rules.envs[e.expr] is e for e in sides)
+
+
 def test_env_grammar_predicates():
     g = parse("CC(=O)Oc1ccccc1")
     ctx = _GraphContext(g)
