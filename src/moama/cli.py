@@ -10,16 +10,15 @@ Exit codes: 1 config error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, build_section, effective_config, format_effective, parse_config_file
-from .errors import ConfigError, DataError, NumericsError, write_output
+from .errors import ConfigError, DataError, NumericsError, csv_text, write_output
 from .fingerprint import morgan_fingerprint
 from .influence import analyze_dataset
 from .masking import build_plan, plan_rng
@@ -67,12 +66,6 @@ def _output_paths(command: str, run: RunConfig, out_dir: Path) -> dict[str, Path
     return {"config": out_dir / f"effective-config.{command}", **paths}
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])
-    return buf.getvalue()
-
-
 def cmd_decompose(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
     rules = run.motif.rule_table()
@@ -81,7 +74,7 @@ def cmd_decompose(run: RunConfig, cfg, out: dict[str, Path]) -> None:
         dec = decompose(rec.graph, rules)
         sizes = "|".join(str(m.size) for m in dec.motifs)
         rows.append([rec.smiles, dec.n_motifs, sizes, len(dec.cut_edges)])
-    write_output(out["motifs"], _csv_text(["smiles", "n_motifs", "motif_sizes", "cut_edges"], rows))
+    write_output(out["motifs"], csv_text(["smiles", "n_motifs", "motif_sizes", "cut_edges"], rows))
     print(f"decomposed {len(rows)} molecules ({data.skipped} rows skipped)")
 
 
@@ -100,7 +93,7 @@ def cmd_mask_preview(run: RunConfig, cfg, out: dict[str, Path]) -> None:
             "|".join(map(str, plan.masked_nodes[0])),
             "|".join(map(str, plan.masked_nodes[1])),
         ])
-    write_output(out["plans"], _csv_text(
+    write_output(out["plans"], csv_text(
         ["smiles", "feasible", "realized_alpha", "selected_motifs",
          "masked_atom_type", "masked_chirality"], rows))
     print(f"planned masks for {len(rows)} molecules")
@@ -134,7 +127,7 @@ def cmd_finetune(run: RunConfig, cfg, out: dict[str, Path]) -> None:
             print(f"using encoder settings from checkpoint: {enc}")
             run = replace(run, encoder=enc)
     report = finetune_probe(pretrained, graphs, labels, run)
-    write_output(out["report"], _csv_text(
+    write_output(out["report"], csv_text(
         ["test_auc", "valid_auc", "best_epoch", "mode", "train", "valid", "test"],
         [[repr(report.test_auc), repr(report.valid_auc), report.best_epoch,
           report.mode, *report.split_sizes]]))
@@ -152,20 +145,20 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     graphs = data.graphs()[:run.influence.max_graphs or None]   # 0 = all
     decomps = [decompose(g, rules) for g in graphs]
     report = analyze_dataset(graphs, decomps, ckpt.store, enc, run.influence)
-    write_output(out["nodes"], _csv_text(
+    write_output(out["nodes"], csv_text(
         ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],
         [[r.graph_index, r.node, r.n_motifs,
           "" if r.intra is None else repr(r.intra),
           "" if r.inter is None else repr(r.inter),
           "" if r.rank is None else r.rank,
           int(r.truncated)] for r in report.nodes]))
-    write_output(out["summary"], _csv_text(
+    write_output(out["summary"], csv_text(
         ["inf_ratio_node", "inf_ratio_graph", "mrr_node", "mrr_graph",
          "mrr_motif", "top_k", "inter_mode", "excluded_nodes"],
         [[repr(report.inf_ratio_node), repr(report.inf_ratio_graph),
           repr(report.mrr_node), repr(report.mrr_graph), repr(report.mrr_motif),
           report.top_k, report.inter_mode, report.excluded_nodes]]))
-    write_output(out["mrr"], _csv_text(["n", "score", "graph_count"], [
+    write_output(out["mrr"], csv_text(["n", "score", "graph_count"], [
         [n, repr(score), count] for n, score, count in report.mrr_inter]))
     print(f"influence report over {len(graphs)} molecules -> {out['nodes'].parent}")
 
@@ -174,7 +167,7 @@ def cmd_fingerprint(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
     rows = [[rec.smiles, morgan_fingerprint(rec.graph, run.fp).to_hex()]
             for rec in data.records]
-    write_output(out["fingerprints"], _csv_text(["smiles", "fingerprint_hex"], rows))
+    write_output(out["fingerprints"], csv_text(["smiles", "fingerprint_hex"], rows))
     print(f"fingerprinted {len(rows)} molecules")
 
 
@@ -211,7 +204,11 @@ def main(argv=None) -> int:
         effective = format_effective(cfg)
         write_output(out["config"], effective, "config")
         sys.stdout.write(effective)
-        COMMANDS[args.command][0](run, cfg, out)
+        # numpy's RuntimeWarnings and library warnings would print more than the one
+        # line below on stderr; neither filter changes a computed bit
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            COMMANDS[args.command][0](run, cfg, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 from .fingerprint import FingerprintConfig
 from .gin import EncoderConfig
 from .influence import InfluenceConfig
@@ -124,10 +123,7 @@ def build_section(cls, section: str, values):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text("utf-8")
-    except (OSError, ValueError) as e:  # ValueError: a NUL or bad UTF-8
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+    text = read_input(path, "config", ConfigError)
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

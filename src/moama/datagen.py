@@ -9,10 +9,10 @@ the molecule contains a carbonyl carbon.
 
 from __future__ import annotations
 
-import csv
 import random
 from pathlib import Path
 
+from .errors import csv_text, write_output
 from .molgraph import MolGraph
 from .motif import carbonyl_carbons
 
@@ -71,16 +71,7 @@ def write_corpus_csv(path, n: int, seed: int = 0, labeled: bool = False) -> None
     """Write a dataset CSV; the label column marks carbonyl presence."""
     from .smiles import parse
 
-    rows = generate_corpus(n, seed, balanced_labels=labeled)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if labeled:
-            writer.writerow(["smiles", "label"])
-            for smi in rows:
-                writer.writerow([smi, int(has_carbonyl(parse(smi)))])
-        else:
-            writer.writerow(["smiles"])
-            for smi in rows:
-                writer.writerow([smi])
+    rows = [[smi, int(has_carbonyl(parse(smi)))] if labeled else [smi]
+            for smi in generate_corpus(n, seed, balanced_labels=labeled)]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_output(path, csv_text(["smiles", "label"] if labeled else ["smiles"], rows))

@@ -51,16 +51,20 @@ class LossConfig:
             raise ValueError(f"aux_form must be one of {', '.join(AUX_FORMS)}")
 
 
+def _cosine(a: Tensor, b: Tensor) -> Tensor:
+    """Row-wise cosine of ``a`` and ``b``, its norms floored at an all-zero row."""
+    return ad.tsum(a * b, axis=1) / (ad.sqrt(ad.tsum(a * a, axis=1) + _NORM_FLOOR)
+                                     * ad.sqrt(ad.tsum(b * b, axis=1) + _NORM_FLOOR) + _COS_EPS)
+
+
 def _one_dim_loss(rows: Tensor, target_codes: np.ndarray, n_classes: int,
                   cfg: LossConfig) -> Tensor:
     onehot = np.zeros((len(target_codes), n_classes))
     onehot[np.arange(len(target_codes)), target_codes] = 1.0
     target = ad.const(onehot)
     if cfg.rec_kind == "sce":
-        dot = ad.tsum(rows * target, axis=1)
-        norm = ad.sqrt(ad.tsum(rows * rows, axis=1) + _NORM_FLOOR)
-        cos = dot / (norm + _COS_EPS)
-        return ad.tmean((1.0 - cos) ** cfg.gamma)
+        # the one-hot target's norm is sqrt(1 + 1e-24) == 1.0, so its product is exact
+        return ad.tmean((1.0 - _cosine(rows, target)) ** cfg.gamma)
     log_p = ad.log_softmax(rows)
     if cfg.rec_kind == "ce":
         picked = ad.tsum(log_p * target, axis=1)
@@ -110,13 +114,7 @@ def aux_loss(h_graphs: Tensor, fingerprints, cfg: LossConfig) -> tuple[Tensor, i
         return ad.const(0.0), 0
     ii, jj = np.triu_indices(n, k=1)
     sims = tanimoto_matrix(fingerprints)[ii, jj]
-    a = ad.take_rows(h_graphs, ii)
-    b = ad.take_rows(h_graphs, jj)
-    dots = ad.tsum(a * b, axis=1)
-    na = ad.sqrt(ad.tsum(a * a, axis=1) + _NORM_FLOOR)
-    nb = ad.sqrt(ad.tsum(b * b, axis=1) + _NORM_FLOOR)
-    cos = dots / (na * nb + _COS_EPS)
-    diff = ad.const(sims) - cos
+    diff = ad.const(sims) - _cosine(ad.take_rows(h_graphs, ii), ad.take_rows(h_graphs, jj))
     if cfg.aux_form == "squared":
         diff = diff ** 2.0
     return ad.tmean(diff), len(ii)

@@ -20,9 +20,8 @@ import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_input
 from .molgraph import BOND_ORDERS, MolGraph
 from .smiles import ATOM_CODE
 
@@ -191,15 +190,10 @@ class MotifConfig:
 
 def load_rules(path=None) -> RuleTable:
     """Load a rule table; the bundled default when ``path`` is None."""
+    origin = "bundled rules" if path is None else str(path)
     if path is None:
-        text = resources.files("moama").joinpath("rules/brics.tsv").read_text("utf-8")
-        origin = "bundled rules"
-    else:
-        origin = str(path)
-        try:
-            text = Path(path).read_text("utf-8")
-        except (OSError, ValueError) as e:  # ValueError: a NUL or bad UTF-8
-            raise DataError(f"cannot read rule file {path}: {e}") from e
+        path = resources.files("moama") / "rules" / "brics.tsv"
+    text = read_input(path, "rule file")
 
     rules = []
     envs: dict[str, EnvPattern] = {}   # each expression text compiled once, shared by its rules

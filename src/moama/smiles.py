@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, SmilesError
+from .errors import DataError, SmilesError, read_input
 from .molgraph import (
     CHIRALITY_NONE,
     CHIRALITY_OTHER,
@@ -277,12 +277,7 @@ def read_dataset(path, label: str | None = None) -> Dataset:
     matches file order. Empty label cells become NaN (missing).
     """
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError) as e:  # ValueError: a NUL in the path or bad UTF-8
-        raise DataError(f"cannot read dataset {path}: {e}") from e
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_input(path, "dataset"), newline=""))
     try:
         if reader.fieldnames is None or "smiles" not in reader.fieldnames:
             raise DataError(f"dataset {path} is missing a 'smiles' column")

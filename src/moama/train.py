@@ -19,13 +19,12 @@ import json
 import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig, build_section
-from .errors import ConfigError, DataError, write_output
+from .errors import ConfigError, DataError, read_input, write_output
 from .fingerprint import hash_ints, morgan_fingerprint, refine
 from .gin import (
     EncoderConfig,
@@ -120,10 +119,7 @@ def save_checkpoint(path, store: ParamStore, config: dict[str, str],
 
 
 def load_checkpoint(path) -> Checkpoint:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from e
+    data = read_input(path, "checkpoint", text=False)
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
     try:
@@ -364,16 +360,10 @@ def auc_score(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j < len(scores) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
+    # a run of tied scores takes its mean 1-based rank, a half-integer
+    _, run, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = 0.5 * (ends - counts + 1 + ends)[run]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -350,6 +350,25 @@ def test_pretrain_uses_the_configured_rules_and_fingerprint(mols_csv, tmp_path, 
     assert seen == [(1, 64)] * 3
 
 
+@pytest.mark.parametrize("bad", ["a_directory", "not_utf8"])
+@pytest.mark.parametrize("setting,code,message", [
+    ("--config", 1, "config error: cannot read config"),
+    ("motif.rules", 2, "data error: cannot read rule file"),
+])
+def test_config_or_rule_file_that_cannot_be_read_is_one_line(mols_csv, tmp_path, capsys, bad,
+                                                             setting, code, message):
+    path = tmp_path / bad
+    if bad == "a_directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"mask.seed=1\n\xff\xfe\n")
+    args = ["--config", str(path)] if setting == "--config" else ["--set", f"{setting}={path}"]
+    assert main(["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
+                 *args]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{message} {path}:") and err.count("\n") == 1
+
+
 def test_dataset_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_bytes(b"smiles\nCCO\n\xff\xfeCC\n")
@@ -424,19 +443,43 @@ def test_commands_that_read_the_small_checkpoint_succeed(small_inputs, tmp_path,
     assert (out / name).is_file()
 
 
+def _child(script: str) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter with the package on its path; its
+    warnings reach stderr as they do outside pytest."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_influence_leaves_numpy_random_unloaded(small_inputs, tmp_path):
     # importing numpy.random costs about 6 MB of resident memory, and nothing
     # the influence command runs draws a random number
     args = ["influence", "--out", str(tmp_path / "out"), *_inputs_for("influence", small_inputs)]
-    script = ("import sys\nfrom moama.cli import main\n"
-              f"code = main({args!r})\nprint(code, 'numpy.random' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                           text=True, timeout=120)
+    child = _child("import sys\nfrom moama.cli import main\n"
+                   f"code = main({args!r})\nprint(code, 'numpy.random' in sys.modules)\n")
     assert child.returncode == 0, child.stderr
     assert child.stdout.split()[-2:] == ["0", "False"]
+
+
+@pytest.mark.parametrize("command,code,message", [
+    ("pretrain", 3, "numerical failure: non-finite tensor values"),
+    ("finetune", 2, "data error: valid split is empty"),
+], ids=["overflow", "one_scaffold"])
+def test_a_failure_that_warns_first_is_still_one_line_on_stderr(small_inputs, tmp_path,
+                                                                 command, code, message):
+    # an overflow warns from numpy, and a split with one scaffold from scaffold_split
+    args = [command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs)]
+    if command == "pretrain":
+        args += ["--set", "run.lr=1e300"]
+    else:
+        one_scaffold = tmp_path / "one_scaffold.csv"
+        one_scaffold.write_text("smiles,label\nCCc1ccccc1,0\nCCCc1ccccc1,1\nc1ccccc1,0\n")
+        args += ["--set", f"data.input={one_scaffold}"]
+    child = _child(f"import sys\nfrom moama.cli import main\nsys.exit(main({args!r}))\n")
+    assert child.returncode == code
+    assert child.stderr == message + "\n"
 
 
 @pytest.mark.parametrize("command,name", [
@@ -458,12 +501,13 @@ def test_output_name_taken_by_a_directory_is_a_data_error(small_inputs, tmp_path
 
 
 def test_checkpoint_path_holding_a_nul_is_a_data_error(small_inputs, tmp_path, capsys):
-    args = ["--set", f"data.input={small_inputs['corpus']}", *_SMALL,
-            "--set", f"run.checkpoint={tmp_path / 'a'}\x00b"]
-    assert main(["pretrain", "--out", str(tmp_path / "out"), *args]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("data error: cannot write checkpoint")
-    assert captured.err.count("\n") == 1 and "epoch 1" not in captured.out
+    for command, verb in (("pretrain", "write"), ("finetune", "read"), ("influence", "read")):
+        args = [*_inputs_for(command, small_inputs),
+                "--set", f"run.checkpoint={tmp_path / 'a'}\x00b"]
+        assert main([command, "--out", str(tmp_path / "out"), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: cannot {verb} checkpoint"), command
+        assert captured.err.count("\n") == 1 and "epoch 1" not in captured.out
 
 
 @pytest.mark.parametrize("command", ["influence", "finetune"])
@@ -656,12 +700,17 @@ _VALUES = st.one_of(st.just(""), st.text(max_size=12), st.integers(),
 @example(key="data.input", value="\x00")
 @example(key="motif.rules", value="\x00")
 @example(key="data.label", value="\udcff")
-def test_any_single_setting_ends_in_an_exit_code(mols_csv, tmp_path, key, value):
+@example(key="run.checkpoint", value="\x00")
+def test_any_single_setting_ends_in_an_exit_code(mols_csv, small_inputs, tmp_path, key, value):
     text = str(value)
-    code = main(["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
-                 "--set", f"{key}={text}"])
-    assert code in (0, 1, 2)
-    if len(text.strip().splitlines()) > 1:   # the echo could not round-trip it
-        assert code == 1
-    if key == "run.lr" and text == "abc":
-        assert code == 1
+    # influence reads every input kind: config, dataset, rule table and checkpoint
+    for command, ckpt in (("decompose", ""), ("influence", small_inputs["checkpoint"])):
+        code = main([command, "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
+                     "--set", f"run.checkpoint={ckpt}", "--set", f"{key}={text}"])
+        assert code in (0, 1, 2), command
+        if len(text.strip().splitlines()) > 1:   # the echo could not round-trip it
+            assert code == 1
+        if key == "run.lr" and text == "abc":
+            assert code == 1
+        if key == "run.checkpoint" and text == "\x00" and command == "influence":
+            assert code == 2

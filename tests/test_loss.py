@@ -3,9 +3,11 @@ import pytest
 
 from moama import autodiff as ad
 from moama import morgan_fingerprint, parse
-from moama.loss import LossConfig, aux_loss, rec_loss, total_loss
+from moama.fingerprint import tanimoto_matrix
+from moama.gin import ATTRIBUTES, TARGETS
+from moama.loss import LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
 
-from conftest import fd_gradient
+from conftest import bits, fd_gradient
 
 
 def _single_dim(logit_rows, codes, cfg, n_classes=119):
@@ -118,6 +120,88 @@ def test_rec_loss_gradients_match_fd():
             assert flat_grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8), kind
 
 
+def _sce_term_oracle(rows, codes, n_classes, gamma):
+    # the sce chain before the shared cosine: the one-hot target's norm left out
+    onehot = np.zeros((len(codes), n_classes))
+    onehot[np.arange(len(codes)), codes] = 1.0
+    dot = ad.tsum(rows * ad.const(onehot), axis=1)
+    norm = ad.sqrt(ad.tsum(rows * rows, axis=1) + 1e-24)
+    return ad.tmean((1.0 - dot / (norm + 1e-12)) ** gamma)
+
+
+def _sce_rec_loss_oracle(logits, x_true, masked_nodes, cfg):
+    terms = []
+    for name in logits:
+        dim, n_classes = ATTRIBUTES[name]
+        idx = np.asarray(masked_nodes[dim], dtype=np.int64)
+        if idx.size:
+            terms.append(_sce_term_oracle(ad.take_rows(logits[name], idx), x_true[idx, dim],
+                                          n_classes, cfg.gamma))
+    if len(terms) < 2:
+        return terms[0] if terms else ad.const(0.0)
+    return (terms[0] + terms[1]) * 0.5 if len(TARGETS[cfg.targets]) == 2 else terms[0] + terms[1]
+
+
+def _awkward_rows(rng, n, width, scale):
+    # zero rows and -0.0 columns among rows of one scale
+    rows = rng.normal(size=(n, width)) * scale
+    rows[rng.random(n) < 0.2] = 0.0
+    rows[:, rng.random(width) < 0.2] = -0.0
+    return rows
+
+
+def _logits(values, targets):
+    # the heads decode_attrs returns: both_one_decoder slices one joint tensor
+    if targets == "both_one_decoder":
+        return {"atom_type": ad.slice_cols(values, 0, 119),
+                "chirality": ad.slice_cols(values, 119, 123)}
+    return dict(zip((a for _, attrs in TARGETS[targets] for a in attrs), values))
+
+
+@pytest.mark.parametrize("targets", sorted(TARGETS))
+def test_sce_bits_equal_the_chain_without_the_target_norm(targets):
+    rng = np.random.default_rng(11)
+    widths = [ATTRIBUTES[a][1] for _, attrs in TARGETS[targets] for a in attrs]
+    for case in range(400):
+        scale = 10.0 ** rng.uniform(-8, 3)
+        gamma = (1.0, 1.5, 2.0)[case % 3]
+        n = int(rng.integers(1, 9))
+        x_true = np.stack([rng.integers(0, 119, n), rng.integers(0, 4, n)], axis=1)
+        masked = tuple(sorted(rng.choice(n, int(rng.integers(0, n + 1)), replace=False))
+                       for _ in range(2))
+        rows = [_awkward_rows(rng, n, w, scale) for w in widths]
+        if targets == "both_one_decoder":
+            rows = [np.concatenate(rows, axis=1)]
+        cfg = LossConfig(gamma=gamma, targets=targets)
+        runs = []
+        for rec in (lambda lg: rec_loss(lg, x_true, masked, cfg)[0],
+                    lambda lg: _sce_rec_loss_oracle(lg, x_true, masked, cfg)):
+            params = [ad.parameter(r.copy()) for r in rows]
+            lossv = rec(_logits(params[0] if targets == "both_one_decoder" else params, targets))
+            if lossv.requires_grad:
+                lossv.backward()
+            runs.append([bits(lossv)] + [bits(np.zeros_like(p.values) if p.grad is None else p.grad)
+                                         for p in params])
+        assert runs[0] == runs[1], (targets, case)
+
+
+@pytest.mark.parametrize("width", [4, 5, 119])
+def test_sce_term_bits_equal_the_chain_at_any_width(width):
+    rng = np.random.default_rng(width)
+    for case in range(300):
+        rows = _awkward_rows(rng, int(rng.integers(1, 9)), width, 10.0 ** rng.uniform(-8, 3))
+        codes = rng.integers(0, width, len(rows))
+        gamma = (1.0, 1.5, 2.0)[case % 3]
+        runs = []
+        for term in (lambda r: _one_dim_loss(r, codes, width, LossConfig(gamma=gamma)),
+                     lambda r: _sce_term_oracle(r, codes, width, gamma)):
+            param = ad.parameter(rows.copy())
+            lossv = term(param)
+            lossv.backward()
+            runs.append((bits(lossv), bits(param.grad)))
+        assert runs[0] == runs[1], (width, case)
+
+
 def test_aux_identical_molecules_identical_embeddings_zero():
     g = parse("CCO")
     fps = [morgan_fingerprint(g), morgan_fingerprint(g)]
@@ -208,6 +292,36 @@ def test_aux_gradients_match_fd():
         i = int(rng.integers(flat_vals.size))
         fd = fd_gradient(lambda: build().item(), flat_vals, i)
         assert flat_grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def _aux_loss_oracle(h_graphs, fingerprints, cfg):
+    # aux_loss before the shared cosine
+    ii, jj = np.triu_indices(h_graphs.values.shape[0], k=1)
+    a = ad.take_rows(h_graphs, ii)
+    b = ad.take_rows(h_graphs, jj)
+    dots = ad.tsum(a * b, axis=1)
+    na = ad.sqrt(ad.tsum(a * a, axis=1) + 1e-24)
+    nb = ad.sqrt(ad.tsum(b * b, axis=1) + 1e-24)
+    diff = ad.const(tanimoto_matrix(fingerprints)[ii, jj]) - dots / (na * nb + 1e-12)
+    return ad.tmean(diff ** 2.0 if cfg.aux_form == "squared" else diff)
+
+
+@pytest.mark.parametrize("aux_form", ["squared", "raw_difference"])
+def test_aux_bits_equal_the_chain_before_the_shared_cosine(aux_form):
+    rng = np.random.default_rng(8)
+    fps = [morgan_fingerprint(parse(s)) for s in ("CCO", "CCN", "c1ccccc1", "CCS", "CC(=O)O", "C")]
+    cfg = LossConfig(aux_form=aux_form)
+    for case in range(200):
+        idx = rng.choice(len(fps), int(rng.integers(2, len(fps) + 1)), replace=False)
+        h = _awkward_rows(rng, len(idx), int(rng.integers(1, 10)), 10.0 ** rng.uniform(-8, 3))
+        runs = []
+        for aux in (lambda t: aux_loss(t, [fps[i] for i in idx], cfg)[0],
+                    lambda t: _aux_loss_oracle(t, [fps[i] for i in idx], cfg)):
+            param = ad.parameter(h.copy())
+            lossv = aux(param)
+            lossv.backward()
+            runs.append((bits(lossv), bits(param.grad)))
+        assert runs[0] == runs[1], (aux_form, case)
 
 
 def test_total_loss_affine_combination():

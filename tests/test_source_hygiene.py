@@ -128,3 +128,43 @@ def test_unread_private_name_check_flags_a_leftover_copy():
               "    return a._Box(), public(1)\n"),
     }
     assert unread_private_names(sources) == ["a._OLD_LIMIT", "a._old_helper", "b._TABLE"]
+
+
+# errors.read_input and errors.write_output are the package's one reader and one writer
+_FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def file_calls(source: str) -> list[str]:
+    """``line:name`` for each call of ``open``, or of a method named ``open``,
+    ``read_text``, ``read_bytes``, ``write_text`` or ``write_bytes``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) and func.id == "open" else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name in _FILE_CALLS:
+                found.append((node.lineno, node.col_offset, name))
+    return [f"{line}:{name}" for line, _, name in sorted(found)]
+
+
+FILE_IO_MODULES = [p for p in ALL_MODULES if p.name != "errors.py"]
+
+
+@pytest.mark.parametrize("path", FILE_IO_MODULES, ids=[p.name for p in FILE_IO_MODULES])
+def test_module_reads_and_writes_files_only_through_errors(path):
+    assert file_calls(path.read_text("utf-8")) == []
+
+
+def test_file_call_check_flags_every_reader_and_writer():
+    source = ("import io\n"
+              "from pathlib import Path\n"
+              "def f(p, read_text):\n"
+              "    with open(p) as fh:\n"
+              "        fh.read()\n"
+              "    Path(p).read_text('utf-8')\n"
+              "    io.open(p, 'rb'); p.read_bytes()\n"
+              "    p.write_text(''); p.write_bytes(b'')\n"
+              "    read_text(p), p.with_suffix('.csv'), p.opener()\n")
+    assert file_calls(source) == ["4:open", "6:read_text", "7:open", "7:read_bytes",
+                                  "8:write_text", "8:write_bytes"]

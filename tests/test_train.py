@@ -34,7 +34,7 @@ from moama.train import (
     scaffold_split,
 )
 
-from conftest import auc_oracle
+from conftest import auc_oracle, bits
 
 DESK = RunConfig(
     epochs=3,
@@ -238,6 +238,39 @@ def test_auc_matches_all_pairs_oracle():
             labels[0] = 1 - labels[0]
         scores = np.round(rng.normal(size=n), 1)  # coarse values force ties
         assert auc_score(scores, labels) == pytest.approx(auc_oracle(scores, labels))
+
+
+
+def _tie_loop_auc(scores, labels):
+    # auc_score with its ranks from the hand-written tie loop np.unique replaced
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j < len(scores) and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (len(scores) - n_pos)))
+
+
+def test_auc_bits_equal_the_tie_loop():
+    rng = np.random.default_rng(9)
+    for case in range(1000):
+        n = int(rng.integers(2, 120))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        if case % 2:   # few distinct values force ties; signed zeros tie with each other
+            scores = rng.choice([-0.0, 0.0, 0.5, -1.25, 3.0, 1e-300, rng.normal()], size=n)
+        else:
+            scores = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+        assert bits(auc_score(scores, labels)) == bits(_tie_loop_auc(scores, labels)), case
 
 
 def test_auc_single_class_rejected():
