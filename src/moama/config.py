@@ -36,7 +36,7 @@ class RunConfig:
     seed: int = 0
     finetune_epochs: int = 20
     finetune_mode: str = "probe"   # probe (frozen encoder) | full
-    checkpoint: str | None = None
+    checkpoint: str = ""
     data: DataConfig = field(default_factory=DataConfig)
     mask: MaskConfig = field(default_factory=MaskConfig)
     loss: LossConfig = field(default_factory=LossConfig)
@@ -73,8 +73,7 @@ def _finite(text: str) -> float:
 
 
 # field type -> parser of its value text
-_PARSERS = {int: int, float: _finite, bool: _boolean, str: str,
-            str | None: lambda text: text or None}
+_PARSERS = {int: int, float: _finite, bool: _boolean, str: str}
 
 
 def _defaults(cls, section: str):
@@ -87,7 +86,7 @@ def _defaults(cls, section: str):
         elif isinstance(f.default, bool):
             yield f"{section}.{f.name}", str(f.default).lower()
         else:
-            yield f"{section}.{f.name}", "" if f.default is None else str(f.default)
+            yield f"{section}.{f.name}", str(f.default)
 
 
 # keys that take another key's value when left empty

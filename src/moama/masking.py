@@ -131,14 +131,11 @@ def sample_motifs(
     for mi in sorted(selected):
         nodes = np.array(dec.motifs[mi].node_ids, dtype=np.int64)
         count = _coverage_count(len(nodes), cfg.coverage)
-        if cfg.mode == "element_wise":
-            for d in range(2):
+        for d in range(2):
+            # node-wise masking is element-wise masking with one shared draw
+            if d == 0 or cfg.mode == "element_wise":
                 picked = rng.choice(nodes, size=count, replace=False)
-                dim_sets[d].extend(int(x) for x in picked)
-        else:
-            picked = rng.choice(nodes, size=count, replace=False)
-            for d in range(2):
-                dim_sets[d].extend(int(x) for x in picked)
+            dim_sets[d].extend(int(x) for x in picked)
 
     return MaskPlan(
         tuple(sorted(selected)),

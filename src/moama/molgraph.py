@@ -68,7 +68,9 @@ class MolGraph:
     """Immutable attributed molecular graph.
 
     ``bonds`` ring flags are derived with bridge detection at construction
-    time, never caller-supplied. The attribute matrix ``X`` is the read-only
+    time, never caller-supplied. A bond spec's order may be None, meaning
+    unwritten: it becomes ``"aromatic"`` when the bond lies on a ring and
+    ``"single"`` otherwise. The attribute matrix ``X`` is the read-only
     (|V|, 2) integer matrix of (atom_type, chirality) codes. ``edges`` is the
     read-only (3, 2|E|) integer array of directed edges, rows (src, dst, bond
     order code), sorted by (dst, src): the order in which the encoder sums
@@ -78,7 +80,8 @@ class MolGraph:
     __slots__ = ("atoms", "bonds", "_adjacency", "_X", "_edges")
 
     def __init__(self, atoms, bonds):
-        """Build a graph from AtomAttr values and (u, v, order) bond specs."""
+        """Build a graph from AtomAttr values and (u, v, order) bond specs;
+        an order of None is resolved by the bond's ring flag."""
         atoms = tuple(atoms)
         if not atoms:
             raise ValueError("molecule must have at least one atom")
@@ -96,18 +99,19 @@ class MolGraph:
             seen.add(key)
             specs.append((key[0], key[1], order))
 
-        bridge = bridge_flags(n, [(u, v) for u, v, _ in specs])
+        adj = [[] for _ in range(n)]
+        for i, (u, v, _) in enumerate(specs):
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        self._adjacency = tuple(tuple(sorted(a)) for a in adj)
+
+        bridge = bridge_flags(self._adjacency, len(specs))
         self.atoms = atoms
         self.bonds = tuple(
-            Bond(u, v, order, in_ring=not bridge[i])
+            Bond(u, v, order if order is not None else "single" if bridge[i] else "aromatic",
+                 in_ring=not bridge[i])
             for i, (u, v, order) in enumerate(specs)
         )
-
-        adj = [[] for _ in range(n)]
-        for i, b in enumerate(self.bonds):
-            adj[b.u].append((b.v, i))
-            adj[b.v].append((b.u, i))
-        self._adjacency = tuple(tuple(sorted(a)) for a in adj)
 
         x = np.array([[a.atom_type, a.chirality] for a in atoms], dtype=np.int64)
         x.setflags(write=False)
@@ -200,15 +204,13 @@ def relabel(g: MolGraph, perm) -> MolGraph:
     return MolGraph(atoms, bonds)
 
 
-def bridge_flags(n: int, edges: list[tuple[int, int]]) -> list[bool]:
-    """Mark bridge edges (removal disconnects) via iterative low-link DFS."""
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
+def bridge_flags(adj, n_edges: int) -> list[bool]:
+    """Mark bridge edges (removal disconnects) via iterative low-link DFS
+    over ``adj``, each node's (neighbor, edge id) pairs."""
+    n = len(adj)
     disc = [-1] * n
     low = [0] * n
-    is_bridge = [False] * len(edges)
+    is_bridge = [False] * n_edges
     timer = 0
     for root in range(n):
         if disc[root] != -1:

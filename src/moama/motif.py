@@ -4,7 +4,8 @@ Cleavable bonds are found by matching each acyclic bond's endpoint
 environments against a rule table (see ``rules/brics.tsv`` for the bundled
 sixteen link environments and the predicate grammar). Cleaving removes edges
 only; motifs are the connected components that remain, so their union always
-reconstructs the molecule exactly and ring bonds are never cut.
+reconstructs the molecule exactly and ring bonds are never cut. Which bonds
+lie on a ring is ``Bond.in_ring``, from ``MolGraph``'s one ring perception.
 
 Each predicate compiles, when the table loads, into a test ``(ctx, v) ->
 bool`` on one atom; ``nbr(...)`` compiles its bond mark and target into
@@ -12,10 +13,13 @@ smaller tests. A loaded table (``RuleTable``) also builds, once, the set of
 (bond order, left expr, right expr) triples that holds every rule in both
 orientations and the table of distinct environments. ``match_rules`` lists
 the environments each bond endpoint matches and looks the pair up in that set.
+``default_rules`` loads the bundled table once; ``MotifConfig.rule_table``
+always gives a ``RuleTable``, the bundled one when ``motif.rules`` is empty.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -183,9 +187,9 @@ class MotifConfig:
 
     rules: str = ""
 
-    def rule_table(self):
-        """The rule table to decompose with; None selects the bundled one."""
-        return load_rules(self.rules) if self.rules else None
+    def rule_table(self) -> RuleTable:
+        """The rule table to decompose with; the bundled one when ``rules`` is empty."""
+        return load_rules(self.rules) if self.rules else default_rules()
 
 
 def load_rules(path=None) -> RuleTable:
@@ -225,14 +229,10 @@ def load_rules(path=None) -> RuleTable:
     return RuleTable(rules)
 
 
-_default_rules: RuleTable | None = None
-
-
+@functools.cache
 def default_rules() -> RuleTable:
-    global _default_rules
-    if _default_rules is None:
-        _default_rules = load_rules()
-    return _default_rules
+    """The bundled rule table, loaded once."""
+    return load_rules()
 
 
 def match_rules(g: MolGraph, rules=None) -> frozenset[int]:

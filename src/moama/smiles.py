@@ -13,9 +13,10 @@ Supported grammar (a documented subset, not full OpenSMILES):
              after they close
   dots       rejected: one molecule per record
 
-Isotopes, H-counts, and charges are parsed then discarded. Bonds written
-without an order become aromatic when both endpoints are aromatic atoms and
-the bond lies on a ring (the ring perception pass); otherwise single. Errors
+Isotopes, H-counts, and charges are parsed then discarded. A bond written
+without an order between two aromatic atoms is left unwritten (None), and
+``MolGraph``'s ring perception makes it aromatic when it lies on a ring and
+single otherwise; any other bond written without an order is single. Errors
 report the byte offset of the offending token.
 """
 
@@ -35,7 +36,6 @@ from .molgraph import (
     CHIRALITY_TET2,
     AtomAttr,
     MolGraph,
-    bridge_flags,
 )
 
 ELEMENTS = (
@@ -164,6 +164,9 @@ def parse(smiles: str) -> MolGraph:
         if key in bond_keys:
             raise SmilesError("duplicate bond", pos)
         bond_keys.add(key)
+        # MolGraph resolves an unwritten bond between aromatic atoms by its ring flag
+        if order is None and not (aromatic_atom[u] and aromatic_atom[v]):
+            order = "single"
         bonds.append((u, v, order))
 
     for tok in tokens:
@@ -229,19 +232,7 @@ def parse(smiles: str) -> MolGraph:
         first = min(open_rings.values(), key=lambda item: item[2])
         raise SmilesError("unpaired ring closure", first[2])
 
-    # Ring perception: bonds with no written order become aromatic only when
-    # both endpoints are aromatic atoms and the bond sits on a cycle.
-    bridge = bridge_flags(len(atoms), [(u, v) for u, v, _ in bonds])
-    resolved = []
-    for i, (u, v, order) in enumerate(bonds):
-        if order is None:
-            if aromatic_atom[u] and aromatic_atom[v] and not bridge[i]:
-                order = "aromatic"
-            else:
-                order = "single"
-        resolved.append((u, v, order))
-
-    return MolGraph([AtomAttr(c, ch) for c, ch in atoms], resolved)
+    return MolGraph([AtomAttr(c, ch) for c, ch in atoms], bonds)
 
 
 @dataclass(frozen=True)

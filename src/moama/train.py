@@ -131,45 +131,42 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _decode_checkpoint(data: bytes) -> Checkpoint:
-    pos = 4
-    (version,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    pos = 4   # the read cursor, just past the magic
+
+    def advance(n: int) -> int:   # the cursor's offset; the cursor moves n bytes on
+        nonlocal pos
+        pos += n
+        return pos - n
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack_from(fmt, data, advance(struct.calcsize(fmt)))
+
+    def blob(fmt: str) -> bytes:   # bytes after their length, packed in fmt
+        (n,) = unpack(fmt)
+        start = advance(n)
+        return data[start:start + n]
+
+    (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    blobs = []
-    for _ in range(2):
-        (ln,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        blobs.append(json.loads(data[pos:pos + ln].decode()))
-        pos += ln
-    if not (isinstance(blobs[0], dict) and all(isinstance(v, str) for v in blobs[0].values())):
+    config, rng = [json.loads(blob("<I").decode()) for _ in range(2)]
+    if not (isinstance(config, dict) and all(isinstance(v, str) for v in config.values())):
         raise ValueError("its config snapshot is not a JSON object of strings")
-    adam_t, epoch = struct.unpack_from("<QI", data, pos)
-    pos += 12
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    params = {}
-    moments_m, moments_v = {}, {}
+    adam_t, epoch = unpack("<QI")
+    (count,) = unpack("<I")
+    params, moments_m, moments_v = {}, {}, {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos:pos + name_len].decode()
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", data, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, pos)
-        pos += 4 * ndim
+        name = blob("<H").decode()
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
         size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arrays = []
-        for _ in range(3):
-            arr = np.frombuffer(data, dtype="<f8", count=size, offset=pos)
-            pos += 8 * size
-            arrays.append(arr.reshape(shape).astype(np.float64))
-        params[name] = ad.parameter(arrays[0])
-        moments_m[name], moments_v[name] = arrays[1], arrays[2]
+        values, moments_m[name], moments_v[name] = [
+            np.frombuffer(data, "<f8", size, advance(8 * size)).reshape(shape).astype(np.float64)
+            for _ in range(3)]
+        params[name] = ad.parameter(values)
     store = ParamStore(params)
     store.m, store.v, store.t = moments_m, moments_v, adam_t
-    return Checkpoint(store, blobs[0], blobs[1], epoch)
+    return Checkpoint(store, config, rng, epoch)
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,9 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
     Per epoch: fresh mask plans per molecule, encode the masked attributes,
     decode, combine losses, one Adam step per batch. An infeasible plan (one
     that stays at or below ``alpha_min``) still masks the motifs it selected;
-    only a molecule whose plan is empty adds no reconstruction loss. Each
+    only a molecule whose plan is empty adds no reconstruction loss. A batch
+    whose loss is a constant (nothing masked, no pair to align) takes no Adam
+    step, and its loss still counts in the epoch means. Each
     molecule's mask eligibility (``masking.eligible_motifs``) does not depend
     on the epoch, so it is computed once per molecule, before the first epoch.
     A ``resume`` store whose encoder or decoder tensors do not fit
@@ -266,9 +265,10 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
                 l_aux, _ = aux_loss(h_graph, batch_fps, cfg.loss)
             total = total_loss(l_rec, l_aux, cfg.loss.beta)
 
-            store.zero_grad()
-            total.backward()
-            store.adam_step(lr=cfg.lr)
+            if total.requires_grad:   # a constant loss has nothing to learn
+                store.zero_grad()
+                total.backward()
+                store.adam_step(lr=cfg.lr)
 
             sums["loss"] += total.item()
             sums["rec"] += l_rec.item()

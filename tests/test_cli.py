@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from moama.cli import COMMANDS, main
-from moama.config import DEFAULTS
+from moama.config import DEFAULTS, RunConfig, build_section, effective_config
 from moama.datagen import write_corpus_csv
 from moama.gin import MAX_EMBED_DIM, MAX_LAYERS, EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
@@ -588,6 +588,24 @@ def test_pretrain_on_only_unparseable_smiles_is_a_data_error(tmp_path, capsys):
     assert not (out / "checkpoint.moam").exists()
 
 
+# each setting once ended in "backward() on a graph with no differentiable inputs"
+# in the first epoch: a batch where nothing is masked and no pair is aligned
+@pytest.mark.parametrize("n,settings", [
+    (129, []),                                      # a lone last batch
+    (40, ["run.batch_pretrain=1"]),
+    (40, ["loss.beta=0", "run.batch_pretrain=1"]),  # no pair in a batch of one
+    (40, ["mask.hop_k=0", "loss.beta=1"]),          # no motif can be masked
+], ids=["lone_last_batch", "batches_of_one", "aux_only_batches_of_one", "nothing_maskable"])
+def test_pretrain_on_a_batch_with_nothing_to_learn_succeeds(tmp_path, capsys, n, settings):
+    data = tmp_path / "mols.csv"
+    write_corpus_csv(data, n, seed=1)
+    out = tmp_path / "out"
+    args = ["pretrain", "--out", str(out), "--set", f"data.input={data}", "--set", "run.epochs=2"]
+    assert main(args + [a for kv in settings for a in ("--set", kv)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(_read_rows(out / "loss.csv")) == 2
+
+
 @pytest.mark.parametrize("bad,every,labels", [("0.5", 3, {"0", "0.5", "1"}),
                                               ("-3", 1, {"-3", "1"})])
 def test_finetune_rejects_labels_other_than_0_and_1(small_inputs, tmp_path, capsys,
@@ -678,6 +696,12 @@ run.finetune_mode=probe
 run.lr=0.001
 run.seed=0
 """
+
+
+def test_the_default_settings_build_the_default_config():
+    # an empty setting is the empty string: run.checkpoint is no exception
+    assert build_section(RunConfig, "run", effective_config(None)) == RunConfig()
+    assert RunConfig().checkpoint == ""
 
 
 def test_readme_lists_every_config_key():

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moama import apply_mask, parse, random_mask, sample_motifs
-from moama.masking import MaskConfig, build_plan, eligible_motifs, plan_rng
+from moama.masking import (
+    MaskConfig,
+    MaskPlan,
+    _coverage_count,
+    build_plan,
+    eligible_motifs,
+    plan_rng,
+)
 from moama.molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, N_ATOM_TYPES, N_CHIRALITY, k_hop_neighborhood
 from moama.motif import BricsRule, EnvPattern, decompose, motif_adjacency
 
@@ -223,3 +230,53 @@ def test_precomputed_eligibility_gives_the_same_plans(seed, hop_k, mode, coverag
     for epoch in range(4):
         with_cache = build_plan(g, dec, cfg, plan_rng(seed, 5, epoch), eligible)
         assert with_cache == build_plan(g, dec, cfg, plan_rng(seed, 5, epoch))
+
+
+def _two_branch_sample_motifs(g, dec, cfg, rng, eligible):
+    """The former ``sample_motifs``: its coverage loop had one branch that
+    draws per dimension for ``element_wise`` and one that shares one draw."""
+    n = g.n_atoms
+    adj = motif_adjacency(dec)
+    selected, total = [], 0
+    for idx in rng.permutation(len(eligible)):
+        mi = eligible[idx]
+        if any(mi in adj[sj] for sj in selected):
+            continue
+        new_total = total + dec.motifs[mi].size
+        if new_total / n >= cfg.alpha_max:
+            continue
+        selected.append(mi)
+        total = new_total
+        if total / n > cfg.alpha_min:
+            break
+    realized = total / n
+    dim_sets = ([], [])
+    for mi in sorted(selected):
+        nodes = np.array(dec.motifs[mi].node_ids, dtype=np.int64)
+        count = _coverage_count(len(nodes), cfg.coverage)
+        if cfg.mode == "element_wise":
+            for d in range(2):
+                picked = rng.choice(nodes, size=count, replace=False)
+                dim_sets[d].extend(int(x) for x in picked)
+        else:
+            picked = rng.choice(nodes, size=count, replace=False)
+            for d in range(2):
+                dim_sets[d].extend(int(x) for x in picked)
+    return MaskPlan(tuple(sorted(selected)),
+                    (tuple(sorted(dim_sets[0])), tuple(sorted(dim_sets[1]))),
+                    realized, cfg.alpha_min < realized < cfg.alpha_max)
+
+
+@pytest.mark.parametrize("coverage", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("mode", ["node_wise", "element_wise", "random_baseline"])
+def test_one_coverage_loop_equals_the_two_branch_loop(corpus500, mode, coverage):
+    cfg = MaskConfig(hop_k=3, mode=mode, coverage=coverage)
+    masked = 0
+    for i, g in enumerate(corpus500[:200]):
+        dec = decompose(g, _CUT_CHAIN_BONDS)
+        eligible = eligible_motifs(g, dec, cfg.hop_k)
+        for epoch in range(2):
+            plan = sample_motifs(g, dec, cfg, plan_rng(7, i, epoch), eligible)
+            assert plan == _two_branch_sample_motifs(g, dec, cfg, plan_rng(7, i, epoch), eligible)
+            masked += len(plan.masked_nodes[0])
+    assert masked > 0

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from moama import adjacency, k_hop_neighborhood, parse, ring_bonds
-from moama.molgraph import AtomAttr, MolGraph, relabel, shortest_path_lengths
+from moama.molgraph import (
+    BOND_ORDER_INDEX,
+    AtomAttr,
+    MolGraph,
+    relabel,
+    shortest_path_lengths,
+)
 
 from conftest import bfs_oracle, random_molgraph, ring_bonds_oracle
 
@@ -159,3 +165,15 @@ def test_duplicate_and_self_bonds_rejected():
         MolGraph(atoms, [(0, 1, "single"), (1, 0, "single")])
     with pytest.raises(ValueError):
         MolGraph(atoms, [(0, 0, "single")])
+
+
+def test_an_unwritten_order_is_aromatic_on_a_ring_and_single_off_it():
+    # two triangles joined by the bridge 2-3, every order unwritten
+    ring = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    g = MolGraph([AtomAttr(5)] * 6, [(u, v, None) for u, v in ring + [(3, 2)]])
+    assert [(b.u, b.v, b.order, b.in_ring) for b in g.bonds] == (
+        [(u, v, "aromatic", True) for u, v in ring] + [(2, 3, "single", False)])
+    assert g.edges[2].tolist() == [BOND_ORDER_INDEX[g.bonds[i].order]
+                                   for a in g._adjacency for _, i in a]
+    with pytest.raises(ValueError, match="unknown bond order ''"):
+        MolGraph([AtomAttr(5)] * 2, [(0, 1, "")])

@@ -21,7 +21,16 @@ from moama.cli import main
 from moama.datagen import has_carbonyl
 from moama.errors import DataError
 from moama.molgraph import relabel
-from moama.motif import _BOND_MARKS, EnvPattern, _GraphContext, _env_matches, carbonyl_carbons
+from moama.motif import (
+    _BOND_MARKS,
+    EnvPattern,
+    MotifConfig,
+    RuleTable,
+    _env_matches,
+    _GraphContext,
+    carbonyl_carbons,
+    default_rules,
+)
 from moama.smiles import ATOM_CODE
 
 from conftest import random_molgraph
@@ -486,3 +495,13 @@ def test_carbonyl_carbons_equal_the_loops_they_replaced(corpus500):
         assert has_carbonyl(g) == _has_carbonyl_oracle(g) == bool(got)
         found += bool(got)
     assert 0 < found < len(graphs)
+
+
+def test_the_bundled_table_is_loaded_once_and_is_the_empty_settings_table(tmp_path):
+    assert MotifConfig().rule_table() is default_rules()
+    assert default_rules() is default_rules()
+    assert isinstance(default_rules(), RuleTable)
+    assert default_rules().pairs == load_rules().pairs
+    table = tmp_path / "one.tsv"
+    table.write_text("1\tdeg>=1\tdeg>=1\tsingle\n")
+    assert isinstance(MotifConfig(str(table)).rule_table(), RuleTable)

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from moama import parse, read_dataset, tokenize
+from moama import molgraph
+from moama import smiles as smiles_module
+from moama.datagen import generate_corpus
 from moama.errors import DataError, SmilesError
-from moama.molgraph import CHIRALITY_NONE, CHIRALITY_OTHER, CHIRALITY_TET1, CHIRALITY_TET2
-from moama.smiles import ATOM_CODE, _TOKEN_RE
+from moama.molgraph import (
+    CHIRALITY_NONE,
+    CHIRALITY_OTHER,
+    CHIRALITY_TET1,
+    CHIRALITY_TET2,
+    AtomAttr,
+    MolGraph,
+)
+from moama.smiles import _BRACKET_RE, _TOKEN_RE, AROMATIC_SUBSET, ATOM_CODE
 
 
 def test_single_carbon():
@@ -167,3 +177,95 @@ def test_token_kinds_are_the_lexer_group_names():
     kinds = {kind for _, kind in table}
     assert kinds == set(_TOKEN_RE.groupindex)
     assert all(f"``{kind}``" in tokenize.__doc__ for kind in kinds)
+
+
+# --- the parser's former ring perception, kept as an oracle --------------------
+
+def _edge_list_bridge_flags(n, edges):
+    """The former ``bridge_flags(n, edges)``: it built its own adjacency from
+    an edge list, in edge order, then ran the low-link DFS."""
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    disc = [-1] * n
+    low = [0] * n
+    is_bridge = [False] * len(edges)
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            node, parent_edge, it = stack[-1]
+            pushed = False
+            for nbr, eid in it:
+                if eid == parent_edge:
+                    continue
+                if disc[nbr] == -1:
+                    disc[nbr] = low[nbr] = timer
+                    timer += 1
+                    stack.append((nbr, eid, iter(adj[nbr])))
+                    pushed = True
+                    break
+                low[node] = min(low[node], disc[nbr])
+            if not pushed:
+                stack.pop()
+                if stack:
+                    pnode = stack[-1][0]
+                    low[pnode] = min(low[pnode], low[node])
+                    if low[node] > disc[pnode]:
+                        is_bridge[parent_edge] = True
+    return is_bridge
+
+
+def _parse_then_resolve(smi):
+    """(atoms, bonds as (u, v, order, in_ring)) by the former path: the parser
+    resolved every unwritten bond itself, aromatic when both endpoints are
+    aromatic atoms and the bond is no bridge of the raw edge list, and
+    MolGraph searched the same edges again for the ring flags."""
+    specs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smiles_module, "MolGraph", lambda atoms, bonds: specs.append((atoms, bonds)))
+        parse(smi)
+    (atoms, bonds), = specs
+    aromatic = [t.text in AROMATIC_SUBSET if t.kind == "organic_atom"
+                else _BRACKET_RE.match(t.text).group("symbol") in AROMATIC_SUBSET
+                for t in tokenize(smi) if t.kind.endswith("atom")]
+    bridge = _edge_list_bridge_flags(len(atoms), [(u, v) for u, v, _ in bonds])
+    resolved = []
+    for i, (u, v, order) in enumerate(bonds):
+        if order is None:
+            assert aromatic[u] and aromatic[v]   # only such bonds wait for MolGraph
+            order = "aromatic" if not bridge[i] else "single"
+        resolved.append((min(u, v), max(u, v), order, not bridge[i]))
+    return [(a.atom_type, a.chirality) for a in atoms], resolved
+
+
+RING_CASES = ["c1ccccc1", "c1ccc2ccccc2c1", "c1ccc2c(c1)ccc1ccccc12", "c1ccccc1c1ccccc1",
+              "c1ccccc1-c1ccccc1", "c1ccccc1:c1ccccc1", "c1ccccc1Cc1ccccc1", "C1CC2CC1CC2",
+              "c1cc2cc1cc2", "cc", "c:c", "c-c", "n1cccc1C(=O)c1ccco1", "[nH]1cccc1",
+              "c1cc[nH]c1-c1ccccc1", "C1=CC=CC=C1c1ccccc1", "c1ccc1c", "c%10ccccc%10"]
+
+
+def test_ring_perception_equals_the_former_parse_then_resolve():
+    # corpus500's SMILES
+    for smi in generate_corpus(500, seed=42) + RING_CASES:
+        g = parse(smi)
+        atoms, bonds = _parse_then_resolve(smi)
+        assert [(a.atom_type, a.chirality) for a in g.atoms] == atoms, smi
+        assert [(b.u, b.v, b.order, b.in_ring) for b in g.bonds] == bonds, smi
+        former = MolGraph([AtomAttr(*a) for a in atoms], [b[:3] for b in bonds])
+        assert g._adjacency == former._adjacency, smi
+        assert np.array_equal(g.edges, former.edges), smi
+
+
+def test_parse_runs_the_bridge_search_once(monkeypatch):
+    calls = []
+    real = molgraph.bridge_flags
+    monkeypatch.setattr(molgraph, "bridge_flags", lambda *args: calls.append(args) or real(*args))
+    g = parse("c1ccccc1c1ccccc1")
+    assert calls == [(g._adjacency, 13)]
+    assert not hasattr(smiles_module, "bridge_flags")

@@ -168,3 +168,36 @@ def test_file_call_check_flags_every_reader_and_writer():
               "    read_text(p), p.with_suffix('.csv'), p.opener()\n")
     assert file_calls(source) == ["4:open", "6:read_text", "7:open", "7:read_bytes",
                                   "8:write_text", "8:write_bytes"]
+
+
+def global_statements(source: str) -> list[str]:
+    """``line:name`` for each name a ``global`` statement declares, in source
+    order. A cached function (``functools.cache``) holds what a module global
+    would."""
+    return [f"{node.lineno}:{name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global) for name in node.names]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_module_has_no_global_statement(path):
+    assert global_statements(path.read_text("utf-8")) == []
+
+
+def test_global_statement_check_flags_every_declared_name():
+    source = ("_cache = None\n"
+              "_a = _b = 0\n"
+              "def load():\n"
+              "    global _cache\n"
+              "    if _cache is None:\n"
+              "        _cache = 1\n"
+              "    return _cache\n"
+              "class Box:\n"
+              "    def bump(self):\n"
+              "        global _a, _b\n"
+              "        _a += 1\n"
+              "def outer():\n"
+              "    n = 0\n"
+              "    def inner():\n"
+              "        nonlocal n\n"
+              "        n += 1\n")
+    assert global_statements(source) == ["4:_cache", "10:_a", "10:_b"]

@@ -1,3 +1,5 @@
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +22,12 @@ from moama.gin import (
 from moama.loss import LossConfig
 from moama.masking import MaskConfig
 from moama.train import (
+    CHECKPOINT_VERSION,
+    Checkpoint,
     ProbeReport,
     RunConfig,
     _bce,
+    _decode_checkpoint,
     _frozen_graph_vectors,
     auc_score,
     finetune_probe,
@@ -134,6 +139,103 @@ def test_resume_of_a_store_whose_decoder_does_not_fit_is_a_data_error(
     save_checkpoint(path, init_params(DESK.encoder, "atom_type", seed=0), {}, {"seed": 0}, 1)
     with pytest.raises(DataError, match=f"tensor {tensor} .*decoder settings"):
         pretrain(small_corpus, replace(DESK, **change), resume=load_checkpoint(path))
+
+
+def _offset_by_hand_decode(data):
+    """The former checkpoint decoder, which moved its offset by hand after
+    each field."""
+    pos = 4
+    (version,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version}")
+    blobs = []
+    for _ in range(2):
+        (ln,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        blobs.append(json.loads(data[pos:pos + ln].decode()))
+        pos += ln
+    if not (isinstance(blobs[0], dict) and all(isinstance(v, str) for v in blobs[0].values())):
+        raise ValueError("its config snapshot is not a JSON object of strings")
+    adam_t, epoch = struct.unpack_from("<QI", data, pos)
+    pos += 12
+    (count,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    params = {}
+    moments_m, moments_v = {}, {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        pos += 2
+        name = data[pos:pos + name_len].decode()
+        pos += name_len
+        (ndim,) = struct.unpack_from("<B", data, pos)
+        pos += 1
+        shape = struct.unpack_from(f"<{ndim}I", data, pos)
+        pos += 4 * ndim
+        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        arrays = []
+        for _ in range(3):
+            arr = np.frombuffer(data, dtype="<f8", count=size, offset=pos)
+            pos += 8 * size
+            arrays.append(arr.reshape(shape).astype(np.float64))
+        params[name] = ad.parameter(arrays[0])
+        moments_m[name], moments_v[name] = arrays[1], arrays[2]
+    store = ParamStore(params)
+    store.m, store.v, store.t = moments_m, moments_v, adam_t
+    return Checkpoint(store, blobs[0], blobs[1], epoch)
+
+
+def _outcome(decode, data):
+    """Every bit a decode gives, or its exception's type and message."""
+    try:
+        ck = decode(data)
+    except Exception as e:   # the message is what is compared
+        return type(e).__name__, str(e)
+    s = ck.store
+    return (ck.config, ck.rng, ck.epoch, s.t, s.names(),
+            [(bits(s[n]), bits(s.m[n]), bits(s.v[n])) for n in s.names()])
+
+
+@pytest.fixture(scope="module")
+def learned_eps_store(small_corpus):
+    cfg = replace(DESK, epochs=1, encoder=replace(DESK.encoder, learn_epsilon=True))
+    return pretrain(small_corpus[:16], cfg).store
+
+
+def test_checkpoint_cursor_gives_the_former_decoder_outcome_at_every_cut(tmp_path,
+                                                                          learned_eps_store):
+    # the trained store's 0-d and 1-d encoder tensors keep the file to a few
+    # hundred bytes, so every cut is tried
+    names = [n for n in learned_eps_store.names() if n.endswith(("eps", "b1", "b2"))]
+    store = ParamStore({n: learned_eps_store[n] for n in names})
+    store.m = {n: learned_eps_store.m[n] for n in names}
+    store.v = {n: learned_eps_store.v[n] for n in names}
+    store.t = learned_eps_store.t
+    path = tmp_path / "small.moam"
+    save_checkpoint(path, store, {"encoder.learn_epsilon": "true"}, {"seed": 0}, 1)
+    data = path.read_bytes()
+    assert len(data) > 600 and any(store[n].values.ndim == 0 for n in names)
+    outcomes = [_outcome(_decode_checkpoint, data[:cut]) for cut in range(4, len(data) + 1)]
+    assert outcomes == [_outcome(_offset_by_hand_decode, data[:cut])
+                        for cut in range(4, len(data) + 1)]
+    assert len({o for o in outcomes[:-1] if len(o) == 2}) > 20   # many distinct messages
+    assert len(outcomes[-1]) == 6
+
+
+def test_learned_eps_checkpoint_round_trip_keeps_every_bit(tmp_path, learned_eps_store):
+    p1, p2 = tmp_path / "a.moam", tmp_path / "b.moam"
+    save_checkpoint(p1, learned_eps_store, {"encoder.learn_epsilon": "true"}, {"seed": 0}, 1)
+    ck = load_checkpoint(p1)
+    save_checkpoint(p2, ck.store, ck.config, ck.rng, ck.epoch)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert _outcome(_decode_checkpoint, p1.read_bytes()) == _outcome(
+        _offset_by_hand_decode, p1.read_bytes())
+    for n in learned_eps_store.names():
+        assert bits(ck.store[n]) == bits(learned_eps_store[n])
+        assert bits(ck.store.m[n]) == bits(learned_eps_store.m[n])
+        assert bits(ck.store.v[n]) == bits(learned_eps_store.v[n])
+    assert {n for n in ck.store.names() if ck.store[n].values.ndim == 0} == {
+        "dec.atom.eps", "enc.0.eps", "enc.1.eps"}
 
 
 def test_bad_checkpoint_rejected(tmp_path):
@@ -319,6 +421,33 @@ def test_probe_single_class_split_rejected():
     cfg = RunConfig(encoder=EncoderConfig(layers=1, embed_dim=8))
     with pytest.raises(DataError):
         finetune_probe(None, graphs, np.ones_like(labels), cfg)
+
+
+def test_a_batch_with_a_constant_loss_takes_no_step(small_corpus):
+    # hop_k=0 leaves no motif eligible and beta=1 leaves no pair to align
+    cfg = replace(DESK, epochs=2, mask=MaskConfig(hop_k=0), loss=LossConfig(beta=1.0))
+    result = pretrain(small_corpus, cfg)
+    init = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed)
+    assert result.store.t == 0
+    assert all(bits(result.store[n]) == bits(init[n]) for n in init.names())
+    assert [(s.loss, s.rec) for s in result.curve] == [(0.0, 0.0), (0.0, 0.0)]
+
+
+def test_a_constant_batch_counts_in_the_epoch_means(small_corpus, monkeypatch):
+    # 17 molecules in batches of 16 leave a lone last batch: nothing to align
+    cfg = replace(DESK, epochs=1, loss=LossConfig(beta=0.0))
+    graphs = small_corpus[:17]
+    seen = []
+    real = ad.Tensor.backward
+
+    def spy(self):
+        seen.append(self.item())
+        real(self)
+
+    monkeypatch.setattr(ad.Tensor, "backward", spy)
+    result = pretrain(graphs, cfg)
+    assert result.store.t == 1 and len(seen) == 1
+    assert result.curve[0].loss == (seen[0] + 0.0) / 2
 
 
 def test_empty_corpus_is_rejected_with_the_cli_message():
