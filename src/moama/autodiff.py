@@ -2,10 +2,18 @@
 
 Small on purpose: just the operations the encoder, decoders, and losses need.
 Every op validates that its output is finite and raises NumericsError
-otherwise. Scatter-adds (``segment_sum``'s forward, ``take_rows``' backward)
-go through ``_scatter_add``, which is ``np.add.at`` on flat views: each cell
-takes its addends one at a time in a fixed order, so repeated runs are
-bit-identical.
+otherwise.
+
+``_op(forward, *partials)`` declares each op whose inputs are all tensors
+(``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sqrt``, ``exp``, ``log``,
+``relu``) once. The op lifts Python numbers to constant tensors and runs
+``forward(*values)``; its backward gives each input that requires a gradient,
+in order, ``partials[i](g, out, *values)`` summed to its shape by
+``_unbroadcast`` (``g`` itself when the shapes match) and stored by ``_accum``.
+
+Scatter-adds (``segment_sum``'s forward, ``take_rows``' backward) go through
+``_scatter_add``, which is ``np.add.at`` on flat views: each cell takes its
+addends one at a time in a fixed order, so repeated runs are bit-identical.
 
 ``segment_sum`` adds each segment's rows one at a time from +0.0 in a
 canonical order, so its result depends only on the multiset of addends. Only
@@ -164,44 +172,35 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+def _op(forward, *partials):
+    """The tape op that computes ``forward`` of its inputs' values and gives
+    input i the gradient ``partials[i](g, out, *values)`` (module docstring)."""
 
-    def back(g):
-        _accum(a, _unbroadcast(g, a.values.shape))
-        _accum(b, _unbroadcast(g, b.values.shape))
+    def op(*args):
+        xs = tuple(_lift(x) for x in args)
+        vals = tuple(x.values for x in xs)
+        out = forward(*vals)
 
-    return Tensor(a.values + b.values, _parents=(a, b), _backprop=back)
+        def back(g):
+            for x, partial in zip(xs, partials):
+                if x.requires_grad:
+                    _accum(x, _unbroadcast(partial(g, out, *vals), x.values.shape))
 
+        return Tensor(out, _parents=xs, _backprop=back)
 
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-
-    def back(g):
-        _accum(a, _unbroadcast(g, a.values.shape))
-        _accum(b, _unbroadcast(-g, b.values.shape))
-
-    return Tensor(a.values - b.values, _parents=(a, b), _backprop=back)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-
-    def back(g):
-        _accum(a, _unbroadcast(g * b.values, a.values.shape))
-        _accum(b, _unbroadcast(g * a.values, b.values.shape))
-
-    return Tensor(a.values * b.values, _parents=(a, b), _backprop=back)
+    return op
 
 
-def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-
-    def back(g):
-        _accum(a, _unbroadcast(g / b.values, a.values.shape))
-        _accum(b, _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape))
-
-    return Tensor(a.values / b.values, _parents=(a, b), _backprop=back)
+add = _op(lambda a, b: a + b, lambda g, out, a, b: g, lambda g, out, a, b: g)
+sub = _op(lambda a, b: a - b, lambda g, out, a, b: g, lambda g, out, a, b: -g)
+mul = _op(lambda a, b: a * b, lambda g, out, a, b: g * b, lambda g, out, a, b: g * a)
+div = _op(lambda a, b: a / b, lambda g, out, a, b: g / b,
+          lambda g, out, a, b: -g * a / (b * b))
+matmul = _op(lambda a, b: a @ b, lambda g, out, a, b: g @ b.T, lambda g, out, a, b: a.T @ g)
+sqrt = _op(np.sqrt, lambda g, out, a: g * 0.5 / out)
+exp = _op(np.exp, lambda g, out, a: g * out)
+log = _op(np.log, lambda g, out, a: g / a)
+relu = _op(lambda a: a * (a > 0.0), lambda g, out, a: g * (a > 0.0))
 
 
 def power(a, p) -> Tensor:
@@ -212,55 +211,6 @@ def power(a, p) -> Tensor:
         _accum(a, g * p * np.power(a.values, p - 1.0))
 
     return Tensor(np.power(a.values, p), _parents=(a,), _backprop=back)
-
-
-def sqrt(a) -> Tensor:
-    a = _lift(a)
-    out_vals = np.sqrt(a.values)
-
-    def back(g):
-        _accum(a, g * 0.5 / out_vals)
-
-    return Tensor(out_vals, _parents=(a,), _backprop=back)
-
-
-def exp(a) -> Tensor:
-    a = _lift(a)
-    out_vals = np.exp(a.values)
-
-    def back(g):
-        _accum(a, g * out_vals)
-
-    return Tensor(out_vals, _parents=(a,), _backprop=back)
-
-
-def log(a) -> Tensor:
-    a = _lift(a)
-
-    def back(g):
-        _accum(a, g / a.values)
-
-    return Tensor(np.log(a.values), _parents=(a,), _backprop=back)
-
-
-def relu(a) -> Tensor:
-    a = _lift(a)
-    mask = a.values > 0.0
-
-    def back(g):
-        _accum(a, g * mask)
-
-    return Tensor(a.values * mask, _parents=(a,), _backprop=back)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-
-    def back(g):
-        _accum(a, g @ b.values.T)
-        _accum(b, a.values.T @ g)
-
-    return Tensor(a.values @ b.values, _parents=(a, b), _backprop=back)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:

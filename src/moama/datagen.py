@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import csv_text, write_output
 from .molgraph import MolGraph
 from .motif import carbonyl_carbons
+from .smiles import parse
 
 _RINGS = (
     "c1ccccc1", "c1ccncc1", "c1ccncn1", "c1ccsc1", "c1ccoc1",
@@ -69,8 +70,6 @@ def has_carbonyl(g: MolGraph) -> bool:
 
 def write_corpus_csv(path, n: int, seed: int = 0, labeled: bool = False) -> None:
     """Write a dataset CSV; the label column marks carbonyl presence."""
-    from .smiles import parse
-
     rows = [[smi, int(has_carbonyl(parse(smi)))] if labeled else [smi]
             for smi in generate_corpus(n, seed, balanced_labels=labeled)]
     Path(path).parent.mkdir(parents=True, exist_ok=True)

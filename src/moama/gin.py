@@ -3,8 +3,9 @@
 Everything runs in double precision on the autodiff tape. Graphs are batched
 by concatenating nodes and keeping a graph-id per node. Each molecule sorts its
 directed edges by (destination, source) once, when it is built, and a batch
-concatenates them, so neighbor sums always accumulate in ascending node order
-and runs stay bit-reproducible.
+concatenates them. Neighbour sums add from +0.0, in content order
+(``autodiff._canonical_order``) for three or more messages, so a sum depends
+only on its messages and runs stay bit-reproducible.
 
 Layer update, for layer weights (w1, b1, w2, b2) and scalar eps:
     h_v <- w2 . relu(w1 . ((1 + eps) h_v + sum_{u in N(v)} (h_u + bond_emb))

@@ -208,12 +208,19 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
     step, and its loss still counts in the epoch means. Each
     molecule's mask eligibility (``masking.eligible_motifs``) does not depend
     on the epoch, so it is computed once per molecule, before the first epoch.
+    Settings that leave every batch nothing to learn fail before it: a DataError
+    when no molecule has an eligible motif under a motif mask mode, and a
+    ConfigError when ``loss.beta`` is 0 and no batch can hold a pair.
     A ``resume`` store whose encoder or decoder tensors do not fit
     ``cfg.encoder`` and ``cfg.loss.targets`` is a DataError.
     """
     graphs = list(graphs)
     if not graphs:
         raise DataError("no parseable molecules in the dataset")
+    if cfg.loss.beta == 0.0 and min(len(graphs), cfg.batch_pretrain) < 2:
+        raise ConfigError(f"loss.beta=0 needs batches of two molecules or more; "
+                          f"run.batch_pretrain={cfg.batch_pretrain} over {len(graphs)} "
+                          "molecules gives none")
     if resume is not None:
         check_encoder_tensors(resume.store, cfg.encoder)
         _check_tensors(resume.store, param_shapes(cfg.encoder, cfg.loss.targets), ("dec.",))
@@ -223,10 +230,11 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
     rules = cfg.motif.rule_table()
     decomps = [decompose(g, rules) for g in graphs]
     motif_masking = cfg.mask.mode != "random_baseline"
-    if all(d.n_motifs == 1 for d in decomps) and motif_masking:
-        raise DataError("every molecule is a single motif; nothing can be masked")
     eligible = ([eligible_motifs(g, d, cfg.mask.hop_k) for g, d in zip(graphs, decomps)]
                 if motif_masking else [None] * len(graphs))
+    if motif_masking and not any(eligible):
+        raise DataError(f"no molecule has a motif eligible at mask.hop_k={cfg.mask.hop_k}; "
+                        "nothing can be masked")
 
     use_aux = cfg.loss.beta < 1.0
     fps = [morgan_fingerprint(g, cfg.fp) for g in graphs] if use_aux else None

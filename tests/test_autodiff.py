@@ -309,3 +309,203 @@ def test_reused_node_accumulates_once_per_use():
     y = w * w + w * 3.0   # dy/dw = 2w + 3 = 7
     y.backward()
     assert w.grad == pytest.approx(7.0)
+
+
+# --- the hand-written tape ops that ``_op`` replaced, kept as bitwise oracles
+
+def _ref_add(a, b):
+    a, b = ad._lift(a), ad._lift(b)
+
+    def back(g):
+        ad._accum(a, ad._unbroadcast(g, a.values.shape))
+        ad._accum(b, ad._unbroadcast(g, b.values.shape))
+
+    return ad.Tensor(a.values + b.values, _parents=(a, b), _backprop=back)
+
+
+def _ref_sub(a, b):
+    a, b = ad._lift(a), ad._lift(b)
+
+    def back(g):
+        ad._accum(a, ad._unbroadcast(g, a.values.shape))
+        ad._accum(b, ad._unbroadcast(-g, b.values.shape))
+
+    return ad.Tensor(a.values - b.values, _parents=(a, b), _backprop=back)
+
+
+def _ref_mul(a, b):
+    a, b = ad._lift(a), ad._lift(b)
+
+    def back(g):
+        ad._accum(a, ad._unbroadcast(g * b.values, a.values.shape))
+        ad._accum(b, ad._unbroadcast(g * a.values, b.values.shape))
+
+    return ad.Tensor(a.values * b.values, _parents=(a, b), _backprop=back)
+
+
+def _ref_div(a, b):
+    a, b = ad._lift(a), ad._lift(b)
+
+    def back(g):
+        ad._accum(a, ad._unbroadcast(g / b.values, a.values.shape))
+        ad._accum(b, ad._unbroadcast(-g * a.values / (b.values * b.values), b.values.shape))
+
+    return ad.Tensor(a.values / b.values, _parents=(a, b), _backprop=back)
+
+
+def _ref_matmul(a, b):
+    a, b = ad._lift(a), ad._lift(b)
+
+    def back(g):
+        ad._accum(a, g @ b.values.T)
+        ad._accum(b, a.values.T @ g)
+
+    return ad.Tensor(a.values @ b.values, _parents=(a, b), _backprop=back)
+
+
+def _ref_sqrt(a):
+    a = ad._lift(a)
+    out_vals = np.sqrt(a.values)
+
+    def back(g):
+        ad._accum(a, g * 0.5 / out_vals)
+
+    return ad.Tensor(out_vals, _parents=(a,), _backprop=back)
+
+
+def _ref_exp(a):
+    a = ad._lift(a)
+    out_vals = np.exp(a.values)
+
+    def back(g):
+        ad._accum(a, g * out_vals)
+
+    return ad.Tensor(out_vals, _parents=(a,), _backprop=back)
+
+
+def _ref_log(a):
+    a = ad._lift(a)
+
+    def back(g):
+        ad._accum(a, g / a.values)
+
+    return ad.Tensor(np.log(a.values), _parents=(a,), _backprop=back)
+
+
+def _ref_relu(a):
+    a = ad._lift(a)
+    mask = a.values > 0.0
+
+    def back(g):
+        ad._accum(a, g * mask)
+
+    return ad.Tensor(a.values * mask, _parents=(a,), _backprop=back)
+
+
+_REFERENCE_OPS = {"add": _ref_add, "sub": _ref_sub, "mul": _ref_mul, "div": _ref_div,
+                  "matmul": _ref_matmul, "sqrt": _ref_sqrt, "exp": _ref_exp,
+                  "log": _ref_log, "relu": _ref_relu}
+_SCALES = (1e-8, 1e-3, 1.0, 1e3)
+
+
+def _signed_values(rng, shape, scale):
+    """Normal values at ``scale`` with +0.0 and -0.0 entries and a zero row."""
+    v = rng.normal(size=shape) * scale
+    flat = v.reshape(-1)
+    flat[rng.random(flat.size) < 0.2] = 0.0
+    flat[rng.random(flat.size) < 0.2] = -0.0
+    if v.ndim == 2 and v.shape[0] > 1:
+        v[int(rng.integers(v.shape[0]))] = -0.0 if rng.random() < 0.5 else 0.0
+    return v
+
+
+def _positive_values(rng, shape, scale):
+    return (np.abs(rng.normal(size=shape)) + 0.1) * scale
+
+
+def _tape_bits(op, values, grad_flags, g, same_tensor=False):
+    """(output bits, each input's gradient bits) of ``op`` on fresh inputs."""
+    xs = [v if isinstance(v, float) else ad.Tensor(np.array(v), requires_grad=r)
+          for v, r in zip(values, grad_flags)]
+    if same_tensor:
+        xs[1] = xs[0]
+    out = op(*xs)
+    if out.requires_grad:
+        out._backprop(g.copy())
+    grads = [None if isinstance(x, float) or x.grad is None else bits(x.grad) for x in xs]
+    return bits(out), out.requires_grad, len(out._parents), grads
+
+
+def _assert_same_as_reference(name, values, grad_flags, rng, same_tensor=False):
+    g = _signed_values(rng, _REFERENCE_OPS[name](*values).shape, 1.0)
+    want = _tape_bits(_REFERENCE_OPS[name], values, grad_flags, g, same_tensor)
+    got = _tape_bits(getattr(ad, name), values, grad_flags, g, same_tensor)
+    assert got == want
+
+
+_OPERAND_SHAPES = [((4, 3), (4, 3)), ((4, 3), ()), ((), (4, 3)), ((4, 3), (1, 3)),
+                   ((1, 3), (4, 3)), ((4, 3), (4, 1)), ((4, 1), (4, 3)), ((4, 3), (3,)),
+                   ((3,), (4, 3)), ((), ())]
+_GRAD_FLAGS = [(True, True), (True, False), (False, True)]
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+def test_binary_ops_bitwise_match_hand_written_ops(name):
+    rng = np.random.default_rng(11)
+    for shape_a, shape_b in _OPERAND_SHAPES:
+        for scale in _SCALES:
+            for flags in _GRAD_FLAGS:
+                a = _signed_values(rng, shape_a, scale)
+                b = (_positive_values if name == "div" else _signed_values)(rng, shape_b, scale)
+                _assert_same_as_reference(name, [a, b], flags, rng)
+
+
+def test_matmul_bitwise_matches_hand_written_op():
+    rng = np.random.default_rng(12)
+    for n, k, m in [(4, 3, 2), (1, 5, 1), (6, 1, 3)]:
+        for scale in _SCALES:
+            for flags in _GRAD_FLAGS:
+                a, b = _signed_values(rng, (n, k), scale), _signed_values(rng, (k, m), 1.0)
+                _assert_same_as_reference("matmul", [a, b], flags, rng)
+
+
+@pytest.mark.parametrize("name", ["sqrt", "exp", "log", "relu"])
+def test_unary_ops_bitwise_match_hand_written_ops(name):
+    rng = np.random.default_rng(13)
+    values = _positive_values if name in ("sqrt", "log") else _signed_values
+    for shape in [(4, 3), (3,), ()]:
+        for scale in _SCALES:
+            if name == "exp" and scale > 1.0:
+                scale = 10.0                    # e^1000 overflows
+            _assert_same_as_reference(name, [values(rng, shape, scale)], (True,), rng)
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "matmul"])
+def test_a_tensor_as_both_inputs_bitwise_matches_hand_written_ops(name):
+    rng = np.random.default_rng(14)
+    for scale in _SCALES:
+        x = (_positive_values if name == "div" else _signed_values)(rng, (3, 3), scale)
+        _assert_same_as_reference(name, [x, x], (True, True), rng, same_tensor=True)
+
+
+@pytest.mark.parametrize("expr,name,args", [
+    (lambda t: 1.0 - t, "sub", lambda t: (1.0, t)),
+    (lambda t: t * 0.5, "mul", lambda t: (t, 0.5)),
+    (lambda t: 0.5 * t, "mul", lambda t: (t, 0.5)),
+    (lambda t: 2.0 / t, "div", lambda t: (2.0, t)),
+    (lambda t: t / 4.0, "div", lambda t: (t, 4.0)),
+    (lambda t: t + 1e-12, "add", lambda t: (t, 1e-12)),
+    (lambda t: -t, "mul", lambda t: (t, -1.0)),
+], ids=["rsub", "mul", "rmul", "rtruediv", "truediv", "add", "neg"])
+def test_python_float_operands_bitwise_match_hand_written_ops(expr, name, args):
+    rng = np.random.default_rng(15)
+    for scale in _SCALES:
+        v = _positive_values(rng, (4, 3), scale)
+        v[0, 0] = -0.0 if name != "div" else v[0, 0]
+        g = _signed_values(rng, (4, 3), 1.0)
+        t_got, t_want = ad.parameter(v.copy()), ad.parameter(v.copy())
+        got, want = expr(t_got), _REFERENCE_OPS[name](*args(t_want))
+        got._backprop(g.copy())
+        want._backprop(g.copy())
+        assert bits(got) == bits(want) and bits(t_got.grad) == bits(t_want.grad)
+        assert len(got._parents) == len(want._parents) == 2

@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from moama.config import DEFAULTS, RunConfig, build_section, effective_config
 from moama.datagen import write_corpus_csv
 from moama.gin import MAX_EMBED_DIM, MAX_LAYERS, EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
-from moama.errors import DataError
+from moama.errors import DataError, write_output
 from moama.train import load_checkpoint, save_checkpoint
 
 
@@ -593,9 +594,7 @@ def test_pretrain_on_only_unparseable_smiles_is_a_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("n,settings", [
     (129, []),                                      # a lone last batch
     (40, ["run.batch_pretrain=1"]),
-    (40, ["loss.beta=0", "run.batch_pretrain=1"]),  # no pair in a batch of one
-    (40, ["mask.hop_k=0", "loss.beta=1"]),          # no motif can be masked
-], ids=["lone_last_batch", "batches_of_one", "aux_only_batches_of_one", "nothing_maskable"])
+], ids=["lone_last_batch", "batches_of_one"])
 def test_pretrain_on_a_batch_with_nothing_to_learn_succeeds(tmp_path, capsys, n, settings):
     data = tmp_path / "mols.csv"
     write_corpus_csv(data, n, seed=1)
@@ -604,6 +603,95 @@ def test_pretrain_on_a_batch_with_nothing_to_learn_succeeds(tmp_path, capsys, n,
     assert main(args + [a for kv in settings for a in ("--set", kv)]) == 0
     assert capsys.readouterr().err == ""
     assert len(_read_rows(out / "loss.csv")) == 2
+
+
+# each setting once trained every epoch without an Adam step and exited 0
+@pytest.mark.parametrize("settings,code,err", [
+    (["loss.beta=0", "run.batch_pretrain=1"], 1,  # no pair in a batch of one
+     "config error: loss.beta=0 needs batches of two molecules or more; "
+     "run.batch_pretrain=1 over 40 molecules gives none\n"),
+    (["mask.hop_k=0", "loss.beta=1"], 2,          # no motif can be masked
+     "data error: no molecule has a motif eligible at mask.hop_k=0; nothing can be masked\n"),
+], ids=["aux_only_batches_of_one", "nothing_maskable"])
+def test_pretrain_with_nothing_to_learn_fails_before_training(tmp_path, capsys, settings,
+                                                              code, err):
+    data = tmp_path / "mols.csv"
+    write_corpus_csv(data, 40, seed=1)
+    out = tmp_path / "out"
+    args = ["pretrain", "--out", str(out), "--set", f"data.input={data}", "--set", "run.epochs=3"]
+    assert main(args + [a for kv in settings for a in ("--set", kv)]) == code
+    assert capsys.readouterr().err == err
+    assert not (out / "checkpoint.moam").exists() and not (out / "loss.csv").exists()
+
+
+def _run_cli(argv, capsys):
+    """(exit code, stderr) of one command-line run."""
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,err", [
+    ("1\tC\tC", "expected 4 tab-separated fields"),
+    ("17\tC\tC\tsingle", "rule id 17 outside 1..16"),
+    ("1\tC\tC\tquadruple", "unknown bond order 'quadruple'"),
+    ("1\t;\tC\tsingle", "empty rule environment expression"),
+], ids=["two_fields", "rule_id_17", "quadruple", "empty_environment"])
+def test_a_bad_rule_file_line_is_a_data_error(mols_csv, tmp_path, capsys, line, err):
+    rules = tmp_path / "rules.tsv"
+    rules.write_text(f"# one rule\n{line}\n")
+    argv = ["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
+            "--set", f"motif.rules={rules}"]
+    assert _run_cli(argv, capsys) == (2, f"data error: {rules}:2: {err}\n")
+
+
+def test_a_config_file_line_without_equals_is_a_config_error(mols_csv, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# a comment line is skipped\nrun.epochs=1\n")
+    argv = ["decompose", "--config", str(config), "--set", f"data.input={mols_csv}"]
+    assert _run_cli(argv + ["--out", str(tmp_path / "ok")], capsys) == (0, "")
+    config.write_text("# a comment line is skipped\nrun.epochs\n")
+    assert _run_cli(argv + ["--out", str(tmp_path / "bad")], capsys) == (
+        1, f"config error: {config}:2: expected key=value\n")
+
+
+@pytest.mark.parametrize("settings,err", [
+    (["foo"], "--set expects KEY=VALUE, got 'foo'"),
+    (["mask.hop_k=-1"], "mask.hop_k must be >= 0"),
+    (["run.seed=-1", "mask.seed=0"], "run.seed must be >= 0"),
+], ids=["set_without_equals", "negative_hop_k", "negative_run_seed"])
+def test_bad_settings_are_config_errors(mols_csv, tmp_path, capsys, settings, err):
+    argv = ["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}"]
+    argv += [a for kv in settings for a in ("--set", kv)]
+    assert _run_cli(argv, capsys) == (1, f"config error: {err}\n")
+
+
+def test_a_checkpoint_of_another_version_is_a_data_error(small_inputs, tmp_path, capsys):
+    ckpt = tmp_path / "v2.moam"
+    data = bytearray(small_inputs["checkpoint"].read_bytes())
+    data[4:8] = struct.pack("<I", 2)
+    ckpt.write_bytes(bytes(data))
+    argv = ["influence", "--out", str(tmp_path / "out"), *_inputs_for("influence", small_inputs),
+            "--set", f"run.checkpoint={ckpt}"]
+    assert _run_cli(argv, capsys) == (2, "data error: unsupported checkpoint version 2\n")
+
+
+def test_finetune_label_errors_are_data_errors(small_inputs, tmp_path, capsys):
+    labeled = small_inputs["labeled"]
+    argv = ["finetune", "--out", str(tmp_path / "out"), *_inputs_for("finetune", small_inputs)]
+    assert _run_cli(argv + ["--set", "data.label=nope"], capsys) == (
+        2, f"data error: dataset {labeled} is missing label column 'nope'\n")
+    lines = labeled.read_text().splitlines()
+    lines[2] = lines[2].split(",")[0] + ","
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n".join(lines) + "\n")
+    assert _run_cli(argv + ["--set", f"data.input={blank}"], capsys) == (
+        2, "data error: missing labels in fine-tuning dataset\n")
+
+
+def test_write_output_under_a_regular_file_is_a_data_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(DataError, match=r"^cannot write report .*file/out\.csv: "):
+        write_output(tmp_path / "file" / "out.csv", "x", "report")
 
 
 @pytest.mark.parametrize("bad,every,labels", [("0.5", 3, {"0", "0.5", "1"}),

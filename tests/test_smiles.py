@@ -125,6 +125,22 @@ def test_errors_report_offsets():
         assert e.value.offset == offset, smi
 
 
+@pytest.mark.parametrize("smi,message,offset", [
+    ("C1C1", "duplicate bond", 3),
+    ("=C", "bond with no preceding atom", 0),
+    ("(C)", "branch with no preceding atom", 0),
+    ("C=(C)", "bond symbol before branch open", 2),
+    ("C(C=)C", "dangling bond before branch close", 4),
+    ("1CC", "ring closure with no preceding atom", 0),
+    ("C=1CC-1", "conflicting ring closure bond orders", 6),
+    ("[C@X]", "malformed bracket atom '[C@X]'", 0),
+])
+def test_grammar_errors_name_the_problem_and_its_offset(smi, message, offset):
+    with pytest.raises(SmilesError) as e:
+        parse(smi)
+    assert str(e.value) == f"{message} at offset {offset}" and e.value.offset == offset
+
+
 def test_parse_deterministic():
     g1 = parse("CCOC(=O)c1ccccc1")
     g2 = parse("CCOC(=O)c1ccccc1")

@@ -201,3 +201,38 @@ def test_global_statement_check_flags_every_declared_name():
               "        nonlocal n\n"
               "        n += 1\n")
     assert global_statements(source) == ["4:_cache", "10:_a", "10:_b"]
+
+
+def function_imports(source: str) -> list[str]:
+    """``line:module`` for each import statement inside a function body, in
+    source order. A relative module keeps its leading dots."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Import):
+                    found.update((inner.lineno, a.name) for a in inner.names)
+                elif isinstance(inner, ast.ImportFrom):
+                    found.add((inner.lineno, "." * inner.level + (inner.module or "")))
+    return [f"{line}:{module}" for line, module in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_module_imports_only_at_module_level(path):
+    assert function_imports(path.read_text("utf-8")) == []
+
+
+def test_function_import_check_flags_every_nested_import():
+    source = ("import os\n"
+              "from . import gin\n"
+              "def f():\n"
+              "    from .smiles import parse\n"
+              "    def g():\n"
+              "        import numpy as np, json\n"
+              "        return np\n"
+              "    return parse, g\n"
+              "class Box:\n"
+              "    async def h(self):\n"
+              "        from .. import cli\n"
+              "    import sys\n")
+    assert function_imports(source) == ["4:.smiles", "6:json", "6:numpy", "11:.."]

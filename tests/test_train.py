@@ -8,7 +8,7 @@ import pytest
 from moama import autodiff as ad
 from moama import parse
 from moama.datagen import generate_corpus, has_carbonyl
-from moama.errors import DataError
+from moama.errors import ConfigError, DataError
 from moama.gin import (
     EncoderConfig,
     ParamStore,
@@ -423,14 +423,38 @@ def test_probe_single_class_split_rejected():
         finetune_probe(None, graphs, np.ones_like(labels), cfg)
 
 
-def test_a_batch_with_a_constant_loss_takes_no_step(small_corpus):
-    # hop_k=0 leaves no motif eligible and beta=1 leaves no pair to align
-    cfg = replace(DESK, epochs=2, mask=MaskConfig(hop_k=0), loss=LossConfig(beta=1.0))
-    result = pretrain(small_corpus, cfg)
-    init = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed)
-    assert result.store.t == 0
-    assert all(bits(result.store[n]) == bits(init[n]) for n in init.names())
-    assert [(s.loss, s.rec) for s in result.curve] == [(0.0, 0.0), (0.0, 0.0)]
+def test_a_batch_with_a_constant_loss_takes_no_step(small_corpus, monkeypatch):
+    # beta=1 leaves no pair to align, so in batches of one a single-motif
+    # molecule, or one whose plan masks no atom type, gives a constant loss
+    import moama.train
+
+    graphs = [parse(s) for s in ("CCO", "c1ccccc1", "CC(C)C")] + small_corpus[:6]
+    cfg = replace(DESK, epochs=2, batch_pretrain=1, loss=LossConfig(beta=1.0))
+    masked = []
+    real = moama.train.apply_mask
+
+    def spy(g, plan):
+        masked.append(bool(plan.masked_nodes[0]))
+        return real(g, plan)
+
+    monkeypatch.setattr(moama.train, "apply_mask", spy)
+    result = pretrain(graphs, cfg)
+    assert len(masked) == 2 * len(graphs) and 0 < sum(masked) < len(masked)
+    assert result.store.t == sum(masked)
+
+
+def test_settings_with_nothing_to_learn_fail_before_the_first_epoch(small_corpus):
+    single = [parse(s) for s in ("CCO", "c1ccccc1", "CC(C)C")]
+    with pytest.raises(DataError, match=r"^no molecule has a motif eligible at mask\.hop_k=2; "
+                                        "nothing can be masked$"):
+        pretrain(single, DESK)
+    random = replace(DESK, epochs=1, mask=MaskConfig(hop_k=2, mode="random_baseline"))
+    assert len(pretrain(single, random).curve) == 1
+    aux_only = replace(DESK, loss=LossConfig(beta=0.0))
+    with pytest.raises(ConfigError, match=r"^loss\.beta=0 .* run\.batch_pretrain=16 over 1 "):
+        pretrain(small_corpus[:1], aux_only)
+    with pytest.raises(ConfigError, match=r"run\.batch_pretrain=1 over 48 "):
+        pretrain(small_corpus, replace(aux_only, batch_pretrain=1))
 
 
 def test_a_constant_batch_counts_in_the_epoch_means(small_corpus, monkeypatch):
