@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig, build_section, effective_config, format_effective, parse_config_file
 from .errors import ConfigError, DataError, NumericsError, csv_text, write_output
-from .fingerprint import morgan_fingerprint
+from .fingerprint import morgan_fingerprints
 from .influence import analyze_dataset
 from .masking import build_plan, plan_rng
 from .motif import decompose
@@ -165,8 +165,8 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
 
 def cmd_fingerprint(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
-    rows = [[rec.smiles, morgan_fingerprint(rec.graph, run.fp).to_hex()]
-            for rec in data.records]
+    fps = morgan_fingerprints([rec.graph for rec in data.records], run.fp)
+    rows = [[rec.smiles, fp.to_hex()] for rec, fp in zip(data.records, fps)]
     write_output(out["fingerprints"], csv_text(["smiles", "fingerprint_hex"], rows))
     print(f"fingerprinted {len(rows)} molecules")
 

@@ -3,9 +3,15 @@
 Neighborhood codes are hashed with a fixed splitmix64-style mixer so
 fingerprints are identical across platforms and runs. Round 0 hashes
 (atom_type, degree, chirality); each later round hashes an atom's previous
-code together with the sorted multiset of (bond order, neighbor code) pairs
-(``refine``, which ``train.scaffold_key`` also uses). Every code from every
-round sets one bit (code mod width).
+code together with the sorted multiset of (bond order, neighbor code) pairs.
+Every code from every round sets one bit (code mod width).
+
+The hash runs on numpy ``uint64`` arrays, whose arithmetic wraps mod 2**64,
+for a whole corpus at once: the molecules' nodes are stacked, their directed
+edges are offset to match (``molgraph.stack_edges``), and ``refine`` gives
+every node its next code in one call. Edges never join two molecules, so each
+molecule's codes are those it gets alone. ``train.scaffold_keys`` runs the
+same kernel.
 """
 
 from __future__ import annotations
@@ -14,46 +20,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .molgraph import BOND_ORDER_INDEX, MolGraph
+from .molgraph import MolGraph, stack_edges
 
-_MASK64 = (1 << 64) - 1
 _SEED = 0x6D6F616D61  # fixed hash seed
 MAX_WIDTH = 1 << 16  # a fingerprint is one int of width bits; cap its memory
+_K1 = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's multipliers
+_K2 = np.uint64(0xBF58476D1CE4E5B9)
+_K3 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix(h: int, value: int) -> int:
-    """Absorb one 64-bit value into h (splitmix64 finalizer)."""
-    h = (h ^ (value & _MASK64)) * 0x9E3779B97F4A7C15 & _MASK64
-    h ^= h >> 30
-    h = h * 0xBF58476D1CE4E5B9 & _MASK64
-    h ^= h >> 27
-    h = h * 0x94D049BB133111EB & _MASK64
-    h ^= h >> 31
+def _mix(h: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Absorb one 64-bit word per row into the uint64 hashes h (splitmix64
+    finalizer). Array arithmetic wraps silently; on numpy scalars it would warn."""
+    h = (h ^ value) * _K1
+    h ^= h >> np.uint64(30)
+    h *= _K2
+    h ^= h >> np.uint64(27)
+    h *= _K3
+    h ^= h >> np.uint64(31)
     return h
 
 
-def hash_ints(values) -> int:
-    """The fixed-seed hash of a sequence of integers."""
-    h = _SEED
-    for v in values:
-        h = _mix(h, v)
-    return h
+def hash_rows(head, tail=None, lengths=None) -> np.ndarray:
+    """The fixed-seed hash of each row's words, as a uint64 array.
 
-
-def refine(g: MolGraph, codes, v: int, tag: int, kept=None) -> int:
-    """One neighborhood-refinement step: the hash of ``[tag, codes[v]]`` and
-    v's sorted (bond order, neighbor code) pairs, over the neighbors in
-    ``kept`` when it is given. Sorting keeps it independent of node labels.
+    Row i is ``[col[i] for col in head]`` followed by its ``lengths[i]``
+    words of ``tail``, the rows' tails laid end to end. Tails are absorbed in
+    lock-step positions; a row whose tail has ended keeps its hash.
     """
-    adjacent = g._adjacency[v]
-    if kept is not None:
-        adjacent = [(u, bid) for u, bid in adjacent if u in kept]
-    parts = [tag, codes[v]]
-    for order, code in sorted((BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
-                              for u, bid in adjacent):
-        parts.append(order)
-        parts.append(code)
-    return hash_ints(parts)
+    h = np.full(len(head[0]), _SEED, dtype=np.uint64)
+    for col in head:
+        h = _mix(h, np.asarray(col, dtype=np.uint64))
+    if tail is None:
+        return h
+    starts = np.cumsum(lengths) - lengths
+    for pos in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > pos)
+        h[rows] = _mix(h[rows], tail[starts[rows] + pos])
+    return h
+
+
+def refine(codes: np.ndarray, src, dst, order, tag: int) -> np.ndarray:
+    """One neighborhood-refinement step for every node: the hash of ``[tag,
+    codes[v]]`` and v's sorted (bond order, neighbor code) pairs, over the
+    directed edges ``src -> dst`` that end at v. Sorting keeps it independent
+    of node labels; codes sort as uint64, the order of Python's ints.
+    """
+    perm = np.lexsort((codes[src], order, dst))
+    pairs = np.empty((len(perm), 2), dtype=np.uint64)
+    pairs[:, 0] = order[perm]
+    pairs[:, 1] = codes[src[perm]]
+    n = len(codes)
+    return hash_rows([np.full(n, tag), codes], pairs.ravel(),
+                     2 * np.bincount(dst, minlength=n))
 
 
 @dataclass(frozen=True)
@@ -88,25 +107,37 @@ class Fingerprint:
         return frozenset(i for i in range(self.width) if (self.bits >> i) & 1)
 
 
-def morgan_fingerprint(g: MolGraph, cfg: FingerprintConfig = FingerprintConfig()) -> Fingerprint:
-    """Iterative neighborhood-hashing fingerprint.
+def morgan_fingerprints(graphs, cfg: FingerprintConfig = FingerprintConfig()) -> list[Fingerprint]:
+    """Iterative neighborhood-hashing fingerprint of each molecule, every
+    molecule's rounds run at once.
 
     Invariant under node relabeling: neighbor multisets are sorted before
     hashing and initial codes depend only on local attributes.
     """
+    graphs = list(graphs)
     radius, width = cfg.radius, cfg.width
-    codes = [
-        hash_ints((0, a.atom_type, g.degree(v), a.chirality))
-        for v, a in enumerate(g.atoms)
-    ]
-    bits = 0
-    for c in codes:
-        bits |= 1 << (c % width)
+    if not graphs:
+        return []
+    src, dst, order = stack_edges(graphs)
+    x = np.concatenate([g.X for g in graphs])
+    n = len(x)
+    codes = hash_rows([np.zeros(n, dtype=np.uint64), x[:, 0],
+                       np.bincount(dst, minlength=n), x[:, 1]])
+    rounds = [codes]
     for r in range(1, radius + 1):
-        codes = [refine(g, codes, v, r) for v in range(g.n_atoms)]
-        for c in codes:
-            bits |= 1 << (c % width)
-    return Fingerprint(bits, width, radius)
+        codes = refine(codes, src, dst, order, r)
+        rounds.append(codes)
+    # width is a power of two, so code & (width - 1) is code % width
+    bit = (np.concatenate(rounds) & np.uint64(width - 1)).astype(np.int64)
+    mol = np.tile(np.repeat(np.arange(len(graphs)), [g.n_atoms for g in graphs]), radius + 1)
+    packed = np.zeros((len(graphs), (width + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (mol, bit >> 3), (1 << (bit & 7)).astype(np.uint8))
+    return [Fingerprint(int.from_bytes(row.tobytes(), "little"), width, radius) for row in packed]
+
+
+def morgan_fingerprint(g: MolGraph, cfg: FingerprintConfig = FingerprintConfig()) -> Fingerprint:
+    """``morgan_fingerprints`` of one molecule."""
+    return morgan_fingerprints([g], cfg)[0]
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
@@ -128,6 +159,8 @@ def tanimoto_matrix(fps) -> np.ndarray:
     the float64 counts are exact in any summation order, and ``inter / union``
     is the correctly rounded quotient that Python's int division gives.
     """
+    if not fps:
+        return np.zeros((0, 0))
     for fp in fps:
         if fp.width != fps[0].width:
             raise ValueError(f"fingerprint width mismatch: {fps[0].width} != {fp.width}")

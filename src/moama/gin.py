@@ -23,7 +23,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .molgraph import BOND_ORDERS, MASK_ATOM_TYPE, MASK_CHIRALITY, N_ATOM_TYPES, N_CHIRALITY, MolGraph
+from .molgraph import (
+    BOND_ORDERS,
+    MASK_ATOM_TYPE,
+    MASK_CHIRALITY,
+    N_ATOM_TYPES,
+    N_CHIRALITY,
+    MolGraph,
+    stack_edges,
+)
 
 N_ATOM_EMBED = MASK_ATOM_TYPE + 1      # 120 rows, mask code included
 N_CHIRALITY_EMBED = MASK_CHIRALITY + 1  # 5 rows
@@ -106,11 +114,7 @@ class TensorGraph:
             raise ValueError("chirality code out of range")
 
         sizes = [g.n_atoms for g in graphs]
-        edges = np.concatenate([g.edges for g in graphs], axis=1)
-        # each molecule's edges are (dst, src)-sorted and later molecules hold
-        # higher node ids, so the shifted concatenation is sorted as a whole
-        shift = np.repeat(np.cumsum([0] + sizes[:-1]), [g.edges.shape[1] for g in graphs])
-        return cls(ts, cs, edges[0] + shift, edges[1] + shift, edges[2],
+        return cls(ts, cs, *stack_edges(graphs),
                    np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
                    sum(sizes), len(graphs))
 

@@ -151,6 +151,17 @@ def adjacency(g: MolGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(u for u, _ in nbrs) for nbrs in g._adjacency)
 
 
+def stack_edges(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, bond order code) of the directed edges of one or more
+    molecules stacked in order, node ids offset by the atoms of the molecules
+    before. Each molecule's edges are (dst, src)-sorted and later molecules
+    hold higher node ids, so the stacked edges are (dst, src)-sorted too."""
+    sizes = [g.n_atoms for g in graphs]
+    edges = np.concatenate([g.edges for g in graphs], axis=1)
+    shift = np.repeat(np.cumsum([0] + sizes[:-1]), [g.edges.shape[1] for g in graphs])
+    return edges[0] + shift, edges[1] + shift, edges[2]
+
+
 def ring_bonds(g: MolGraph) -> frozenset[int]:
     """Ids of bonds lying on at least one cycle (the non-bridge edges)."""
     return frozenset(i for i, b in enumerate(g.bonds) if b.in_ring)

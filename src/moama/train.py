@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig, build_section
 from .errors import ConfigError, DataError, read_input, write_output
-from .fingerprint import hash_ints, morgan_fingerprint, refine
+from .fingerprint import hash_rows, morgan_fingerprints, refine
 from .gin import (
     EncoderConfig,
     ParamStore,
@@ -40,7 +40,7 @@ from .gin import (
 )
 from .loss import aux_loss, rec_loss, total_loss
 from .masking import apply_mask, build_plan, eligible_motifs, plan_rng
-from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph
+from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph, stack_edges
 from .motif import decompose
 
 CHECKPOINT_MAGIC = b"MOAM"
@@ -237,7 +237,7 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
                         "nothing can be masked")
 
     use_aux = cfg.loss.beta < 1.0
-    fps = [morgan_fingerprint(g, cfg.fp) for g in graphs] if use_aux else None
+    fps = morgan_fingerprints(graphs, cfg.fp) if use_aux else None
 
     curve: list[EpochStats] = []
     n = len(graphs)
@@ -300,38 +300,59 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
 
 # --- scaffold splitting ----------------------------------------------------
 
-def scaffold_key(g: MolGraph) -> str:
-    """Canonical key for the molecule's ring systems plus linkers.
+def scaffold_keys(graphs) -> list[str]:
+    """Canonical key for each molecule's ring systems plus linkers.
 
-    Side chains are pruned by repeatedly deleting non-ring atoms of degree
-    <= 1; the remainder is hashed with iterated neighborhood refinement
-    (``fingerprint.refine``) over (atom type, bond order), so isomorphic
-    scaffolds share a key and acyclic molecules map to the empty key.
+    Side chains are pruned by repeatedly deleting non-ring atoms with at most
+    one kept neighbor; the result does not depend on the deletion order, so
+    every molecule is pruned at once. The remainder is hashed with iterated
+    neighborhood refinement (``fingerprint.refine``, one call per round for
+    the whole corpus) over (atom type, bond order): a molecule with k kept
+    atoms runs k rounds, then its key is the hash of k and its sorted codes.
+    Isomorphic scaffolds share a key and acyclic molecules map to the empty
+    key.
     """
-    kept = set(range(g.n_atoms))
-    on_ring = {v for b in g.bonds if b.in_ring for v in (b.u, b.v)}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(kept):
-            if v in on_ring:
-                continue
-            deg = sum(1 for u in g.neighbors(v) if u in kept)
-            if deg <= 1:
-                kept.remove(v)
-                changed = True
-    if not kept:
-        return ""
+    graphs = list(graphs)
+    if not graphs:
+        return []
+    sizes = [g.n_atoms for g in graphs]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    src, dst, order = stack_edges(graphs)
+    n = sum(sizes)
+    on_ring = np.zeros(n, dtype=bool)
+    on_ring[[off + v for g, off in zip(graphs, offsets)
+             for b in g.bonds if b.in_ring for v in (b.u, b.v)]] = True
+    kept = np.ones(n, dtype=bool)
+    while True:
+        drop = kept & ~on_ring & (np.bincount(dst[kept[src]], minlength=n) <= 1)
+        if not drop.any():
+            break
+        kept &= ~drop
 
-    codes = {v: hash_ints((1, g.atoms[v].atom_type)) for v in kept}
-    for _ in range(len(kept)):
-        codes = {v: refine(g, codes, v, 2, kept) for v in kept}
-    final = hash_ints([len(kept)] + sorted(codes.values()))
-    return format(final, "016x")
+    nodes = np.flatnonzero(kept)
+    mol = np.repeat(np.arange(len(graphs)), sizes)[nodes]
+    n_kept = np.bincount(mol, minlength=len(graphs))
+    index = np.cumsum(kept) - 1
+    sub = kept[src] & kept[dst]
+    src, dst, order = index[src[sub]], index[dst[sub]], order[sub]
+    atom_type = np.concatenate([g.X[:, 0] for g in graphs])[nodes]
+    codes = hash_rows([np.ones(len(nodes), dtype=np.uint64), atom_type])
+    rounds = n_kept[mol]
+    for r in range(1, int(n_kept.max()) + 1):
+        codes = np.where(rounds >= r, refine(codes, src, dst, order, 2), codes)
+    by_mol = codes[np.lexsort((codes, mol))]
+    final = hash_rows([n_kept], by_mol, n_kept)
+    return [format(h, "016x") if k else "" for h, k in zip(final.tolist(), n_kept.tolist())]
+
+
+def scaffold_key(g: MolGraph) -> str:
+    """``scaffold_keys`` of one molecule."""
+    return scaffold_keys([g])[0]
 
 
 def scaffold_split(graphs):
-    """Group records by scaffold key and fill train/valid/test in order.
+    """Group records by scaffold key (``scaffold_keys``, one call for the
+    whole corpus) and fill train/valid/test in order.
 
     Groups are sorted by descending size then key and never straddle splits:
     train fills until it holds at least its share (``SPLIT_FRACTIONS``) of
@@ -339,8 +360,8 @@ def scaffold_split(graphs):
     """
     train_share, valid_share, _ = SPLIT_FRACTIONS
     groups: dict[str, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(scaffold_key(g), []).append(i)
+    for i, key in enumerate(scaffold_keys(graphs)):
+        groups.setdefault(key, []).append(i)
     ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
 
     n = sum(len(members) for members in groups.values())

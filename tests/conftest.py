@@ -2,7 +2,9 @@
 
 Oracles here deliberately avoid the production code paths they check:
 bridge detection via edge-removal connectivity, k-hop via plain BFS, the
-encoder via a tape-free numpy re-implementation, AUC via all-pairs counting.
+encoder via a tape-free numpy re-implementation, AUC via all-pairs counting,
+the corpus-wide uint64 refinement kernel via the per-node Python-int hash it
+replaced.
 """
 
 from __future__ import annotations
@@ -20,6 +22,26 @@ def corpus500():
     from moama.datagen import generate_corpus
 
     return [parse(s) for s in generate_corpus(500, seed=42)]
+
+
+@pytest.fixture(scope="session")
+def refinement_corpora(corpus500):
+    """Corpora for the refinement kernel's oracle tests, by name."""
+    from moama.datagen import generate_corpus
+
+    corpora = {"corpus500": corpus500}
+    for seed in (1, 2, 3):
+        corpora[f"seed{seed}"] = [parse(s) for s in generate_corpus(200, seed=seed)]
+    return corpora
+
+
+def odd_molecules() -> list[MolGraph]:
+    """One atom, two disconnected molecules (``C.C`` and ``c1ccccc1.C``, built
+    directly: the parser rejects a dot) and a hexavalent sulfur."""
+    c = AtomAttr(5)
+    return [parse("C"), MolGraph([c, c], []),
+            MolGraph([c] * 7, [(i, (i + 1) % 6, "aromatic") for i in range(6)]),
+            parse("S(F)(F)(F)(F)(F)F")]
 
 
 def connected_without_bond(g: MolGraph, skip: int) -> bool:
@@ -47,6 +69,65 @@ def bfs_oracle(g: MolGraph, v: int, k: int) -> frozenset[int]:
         frontier = {u for w in frontier for u in g.neighbors(w)} - seen
         seen |= frontier
     return frozenset(seen)
+
+
+_MASK64 = (1 << 64) - 1
+_SEED = 0x6D6F616D61
+
+
+def _mix_oracle(h: int, value: int) -> int:
+    """splitmix64 finalizer on Python ints, masked to 64 bits."""
+    h = (h ^ (value & _MASK64)) * 0x9E3779B97F4A7C15 & _MASK64
+    h ^= h >> 30
+    h = h * 0xBF58476D1CE4E5B9 & _MASK64
+    h ^= h >> 27
+    h = h * 0x94D049BB133111EB & _MASK64
+    h ^= h >> 31
+    return h
+
+
+def hash_ints_oracle(values) -> int:
+    """The fixed-seed hash of a sequence of integers, one word at a time."""
+    h = _SEED
+    for v in values:
+        h = _mix_oracle(h, v)
+    return h
+
+
+def refine_oracle(g: MolGraph, codes, v: int, tag: int, kept=None) -> int:
+    """One refinement step of node v alone: the hash of ``[tag, codes[v]]`` and
+    v's sorted (bond order, neighbor code) pairs, over the neighbors in
+    ``kept`` when it is given."""
+    adjacent = g._adjacency[v]
+    if kept is not None:
+        adjacent = [(u, bid) for u, bid in adjacent if u in kept]
+    parts = [tag, codes[v]]
+    for order, code in sorted((BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
+                              for u, bid in adjacent):
+        parts += [order, code]
+    return hash_ints_oracle(parts)
+
+
+def scaffold_key_oracle(g: MolGraph) -> str:
+    """Scaffold key by a sorted sweep that prunes one side-chain atom at a
+    time, then ``len(kept)`` per-node refinement rounds over dicts."""
+    kept = set(range(g.n_atoms))
+    on_ring = {v for b in g.bonds if b.in_ring for v in (b.u, b.v)}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(kept):
+            if v in on_ring:
+                continue
+            if sum(1 for u in g.neighbors(v) if u in kept) <= 1:
+                kept.remove(v)
+                changed = True
+    if not kept:
+        return ""
+    codes = {v: hash_ints_oracle((1, g.atoms[v].atom_type)) for v in kept}
+    for _ in range(len(kept)):
+        codes = {v: refine_oracle(g, codes, v, 2, kept) for v in kept}
+    return format(hash_ints_oracle([len(kept)] + sorted(codes.values())), "016x")
 
 
 def random_molgraph(rng: np.random.Generator, n_min=2, n_max=12) -> MolGraph:

@@ -64,6 +64,33 @@ def test_fingerprint_hex_output(mols_csv, tmp_path):
         int(r["fingerprint_hex"], 16)
 
 
+def test_fingerprint_of_a_header_only_csv_is_a_header_only_csv(tmp_path):
+    data = tmp_path / "empty.csv"
+    data.write_text("smiles\n")
+    out = tmp_path / "out"
+    assert main(["fingerprint", "--out", str(out), "--set", f"data.input={data}"]) == 0
+    assert (out / "fingerprints.csv").read_bytes() == b"smiles,fingerprint_hex\r\n"
+
+
+def test_fingerprint_of_lone_atoms_keeps_its_bytes(tmp_path):
+    data = tmp_path / "atoms.csv"
+    data.write_text("smiles\nC\nN\n[Na+]\n")
+    out = tmp_path / "out"
+    assert main(["fingerprint", "--out", str(out), "--set", f"data.input={data}",
+                 "--set", "fp.width=64"]) == 0
+    assert (out / "fingerprints.csv").read_bytes() == (
+        b"smiles,fingerprint_hex\r\nC,8000000000040010\r\nN,0004000200000004\r\n"
+        b"[Na+],0200000008080000\r\n")
+
+
+def test_finetune_of_a_header_only_csv_has_an_empty_train_split(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("smiles,label\n")
+    assert main(["finetune", "--out", str(tmp_path / "out"), "--set", f"data.input={data}",
+                 "--set", "data.label=label"]) == 2
+    assert capsys.readouterr().err == "data error: train split is empty\n"
+
+
 def test_exit_codes(tmp_path):
     out = ["--out", str(tmp_path / "out")]
     assert main(["decompose", *out, "--set", "bogus.key=1"]) == 1   # unknown key
@@ -339,16 +366,16 @@ def test_pretrain_uses_the_configured_rules_and_fingerprint(mols_csv, tmp_path, 
         assert "no rules found" in capsys.readouterr().err
 
     seen = []
-    real = moama.train.morgan_fingerprint
+    real = moama.train.morgan_fingerprints
 
-    def spy(g, cfg):
-        seen.append((cfg.radius, cfg.width))
-        return real(g, cfg)
+    def spy(graphs, cfg):
+        seen.append((len(graphs), cfg.radius, cfg.width))
+        return real(graphs, cfg)
 
-    monkeypatch.setattr(moama.train, "morgan_fingerprint", spy)
+    monkeypatch.setattr(moama.train, "morgan_fingerprints", spy)
     assert main(["pretrain", "--out", str(tmp_path / "fp"), *args,
                  "--set", "fp.radius=1", "--set", "fp.width=64"]) == 0
-    assert seen == [(1, 64)] * 3
+    assert seen == [(3, 1, 64)]
 
 
 @pytest.mark.parametrize("bad", ["a_directory", "not_utf8"])

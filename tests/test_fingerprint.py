@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moama import morgan_fingerprint, parse, tanimoto
-from moama.fingerprint import Fingerprint, FingerprintConfig, hash_ints, refine, tanimoto_matrix
-from moama.molgraph import BOND_ORDER_INDEX, relabel
+from moama.fingerprint import (
+    Fingerprint,
+    FingerprintConfig,
+    morgan_fingerprints,
+    refine,
+    tanimoto_matrix,
+)
+from moama.molgraph import BOND_ORDER_INDEX, relabel, stack_edges
 
-from conftest import bits
+from conftest import bits, hash_ints_oracle, odd_molecules, refine_oracle
 
 
 def _fp_from_bits(on_bits, width=256):
@@ -99,6 +105,7 @@ def test_tanimoto_matrix_of_datagen_fingerprints_and_its_edge_cases():
     want = np.array([[tanimoto(a, b) for b in fps] for a in fps])
     assert bits(tanimoto_matrix(fps)) == bits(want)
     assert tanimoto_matrix([_fp_from_bits([]), _fp_from_bits([])]).tolist() == [[1.0, 1.0]] * 2
+    assert bits(tanimoto_matrix([])) == bits(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="width mismatch: 256 != 128"):
         tanimoto_matrix([_fp_from_bits([1]), _fp_from_bits([1]), _fp_from_bits([1], width=128)])
 
@@ -111,7 +118,7 @@ def test_hex_round_trip():
 
 def _morgan_reference(g, radius, width):
     """The per-round loop morgan_fingerprint ran before it called refine."""
-    codes = [hash_ints((0, a.atom_type, g.degree(v), a.chirality))
+    codes = [hash_ints_oracle((0, a.atom_type, g.degree(v), a.chirality))
              for v, a in enumerate(g.atoms)]
     bits = 0
     for c in codes:
@@ -124,26 +131,64 @@ def _morgan_reference(g, radius, width):
             parts = [r, codes[v]]
             for order, code in env:
                 parts += [order, code]
-            nxt.append(hash_ints(parts))
+            nxt.append(hash_ints_oracle(parts))
         codes = nxt
         for c in codes:
             bits |= 1 << (c % width)
     return bits
 
 
-@pytest.mark.parametrize("radius,width", [(2, 2048), (3, 64)])
-def test_fingerprint_bits_match_the_reference_loop(corpus500, radius, width):
-    for g in corpus500[:200]:
-        assert morgan_fingerprint(g, FingerprintConfig(radius, width)).bits == _morgan_reference(g, radius, width)
+SHAPES = [(0, 2048), (2, 2048), (3, 64), (2, 65536)]
+
+
+@pytest.mark.parametrize("radius,width", SHAPES)
+def test_fingerprint_bits_match_the_reference_loop(refinement_corpora, radius, width):
+    cfg = FingerprintConfig(radius, width)
+    for graphs in [*refinement_corpora.values(), odd_molecules()]:
+        fps = morgan_fingerprints(graphs, cfg)
+        assert [fp.bits for fp in fps] == [_morgan_reference(g, radius, width) for g in graphs]
+        assert {(fp.width, fp.radius) for fp in fps} == {(width, radius)}
+
+
+@pytest.mark.parametrize("radius,width", SHAPES)
+def test_a_fingerprint_does_not_depend_on_its_corpus(corpus500, radius, width):
+    cfg = FingerprintConfig(radius, width)
+    graphs = corpus500[:60] + odd_molecules()
+    perm = np.random.default_rng(3).permutation(len(graphs))
+    alone = [morgan_fingerprint(g, cfg) for g in graphs]
+    assert morgan_fingerprints(graphs, cfg) == alone
+    assert morgan_fingerprints([graphs[i] for i in perm], cfg) == [alone[i] for i in perm]
+
+
+def test_an_empty_corpus_has_no_fingerprints():
+    assert morgan_fingerprints([]) == []
+    assert morgan_fingerprints(iter([parse("C")])) == [morgan_fingerprint(parse("C"))]
 
 
 def test_refine_over_kept_hashes_the_filtered_sorted_pairs(corpus500):
+    """The corpus-wide kernel over kept sub-edges equals the per-node oracle,
+    on random codes of which about half are >= 2**63."""
     rng = np.random.default_rng(0)
-    for g in corpus500[:100]:
-        codes = {v: int(rng.integers(0, 2**63)) for v in range(g.n_atoms)}
-        kept = {v for v in range(g.n_atoms) if rng.random() < 0.7}
-        for v in kept:
-            pairs = sorted((BOND_ORDER_INDEX[g.bonds[bid].order], codes[u])
-                           for u, bid in g._adjacency[v] if u in kept)
-            expected = hash_ints([2, codes[v]] + [x for pair in pairs for x in pair])
-            assert refine(g, codes, v, 2, kept) == expected
+    graphs = corpus500[:100] + odd_molecules()
+    src, dst, order = stack_edges(graphs)
+    n = sum(g.n_atoms for g in graphs)
+    codes = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    assert (codes >= 2**63).any() and (codes < 2**63).any()
+    kept = rng.random(n) < 0.7
+    sub = kept[src] & kept[dst]
+    got = refine(codes, src[sub], dst[sub], order[sub], 2)
+    assert got.dtype == np.uint64
+    off = 0
+    for g in graphs:
+        local = codes[off:off + g.n_atoms].tolist()
+        local_kept = {v for v in range(g.n_atoms) if kept[off + v]}
+        for v in local_kept:
+            assert int(got[off + v]) == refine_oracle(g, local, v, 2, local_kept)
+        off += g.n_atoms
+
+
+def test_refine_of_nodes_without_edges_hashes_tag_and_code():
+    codes = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    none = np.zeros(0, dtype=np.int64)
+    assert refine(codes, none, none, none, 5).tolist() == [
+        hash_ints_oracle([5, c]) for c in codes.tolist()]

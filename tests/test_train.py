@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from moama import autodiff as ad
 from moama import parse
 from moama.datagen import generate_corpus, has_carbonyl
 from moama.errors import ConfigError, DataError
+from moama.fingerprint import FingerprintConfig, morgan_fingerprints
 from moama.gin import (
     EncoderConfig,
     ParamStore,
@@ -36,10 +38,11 @@ from moama.train import (
     pretrain,
     save_checkpoint,
     scaffold_key,
+    scaffold_keys,
     scaffold_split,
 )
 
-from conftest import auc_oracle, bits
+from conftest import auc_oracle, bits, odd_molecules, scaffold_key_oracle
 
 DESK = RunConfig(
     epochs=3,
@@ -252,6 +255,9 @@ def test_bad_checkpoint_rejected(tmp_path):
 def test_scaffold_acyclic_empty_key():
     assert scaffold_key(parse("CCOCC")) == ""
     assert scaffold_key(parse("C")) == ""
+    graphs = [parse(s) for s in ("C", "CC", "CCO", "CC(C)(C)C", "CC=CC#N", "[Na+]")]
+    assert scaffold_keys(graphs) == [""] * len(graphs)
+    assert scaffold_keys([]) == []
 
 
 def test_scaffold_strips_side_chains():
@@ -277,6 +283,33 @@ def test_scaffold_key_relabel_invariant():
     key = scaffold_key(g)
     for _ in range(5):
         assert scaffold_key(relabel(g, list(rng.permutation(g.n_atoms)))) == key
+
+
+def test_scaffold_keys_match_the_per_molecule_oracle(refinement_corpora):
+    for graphs in [*refinement_corpora.values(), odd_molecules()]:
+        assert scaffold_keys(graphs) == [scaffold_key_oracle(g) for g in graphs]
+    assert len(set(scaffold_keys(refinement_corpora["corpus500"]))) > 10
+    assert scaffold_keys(odd_molecules()) == ["", "", scaffold_key(parse("c1ccccc1")), ""]
+
+
+def test_a_scaffold_key_does_not_depend_on_its_corpus(corpus500):
+    graphs = corpus500[:80] + odd_molecules()
+    perm = np.random.default_rng(4).permutation(len(graphs))
+    alone = [scaffold_key(g) for g in graphs]
+    assert scaffold_keys(graphs) == alone
+    assert scaffold_keys(iter([graphs[i] for i in perm])) == [alone[i] for i in perm]
+
+
+def test_corpus_kernels_raise_no_numpy_warning(corpus500):
+    """uint64 array arithmetic wraps silently; a scalar left in the kernel
+    would warn on overflow, and library callers see warnings."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        morgan_fingerprints(corpus500, FingerprintConfig(3, 65536))
+        morgan_fingerprints([], FingerprintConfig())
+        scaffold_keys(corpus500)
+        scaffold_keys(odd_molecules())
+        scaffold_keys([])
 
 
 def test_split_ten_singletons_8_1_1():
