@@ -10,6 +10,7 @@ Exit codes: 1 config error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 from dataclasses import replace
@@ -22,7 +23,7 @@ from .errors import ConfigError, DataError, NumericsError, csv_text, write_outpu
 from .fingerprint import morgan_fingerprints
 from .influence import analyze_dataset
 from .masking import build_plan, plan_rng
-from .motif import decompose
+from .motif import decompositions
 from .smiles import read_dataset
 from .train import finetune_probe, load_checkpoint, loss_curve_rows, pretrain, save_checkpoint
 
@@ -66,24 +67,26 @@ def _output_paths(command: str, run: RunConfig, out_dir: Path) -> dict[str, Path
     return {"config": out_dir / f"effective-config.{command}", **paths}
 
 
+def _skipped(data) -> str:
+    """The skipped-row count that each command's summary line carries."""
+    return f"({data.skipped} rows skipped)"
+
+
 def cmd_decompose(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
-    rules = run.motif.rule_table()
     rows = []
-    for rec in data.records:
-        dec = decompose(rec.graph, rules)
+    for rec, dec in zip(data.records, decompositions(data.graphs(), run.motif.rule_table())):
         sizes = "|".join(str(m.size) for m in dec.motifs)
         rows.append([rec.smiles, dec.n_motifs, sizes, len(dec.cut_edges)])
     write_output(out["motifs"], csv_text(["smiles", "n_motifs", "motif_sizes", "cut_edges"], rows))
-    print(f"decomposed {len(rows)} molecules ({data.skipped} rows skipped)")
+    print(f"decomposed {len(rows)} molecules {_skipped(data)}")
 
 
 def cmd_mask_preview(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
-    rules = run.motif.rule_table()
     rows = []
-    for i, rec in enumerate(data.records):
-        dec = decompose(rec.graph, rules)
+    decomps = decompositions(data.graphs(), run.motif.rule_table())
+    for i, (rec, dec) in enumerate(zip(data.records, decomps)):
         plan = build_plan(rec.graph, dec, run.mask, plan_rng(run.mask.seed, i))
         rows.append([
             rec.smiles,
@@ -96,7 +99,7 @@ def cmd_mask_preview(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     write_output(out["plans"], csv_text(
         ["smiles", "feasible", "realized_alpha", "selected_motifs",
          "masked_atom_type", "masked_chirality"], rows))
-    print(f"planned masks for {len(rows)} molecules")
+    print(f"planned masks for {len(rows)} molecules {_skipped(data)}")
 
 
 def cmd_pretrain(run: RunConfig, cfg, out: dict[str, Path]) -> None:
@@ -112,6 +115,7 @@ def cmd_pretrain(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     write_output(out["curve"], "\n".join(loss_curve_rows(result.curve, run.loss.beta < 1.0)) + "\n")
     print(f"checkpoint: {out['checkpoint']}")
     print(f"loss curve: {out['curve']}")
+    print(f"pretrained on {len(data.records)} molecules {_skipped(data)}")
 
 
 def cmd_finetune(run: RunConfig, cfg, out: dict[str, Path]) -> None:
@@ -132,7 +136,7 @@ def cmd_finetune(run: RunConfig, cfg, out: dict[str, Path]) -> None:
         [[repr(report.test_auc), repr(report.valid_auc), report.best_epoch,
           report.mode, *report.split_sizes]]))
     print(f"test AUC {report.test_auc:.4f} (valid {report.valid_auc:.4f}, "
-          f"epoch {report.best_epoch}, {report.mode})")
+          f"epoch {report.best_epoch}, {report.mode}) {_skipped(data)}")
 
 
 def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
@@ -141,9 +145,8 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     ckpt = load_checkpoint(run.checkpoint)
     enc = ckpt.encoder_config()
     data = read_dataset(_require_input(run))
-    rules = run.motif.rule_table()
     graphs = data.graphs()[:run.influence.max_graphs or None]   # 0 = all
-    decomps = [decompose(g, rules) for g in graphs]
+    decomps = list(decompositions(graphs, run.motif.rule_table()))
     report = analyze_dataset(graphs, decomps, ckpt.store, enc, run.influence)
     write_output(out["nodes"], csv_text(
         ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],
@@ -160,7 +163,8 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
           report.top_k, report.inter_mode, report.excluded_nodes]]))
     write_output(out["mrr"], csv_text(["n", "score", "graph_count"], [
         [n, repr(score), count] for n, score, count in report.mrr_inter]))
-    print(f"influence report over {len(graphs)} molecules -> {out['nodes'].parent}")
+    print(f"influence report over {len(graphs)} molecules {_skipped(data)} -> "
+          f"{out['nodes'].parent}")
 
 
 def cmd_fingerprint(run: RunConfig, cfg, out: dict[str, Path]) -> None:
@@ -168,7 +172,7 @@ def cmd_fingerprint(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     fps = morgan_fingerprints([rec.graph for rec in data.records], run.fp)
     rows = [[rec.smiles, fp.to_hex()] for rec, fp in zip(data.records, fps)]
     write_output(out["fingerprints"], csv_text(["smiles", "fingerprint_hex"], rows))
-    print(f"fingerprinted {len(rows)} molecules")
+    print(f"fingerprinted {len(rows)} molecules {_skipped(data)}")
 
 
 # Each command's handler and the files it writes under --out, by role; README's
@@ -221,5 +225,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Where a ``moama`` process starts. It freezes what the imports made into
+    the collector's permanent generation, so no collection rescans it, then
+    runs ``main``; in-process callers of ``main`` keep their collector as is."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -3,7 +3,9 @@
 Molecules are heavy-atom graphs: nodes carry a (atom_type, chirality) code
 pair, bonds carry an order and a derived ring flag. Hydrogens are implicit and
 never appear as nodes. Graphs are immutable after construction, so arrays
-derived once (``edges``) can be shared by every batch that holds the graph.
+derived once (``edges``, ``ring_edges``) can be shared by every batch and
+every corpus kernel that holds the graph. The constructor validates,
+normalizes and indexes the bond specs in one sweep, then perceives rings once.
 
 Attribute code spaces:
   atom_type  0..118 for real atoms (element number - 1); 119 is reserved for
@@ -14,6 +16,7 @@ Attribute code spaces:
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -64,6 +67,12 @@ class Bond:
             raise ValueError(f"unknown bond order {self.order!r}")
 
 
+@functools.lru_cache(maxsize=1 << 16, typed=True)
+def _bond(u, v, order, in_ring) -> Bond:
+    """One Bond per distinct value: Bond is frozen, so graphs share it."""
+    return Bond(u, v, order, in_ring)
+
+
 class MolGraph:
     """Immutable attributed molecular graph.
 
@@ -74,58 +83,67 @@ class MolGraph:
     (|V|, 2) integer matrix of (atom_type, chirality) codes. ``edges`` is the
     read-only (3, 2|E|) integer array of directed edges, rows (src, dst, bond
     order code), sorted by (dst, src): the order in which the encoder sums
-    each node's messages.
+    each node's messages. ``ring_edges`` is the read-only boolean ring flag of
+    each of those directed edges.
     """
 
-    __slots__ = ("atoms", "bonds", "_adjacency", "_X", "_edges")
+    __slots__ = ("atoms", "bonds", "_adjacency", "_X", "_edges", "_ring_edges")
 
     def __init__(self, atoms, bonds):
         """Build a graph from AtomAttr values and (u, v, order) bond specs;
         an order of None is resolved by the bond's ring flag."""
         atoms = tuple(atoms)
-        if not atoms:
-            raise ValueError("molecule must have at least one atom")
         n = len(atoms)
+        if not n:
+            raise ValueError("molecule must have at least one atom")
+        # one sweep validates each spec, normalizes it to u < v and fills the adjacency
+        adj = [[] for _ in range(n)]
         specs = []
         seen = set()
-        for u, v, order in bonds:
+        for i, (u, v, order) in enumerate(bonds):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bond ({u}, {v}) references missing atom")
             if u == v:
                 raise ValueError(f"self-bond on atom {u}")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate bond {key}")
             seen.add(key)
-            specs.append((key[0], key[1], order))
-
-        adj = [[] for _ in range(n)]
-        for i, (u, v, _) in enumerate(specs):
+            specs.append((*key, order))
             adj[u].append((v, i))
             adj[v].append((u, i))
-        self._adjacency = tuple(tuple(sorted(a)) for a in adj)
+        for a in adj:
+            a.sort()
+        self._adjacency = nbrs = tuple(map(tuple, adj))
 
-        bridge = bridge_flags(self._adjacency, len(specs))
+        bridge = bridge_flags(nbrs, len(specs))
         self.atoms = atoms
         self.bonds = tuple(
-            Bond(u, v, order if order is not None else "single" if bridge[i] else "aromatic",
-                 in_ring=not bridge[i])
+            _bond(u, v, order if order is not None else "single" if bridge[i] else "aromatic",
+                  not bridge[i])
             for i, (u, v, order) in enumerate(specs)
         )
 
-        x = np.array([[a.atom_type, a.chirality] for a in atoms], dtype=np.int64)
+        x = np.array([c for a in atoms for c in (a.atom_type, a.chirality)],
+                     dtype=np.int64).reshape(n, 2)
         x.setflags(write=False)
         self._X = x
 
         # each adjacency list is sorted by neighbor, so walking the lists in
         # node order yields the directed edges sorted by (dst, src)
         codes = [BOND_ORDER_INDEX[b.order] for b in self.bonds]
-        nbrs = self._adjacency
-        e = np.array([[u for a in nbrs for u, _ in a],
-                      [v for v, a in enumerate(nbrs) for _ in a],
-                      [codes[i] for a in nbrs for _, i in a]], dtype=np.int64)
+        src, dst, code, ring = [], [], [], []
+        for v, a in enumerate(nbrs):
+            for u, i in a:
+                src.append(u)
+                dst.append(v)
+                code.append(codes[i])
+                ring.append(not bridge[i])
+        e = np.array([src, dst, code, ring], dtype=np.int64)
         e.setflags(write=False)
-        self._edges = e
+        self._edges = e[:3]
+        self._ring_edges = e[3] == 1
+        self._ring_edges.setflags(write=False)
 
     @property
     def n_atoms(self) -> int:
@@ -138,6 +156,10 @@ class MolGraph:
     @property
     def edges(self) -> np.ndarray:
         return self._edges
+
+    @property
+    def ring_edges(self) -> np.ndarray:
+        return self._ring_edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(u for u, _ in self._adjacency[v])

@@ -7,14 +7,20 @@ only; motifs are the connected components that remain, so their union always
 reconstructs the molecule exactly and ring bonds are never cut. Which bonds
 lie on a ring is ``Bond.in_ring``, from ``MolGraph``'s one ring perception.
 
-Each predicate compiles, when the table loads, into a test ``(ctx, v) ->
-bool`` on one atom; ``nbr(...)`` compiles its bond mark and target into
-smaller tests. A loaded table (``RuleTable``) also builds, once, the set of
-(bond order, left expr, right expr) triples that holds every rule in both
-orientations and the table of distinct environments. ``match_rules`` lists
-the environments each bond endpoint matches and looks the pair up in that set.
-``default_rules`` loads the bundled table once; ``MotifConfig.rule_table``
-always gives a ``RuleTable``, the bundled one when ``motif.rules`` is empty.
+Matching runs once per corpus. ``_Corpus`` stacks the molecules into per-atom
+arrays (element, degree, aromatic, on_ring, carbonyl) and per-directed-edge
+arrays (src, dst, order, in_ring). Each predicate compiles, when the table
+loads, into an array test ``(ctx) -> bool[n_atoms]``; ``nbr(...)`` counts the
+marked edges from matching neighbors with one ``np.bincount``, and an
+environment is the AND of its predicates. A loaded table (``RuleTable``) also
+builds, once, the set of (bond order, left expr, right expr) triples that
+holds every rule in both orientations and the table of distinct environments.
+``cleavable_bonds`` evaluates each distinct environment once over the corpus
+and cuts an acyclic bond when one triple holds at its two endpoints;
+``decompositions`` splits every molecule at its cut bonds. ``match_rules`` and
+``decompose`` are their one-molecule calls. ``default_rules`` loads the
+bundled table once; ``MotifConfig.rule_table`` always gives a ``RuleTable``,
+the bundled one when ``motif.rules`` is empty.
 """
 
 from __future__ import annotations
@@ -22,15 +28,19 @@ from __future__ import annotations
 import functools
 import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .errors import DataError, read_input
-from .molgraph import BOND_ORDERS, MolGraph
+from .molgraph import BOND_ORDER_INDEX, BOND_ORDERS, N_ATOM_TYPES, MolGraph, stack_edges
 from .smiles import ATOM_CODE
 
 _C = ATOM_CODE["C"]
 _O = ATOM_CODE["O"]
+_SINGLE, _DOUBLE, _TRIPLE, _AROMATIC = (BOND_ORDER_INDEX[o] for o in BOND_ORDERS)
 
 _CMP = {"=": operator.eq, ">=": operator.ge, "<=": operator.le}
 
@@ -38,40 +48,41 @@ _DEG_RE = re.compile(r"^deg(?P<op>>=|<=|=)(?P<n>\d+)$")
 _NBR_RE = re.compile(r"^nbr\((?P<spec>[^)]+)\)(?P<op>>=|<=|=)(?P<n>\d+)$")
 _ELEMSET_RE = re.compile(r"^[A-Z][a-z]?(\|[A-Z][a-z]?)*$")
 
-# The one table of bond marks. Its order is the match order: a mark is tried
-# before any mark that is a prefix of it ("!-" and "-@" before "-").
+# The one table of bond marks, each a test on every directed edge. Its order
+# is the match order: a mark is tried before any mark that is a prefix of it
+# ("!-" and "-@" before "-").
 _BOND_MARKS = {
-    "!-": lambda b: b.order != "single",
-    "-@": lambda b: b.order == "single" and b.in_ring,
-    "-": lambda b: b.order == "single",
-    "=": lambda b: b.order == "double",
-    "#": lambda b: b.order == "triple",
-    ":": lambda b: b.order == "aromatic",
-    "@": lambda b: b.in_ring,
+    "!-": lambda ctx: ctx.order != _SINGLE,
+    "-@": lambda ctx: (ctx.order == _SINGLE) & ctx.in_ring,
+    "-": lambda ctx: ctx.order == _SINGLE,
+    "=": lambda ctx: ctx.order == _DOUBLE,
+    "#": lambda ctx: ctx.order == _TRIPLE,
+    ":": lambda ctx: ctx.order == _AROMATIC,
+    "@": lambda ctx: ctx.in_ring,
 }
 
 
-def _parse_elemset(text: str) -> frozenset[int]:
+def _parse_elemset(text: str) -> np.ndarray:
+    """A boolean lookup table over atom types, True at each listed element."""
     if not _ELEMSET_RE.match(text):
         raise DataError(f"bad element set {text!r} in rule environment")
-    codes = []
+    member = np.zeros(N_ATOM_TYPES, dtype=bool)
     for sym in text.split("|"):
         if sym not in ATOM_CODE:
             raise DataError(f"unknown element {sym!r} in rule environment")
-        codes.append(ATOM_CODE[sym])
-    return frozenset(codes)
+        member[ATOM_CODE[sym]] = True
+    return member
 
 
 def _parse_target(spec: str):
     if spec == "*":
-        return lambda ctx, u: True
+        return lambda ctx: np.ones(ctx.n, dtype=bool)
     if spec == "C=O":
-        return lambda ctx, u: u in ctx.carbonyl
+        return lambda ctx: ctx.carbonyl
+    member = _parse_elemset(spec.removeprefix("!"))
     if spec.startswith("!"):
-        codes = _parse_elemset(spec[1:])
-        return lambda ctx, u: ctx.elem[u] not in codes
-    codes = _parse_elemset(spec)
-    return lambda ctx, u: ctx.elem[u] in codes
+        member = ~member
+    return lambda ctx: member[ctx.elem]
 
 
 def _nbr_count(spec: str, cmp, n: int):
@@ -82,33 +93,32 @@ def _nbr_count(spec: str, cmp, n: int):
             break
     target = _parse_target(spec)
 
-    def test(ctx, v):
-        count = 0
-        for u, bid in ctx.g._adjacency[v]:
-            if (bond_ok is None or bond_ok(ctx.g.bonds[bid])) and target(ctx, u):
-                count += 1
-        return cmp(count, n)
+    def test(ctx):
+        hit = target(ctx)[ctx.src]
+        if bond_ok is not None:
+            hit &= bond_ok(ctx)
+        return cmp(np.bincount(ctx.dst[hit], minlength=ctx.n), n)
 
     return test
 
 
 def _parse_pred(text: str):
-    """Compile one predicate into a test ``(ctx, v) -> bool``."""
+    """Compile one predicate into a test ``(ctx) -> bool[n_atoms]``."""
     if text in ("ar", "al"):
         want = text == "ar"
-        return lambda ctx, v: ctx.aromatic[v] == want
+        return lambda ctx: ctx.aromatic == want
     if text in ("ring", "acyclic"):
         want = text == "ring"
-        return lambda ctx, v: ctx.on_ring[v] == want
+        return lambda ctx: ctx.on_ring == want
     m = _DEG_RE.match(text)
     if m:
         cmp, n = _CMP[m.group("op")], int(m.group("n"))
-        return lambda ctx, v: cmp(ctx.degree[v], n)
+        return lambda ctx: cmp(ctx.degree, n)
     m = _NBR_RE.match(text)
     if m:
         return _nbr_count(m.group("spec"), _CMP[m.group("op")], int(m.group("n")))
     if _ELEMSET_RE.match(text):
-        return _parse_target(text)  # the element-set target, tested on v
+        return _parse_target(text)  # the element-set target, tested on each atom
     raise DataError(f"cannot parse rule predicate {text!r}")
 
 
@@ -126,6 +136,13 @@ class EnvPattern:
             raise DataError("empty rule environment expression")
         return cls(expr, tuple(_parse_pred(p) for p in parts))
 
+    def matches(self, ctx: "_Corpus") -> np.ndarray:
+        """Which atoms of the corpus match every predicate."""
+        hit = self.preds[0](ctx)
+        for pred in self.preds[1:]:
+            hit = hit & pred(ctx)
+        return hit
+
 
 @dataclass(frozen=True)
 class BricsRule:
@@ -135,43 +152,41 @@ class BricsRule:
     bond_order: str
 
 
-class _GraphContext:
-    """Per-graph derived atom facts used by environment matching."""
+class _Corpus:
+    """Atom and directed-edge facts of molecules stacked in order, node ids
+    offset by the atoms of the molecules before: what every compiled
+    predicate reads."""
 
-    def __init__(self, g: MolGraph):
-        n = g.n_atoms
-        self.g = g
-        self.elem = [a.atom_type for a in g.atoms]
-        self.degree = [g.degree(v) for v in range(n)]
-        self.aromatic = [False] * n
-        self.on_ring = [False] * n
-        self.carbonyl = carbonyl_carbons(g)
-        for b in g.bonds:
-            if b.order == "aromatic":
-                self.aromatic[b.u] = self.aromatic[b.v] = True
-            if b.in_ring:
-                self.on_ring[b.u] = self.on_ring[b.v] = True
+    def __init__(self, graphs):
+        self.sizes = [g.n_atoms for g in graphs]
+        self.n = n = sum(self.sizes)
+        src, dst, order = stack_edges(graphs)
+        # the narrowest types that hold the values, so the corpus arrays stay small
+        self.src, self.dst = src, dst = src.astype(np.int32), dst.astype(np.int32)
+        self.order = order = order.astype(np.int8)
+        self.in_ring = np.concatenate([g.ring_edges for g in graphs])
+        self.elem = elem = np.concatenate([g.X[:, 0] for g in graphs]).astype(np.int8)
+
+        def marked(edge):   # atoms at the head of at least one marked edge
+            return np.bincount(dst[edge], minlength=n) > 0
+
+        self.degree = np.bincount(dst, minlength=n)
+        self.aromatic = marked(order == _AROMATIC)
+        self.on_ring = marked(self.in_ring)
+        self.carbonyl = (elem == _C) & marked((order == _DOUBLE) & (elem[src] == _O))
 
 
 def carbonyl_carbons(g: MolGraph) -> frozenset[int]:
     """Ids of the carbons double-bonded to an oxygen."""
-    return frozenset(a for b in g.bonds if b.order == "double"
-                     for a, o in ((b.u, b.v), (b.v, b.u))
-                     if g.atoms[a].atom_type == _C and g.atoms[o].atom_type == _O)
-
-
-def _env_matches(env: EnvPattern, ctx: _GraphContext, v: int) -> bool:
-    for pred in env.preds:
-        if not pred(ctx, v):
-            return False
-    return True
+    return frozenset(np.flatnonzero(_Corpus([g]).carbonyl).tolist())
 
 
 class RuleTable(tuple):
-    """A tuple of rules, compiled for ``match_rules`` once: ``pairs`` holds
-    every rule's (bond order, left expr, right expr) in both orientations and
-    ``envs`` each distinct environment by its expression text. A slice is a
-    plain tuple, which ``match_rules`` compiles per call."""
+    """A tuple of rules, compiled for ``cleavable_bonds`` once: ``pairs``
+    holds every rule's (bond order, left expr, right expr) in both
+    orientations and ``envs`` each distinct environment by its expression
+    text. A slice is a plain tuple, which ``cleavable_bonds`` compiles per
+    call."""
 
     def __new__(cls, rules):
         table = super().__new__(cls, rules)
@@ -235,32 +250,48 @@ def default_rules() -> RuleTable:
     return load_rules()
 
 
-def match_rules(g: MolGraph, rules=None) -> frozenset[int]:
-    """Bond ids cleavable under the rule table. Ring bonds never match.
+def cleavable_bonds(graphs, rules=None) -> list[frozenset[int]]:
+    """Bond ids cleavable under the rule table, per molecule of a corpus, in
+    one pass over the whole corpus. Ring bonds never match.
 
-    Each endpoint of an acyclic bond is matched once against every distinct
-    environment, keyed by its expression text. The bond is cleavable when one
-    (endpoint-0 env, endpoint-1 env) pair is in the set of (bond order, left,
+    Each distinct environment of the table, keyed by its expression text, is
+    matched once against every atom. An acyclic bond (u, v), u < v, is
+    cleavable when one (u env, v env) pair is in the set of (bond order, left,
     right) rule triples, which holds every rule in both orientations. Any
     sequence of rules works; a ``RuleTable`` brings its set already built.
     """
+    graphs = list(graphs)
+    if not graphs:
+        return []
     if rules is None:
         rules = default_rules()
     if not isinstance(rules, RuleTable):
         rules = RuleTable(rules)
-    pairs, envs = rules.pairs, rules.envs
-    ctx = _GraphContext(g)
-    matched: dict[int, list[str]] = {}
-    out = set()
-    for i, b in enumerate(g.bonds):
-        if b.in_ring:
-            continue
-        for v in (b.u, b.v):
-            if v not in matched:
-                matched[v] = [e for e, env in envs.items() if _env_matches(env, ctx, v)]
-        if any((b.order, x, y) in pairs for x in matched[b.u] for y in matched[b.v]):
-            out.add(i)
-    return frozenset(out)
+    ctx = _Corpus(graphs)
+    acyclic = (ctx.src < ctx.dst) & ~ctx.in_ring    # each acyclic bond once, u = src < v = dst
+    u, v, order = ctx.src[acyclic], ctx.dst[acyclic], ctx.order[acyclic]
+    at_u, at_v = {}, {}
+    for expr, env in rules.envs.items():
+        hit = env.matches(ctx)
+        at_u[expr], at_v[expr] = hit[u], hit[v]
+    cut = np.zeros(len(u), dtype=bool)
+    for bond_order, x, y in rules.pairs:
+        cut |= (order == BOND_ORDER_INDEX[bond_order]) & at_u[x] & at_v[y]
+
+    # each cut edge back to its molecule and that molecule's bond id
+    starts = np.cumsum([0] + ctx.sizes)
+    mol = np.searchsorted(starts, u[cut], side="right") - 1
+    found: list[list[int]] = [[] for _ in graphs]
+    for k, a, b in zip(mol.tolist(), (u[cut] - starts[mol]).tolist(),
+                       (v[cut] - starts[mol]).tolist()):
+        found[k] += [bid for w, bid in graphs[k]._adjacency[a] if w == b]
+    return [frozenset(bids) for bids in found]
+
+
+def match_rules(g: MolGraph, rules=None) -> frozenset[int]:
+    """Bond ids of one molecule cleavable under the rule table; see
+    ``cleavable_bonds``."""
+    return cleavable_bonds([g], rules)[0]
 
 
 @dataclass(frozen=True)
@@ -289,9 +320,23 @@ class MotifDecomposition:
         return len(self.motifs)
 
 
+def decompositions(graphs, rules=None) -> Iterator[MotifDecomposition]:
+    """Split each molecule of a corpus into motifs by removing every
+    cleavable bond. The rule table is matched for the whole corpus at the
+    call; each molecule is split when the iterator reaches it, so a caller
+    that streams holds one decomposition at a time."""
+    graphs = list(graphs)
+    return map(_split, graphs, cleavable_bonds(graphs, rules))
+
+
 def decompose(g: MolGraph, rules=None) -> MotifDecomposition:
-    """Split a molecule into motifs by removing every cleavable bond."""
-    cut = match_rules(g, rules)
+    """Split one molecule into motifs; see ``decompositions``."""
+    return next(decompositions([g], rules))
+
+
+def _split(g: MolGraph, cut: frozenset[int]) -> MotifDecomposition:
+    """The motifs left when the ``cut`` bonds are removed, in order of their
+    smallest atom."""
     n = g.n_atoms
     comp = [-1] * n
     order = []

@@ -18,11 +18,18 @@ without an order between two aromatic atoms is left unwritten (None), and
 ``MolGraph``'s ring perception makes it aromatic when it lies on a ring and
 single otherwise; any other bond written without an order is single. Errors
 report the byte offset of the offending token.
+
+``parse`` makes two passes over a record. ``_lex`` cuts the whole string into
+(kind, text, pos) tuples first, so a lexical error is reported before any
+grammar error; the grammar pass then walks the tuples once. Organic-subset
+atoms come from a table, and every atom of one (atom_type, chirality) is the
+same frozen ``AtomAttr`` value. ``tokenize`` wraps the same lexer.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from dataclasses import dataclass
@@ -91,21 +98,35 @@ class SmilesToken:
     pos: int
 
 
+def _lex(smiles: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) of each token of a SMILES string; raises SmilesError
+    at the first character that starts no token."""
+    tokens = []
+    pos = 0
+    for m in _TOKEN_RE.finditer(smiles):
+        if m.start() != pos:
+            break
+        tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    if pos != len(smiles):
+        if smiles[pos] == "[":
+            raise SmilesError("unterminated bracket atom", pos)
+        raise SmilesError(f"unexpected character {smiles[pos]!r}", pos)
+    return tokens
+
+
 def tokenize(smiles: str) -> list[SmilesToken]:
     """Lex a SMILES string; token texts concatenate back to the input. Each
     token's kind is one of ``bracket_atom``, ``organic_atom``, ``bond``,
     ``branch_open``, ``branch_close``, ``ring_closure`` and ``dot``."""
-    tokens = []
-    i = 0
-    while i < len(smiles):
-        m = _TOKEN_RE.match(smiles, i)
-        if m is None:
-            if smiles[i] == "[":
-                raise SmilesError("unterminated bracket atom", i)
-            raise SmilesError(f"unexpected character {smiles[i]!r}", i)
-        tokens.append(SmilesToken(m.lastgroup, m.group(), i))
-        i = m.end()
-    return tokens
+    return [SmilesToken(*token) for token in _lex(smiles)]
+
+
+@functools.cache
+def _atom(code: int, chirality: int) -> AtomAttr:
+    """The one AtomAttr of (atom_type, chirality); AtomAttr is frozen, so
+    every graph shares it."""
+    return AtomAttr(code, chirality)
 
 
 def _element(symbol: str, pos: int) -> tuple[int, bool]:
@@ -118,36 +139,36 @@ def _element(symbol: str, pos: int) -> tuple[int, bool]:
     raise SmilesError(f"unknown element symbol {symbol!r}", pos)
 
 
-def _parse_bracket(token: SmilesToken) -> tuple[int, int, bool]:
-    """Decode a bracket atom into (atom_type, chirality, aromatic-flag)."""
-    m = _BRACKET_RE.match(token.text)
+# (atom, aromatic-flag) of each organic-subset token text
+_ORGANIC = {sym: (_atom(ATOM_CODE[sym.capitalize()], CHIRALITY_NONE), sym in AROMATIC_SUBSET)
+            for sym in ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", *AROMATIC_SUBSET)}
+
+_CHIRALITY = {None: CHIRALITY_NONE, "@": CHIRALITY_TET1, "@@": CHIRALITY_TET2}
+
+
+def _bracket_atom(text: str, pos: int) -> tuple[AtomAttr, bool]:
+    """Decode a bracket atom into (atom, aromatic-flag)."""
+    m = _BRACKET_RE.match(text)
     if m is None:
-        raise SmilesError(f"malformed bracket atom {token.text!r}", token.pos)
-    code, aromatic = _element(m.group("symbol"), token.pos)
-    mark = m.group("chirality")
-    if mark is None:
-        chirality = CHIRALITY_NONE
-    elif mark == "@":
-        chirality = CHIRALITY_TET1
-    elif mark == "@@":
-        chirality = CHIRALITY_TET2
-    else:
-        chirality = CHIRALITY_OTHER
-    return code, chirality, aromatic
+        raise SmilesError(f"malformed bracket atom {text!r}", pos)
+    code, aromatic = _element(m.group("symbol"), pos)
+    return _atom(code, _CHIRALITY.get(m.group("chirality"), CHIRALITY_OTHER)), aromatic
 
 
 def parse(smiles: str) -> MolGraph:
     """Parse one SMILES record into an attributed MolGraph.
 
     Deterministic: node ids follow atom-token order, bonds follow creation
-    order. Raises SmilesError with a byte offset on grammar violations.
+    order. The whole string is lexed before the grammar pass, so a lexical
+    error wins over a grammar error that comes before it. Raises SmilesError
+    with a byte offset on grammar violations.
     """
-    tokens = tokenize(smiles)
-    if not any(t.kind.endswith("atom") for t in tokens):
+    tokens = _lex(smiles)
+    if not any(kind.endswith("atom") for kind, _, _ in tokens):
         raise SmilesError("no atoms in input", 0)
 
-    atoms: list[tuple[int, int]] = []       # (atom_type, chirality)
-    aromatic_atom: list[bool] = []
+    atoms: list[AtomAttr] = []
+    aromatic: list[bool] = []
     bonds: list[tuple[int, int, str | None]] = []
     bond_keys: set[tuple[int, int]] = set()
 
@@ -157,72 +178,63 @@ def parse(smiles: str) -> MolGraph:
     branch_stack: list[tuple[int | None, int]] = []
     open_rings: dict[int, tuple[int, str | None, int]] = {}
 
-    def add_bond(u: int, v: int, order: str | None, pos: int) -> None:
-        if u == v:
-            raise SmilesError("ring closure bonds an atom to itself", pos)
-        key = (min(u, v), max(u, v))
-        if key in bond_keys:
-            raise SmilesError("duplicate bond", pos)
-        bond_keys.add(key)
-        # MolGraph resolves an unwritten bond between aromatic atoms by its ring flag
-        if order is None and not (aromatic_atom[u] and aromatic_atom[v]):
-            order = "single"
-        bonds.append((u, v, order))
-
-    for tok in tokens:
-        if tok.kind == "dot":
-            raise SmilesError("multi-fragment input (dot) not supported", tok.pos)
-        if tok.kind == "bond":
+    for kind, text, pos in tokens:
+        if kind == "organic_atom" or kind == "bracket_atom":
+            atom, arom = _ORGANIC[text] if kind == "organic_atom" else _bracket_atom(text, pos)
+            idx = len(atoms)
+            atoms.append(atom)
+            aromatic.append(arom)
+            if prev is not None:
+                # MolGraph resolves an unwritten bond between aromatic atoms by its ring flag
+                if pending_bond is None and not (arom and aromatic[prev]):
+                    pending_bond = "single"
+                bonds.append((prev, idx, pending_bond))
+                bond_keys.add((prev, idx))
+                pending_bond = None
+            prev = idx
+        elif kind == "bond":
             if pending_bond is not None:
-                raise SmilesError("two consecutive bond symbols", tok.pos)
+                raise SmilesError("two consecutive bond symbols", pos)
             if prev is None:
-                raise SmilesError("bond with no preceding atom", tok.pos)
-            pending_bond = _BOND_CHAR_ORDER[tok.text]
-            pending_pos = tok.pos
-            continue
-        if tok.kind == "branch_open":
+                raise SmilesError("bond with no preceding atom", pos)
+            pending_bond = _BOND_CHAR_ORDER[text]
+            pending_pos = pos
+        elif kind == "branch_open":
             if prev is None:
-                raise SmilesError("branch with no preceding atom", tok.pos)
+                raise SmilesError("branch with no preceding atom", pos)
             if pending_bond is not None:
-                raise SmilesError("bond symbol before branch open", tok.pos)
-            branch_stack.append((prev, tok.pos))
-            continue
-        if tok.kind == "branch_close":
+                raise SmilesError("bond symbol before branch open", pos)
+            branch_stack.append((prev, pos))
+        elif kind == "branch_close":
             if not branch_stack:
-                raise SmilesError("unmatched branch close", tok.pos)
+                raise SmilesError("unmatched branch close", pos)
             if pending_bond is not None:
-                raise SmilesError("dangling bond before branch close", tok.pos)
-            prev, _ = branch_stack.pop()
-            continue
-        if tok.kind == "ring_closure":
+                raise SmilesError("dangling bond before branch close", pos)
+            prev = branch_stack.pop()[0]
+        elif kind == "ring_closure":
             if prev is None:
-                raise SmilesError("ring closure with no preceding atom", tok.pos)
-            num = int(tok.text[1:]) if tok.text.startswith("%") else int(tok.text)
+                raise SmilesError("ring closure with no preceding atom", pos)
+            num = int(text[1:]) if text[0] == "%" else int(text)
             if num in open_rings:
-                other, other_order, other_pos = open_rings.pop(num)
-                order = pending_bond if pending_bond is not None else other_order
+                other, other_order, _ = open_rings.pop(num)
                 if (pending_bond is not None and other_order is not None
                         and pending_bond != other_order):
-                    raise SmilesError("conflicting ring closure bond orders", tok.pos)
-                add_bond(other, prev, order, tok.pos)
+                    raise SmilesError("conflicting ring closure bond orders", pos)
+                if other == prev:
+                    raise SmilesError("ring closure bonds an atom to itself", pos)
+                key = (other, prev) if other < prev else (prev, other)
+                if key in bond_keys:
+                    raise SmilesError("duplicate bond", pos)
+                bond_keys.add(key)
+                order = pending_bond if pending_bond is not None else other_order
+                if order is None and not (aromatic[other] and aromatic[prev]):
+                    order = "single"
+                bonds.append((other, prev, order))
             else:
-                open_rings[num] = (prev, pending_bond, tok.pos)
+                open_rings[num] = (prev, pending_bond, pos)
             pending_bond = None
-            continue
-
-        # atom token
-        if tok.kind == "organic_atom":
-            code, aromatic = _element(tok.text, tok.pos)
-            chirality = CHIRALITY_NONE
         else:
-            code, chirality, aromatic = _parse_bracket(tok)
-        atoms.append((code, chirality))
-        aromatic_atom.append(aromatic)
-        idx = len(atoms) - 1
-        if prev is not None:
-            add_bond(prev, idx, pending_bond, tok.pos)
-        pending_bond = None
-        prev = idx
+            raise SmilesError("multi-fragment input (dot) not supported", pos)
 
     if pending_bond is not None:
         raise SmilesError("dangling bond at end of input", pending_pos)
@@ -232,7 +244,7 @@ def parse(smiles: str) -> MolGraph:
         first = min(open_rings.values(), key=lambda item: item[2])
         raise SmilesError("unpaired ring closure", first[2])
 
-    return MolGraph([AtomAttr(c, ch) for c, ch in atoms], bonds)
+    return MolGraph(atoms, bonds)
 
 
 @dataclass(frozen=True)

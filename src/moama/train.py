@@ -41,7 +41,7 @@ from .gin import (
 from .loss import aux_loss, rec_loss, total_loss
 from .masking import apply_mask, build_plan, eligible_motifs, plan_rng
 from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph, stack_edges
-from .motif import decompose
+from .motif import decompositions
 
 CHECKPOINT_MAGIC = b"MOAM"
 CHECKPOINT_VERSION = 1
@@ -227,8 +227,7 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
         store, start_epoch = resume.store, resume.epoch
     else:
         store, start_epoch = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed), 0
-    rules = cfg.motif.rule_table()
-    decomps = [decompose(g, rules) for g in graphs]
+    decomps = list(decompositions(graphs, cfg.motif.rule_table()))
     motif_masking = cfg.mask.mode != "random_baseline"
     eligible = ([eligible_motifs(g, d, cfg.mask.hop_k) for g, d in zip(graphs, decomps)]
                 if motif_masking else [None] * len(graphs))

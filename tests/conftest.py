@@ -4,17 +4,36 @@ Oracles here deliberately avoid the production code paths they check:
 bridge detection via edge-removal connectivity, k-hop via plain BFS, the
 encoder via a tape-free numpy re-implementation, AUC via all-pairs counting,
 the corpus-wide uint64 refinement kernel via the per-node Python-int hash it
-replaced.
+replaced, the one-pass parser and graph constructor via the token-object parser
+and the validate-then-build constructor they replaced, and the corpus-wide
+rule-matching kernel via the per-atom closure matcher it replaced.
 """
 
 from __future__ import annotations
+
+import operator
+import re
 
 import numpy as np
 import pytest
 
 from moama import parse
+from moama.errors import SmilesError
 from moama.gin import EncoderConfig
-from moama.molgraph import AtomAttr, BOND_ORDER_INDEX, BOND_ORDERS, MolGraph
+from moama.molgraph import (
+    CHIRALITY_NONE,
+    CHIRALITY_OTHER,
+    CHIRALITY_TET1,
+    CHIRALITY_TET2,
+    AtomAttr,
+    BOND_ORDER_INDEX,
+    BOND_ORDERS,
+    Bond,
+    MolGraph,
+    bridge_flags,
+)
+from moama.motif import RuleTable, default_rules
+from moama.smiles import _BRACKET_RE, _TOKEN_RE, AROMATIC_SUBSET, ATOM_CODE, SmilesToken
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +52,13 @@ def refinement_corpora(corpus500):
     for seed in (1, 2, 3):
         corpora[f"seed{seed}"] = [parse(s) for s in generate_corpus(200, seed=seed)]
     return corpora
+
+
+# SMILES the parser oracle tests add to the generated corpora: one atom, a
+# hexavalent sulfur, %nn ring closures and bracket chirality marks
+ODD_SMILES = ["C", "[Na+]", "S(F)(F)(F)(F)(F)F", "C%10CCCCC%10", "c1cc%11ccc%12cc%11cc%12c1",
+              "C%01CC1", "N[C@@H](C)C(=O)O", "F[C@H](Cl)Br", "C[C@TH1H](N)O", "[13C@@@H2+2]C",
+              "C[Si@AL2](C)=C", "c1cc[nH]c1", "C1CC2CC1CC2", "c1ccccc1-c1ccccc1", "F/C=C\\F"]
 
 
 def odd_molecules() -> list[MolGraph]:
@@ -217,3 +243,307 @@ def fd_gradient(fn, array: np.ndarray, index, step=1e-5) -> float:
     down = fn()
     array[index] = orig
     return (up - down) / (2.0 * h)
+
+
+# --- the former parser and graph constructor --------------------------------
+
+_ORACLE_BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
+                      "/": "single", "\\": "single"}
+
+
+def molgraph_oracle(atoms, bonds) -> MolGraph:
+    """The former ``MolGraph.__init__``: validate every spec, then build the
+    adjacency, ring flags, ``X`` and ``edges`` from nested lists. The ring
+    flag of each directed edge is read off its bond."""
+    g = object.__new__(MolGraph)
+    atoms = tuple(atoms)
+    if not atoms:
+        raise ValueError("molecule must have at least one atom")
+    n = len(atoms)
+    specs = []
+    seen = set()
+    for u, v, order in bonds:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"bond ({u}, {v}) references missing atom")
+        if u == v:
+            raise ValueError(f"self-bond on atom {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate bond {key}")
+        seen.add(key)
+        specs.append((key[0], key[1], order))
+    adj = [[] for _ in range(n)]
+    for i, (u, v, _) in enumerate(specs):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    g._adjacency = tuple(tuple(sorted(a)) for a in adj)
+    bridge = bridge_flags(g._adjacency, len(specs))
+    g.atoms = atoms
+    g.bonds = tuple(
+        Bond(u, v, order if order is not None else "single" if bridge[i] else "aromatic",
+             in_ring=not bridge[i])
+        for i, (u, v, order) in enumerate(specs))
+    x = np.array([[a.atom_type, a.chirality] for a in atoms], dtype=np.int64)
+    x.setflags(write=False)
+    g._X = x
+    codes = [BOND_ORDER_INDEX[b.order] for b in g.bonds]
+    nbrs = g._adjacency
+    e = np.array([[u for a in nbrs for u, _ in a],
+                  [v for v, a in enumerate(nbrs) for _ in a],
+                  [codes[i] for a in nbrs for _, i in a]], dtype=np.int64)
+    e.setflags(write=False)
+    g._edges = e
+    ring = np.array([g.bonds[i].in_ring for a in nbrs for _, i in a], dtype=bool)
+    ring.setflags(write=False)
+    g._ring_edges = ring
+    return g
+
+
+def tokenize_oracle(smiles: str) -> list[SmilesToken]:
+    """The former lexer: one ``match`` per token, one SmilesToken each."""
+    tokens = []
+    i = 0
+    while i < len(smiles):
+        m = _TOKEN_RE.match(smiles, i)
+        if m is None:
+            if smiles[i] == "[":
+                raise SmilesError("unterminated bracket atom", i)
+            raise SmilesError(f"unexpected character {smiles[i]!r}", i)
+        tokens.append(SmilesToken(m.lastgroup, m.group(), i))
+        i = m.end()
+    return tokens
+
+
+def _element_oracle(symbol: str, pos: int) -> tuple[int, bool]:
+    if symbol in AROMATIC_SUBSET:
+        return ATOM_CODE[symbol.capitalize()], True
+    if symbol in ATOM_CODE:
+        return ATOM_CODE[symbol], False
+    raise SmilesError(f"unknown element symbol {symbol!r}", pos)
+
+
+def _bracket_oracle(token: SmilesToken) -> tuple[int, int, bool]:
+    m = _BRACKET_RE.match(token.text)
+    if m is None:
+        raise SmilesError(f"malformed bracket atom {token.text!r}", token.pos)
+    code, aromatic = _element_oracle(m.group("symbol"), token.pos)
+    mark = m.group("chirality")
+    if mark is None:
+        chirality = CHIRALITY_NONE
+    elif mark == "@":
+        chirality = CHIRALITY_TET1
+    elif mark == "@@":
+        chirality = CHIRALITY_TET2
+    else:
+        chirality = CHIRALITY_OTHER
+    return code, chirality, aromatic
+
+
+def parse_oracle(smiles: str) -> MolGraph:
+    """The former parser: token objects, an ``add_bond`` closure, a fresh
+    AtomAttr per atom and ``molgraph_oracle``."""
+    tokens = tokenize_oracle(smiles)
+    if not any(t.kind.endswith("atom") for t in tokens):
+        raise SmilesError("no atoms in input", 0)
+    atoms, aromatic_atom, bonds, bond_keys = [], [], [], set()
+    prev = None
+    pending_bond = None
+    pending_pos = 0
+    branch_stack = []
+    open_rings = {}
+
+    def add_bond(u, v, order, pos):
+        if u == v:
+            raise SmilesError("ring closure bonds an atom to itself", pos)
+        key = (min(u, v), max(u, v))
+        if key in bond_keys:
+            raise SmilesError("duplicate bond", pos)
+        bond_keys.add(key)
+        if order is None and not (aromatic_atom[u] and aromatic_atom[v]):
+            order = "single"
+        bonds.append((u, v, order))
+
+    for tok in tokens:
+        if tok.kind == "dot":
+            raise SmilesError("multi-fragment input (dot) not supported", tok.pos)
+        if tok.kind == "bond":
+            if pending_bond is not None:
+                raise SmilesError("two consecutive bond symbols", tok.pos)
+            if prev is None:
+                raise SmilesError("bond with no preceding atom", tok.pos)
+            pending_bond = _ORACLE_BOND_CHARS[tok.text]
+            pending_pos = tok.pos
+            continue
+        if tok.kind == "branch_open":
+            if prev is None:
+                raise SmilesError("branch with no preceding atom", tok.pos)
+            if pending_bond is not None:
+                raise SmilesError("bond symbol before branch open", tok.pos)
+            branch_stack.append((prev, tok.pos))
+            continue
+        if tok.kind == "branch_close":
+            if not branch_stack:
+                raise SmilesError("unmatched branch close", tok.pos)
+            if pending_bond is not None:
+                raise SmilesError("dangling bond before branch close", tok.pos)
+            prev, _ = branch_stack.pop()
+            continue
+        if tok.kind == "ring_closure":
+            if prev is None:
+                raise SmilesError("ring closure with no preceding atom", tok.pos)
+            num = int(tok.text[1:]) if tok.text.startswith("%") else int(tok.text)
+            if num in open_rings:
+                other, other_order, _ = open_rings.pop(num)
+                order = pending_bond if pending_bond is not None else other_order
+                if (pending_bond is not None and other_order is not None
+                        and pending_bond != other_order):
+                    raise SmilesError("conflicting ring closure bond orders", tok.pos)
+                add_bond(other, prev, order, tok.pos)
+            else:
+                open_rings[num] = (prev, pending_bond, tok.pos)
+            pending_bond = None
+            continue
+        if tok.kind == "organic_atom":
+            code, aromatic = _element_oracle(tok.text, tok.pos)
+            chirality = CHIRALITY_NONE
+        else:
+            code, chirality, aromatic = _bracket_oracle(tok)
+        atoms.append((code, chirality))
+        aromatic_atom.append(aromatic)
+        idx = len(atoms) - 1
+        if prev is not None:
+            add_bond(prev, idx, pending_bond, tok.pos)
+        pending_bond = None
+        prev = idx
+
+    if pending_bond is not None:
+        raise SmilesError("dangling bond at end of input", pending_pos)
+    if branch_stack:
+        raise SmilesError("unclosed branch", branch_stack[0][1])
+    if open_rings:
+        first = min(open_rings.values(), key=lambda item: item[2])
+        raise SmilesError("unpaired ring closure", first[2])
+    return molgraph_oracle([AtomAttr(c, ch) for c, ch in atoms], bonds)
+
+
+def graph_state(g: MolGraph) -> tuple:
+    """Everything a MolGraph holds, as plain values: atoms, bonds, adjacency,
+    and the bytes, shape, dtype and writeability of ``X``, ``edges`` and
+    ``ring_edges``."""
+    arrays = tuple((a.tobytes(), a.shape, a.dtype.str, a.flags.writeable)
+                   for a in (g.X, g.edges, g.ring_edges))
+    return g.atoms, g.bonds, g._adjacency, arrays
+
+
+# --- the former per-atom rule matcher -----------------------------------------
+
+_CMP_ORACLE = {"=": operator.eq, ">=": operator.ge, "<=": operator.le}
+_DEG_ORACLE = re.compile(r"^deg(?P<op>>=|<=|=)(?P<n>\d+)$")
+_NBR_ORACLE = re.compile(r"^nbr\((?P<spec>[^)]+)\)(?P<op>>=|<=|=)(?P<n>\d+)$")
+_MARKS_ORACLE = {
+    "!-": lambda b: b.order != "single",
+    "-@": lambda b: b.order == "single" and b.in_ring,
+    "-": lambda b: b.order == "single",
+    "=": lambda b: b.order == "double",
+    "#": lambda b: b.order == "triple",
+    ":": lambda b: b.order == "aromatic",
+    "@": lambda b: b.in_ring,
+}
+
+
+class GraphContextOracle:
+    """The former per-graph atom facts: Python lists and a carbonyl set."""
+
+    def __init__(self, g: MolGraph):
+        n = g.n_atoms
+        self.g = g
+        self.elem = [a.atom_type for a in g.atoms]
+        self.degree = [g.degree(v) for v in range(n)]
+        self.aromatic = [False] * n
+        self.on_ring = [False] * n
+        self.carbonyl = frozenset(
+            a for b in g.bonds if b.order == "double"
+            for a, o in ((b.u, b.v), (b.v, b.u))
+            if self.elem[a] == ATOM_CODE["C"] and self.elem[o] == ATOM_CODE["O"])
+        for b in g.bonds:
+            if b.order == "aromatic":
+                self.aromatic[b.u] = self.aromatic[b.v] = True
+            if b.in_ring:
+                self.on_ring[b.u] = self.on_ring[b.v] = True
+
+
+def _target_oracle(spec):
+    if spec == "*":
+        return lambda ctx, u: True
+    if spec == "C=O":
+        return lambda ctx, u: u in ctx.carbonyl
+    if spec.startswith("!"):
+        codes = frozenset(ATOM_CODE[s] for s in spec[1:].split("|"))
+        return lambda ctx, u: ctx.elem[u] not in codes
+    codes = frozenset(ATOM_CODE[s] for s in spec.split("|"))
+    return lambda ctx, u: ctx.elem[u] in codes
+
+
+def _nbr_oracle(spec, cmp, n):
+    bond_ok = None
+    for mark, mark_test in _MARKS_ORACLE.items():
+        if spec.startswith(mark):
+            bond_ok, spec = mark_test, spec[len(mark):]
+            break
+    target = _target_oracle(spec)
+
+    def test(ctx, v):
+        count = 0
+        for u, bid in ctx.g._adjacency[v]:
+            if (bond_ok is None or bond_ok(ctx.g.bonds[bid])) and target(ctx, u):
+                count += 1
+        return cmp(count, n)
+
+    return test
+
+
+def _pred_oracle(text):
+    if text in ("ar", "al"):
+        want = text == "ar"
+        return lambda ctx, v: ctx.aromatic[v] == want
+    if text in ("ring", "acyclic"):
+        want = text == "ring"
+        return lambda ctx, v: ctx.on_ring[v] == want
+    m = _DEG_ORACLE.match(text)
+    if m:
+        cmp, n = _CMP_ORACLE[m.group("op")], int(m.group("n"))
+        return lambda ctx, v: cmp(ctx.degree[v], n)
+    m = _NBR_ORACLE.match(text)
+    if m:
+        return _nbr_oracle(m.group("spec"), _CMP_ORACLE[m.group("op")], int(m.group("n")))
+    return _target_oracle(text)
+
+
+def env_oracle(expr: str):
+    """The former compiled environment: one closure ``(ctx, v) -> bool`` per
+    predicate, all of which must hold."""
+    preds = [_pred_oracle(p.strip()) for p in expr.split(";") if p.strip()]
+    return lambda ctx, v: all(pred(ctx, v) for pred in preds)
+
+
+def match_rules_oracle(g: MolGraph, rules=None) -> frozenset[int]:
+    """The former ``match_rules``: each endpoint of an acyclic bond is matched
+    once against every distinct environment, then the (order, env, env)
+    pairs are looked up in the table's triples."""
+    if rules is None:
+        rules = default_rules()
+    if not isinstance(rules, RuleTable):
+        rules = RuleTable(rules)
+    envs = {expr: env_oracle(expr) for expr in rules.envs}
+    ctx = GraphContextOracle(g)
+    matched = {}
+    out = set()
+    for i, b in enumerate(g.bonds):
+        if b.in_ring:
+            continue
+        for v in (b.u, b.v):
+            if v not in matched:
+                matched[v] = [e for e, env in envs.items() if env(ctx, v)]
+        if any((b.order, x, y) in rules.pairs for x in matched[b.u] for y in matched[b.v]):
+            out.add(i)
+    return frozenset(out)

@@ -853,3 +853,103 @@ def test_any_single_setting_ends_in_an_exit_code(mols_csv, small_inputs, tmp_pat
             assert code == 1
         if key == "run.checkpoint" and text == "\x00" and command == "influence":
             assert code == 2
+
+
+# rows every command must skip: a grammar error and a multi-fragment record
+_BAD_ROWS = ["C(", "C.C"]
+_SUMMARY = {
+    "decompose": r"decomposed 16 molecules \(2 rows skipped\)",
+    "mask-preview": r"planned masks for 16 molecules \(2 rows skipped\)",
+    "pretrain": r"pretrained on 16 molecules \(2 rows skipped\)",
+    "finetune": r"test AUC \S+ \(valid \S+, epoch \d+, probe\) \(2 rows skipped\)",
+    "influence": r"influence report over 16 molecules \(2 rows skipped\) -> \S+",
+    "fingerprint": r"fingerprinted 16 molecules \(2 rows skipped\)",
+}
+
+
+def _with_bad_rows(small_inputs, command) -> int:
+    """Append ``_BAD_ROWS`` to the command's small corpus; the number of
+    parseable rows before them."""
+    data = small_inputs["labeled" if command == "finetune" else "corpus"]
+    lines = data.read_text().splitlines()
+    label = ",1" if "," in lines[0] else ""
+    data.write_text("\n".join(lines + [smi + label for smi in _BAD_ROWS]) + "\n")
+    return len(lines) - 1
+
+
+def test_every_command_has_a_summary_pattern():
+    assert set(_SUMMARY) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_SUMMARY))
+def test_every_dataset_command_reports_its_skipped_rows(small_inputs, tmp_path, capsys, command):
+    assert _with_bad_rows(small_inputs, command) == (60 if command == "finetune" else 16)
+    assert main([command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    skipped = [line for line in captured.out.splitlines() if "skipped" in line]
+    assert len(skipped) == 1 and re.fullmatch(_SUMMARY[command], skipped[0])
+
+
+def test_fingerprint_names_the_rows_it_skipped(tmp_path, capsys):
+    data = tmp_path / "mols.csv"
+    data.write_text("smiles\nC.C\nCCO\nC(\n")
+    assert main(["fingerprint", "--out", str(tmp_path / "out"), "--set", f"data.input={data}"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "fingerprinted 1 molecules (2 rows skipped)"
+
+
+@pytest.mark.parametrize("command,matched", [
+    ("decompose", [16]), ("mask-preview", [16]), ("pretrain", [16]), ("influence", [16]),
+    ("finetune", []), ("fingerprint", []),
+])
+def test_each_command_parses_each_row_once_and_matches_the_rules_once(
+        small_inputs, tmp_path, monkeypatch, command, matched):
+    import moama.motif
+    import moama.smiles
+
+    rows = _with_bad_rows(small_inputs, command)
+    parsed, seen = [], []
+    parse, cleavable_bonds = moama.smiles.parse, moama.motif.cleavable_bonds
+
+    def parse_spy(smiles):
+        parsed.append(smiles)
+        return parse(smiles)
+
+    def match_spy(graphs, rules=None):
+        graphs = list(graphs)
+        seen.append(len(graphs))
+        return cleavable_bonds(graphs, rules)
+
+    monkeypatch.setattr(moama.smiles, "parse", parse_spy)
+    monkeypatch.setattr(moama.motif, "cleavable_bonds", match_spy)
+    assert main([command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs)]) == 0
+    assert len(parsed) == rows + len(_BAD_ROWS) and parsed[-2:] == _BAD_ROWS
+    assert seen == matched
+
+
+def test_the_process_entry_freezes_the_collector_and_main_does_not(mols_csv, tmp_path, monkeypatch):
+    import gc
+
+    import moama.cli
+
+    calls = []
+    real_main = moama.cli.main
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    argv = ["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}"]
+    assert real_main(argv) == 0 and calls == []     # in-process callers keep their collector
+    monkeypatch.setattr(moama.cli, "main", lambda: calls.append("main") or real_main(argv))
+    assert moama.cli.entry() == 0 and calls == ["freeze", "main"]
+
+
+def test_the_console_script_and_the_module_run_the_entry(mols_csv, tmp_path):
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts == 'moama = "moama.cli:entry"'
+    argv = ["moama", "decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}"]
+    child = _child("import gc, runpy, sys\n"
+                   "gc.freeze = lambda: print('frozen', flush=True)\n"
+                   f"sys.argv = {argv!r}\n"
+                   "runpy.run_module('moama.cli', run_name='__main__')\n")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("frozen\n")
+    assert child.stdout.splitlines()[-1] == "decomposed 3 molecules (0 rows skipped)"

@@ -10,7 +10,7 @@ from moama.molgraph import (
     shortest_path_lengths,
 )
 
-from conftest import bfs_oracle, random_molgraph, ring_bonds_oracle
+from conftest import bfs_oracle, graph_state, molgraph_oracle, random_molgraph, ring_bonds_oracle
 
 
 def test_single_atom_has_empty_neighbor_list():
@@ -177,3 +177,61 @@ def test_an_unwritten_order_is_aromatic_on_a_ring_and_single_off_it():
                                    for a in g._adjacency for _, i in a]
     with pytest.raises(ValueError, match="unknown bond order ''"):
         MolGraph([AtomAttr(5)] * 2, [(0, 1, "")])
+
+
+def _built(specs_atoms):
+    atoms, specs = specs_atoms
+    try:
+        return graph_state(MolGraph(atoms, specs))
+    except Exception as e:   # any type: a wrong one must fail the comparison
+        return type(e), str(e)
+
+
+def _built_by_oracle(specs_atoms):
+    atoms, specs = specs_atoms
+    try:
+        return graph_state(molgraph_oracle(atoms, specs))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_one_sweep_constructor_equals_the_former_one():
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(400):
+        g = random_molgraph(rng, 2, 16)
+        specs = []
+        for b in g.bonds:   # either orientation, and some orders left unwritten
+            u, v = (b.u, b.v) if rng.random() < 0.5 else (b.v, b.u)
+            specs.append((u, v, None if rng.random() < 0.3 else b.order))
+        cases.append((g.atoms, specs))
+    atoms = [AtomAttr(5), AtomAttr(7), AtomAttr(8)]
+    ok = [(0, 1, "single"), (1, 2, None)]
+    cases += [(atoms, []), (atoms[:1], []), ([], []),
+              (atoms, ok + [(0, 3, "single")]), (atoms, ok + [(-1, 0, "single")]),
+              (atoms, ok + [(2, 2, "single")]), (atoms, ok + [(2, 1, "double")]),
+              (atoms, [(0, 1, "quadruple"), (1, 2, "single")]),
+              (atoms, [(0, 1, "quadruple"), (1, 0, "single")]),
+              (atoms, [(0, 1, "single", True)]), (atoms, [(0, 1)])]
+    failures = 0
+    for case in cases:
+        got = _built(case)
+        assert got == _built_by_oracle(case), case
+        failures += not isinstance(got[0], tuple)
+    assert failures == 9
+
+
+def test_ring_edges_flag_each_directed_edge_by_its_bond():
+    rng = np.random.default_rng(29)
+    for g in [parse("C"), parse("c1ccccc1CC1CC1")] + [random_molgraph(rng) for _ in range(50)]:
+        assert g.ring_edges.dtype == bool and not g.ring_edges.flags.writeable
+        assert g.ring_edges.tolist() == [g.bonds[i].in_ring for a in g._adjacency for _, i in a]
+
+
+def test_shared_bonds_keep_the_endpoint_types_they_were_given():
+    atoms = [AtomAttr(5), AtomAttr(6)]
+    plain = MolGraph(atoms, [(0, 1, "single")]).bonds[0]
+    wide = MolGraph(atoms, [(np.int64(0), np.int64(1), "single")]).bonds[0]
+    assert plain == wide and plain is not wide
+    assert type(plain.u) is int and type(wide.u) is np.int64
+    assert MolGraph(atoms, [(1, 0, "single")]).bonds[0] is plain

@@ -1,5 +1,6 @@
 import operator
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from moama import (
     Motif,
     MotifDecomposition,
+    cleavable_bonds,
     decompose,
+    decompositions,
     load_rules,
     match_rules,
     motif_adjacency,
@@ -26,14 +29,19 @@ from moama.motif import (
     EnvPattern,
     MotifConfig,
     RuleTable,
-    _env_matches,
-    _GraphContext,
+    _Corpus,
     carbonyl_carbons,
     default_rules,
 )
 from moama.smiles import ATOM_CODE
 
-from conftest import random_molgraph
+from conftest import (
+    ODD_SMILES,
+    GraphContextOracle,
+    match_rules_oracle,
+    odd_molecules,
+    random_molgraph,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,24 +202,29 @@ def test_rules_share_one_pattern_per_expression_text():
 
 
 def test_env_grammar_predicates():
-    g = parse("CC(=O)Oc1ccccc1")
-    ctx = _GraphContext(g)
+    # each test alone and at the offsets a corpus gives it: the ester has 10 atoms
+    ester, pyridine = parse("CC(=O)Oc1ccccc1"), parse("c1ccncc1")
     carbonyl_c = EnvPattern.compile("C;al;deg=3;nbr(=O)>=1")
-    assert _env_matches(carbonyl_c, ctx, 1)
-    assert not _env_matches(carbonyl_c, ctx, 0)
     aromatic_c = EnvPattern.compile("C;ar;nbr(:C)>=2")
-    assert _env_matches(aromatic_c, ctx, 5)
     ring_pred = EnvPattern.compile("ring")
-    assert _env_matches(ring_pred, ctx, 4)
-    assert not _env_matches(ring_pred, ctx, 3)
-
-    pyridine = parse("c1ccncc1")
-    pctx = _GraphContext(pyridine)
-    assert _env_matches(aromatic_c, pctx, 1)       # both aromatic neighbors are C
-    assert not _env_matches(aromatic_c, pctx, 2)   # one aromatic neighbor is N
     hetero = EnvPattern.compile("C;ar;nbr(:N|O|S)>=1;nbr(:C|N|O|S)>=2")
-    assert _env_matches(hetero, pctx, 2)
-    assert not _env_matches(hetero, pctx, 1)
+    for corpus, at_ester, at_pyridine in (([ester], 0, None), ([pyridine], None, 0),
+                                          ([ester, pyridine], 0, 10), ([pyridine, ester], 6, 0)):
+        ctx = _Corpus(corpus)
+        hits = {env.expr: env.matches(ctx).tolist()
+                for env in (carbonyl_c, aromatic_c, ring_pred, hetero)}
+        assert all(len(h) == ctx.n for h in hits.values())
+        if at_ester is not None:
+            assert hits[carbonyl_c.expr][at_ester + 1]
+            assert not hits[carbonyl_c.expr][at_ester + 0]
+            assert hits[aromatic_c.expr][at_ester + 5]
+            assert hits[ring_pred.expr][at_ester + 4]
+            assert not hits[ring_pred.expr][at_ester + 3]
+        if at_pyridine is not None:
+            assert hits[aromatic_c.expr][at_pyridine + 1]       # both aromatic neighbors are C
+            assert not hits[aromatic_c.expr][at_pyridine + 2]   # one aromatic neighbor is N
+            assert hits[hetero.expr][at_pyridine + 2]
+            assert not hits[hetero.expr][at_pyridine + 1]
 
 
 # --- reference matcher ------------------------------------------------------
@@ -426,6 +439,69 @@ def test_matching_equals_the_tuple_interpreter(rule_tables, corpus500, table, so
         assert match_rules(g, rules[i:i + 1]) == _oracle_match(g, rules[i:i + 1])
 
 
+# molecules without an acyclic bond: nothing to cut
+NO_ACYCLIC_BOND = ["C", "c1ccccc1", "C1CCCCC1", "C1CC2CC1CC2", "c1ccc2ccccc2c1", "c1ccncc1"]
+
+
+@pytest.fixture(scope="module")
+def matcher_corpora(refinement_corpora):
+    odd = odd_molecules() + [parse(s) for s in ODD_SMILES + NO_ACYCLIC_BOND]
+    return {**refinement_corpora, "odd": odd}
+
+
+@pytest.mark.parametrize("table", ["bundled", "every_kind"])
+def test_corpus_kernel_equals_the_per_atom_matcher(rule_tables, matcher_corpora, table):
+    rules = rule_tables[table]
+    cut = 0
+    for name, graphs in matcher_corpora.items():
+        expected = [match_rules_oracle(g, rules) for g in graphs]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert cleavable_bonds(graphs, rules) == expected, name
+            assert list(decompositions(graphs, rules)) == [
+                _oracle_decompose(g, c) for g, c in zip(graphs, expected)], name
+        cut += sum(map(len, expected))
+    assert cut > 1000
+    graphs = matcher_corpora["corpus500"]
+    for i in range(len(rules)):   # alone, so no other rule hides a wrong match
+        assert cleavable_bonds(graphs, rules[i:i + 1]) == [
+            match_rules_oracle(g, rules[i:i + 1]) for g in graphs]
+
+
+@pytest.mark.parametrize("table", ["bundled", "every_kind"])
+def test_cut_sets_do_not_depend_on_the_rest_of_the_corpus(rule_tables, matcher_corpora, table):
+    rules = rule_tables[table]
+    graphs = matcher_corpora["seed1"] + matcher_corpora["odd"]
+    together = cleavable_bonds(graphs, rules)
+    assert together == [match_rules(g, rules) for g in graphs]
+    assert list(decompositions(graphs, rules)) == [decompose(g, rules) for g in graphs]
+    perm = np.random.default_rng(31).permutation(len(graphs))
+    assert cleavable_bonds([graphs[i] for i in perm], rules) == [together[i] for i in perm]
+
+
+def test_an_empty_corpus_and_molecules_without_acyclic_bonds():
+    assert cleavable_bonds([]) == [] and list(decompositions([])) == []
+    graphs = [parse(s) for s in NO_ACYCLIC_BOND]
+    assert all(b.in_ring for g in graphs for b in g.bonds)
+    assert cleavable_bonds(graphs) == [frozenset()] * len(graphs)
+    assert [d.n_motifs for d in decompositions(graphs)] == [1] * len(graphs)
+
+
+def test_decompositions_match_at_the_call_and_split_as_they_are_read(monkeypatch):
+    import moama.motif
+
+    graphs = [parse(s) for s in ("CCc1ccccc1", "CC(=O)Oc1ccccc1", "C")]
+    calls, splits = [], []
+    real_match, real_split = moama.motif.cleavable_bonds, moama.motif._split
+    monkeypatch.setattr(moama.motif, "cleavable_bonds",
+                        lambda gs, rules=None: calls.append(len(gs)) or real_match(gs, rules))
+    monkeypatch.setattr(moama.motif, "_split", lambda g, cut: splits.append(g) or real_split(g, cut))
+    decs = decompositions(iter(graphs))
+    assert calls == [3] and splits == []
+    assert next(decs).n_motifs == 2 and splits == graphs[:1]
+    assert [d.n_motifs for d in decs] == [3, 1] and splits == graphs and calls == [3]
+
+
 @pytest.mark.parametrize("pred", ["nbr(=)>=1", "nbr(!)=0", "nbr(-Xx)=1", "deg>3", "nbr(C)"])
 def test_malformed_predicate_names_its_line_and_exits_2(tmp_path, capsys, pred):
     path = tmp_path / "bad.tsv"
@@ -460,8 +536,8 @@ def test_docs_name_every_bond_mark_and_their_examples_compile():
 
 
 # --- reference carbonyl tests -----------------------------------------------
-# The two loops that carbonyl_carbons replaced: _GraphContext's per-atom flags
-# and datagen.has_carbonyl's search for a C=O bond.
+# The two loops that carbonyl_carbons replaced: the former per-graph context's
+# per-atom flags and datagen.has_carbonyl's search for a C=O bond.
 
 def _context_carbonyl_oracle(g):
     elem = [a.atom_type for a in g.atoms]
@@ -491,10 +567,12 @@ def test_carbonyl_carbons_equal_the_loops_they_replaced(corpus500):
         got = carbonyl_carbons(g)
         flags = _context_carbonyl_oracle(g)
         assert got == frozenset(v for v, flag in enumerate(flags) if flag)
-        assert [v in _GraphContext(g).carbonyl for v in range(g.n_atoms)] == flags
+        assert [v in GraphContextOracle(g).carbonyl for v in range(g.n_atoms)] == flags
         assert has_carbonyl(g) == _has_carbonyl_oracle(g) == bool(got)
         found += bool(got)
     assert 0 < found < len(graphs)
+    stacked = _Corpus(graphs).carbonyl.tolist()   # the whole corpus at once
+    assert stacked == [f for g in graphs for f in _context_carbonyl_oracle(g)]
 
 
 def test_the_bundled_table_is_loaded_once_and_is_the_empty_settings_table(tmp_path):

@@ -16,6 +16,8 @@ from moama.molgraph import (
 )
 from moama.smiles import _BRACKET_RE, _TOKEN_RE, AROMATIC_SUBSET, ATOM_CODE
 
+from conftest import ODD_SMILES, graph_state, parse_oracle, tokenize_oracle
+
 
 def test_single_carbon():
     g = parse("C")
@@ -127,6 +129,7 @@ def test_errors_report_offsets():
 
 @pytest.mark.parametrize("smi,message,offset", [
     ("C1C1", "duplicate bond", 3),
+    ("CC(C1)1", "duplicate bond", 6),    # the ring closes back onto the branch's first bond
     ("=C", "bond with no preceding atom", 0),
     ("(C)", "branch with no preceding atom", 0),
     ("C=(C)", "bond symbol before branch open", 2),
@@ -285,3 +288,81 @@ def test_parse_runs_the_bridge_search_once(monkeypatch):
     g = parse("c1ccccc1c1ccccc1")
     assert calls == [(g._adjacency, 13)]
     assert not hasattr(smiles_module, "bridge_flags")
+
+
+# --- the one-pass parser against the former one --------------------------------
+
+def test_parse_equals_the_former_parser():
+    smiles = generate_corpus(500, seed=42) + ODD_SMILES + RING_CASES
+    for seed in (1, 2, 3):
+        smiles += generate_corpus(200, seed=seed)
+    for smi in smiles:
+        assert graph_state(parse(smi)) == graph_state(parse_oracle(smi)), smi
+        assert tokenize(smi) == tokenize_oracle(smi), smi
+
+
+def test_parse_shares_one_atom_value_per_code_pair():
+    a, b = parse("CC[C@H](N)c1ccccc1"), parse("[C@H]1CC1")
+    assert a.atoms[0] is a.atoms[1] is b.atoms[1]
+    assert a.atoms[2] is b.atoms[0] and a.atoms[2] == AtomAttr(ATOM_CODE["C"], CHIRALITY_TET1)
+    assert a.atoms[4] is parse("c").atoms[0] == AtomAttr(ATOM_CODE["C"])
+    assert parse("CC").bonds[0] is parse("CCO").bonds[0] == molgraph.Bond(0, 1, "single")
+
+
+# characters and multi-character tokens of the grammar, a few that are not,
+# and bits of bracket atoms that are malformed on their own
+_PIECES = list("CNOSPFIBcnosp()[]=#-:/\\.%@+123456789 0xH*") + [
+    "Cl", "Br", "%12", "%1", "[nH]", "[C@@H]", "[13C]", "[Xx]", "[O-]", "[N+]", "[C@X]",
+    "[Na+]", "[C@TH1H]", "[", "]", "%%", "c1ccccc1", "C(=O)O"]
+
+
+def _outcome(parser, smiles):
+    """The graph a parser builds, or its exception's type, text and offset."""
+    try:
+        return graph_state(parser(smiles))
+    except Exception as e:   # any type: a wrong one must fail the comparison
+        return type(e), str(e), getattr(e, "offset", None)
+
+
+def test_parse_errors_equal_the_former_parser():
+    rng = np.random.default_rng(20)
+    seeds = generate_corpus(100, seed=9) + ODD_SMILES
+    kinds = {}
+    for i in range(20000):
+        if i % 2:
+            text = "".join(rng.choice(_PIECES, size=int(rng.integers(0, 12))))
+        else:   # one to three point edits of a valid record
+            text = seeds[int(rng.integers(len(seeds)))]
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(len(text) + 1))
+                piece = str(rng.choice(_PIECES))
+                edit = int(rng.integers(3))
+                text = (text[:at] + piece + text[at:] if edit == 0 else
+                        text[:at] + text[at + 1:] if edit == 1 else
+                        text[:at] + piece + text[at + 1:])
+        got = _outcome(parse, text)
+        assert got == _outcome(parse_oracle, text), text
+        kind = "graph" if isinstance(got[0], tuple) else got[1].split(" at offset")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # the strings reach every error the parser raises, and parse too
+    assert kinds["graph"] > 1000
+    errors = {k.split(" '")[0].split(" \"")[0] for k in kinds if k != "graph"}
+    assert {"unexpected character", "unterminated bracket atom", "no atoms in input",
+            "unknown element symbol", "malformed bracket atom", "two consecutive bond symbols",
+            "bond with no preceding atom", "branch with no preceding atom",
+            "bond symbol before branch open", "unmatched branch close",
+            "dangling bond before branch close", "ring closure with no preceding atom",
+            "conflicting ring closure bond orders", "ring closure bonds an atom to itself",
+            "duplicate bond", "multi-fragment input (dot) not supported",
+            "dangling bond at end of input", "unclosed branch", "unpaired ring closure"} <= errors
+
+
+def test_read_dataset_parses_each_row_once(tmp_path, monkeypatch):
+    calls = []
+    real = smiles_module.parse
+    monkeypatch.setattr(smiles_module, "parse", lambda smi: calls.append(smi) or real(smi))
+    p = tmp_path / "mols.csv"
+    p.write_text("smiles\nCCO\nC(\n c1ccccc1 \nC.C\n")
+    ds = read_dataset(p)
+    assert calls == ["CCO", "C(", "c1ccccc1", "C.C"]
+    assert [r.smiles for r in ds.records] == ["CCO", "c1ccccc1"] and ds.skipped == 2
