@@ -4,12 +4,19 @@ Small on purpose: just the operations the encoder, decoders, and losses need.
 Every op validates that its output is finite and raises NumericsError
 otherwise.
 
-``_op(forward, *partials)`` declares each op whose inputs are all tensors
-(``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sqrt``, ``exp``, ``log``,
-``relu``) once. The op lifts Python numbers to constant tensors and runs
-``forward(*values)``; its backward gives each input that requires a gradient,
-in order, ``partials[i](g, out, *values)`` summed to its shape by
-``_unbroadcast`` (``g`` itself when the shapes match) and stored by ``_accum``.
+``_op(forward, *partials)`` declares each op whose gradients are plain
+functions of its output gradient once. The op lifts Python numbers to constant
+tensors and runs ``forward(*values)``; its backward gives each input that
+requires a gradient, in order, ``partials[i](g, out, *values)`` summed to its
+shape by ``_unbroadcast`` (``g`` itself when the shapes match) and stored by
+``_accum``. It builds ``add``, ``sub``, ``mul``, ``div``, ``matmul``,
+``sqrt``, ``exp``, ``log`` and ``relu`` at import, and ``power``, ``tsum``,
+``segment_sum``, ``segment_max`` and ``slice_cols`` per call, closed over
+their exponent, axes, segments or columns. ``gin_layer`` (below) and
+``take_rows`` are written by hand: ``take_rows`` scatters into the input's
+existing gradient in index order, where ``_accum`` would add a finished
+scatter, whose bits differ for a tensor gathered twice per tape (the bond
+embedding, by the encoder and by the gnn decoder).
 
 Scatter-adds (``segment_sum``'s forward, ``take_rows``' backward) go through
 ``_scatter_add``, which is ``np.add.at`` on flat views: each cell takes its
@@ -204,26 +211,16 @@ relu = _op(lambda a: a * (a > 0.0), lambda g, out, a: g * (a > 0.0))
 
 
 def power(a, p) -> Tensor:
-    a = _lift(a)
     p = float(p)
-
-    def back(g):
-        _accum(a, g * p * np.power(a.values, p - 1.0))
-
-    return Tensor(np.power(a.values, p), _parents=(a,), _backprop=back)
+    return _op(lambda a: np.power(a, p), lambda g, out, a: g * p * np.power(a, p - 1.0))(a)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = _lift(a)
+    def spread(g, out, a):   # g back over the summed axes
+        return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis),
+                               a.shape)
 
-    def back(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.values.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.values.shape).copy())
-
-    return Tensor(a.values.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backprop=back)
+    return _op(lambda a: a.sum(axis=axis, keepdims=keepdims), spread)(a)
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -309,13 +306,8 @@ def _segment_sum_values(vals: np.ndarray, seg: np.ndarray, n_segments: int) -> n
 
 def segment_sum(a, segments, n_segments: int) -> Tensor:
     """Per-segment sums of ``a``'s rows (``_segment_sum_values``)."""
-    a = _lift(a)
     seg = np.asarray(segments, dtype=np.int64)
-
-    def back(g):
-        _accum(a, g[seg])
-
-    return Tensor(_segment_sum_values(a.values, seg, n_segments), _parents=(a,), _backprop=back)
+    return _op(lambda a: _segment_sum_values(a, seg, n_segments), lambda g, out, a: g[seg])(a)
 
 
 def gin_layer(h, bond_embed, edge_src, edge_dst, n_nodes: int, eps, w1, b1, w2, b2,
@@ -394,39 +386,34 @@ def gin_layer(h, bond_embed, edge_src, edge_dst, n_nodes: int, eps, w1, b1, w2, 
 
 def segment_max(a, segments, n_segments: int) -> Tensor:
     """Per-segment max; gradient flows to the first (lowest row id) maximum."""
-    a = _lift(a)
     seg = np.asarray(segments, dtype=np.int64)
-    counts = np.bincount(seg, minlength=n_segments)
-    if np.any(counts == 0):
+    if np.any(np.bincount(seg, minlength=n_segments) == 0):
         raise ValueError("segment_max over an empty segment")
-    out_vals = np.full((n_segments,) + a.values.shape[1:], -np.inf)
-    np.maximum.at(out_vals, seg, a.values)
 
-    def back(g):
-        if not a.requires_grad:
-            return
+    def forward(a):
+        out = np.full((n_segments,) + a.shape[1:], -np.inf)
+        np.maximum.at(out, seg, a)
+        return out
+
+    def to_first_max(g, out, a):
         # per segment and column, the lowest row id that attains the max
-        n = a.values.shape[0]
-        rows = np.arange(n).reshape((n,) + (1,) * (a.values.ndim - 1))
-        first = np.full(out_vals.shape, n)
-        np.minimum.at(first, seg, np.where(a.values == out_vals[seg], rows, n))
+        n = a.shape[0]
+        rows = np.arange(n).reshape((n,) + (1,) * (a.ndim - 1))
+        first = np.full(out.shape, n)
+        np.minimum.at(first, seg, np.where(a == out[seg], rows, n))
         # a product, not np.where: g * False is -0.0 where g is negative
-        _accum(a, g[seg] * (rows == first[seg]))
+        return g[seg] * (rows == first[seg])
 
-    return Tensor(out_vals, _parents=(a,), _backprop=back)
+    return _op(forward, to_first_max)(a)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = _lift(a)
-
-    def back(g):
-        if not a.requires_grad:
-            return
-        ga = np.zeros_like(a.values)
+    def widen(g, out, a):   # g in the sliced columns, zero elsewhere
+        ga = np.zeros_like(a)
         ga[:, start:stop] = g
-        _accum(a, ga)
+        return ga
 
-    return Tensor(a.values[:, start:stop], _parents=(a,), _backprop=back)
+    return _op(lambda a: a[:, start:stop], widen)(a)
 
 
 def log_softmax(a) -> Tensor:

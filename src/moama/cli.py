@@ -72,6 +72,17 @@ def _skipped(data) -> str:
     return f"({data.skipped} rows skipped)"
 
 
+def _checkpoint(run: RunConfig):
+    """The checkpoint at ``run.checkpoint``, and ``run`` with the checkpoint's
+    encoder settings, which replace the run's own with a notice on stdout."""
+    ckpt = load_checkpoint(run.checkpoint)
+    enc = ckpt.encoder_config()
+    if enc != run.encoder:
+        print(f"using encoder settings from checkpoint: {enc}")
+        run = replace(run, encoder=enc)
+    return ckpt, run
+
+
 def cmd_decompose(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
     rows = []
@@ -124,12 +135,8 @@ def cmd_finetune(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     labels = np.array([r.label for r in data.records])
     pretrained = None
     if run.checkpoint:
-        ckpt = load_checkpoint(run.checkpoint)
+        ckpt, run = _checkpoint(run)
         pretrained = ckpt.store
-        enc = ckpt.encoder_config()
-        if enc != run.encoder:
-            print(f"using encoder settings from checkpoint: {enc}")
-            run = replace(run, encoder=enc)
     report = finetune_probe(pretrained, graphs, labels, run)
     write_output(out["report"], csv_text(
         ["test_auc", "valid_auc", "best_epoch", "mode", "train", "valid", "test"],
@@ -142,12 +149,11 @@ def cmd_finetune(run: RunConfig, cfg, out: dict[str, Path]) -> None:
 def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     if not run.checkpoint:
         raise ConfigError("influence requires run.checkpoint")
-    ckpt = load_checkpoint(run.checkpoint)
-    enc = ckpt.encoder_config()
+    ckpt, run = _checkpoint(run)
     data = read_dataset(_require_input(run))
     graphs = data.graphs()[:run.influence.max_graphs or None]   # 0 = all
     decomps = list(decompositions(graphs, run.motif.rule_table()))
-    report = analyze_dataset(graphs, decomps, ckpt.store, enc, run.influence)
+    report = analyze_dataset(graphs, decomps, ckpt.store, run.encoder, run.influence)
     write_output(out["nodes"], csv_text(
         ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],
         [[r.graph_index, r.node, r.n_motifs,

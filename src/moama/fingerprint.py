@@ -7,11 +7,10 @@ code together with the sorted multiset of (bond order, neighbor code) pairs.
 Every code from every round sets one bit (code mod width).
 
 The hash runs on numpy ``uint64`` arrays, whose arithmetic wraps mod 2**64,
-for a whole corpus at once: the molecules' nodes are stacked, their directed
-edges are offset to match (``molgraph.stack_edges``), and ``refine`` gives
-every node its next code in one call. Edges never join two molecules, so each
-molecule's codes are those it gets alone. ``train.scaffold_keys`` runs the
-same kernel.
+for a whole corpus at once: the molecules are stacked into one node and edge
+space (``molgraph.stack``), and ``refine`` gives every node its next code in
+one call. Edges never join two molecules, so each molecule's codes are those
+it gets alone. ``train.scaffold_keys`` runs the same kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .molgraph import MolGraph, stack_edges
+from .molgraph import MolGraph, stack
 
 _SEED = 0x6D6F616D61  # fixed hash seed
 MAX_WIDTH = 1 << 16  # a fingerprint is one int of width bits; cap its memory
@@ -118,18 +117,17 @@ def morgan_fingerprints(graphs, cfg: FingerprintConfig = FingerprintConfig()) ->
     radius, width = cfg.radius, cfg.width
     if not graphs:
         return []
-    src, dst, order = stack_edges(graphs)
-    x = np.concatenate([g.X for g in graphs])
-    n = len(x)
-    codes = hash_rows([np.zeros(n, dtype=np.uint64), x[:, 0],
-                       np.bincount(dst, minlength=n), x[:, 1]])
+    s = stack(graphs)
+    n = len(s.x)
+    codes = hash_rows([np.zeros(n, dtype=np.uint64), s.x[:, 0],
+                       np.bincount(s.dst, minlength=n), s.x[:, 1]])
     rounds = [codes]
     for r in range(1, radius + 1):
-        codes = refine(codes, src, dst, order, r)
+        codes = refine(codes, s.src, s.dst, s.order, r)
         rounds.append(codes)
     # width is a power of two, so code & (width - 1) is code % width
     bit = (np.concatenate(rounds) & np.uint64(width - 1)).astype(np.int64)
-    mol = np.tile(np.repeat(np.arange(len(graphs)), [g.n_atoms for g in graphs]), radius + 1)
+    mol = np.tile(s.mol, radius + 1)
     packed = np.zeros((len(graphs), (width + 7) // 8), dtype=np.uint8)
     np.bitwise_or.at(packed, (mol, bit >> 3), (1 << (bit & 7)).astype(np.uint8))
     return [Fingerprint(int.from_bytes(row.tobytes(), "little"), width, radius) for row in packed]

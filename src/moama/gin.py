@@ -1,11 +1,11 @@
 """GIN encoder, attribute decoders, prediction head, and Adam updates.
 
-Everything runs in double precision on the autodiff tape. Graphs are batched
-by concatenating nodes and keeping a graph-id per node. Each molecule sorts its
-directed edges by (destination, source) once, when it is built, and a batch
-concatenates them. Neighbour sums add from +0.0, in content order
-(``autodiff._canonical_order``) for three or more messages, so a sum depends
-only on its messages and runs stay bit-reproducible.
+Everything runs in double precision on the autodiff tape. A batch is the
+molecules' ``molgraph.stack``: their nodes laid end to end, each with its
+graph id, and their directed edges, which each molecule sorts by
+(destination, source) once, when it is built. Neighbour sums add from +0.0,
+in content order (``autodiff._canonical_order``) for three or more messages,
+so a sum depends only on its messages and runs stay bit-reproducible.
 
 Layer update, for layer weights (w1, b1, w2, b2) and scalar eps:
     h_v <- w2 . relu(w1 . ((1 + eps) h_v + sum_{u in N(v)} (h_u + bond_emb))
@@ -29,8 +29,7 @@ from .molgraph import (
     MASK_CHIRALITY,
     N_ATOM_TYPES,
     N_CHIRALITY,
-    MolGraph,
-    stack_edges,
+    stack,
 )
 
 N_ATOM_EMBED = MASK_ATOM_TYPE + 1      # 120 rows, mask code included
@@ -100,27 +99,22 @@ class TensorGraph:
 
     @classmethod
     def from_graphs(cls, graphs, x_list=None) -> "TensorGraph":
-        """Build from molecules, optionally with masked attribute matrices."""
+        """Build from molecules (``molgraph.stack``), optionally with masked
+        attribute matrices."""
         graphs = list(graphs)
         if not graphs:
             raise ValueError("empty batch")
-        xs = [g.X if x_list is None else x_list[i] for i, g in enumerate(graphs)]
-        if any(x.shape != (g.n_atoms, 2) for g, x in zip(graphs, xs)):
+        if x_list is not None and (len(x_list) != len(graphs) or any(
+                x.shape != (g.n_atoms, 2) for g, x in zip(graphs, x_list))):
             raise ValueError("attribute matrix shape mismatch")
-        ts, cs = np.concatenate([x.T for x in xs], axis=1).astype(np.int64, copy=False)
+        s = stack(graphs)
+        x = s.x if x_list is None else np.concatenate(x_list).astype(np.int64, copy=False)
+        ts, cs = x.T
         if ts.min() < 0 or ts.max() >= N_ATOM_EMBED:
             raise ValueError("atom_type code out of range")
         if cs.min() < 0 or cs.max() >= N_CHIRALITY_EMBED:
             raise ValueError("chirality code out of range")
-
-        sizes = [g.n_atoms for g in graphs]
-        return cls(ts, cs, *stack_edges(graphs),
-                   np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
-                   sum(sizes), len(graphs))
-
-
-def single(g: MolGraph, x=None) -> TensorGraph:
-    return TensorGraph.from_graphs([g], None if x is None else [x])
+        return cls(ts, cs, s.src, s.dst, s.order, s.mol, len(x), len(graphs))
 
 
 class ParamStore:

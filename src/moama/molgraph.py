@@ -3,9 +3,15 @@
 Molecules are heavy-atom graphs: nodes carry a (atom_type, chirality) code
 pair, bonds carry an order and a derived ring flag. Hydrogens are implicit and
 never appear as nodes. Graphs are immutable after construction, so arrays
-derived once (``edges``, ``ring_edges``) can be shared by every batch and
-every corpus kernel that holds the graph. The constructor validates,
+derived once (``X``, ``edges``, ``ring_edges``) can be shared by every batch
+and every corpus kernel that holds the graph. The constructor validates,
 normalizes and indexes the bond specs in one sweep, then perceives rings once.
+
+``stack`` lays many molecules into one node and directed-edge space, a
+``Stack``: the GIN batch (``gin.TensorGraph``), the rule matcher
+(``motif._Corpus``), the fingerprints and the scaffold keys all read their
+molecules through it, and only this module reads a graph's ``edges`` or
+``ring_edges``.
 
 Attribute code spaces:
   atom_type  0..118 for real atoms (element number - 1); 119 is reserved for
@@ -20,6 +26,7 @@ import functools
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,15 +180,30 @@ def adjacency(g: MolGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(u for u, _ in nbrs) for nbrs in g._adjacency)
 
 
-def stack_edges(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, bond order code) of the directed edges of one or more
-    molecules stacked in order, node ids offset by the atoms of the molecules
-    before. Each molecule's edges are (dst, src)-sorted and later molecules
-    hold higher node ids, so the stacked edges are (dst, src)-sorted too."""
+class Stack(NamedTuple):
+    """Molecules laid end to end in one node space and one directed-edge
+    space: node ids are offset by the atoms of the molecules before, so no
+    edge joins two molecules and the edges stay (dst, src)-sorted."""
+
+    x: np.ndarray       # (n, 2) attribute codes of every node, as ``MolGraph.X``
+    mol: np.ndarray     # the molecule of each node
+    starts: np.ndarray  # the first node id of each molecule
+    src: np.ndarray     # the directed edges, as ``MolGraph.edges``' rows
+    dst: np.ndarray
+    order: np.ndarray
+    ring: np.ndarray    # the ring flag of each directed edge
+
+
+def stack(graphs) -> Stack:
+    """The ``Stack`` of one or more molecules: int64 arrays and a boolean ``ring``."""
     sizes = [g.n_atoms for g in graphs]
+    starts = np.cumsum([0] + sizes[:-1])
     edges = np.concatenate([g.edges for g in graphs], axis=1)
-    shift = np.repeat(np.cumsum([0] + sizes[:-1]), [g.edges.shape[1] for g in graphs])
-    return edges[0] + shift, edges[1] + shift, edges[2]
+    shift = np.repeat(starts, [g.edges.shape[1] for g in graphs])
+    return Stack(np.concatenate([g.X for g in graphs]),
+                 np.repeat(np.arange(len(graphs), dtype=np.int64), sizes), starts,
+                 edges[0] + shift, edges[1] + shift, edges[2],
+                 np.concatenate([g.ring_edges for g in graphs]))
 
 
 def ring_bonds(g: MolGraph) -> frozenset[int]:
@@ -201,17 +223,6 @@ def k_hop_neighborhood(g: MolGraph, v: int | Iterable[int], k: int) -> frozenset
             raise ValueError(f"node id {s} out of range")
     if k < 0:
         raise ValueError("hop count must be >= 0")
-    return frozenset(_bfs(g, sources, k))
-
-
-def shortest_path_lengths(g: MolGraph, v: int) -> dict[int, int]:
-    """BFS distances from v to every reachable node."""
-    return _bfs(g, [v])
-
-
-def _bfs(g: MolGraph, sources, k: int | None = None) -> dict[int, int]:
-    """Distance from the nearest source to each node within k hops (every
-    reachable node when k is None), in visiting order."""
     dist = dict.fromkeys(sources, 0)
     queue = deque(dist)
     while queue:
@@ -222,19 +233,7 @@ def _bfs(g: MolGraph, sources, k: int | None = None) -> dict[int, int]:
             if u not in dist:
                 dist[u] = dist[node] + 1
                 queue.append(u)
-    return dist
-
-
-def relabel(g: MolGraph, perm) -> MolGraph:
-    """Apply a node permutation: new id of old node i is perm[i]."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n_atoms)):
-        raise ValueError("perm must be a permutation of node ids")
-    atoms = [None] * g.n_atoms
-    for old, new in enumerate(perm):
-        atoms[new] = g.atoms[old]
-    bonds = [(perm[b.u], perm[b.v], b.order) for b in g.bonds]
-    return MolGraph(atoms, bonds)
+    return frozenset(dist)
 
 
 def bridge_flags(adj, n_edges: int) -> list[bool]:
@@ -250,9 +249,9 @@ def bridge_flags(adj, n_edges: int) -> list[bool]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            node, parent_edge, it = stack[-1]
+        path = [(root, -1, iter(adj[root]))]
+        while path:
+            node, parent_edge, it = path[-1]
             pushed = False
             for nbr, eid in it:
                 if eid == parent_edge:
@@ -260,14 +259,14 @@ def bridge_flags(adj, n_edges: int) -> list[bool]:
                 if disc[nbr] == -1:
                     disc[nbr] = low[nbr] = timer
                     timer += 1
-                    stack.append((nbr, eid, iter(adj[nbr])))
+                    path.append((nbr, eid, iter(adj[nbr])))
                     pushed = True
                     break
                 low[node] = min(low[node], disc[nbr])
             if not pushed:
-                stack.pop()
-                if stack:
-                    pnode = stack[-1][0]
+                path.pop()
+                if path:
+                    pnode = path[-1][0]
                     low[pnode] = min(low[pnode], low[node])
                     if low[node] > disc[pnode]:
                         is_bridge[parent_edge] = True

@@ -7,14 +7,15 @@ only; motifs are the connected components that remain, so their union always
 reconstructs the molecule exactly and ring bonds are never cut. Which bonds
 lie on a ring is ``Bond.in_ring``, from ``MolGraph``'s one ring perception.
 
-Matching runs once per corpus. ``_Corpus`` stacks the molecules into per-atom
-arrays (element, degree, aromatic, on_ring, carbonyl) and per-directed-edge
-arrays (src, dst, order, in_ring). Each predicate compiles, when the table
-loads, into an array test ``(ctx) -> bool[n_atoms]``; ``nbr(...)`` counts the
-marked edges from matching neighbors with one ``np.bincount``, and an
-environment is the AND of its predicates. A loaded table (``RuleTable``) also
-builds, once, the set of (bond order, left expr, right expr) triples that
-holds every rule in both orientations and the table of distinct environments.
+Matching runs once per corpus. ``_Corpus`` holds the molecules'
+``molgraph.stack`` (its per-directed-edge src, dst, order and ring arrays and
+its elements) and the per-atom degree, aromatic, on_ring and carbonyl facts
+derived from it. Each predicate compiles, when the table loads, into an array
+test ``(ctx) -> bool[n_atoms]``; ``nbr(...)`` counts the marked edges from
+matching neighbors with one ``np.bincount``, and an environment is the AND of
+its predicates. A loaded table (``RuleTable``) also builds, once, the set of
+(bond order, left expr, right expr) triples that holds every rule in both
+orientations and the table of distinct environments.
 ``cleavable_bonds`` evaluates each distinct environment once over the corpus
 and cuts an acyclic bond when one triple holds at its two endpoints;
 ``decompositions`` splits every molecule at its cut bonds. ``match_rules`` and
@@ -35,7 +36,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError, read_input
-from .molgraph import BOND_ORDER_INDEX, BOND_ORDERS, N_ATOM_TYPES, MolGraph, stack_edges
+from .molgraph import BOND_ORDER_INDEX, BOND_ORDERS, N_ATOM_TYPES, MolGraph, stack
 from .smiles import ATOM_CODE
 
 _C = ATOM_CODE["C"]
@@ -52,13 +53,13 @@ _ELEMSET_RE = re.compile(r"^[A-Z][a-z]?(\|[A-Z][a-z]?)*$")
 # is the match order: a mark is tried before any mark that is a prefix of it
 # ("!-" and "-@" before "-").
 _BOND_MARKS = {
-    "!-": lambda ctx: ctx.order != _SINGLE,
-    "-@": lambda ctx: (ctx.order == _SINGLE) & ctx.in_ring,
-    "-": lambda ctx: ctx.order == _SINGLE,
-    "=": lambda ctx: ctx.order == _DOUBLE,
-    "#": lambda ctx: ctx.order == _TRIPLE,
-    ":": lambda ctx: ctx.order == _AROMATIC,
-    "@": lambda ctx: ctx.in_ring,
+    "!-": lambda s: s.order != _SINGLE,
+    "-@": lambda s: (s.order == _SINGLE) & s.ring,
+    "-": lambda s: s.order == _SINGLE,
+    "=": lambda s: s.order == _DOUBLE,
+    "#": lambda s: s.order == _TRIPLE,
+    ":": lambda s: s.order == _AROMATIC,
+    "@": lambda s: s.ring,
 }
 
 
@@ -94,10 +95,10 @@ def _nbr_count(spec: str, cmp, n: int):
     target = _parse_target(spec)
 
     def test(ctx):
-        hit = target(ctx)[ctx.src]
+        hit = target(ctx)[ctx.s.src]
         if bond_ok is not None:
-            hit &= bond_ok(ctx)
-        return cmp(np.bincount(ctx.dst[hit], minlength=ctx.n), n)
+            hit &= bond_ok(ctx.s)
+        return cmp(np.bincount(ctx.s.dst[hit], minlength=ctx.n), n)
 
     return test
 
@@ -153,27 +154,23 @@ class BricsRule:
 
 
 class _Corpus:
-    """Atom and directed-edge facts of molecules stacked in order, node ids
-    offset by the atoms of the molecules before: what every compiled
-    predicate reads."""
+    """What every compiled predicate reads: the molecules' ``molgraph.stack``
+    (``s``) and four atom facts derived from it once. The stack's int64
+    arrays are read as they are: narrower copies cost more to make than they
+    save in matching."""
 
     def __init__(self, graphs):
-        self.sizes = [g.n_atoms for g in graphs]
-        self.n = n = sum(self.sizes)
-        src, dst, order = stack_edges(graphs)
-        # the narrowest types that hold the values, so the corpus arrays stay small
-        self.src, self.dst = src, dst = src.astype(np.int32), dst.astype(np.int32)
-        self.order = order = order.astype(np.int8)
-        self.in_ring = np.concatenate([g.ring_edges for g in graphs])
-        self.elem = elem = np.concatenate([g.X[:, 0] for g in graphs]).astype(np.int8)
+        self.s = s = stack(graphs)
+        self.n = n = len(s.mol)
+        self.elem = elem = s.x[:, 0]
 
         def marked(edge):   # atoms at the head of at least one marked edge
-            return np.bincount(dst[edge], minlength=n) > 0
+            return np.bincount(s.dst[edge], minlength=n) > 0
 
-        self.degree = np.bincount(dst, minlength=n)
-        self.aromatic = marked(order == _AROMATIC)
-        self.on_ring = marked(self.in_ring)
-        self.carbonyl = (elem == _C) & marked((order == _DOUBLE) & (elem[src] == _O))
+        self.degree = np.bincount(s.dst, minlength=n)
+        self.aromatic = marked(s.order == _AROMATIC)
+        self.on_ring = marked(s.ring)
+        self.carbonyl = (elem == _C) & marked((s.order == _DOUBLE) & (elem[s.src] == _O))
 
 
 def carbonyl_carbons(g: MolGraph) -> frozenset[int]:
@@ -268,8 +265,9 @@ def cleavable_bonds(graphs, rules=None) -> list[frozenset[int]]:
     if not isinstance(rules, RuleTable):
         rules = RuleTable(rules)
     ctx = _Corpus(graphs)
-    acyclic = (ctx.src < ctx.dst) & ~ctx.in_ring    # each acyclic bond once, u = src < v = dst
-    u, v, order = ctx.src[acyclic], ctx.dst[acyclic], ctx.order[acyclic]
+    s = ctx.s
+    acyclic = (s.src < s.dst) & ~s.ring    # each acyclic bond once, u = src < v = dst
+    u, v, order = s.src[acyclic], s.dst[acyclic], s.order[acyclic]
     at_u, at_v = {}, {}
     for expr, env in rules.envs.items():
         hit = env.matches(ctx)
@@ -279,11 +277,10 @@ def cleavable_bonds(graphs, rules=None) -> list[frozenset[int]]:
         cut |= (order == BOND_ORDER_INDEX[bond_order]) & at_u[x] & at_v[y]
 
     # each cut edge back to its molecule and that molecule's bond id
-    starts = np.cumsum([0] + ctx.sizes)
-    mol = np.searchsorted(starts, u[cut], side="right") - 1
+    u, v = u[cut], v[cut]
+    mol = s.mol[u]
     found: list[list[int]] = [[] for _ in graphs]
-    for k, a, b in zip(mol.tolist(), (u[cut] - starts[mol]).tolist(),
-                       (v[cut] - starts[mol]).tolist()):
+    for k, a, b in zip(mol.tolist(), (u - s.starts[mol]).tolist(), (v - s.starts[mol]).tolist()):
         found[k] += [bid for w, bid in graphs[k]._adjacency[a] if w == b]
     return [frozenset(bids) for bids in found]
 
@@ -344,15 +341,15 @@ def _split(g: MolGraph, cut: frozenset[int]) -> MotifDecomposition:
         if comp[start] != -1:
             continue
         comp[start] = len(order)
-        stack = [start]
+        todo = [start]
         members = [start]
-        while stack:
-            v = stack.pop()
+        while todo:
+            v = todo.pop()
             for u, bid in g._adjacency[v]:
                 if bid in cut or comp[u] != -1:
                     continue
                 comp[u] = comp[start]
-                stack.append(u)
+                todo.append(u)
                 members.append(u)
         order.append(sorted(members))
 

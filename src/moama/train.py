@@ -40,7 +40,7 @@ from .gin import (
 )
 from .loss import aux_loss, rec_loss, total_loss
 from .masking import apply_mask, build_plan, eligible_motifs, plan_rng
-from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph, stack_edges
+from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph, stack
 from .motif import decompositions
 
 CHECKPOINT_MAGIC = b"MOAM"
@@ -123,14 +123,16 @@ def load_checkpoint(path) -> Checkpoint:
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
     try:
-        return _decode_checkpoint(data)
+        return _decode_checkpoint(data, path)
     except (struct.error, ValueError) as e:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and the short
         # buffers np.frombuffer rejects: all mean a truncated or corrupt file
         raise DataError(f"{path} is truncated or corrupt: {e}") from e
 
 
-def _decode_checkpoint(data: bytes) -> Checkpoint:
+def _decode_checkpoint(data: bytes, path) -> Checkpoint:
+    """The checkpoint in ``data``, read from ``path``. A tensor holding a
+    non-finite value, moments included, is a DataError naming both."""
     pos = 4   # the read cursor, just past the magic
 
     def advance(n: int) -> int:   # the cursor's offset; the cursor moves n bytes on
@@ -157,12 +159,17 @@ def _decode_checkpoint(data: bytes) -> Checkpoint:
     params, moments_m, moments_v = {}, {}, {}
     for _ in range(count):
         name = blob("<H").decode()
+        if not name.isprintable():   # it would break the one-line error messages that name it
+            raise ValueError(f"tensor name {name!r} is not printable")
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
         size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        values, moments_m[name], moments_v[name] = [
+        values, moments_m[name], moments_v[name] = arrays = [
             np.frombuffer(data, "<f8", size, advance(8 * size)).reshape(shape).astype(np.float64)
             for _ in range(3)]
+        for part, arr in zip(("values", "Adam m", "Adam v"), arrays):
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: tensor {name} holds non-finite {part}")
         params[name] = ad.parameter(values)
     store = ParamStore(params)
     store.m, store.v, store.t = moments_m, moments_v, adam_t
@@ -302,25 +309,23 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
 def scaffold_keys(graphs) -> list[str]:
     """Canonical key for each molecule's ring systems plus linkers.
 
-    Side chains are pruned by repeatedly deleting non-ring atoms with at most
-    one kept neighbor; the result does not depend on the deletion order, so
-    every molecule is pruned at once. The remainder is hashed with iterated
-    neighborhood refinement (``fingerprint.refine``, one call per round for
-    the whole corpus) over (atom type, bond order): a molecule with k kept
-    atoms runs k rounds, then its key is the hash of k and its sorted codes.
-    Isomorphic scaffolds share a key and acyclic molecules map to the empty
-    key.
+    The molecules are read as one ``molgraph.stack``; an atom is on a ring
+    when a ring edge ends at it. Side chains are pruned by repeatedly deleting
+    non-ring atoms with at most one kept neighbor; the result does not depend
+    on the deletion order, so every molecule is pruned at once. The remainder
+    is hashed with iterated neighborhood refinement (``fingerprint.refine``,
+    one call per round for the whole corpus) over (atom type, bond order): a
+    molecule with k kept atoms runs k rounds, then its key is the hash of k
+    and its sorted codes. Isomorphic scaffolds share a key and acyclic
+    molecules map to the empty key.
     """
     graphs = list(graphs)
     if not graphs:
         return []
-    sizes = [g.n_atoms for g in graphs]
-    offsets = np.cumsum([0] + sizes[:-1]).tolist()
-    src, dst, order = stack_edges(graphs)
-    n = sum(sizes)
-    on_ring = np.zeros(n, dtype=bool)
-    on_ring[[off + v for g, off in zip(graphs, offsets)
-             for b in g.bonds if b.in_ring for v in (b.u, b.v)]] = True
+    s = stack(graphs)
+    src, dst, order = s.src, s.dst, s.order
+    n = len(s.mol)
+    on_ring = np.bincount(dst[s.ring], minlength=n) > 0
     kept = np.ones(n, dtype=bool)
     while True:
         drop = kept & ~on_ring & (np.bincount(dst[kept[src]], minlength=n) <= 1)
@@ -329,13 +334,12 @@ def scaffold_keys(graphs) -> list[str]:
         kept &= ~drop
 
     nodes = np.flatnonzero(kept)
-    mol = np.repeat(np.arange(len(graphs)), sizes)[nodes]
+    mol = s.mol[nodes]
     n_kept = np.bincount(mol, minlength=len(graphs))
     index = np.cumsum(kept) - 1
     sub = kept[src] & kept[dst]
     src, dst, order = index[src[sub]], index[dst[sub]], order[sub]
-    atom_type = np.concatenate([g.X[:, 0] for g in graphs])[nodes]
-    codes = hash_rows([np.ones(len(nodes), dtype=np.uint64), atom_type])
+    codes = hash_rows([np.ones(len(nodes), dtype=np.uint64), s.x[nodes, 0]])
     rounds = n_kept[mol]
     for r in range(1, int(n_kept.max()) + 1):
         codes = np.where(rounds >= r, refine(codes, src, dst, order, 2), codes)

@@ -5,21 +5,28 @@ bridge detection via edge-removal connectivity, k-hop via plain BFS, the
 encoder via a tape-free numpy re-implementation, AUC via all-pairs counting,
 the corpus-wide uint64 refinement kernel via the per-node Python-int hash it
 replaced, the one-pass parser and graph constructor via the token-object parser
-and the validate-then-build constructor they replaced, and the corpus-wide
-rule-matching kernel via the per-atom closure matcher it replaced.
+and the validate-then-build constructor they replaced, the corpus-wide
+rule-matching kernel via the per-atom closure matcher it replaced, and
+``molgraph.stack`` via the edge stacker, the narrow-typed rule-matching corpus
+and the bond-loop ring marks it replaced.
+
+``single``, ``relabel`` and ``shortest_path_lengths`` are helpers that only
+the tests use.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from collections import deque
 
 import numpy as np
 import pytest
 
 from moama import parse
 from moama.errors import SmilesError
-from moama.gin import EncoderConfig
+from moama.fingerprint import hash_rows, refine
+from moama.gin import EncoderConfig, TensorGraph
 from moama.molgraph import (
     CHIRALITY_NONE,
     CHIRALITY_OTHER,
@@ -30,6 +37,7 @@ from moama.molgraph import (
     BOND_ORDERS,
     Bond,
     MolGraph,
+    Stack,
     bridge_flags,
 )
 from moama.motif import RuleTable, default_rules
@@ -68,6 +76,36 @@ def odd_molecules() -> list[MolGraph]:
     return [parse("C"), MolGraph([c, c], []),
             MolGraph([c] * 7, [(i, (i + 1) % 6, "aromatic") for i in range(6)]),
             parse("S(F)(F)(F)(F)(F)F")]
+
+
+def single(g: MolGraph, x=None) -> TensorGraph:
+    """The batch of one molecule, optionally with a masked attribute matrix."""
+    return TensorGraph.from_graphs([g], None if x is None else [x])
+
+
+def relabel(g: MolGraph, perm) -> MolGraph:
+    """Apply a node permutation: new id of old node i is perm[i]."""
+    perm = list(perm)
+    if sorted(perm) != list(range(g.n_atoms)):
+        raise ValueError("perm must be a permutation of node ids")
+    atoms = [None] * g.n_atoms
+    for old, new in enumerate(perm):
+        atoms[new] = g.atoms[old]
+    bonds = [(perm[b.u], perm[b.v], b.order) for b in g.bonds]
+    return MolGraph(atoms, bonds)
+
+
+def shortest_path_lengths(g: MolGraph, v: int) -> dict[int, int]:
+    """BFS distances from v to every reachable node, in visiting order."""
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        node = queue.popleft()
+        for u in g.neighbors(node):
+            if u not in dist:
+                dist[u] = dist[node] + 1
+                queue.append(u)
+    return dist
 
 
 def connected_without_bond(g: MolGraph, skip: int) -> bool:
@@ -547,3 +585,104 @@ def match_rules_oracle(g: MolGraph, rules=None) -> frozenset[int]:
         if any((b.order, x, y) in rules.pairs for x in matched[b.u] for y in matched[b.v]):
             out.add(i)
     return frozenset(out)
+
+
+# --- the former stackers: edges, the rule-matching corpus, scaffold ring marks --
+
+def stack_edges_oracle(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The former ``molgraph.stack_edges``: (src, dst, bond order code) of the
+    molecules' directed edges, node ids offset by the atoms before."""
+    sizes = [g.n_atoms for g in graphs]
+    edges = np.concatenate([g.edges for g in graphs], axis=1)
+    shift = np.repeat(np.cumsum([0] + sizes[:-1]), [g.edges.shape[1] for g in graphs])
+    return edges[0] + shift, edges[1] + shift, edges[2]
+
+
+_C, _O = ATOM_CODE["C"], ATOM_CODE["O"]
+_DOUBLE, _AROMATIC = BOND_ORDER_INDEX["double"], BOND_ORDER_INDEX["aromatic"]
+
+
+class NarrowCorpusOracle:
+    """The former ``motif._Corpus``: its own sizes, ring and element
+    concatenations over ``stack_edges_oracle``, cast to int32 node ids and
+    int8 orders and elements. ``s`` holds the narrow edge arrays under the
+    names the compiled predicates read."""
+
+    def __init__(self, graphs):
+        self.sizes = [g.n_atoms for g in graphs]
+        self.n = n = sum(self.sizes)
+        src, dst, order = stack_edges_oracle(graphs)
+        src, dst, order = src.astype(np.int32), dst.astype(np.int32), order.astype(np.int8)
+        ring = np.concatenate([g.ring_edges for g in graphs])
+        self.s = Stack(None, None, None, src, dst, order, ring)
+        self.elem = elem = np.concatenate([g.X[:, 0] for g in graphs]).astype(np.int8)
+
+        def marked(edge):
+            return np.bincount(dst[edge], minlength=n) > 0
+
+        self.degree = np.bincount(dst, minlength=n)
+        self.aromatic = marked(order == _AROMATIC)
+        self.on_ring = marked(ring)
+        self.carbonyl = (elem == _C) & marked((order == _DOUBLE) & (elem[src] == _O))
+
+
+def cleavable_bonds_narrow_oracle(graphs, rules=None) -> list[frozenset[int]]:
+    """The former ``motif.cleavable_bonds``: ``NarrowCorpusOracle`` facts, and
+    each cut edge mapped back to its molecule by ``np.searchsorted`` over the
+    corpus' own ``cumsum`` starts."""
+    graphs = list(graphs)
+    if rules is None:
+        rules = default_rules()
+    if not isinstance(rules, RuleTable):
+        rules = RuleTable(rules)
+    ctx = NarrowCorpusOracle(graphs)
+    acyclic = (ctx.s.src < ctx.s.dst) & ~ctx.s.ring
+    u, v, order = ctx.s.src[acyclic], ctx.s.dst[acyclic], ctx.s.order[acyclic]
+    at_u, at_v = {}, {}
+    for expr, env in rules.envs.items():
+        hit = env.matches(ctx)
+        at_u[expr], at_v[expr] = hit[u], hit[v]
+    cut = np.zeros(len(u), dtype=bool)
+    for bond_order, x, y in rules.pairs:
+        cut |= (order == BOND_ORDER_INDEX[bond_order]) & at_u[x] & at_v[y]
+    starts = np.cumsum([0] + ctx.sizes)
+    mol = np.searchsorted(starts, u[cut], side="right") - 1
+    found: list[list[int]] = [[] for _ in graphs]
+    for k, a, b in zip(mol.tolist(), (u[cut] - starts[mol]).tolist(),
+                       (v[cut] - starts[mol]).tolist()):
+        found[k] += [bid for w, bid in graphs[k]._adjacency[a] if w == b]
+    return [frozenset(bids) for bids in found]
+
+
+def scaffold_keys_ring_loop_oracle(graphs) -> list[str]:
+    """The former ``train.scaffold_keys``: its own offsets, a Python loop over
+    each molecule's ring bonds to mark ring atoms, ``stack_edges_oracle`` and
+    its own molecule ids and atom types."""
+    graphs = list(graphs)
+    sizes = [g.n_atoms for g in graphs]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    src, dst, order = stack_edges_oracle(graphs)
+    n = sum(sizes)
+    on_ring = np.zeros(n, dtype=bool)
+    on_ring[[off + v for g, off in zip(graphs, offsets)
+             for b in g.bonds if b.in_ring for v in (b.u, b.v)]] = True
+    kept = np.ones(n, dtype=bool)
+    while True:
+        drop = kept & ~on_ring & (np.bincount(dst[kept[src]], minlength=n) <= 1)
+        if not drop.any():
+            break
+        kept &= ~drop
+    nodes = np.flatnonzero(kept)
+    mol = np.repeat(np.arange(len(graphs)), sizes)[nodes]
+    n_kept = np.bincount(mol, minlength=len(graphs))
+    index = np.cumsum(kept) - 1
+    sub = kept[src] & kept[dst]
+    src, dst, order = index[src[sub]], index[dst[sub]], order[sub]
+    atom_type = np.concatenate([g.X[:, 0] for g in graphs])[nodes]
+    codes = hash_rows([np.ones(len(nodes), dtype=np.uint64), atom_type])
+    rounds = n_kept[mol]
+    for r in range(1, int(n_kept.max()) + 1):
+        codes = np.where(rounds >= r, refine(codes, src, dst, order, 2), codes)
+    by_mol = codes[np.lexsort((codes, mol))]
+    final = hash_rows([n_kept], by_mol, n_kept)
+    return [format(h, "016x") if k else "" for h, k in zip(final.tolist(), n_kept.tolist())]

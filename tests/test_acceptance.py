@@ -20,11 +20,11 @@ from moama.gin import EncoderConfig, TensorGraph, decode_attrs, encode, init_par
 from moama.influence import NodeInfluence, analyze_dataset, influence_pair, mrr_from_rows
 from moama.loss import LossConfig, aux_loss, rec_loss, total_loss
 from moama.masking import MaskConfig, apply_mask, plan_rng, sample_motifs
-from moama.molgraph import k_hop_neighborhood, relabel, ring_bonds, shortest_path_lengths
+from moama.molgraph import k_hop_neighborhood, ring_bonds
 from moama.motif import decompose, motif_adjacency
 from moama.train import RunConfig, finetune_probe, load_checkpoint, loss_curve_rows, pretrain, save_checkpoint
 
-from conftest import encode_oracle, random_molgraph
+from conftest import encode_oracle, random_molgraph, relabel, shortest_path_lengths, single
 
 
 @pytest.fixture
@@ -390,7 +390,6 @@ def test_criterion_10_reproducibility(tmp_path, criterion):
 
         result = pretrain(graphs, cfg)
         g = graphs[0]
-        from moama.gin import single
         before = encode(single(g), result.store, cfg.encoder).values
         after = encode(single(g), ckpt.store, cfg.encoder).values
         assert np.array_equal(before, after)

@@ -509,3 +509,163 @@ def test_python_float_operands_bitwise_match_hand_written_ops(expr, name, args):
         want._backprop(g.copy())
         assert bits(got) == bits(want) and bits(t_got.grad) == bits(t_want.grad)
         assert len(got._parents) == len(want._parents) == 2
+
+
+def _ref_power(a, p):
+    a = ad._lift(a)
+    p = float(p)
+
+    def back(g):
+        ad._accum(a, g * p * np.power(a.values, p - 1.0))
+
+    return ad.Tensor(np.power(a.values, p), _parents=(a,), _backprop=back)
+
+
+def _ref_tsum(a, axis=None, keepdims=False):
+    a = ad._lift(a)
+
+    def back(g):
+        if axis is None:
+            ad._accum(a, np.broadcast_to(g, a.values.shape).copy())
+        else:
+            gg = g if keepdims else np.expand_dims(g, axis)
+            ad._accum(a, np.broadcast_to(gg, a.values.shape).copy())
+
+    return ad.Tensor(a.values.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backprop=back)
+
+
+def _ref_segment_sum(a, segments, n_segments):
+    a = ad._lift(a)
+    seg = np.asarray(segments, dtype=np.int64)
+
+    def back(g):
+        ad._accum(a, g[seg])
+
+    return ad.Tensor(ad._segment_sum_values(a.values, seg, n_segments), _parents=(a,),
+                     _backprop=back)
+
+
+def _ref_segment_max(a, segments, n_segments):
+    a = ad._lift(a)
+    seg = np.asarray(segments, dtype=np.int64)
+    counts = np.bincount(seg, minlength=n_segments)
+    if np.any(counts == 0):
+        raise ValueError("segment_max over an empty segment")
+    out_vals = np.full((n_segments,) + a.values.shape[1:], -np.inf)
+    np.maximum.at(out_vals, seg, a.values)
+
+    def back(g):
+        if not a.requires_grad:
+            return
+        n = a.values.shape[0]
+        rows = np.arange(n).reshape((n,) + (1,) * (a.values.ndim - 1))
+        first = np.full(out_vals.shape, n)
+        np.minimum.at(first, seg, np.where(a.values == out_vals[seg], rows, n))
+        ad._accum(a, g[seg] * (rows == first[seg]))
+
+    return ad.Tensor(out_vals, _parents=(a,), _backprop=back)
+
+
+def _ref_slice_cols(a, start, stop):
+    a = ad._lift(a)
+
+    def back(g):
+        if not a.requires_grad:
+            return
+        ga = np.zeros_like(a.values)
+        ga[:, start:stop] = g
+        ad._accum(a, ga)
+
+    return ad.Tensor(a.values[:, start:stop], _parents=(a,), _backprop=back)
+
+
+_REFERENCE_PARAM_OPS = {"power": _ref_power, "tsum": _ref_tsum, "segment_sum": _ref_segment_sum,
+                        "segment_max": _ref_segment_max, "slice_cols": _ref_slice_cols}
+
+
+def _param_op_bits(op, values, args, g, requires_grad=True, uses=1, prior=None):
+    """Output bits and tape of ``op(x, *args)`` applied ``uses`` times to one
+    fresh input x, each output's gradient ``g`` replayed in order onto x's
+    gradient, which starts as ``prior`` when one is given."""
+    x = ad.Tensor(np.array(values), requires_grad=requires_grad)
+    if prior is not None:
+        x.grad = prior.copy()
+    outs = [op(x, *args) for _ in range(uses)]
+    for out in outs:
+        if out.requires_grad:
+            out._backprop(g.copy())
+    return ([(bits(o), o.requires_grad, len(o._parents)) for o in outs],
+            None if x.grad is None else bits(x.grad))
+
+
+def _assert_param_op_same_as_reference(name, values, args, rng, g=None):
+    shape = _REFERENCE_PARAM_OPS[name](values, *args).shape
+    g = _signed_values(rng, shape, 1.0) if g is None else g
+    prior = _signed_values(rng, np.shape(values), 1.0)
+    for requires_grad, uses, start in ((True, 1, None), (True, 2, None), (True, 2, prior),
+                                       (False, 1, None)):
+        want = _param_op_bits(_REFERENCE_PARAM_OPS[name], values, args, g, requires_grad,
+                              uses, start)
+        got = _param_op_bits(getattr(ad, name), values, args, g, requires_grad, uses, start)
+        assert got == want, (name, args, requires_grad, uses, start is not None)
+
+
+def test_power_bitwise_matches_hand_written_op():
+    rng = np.random.default_rng(16)
+    for shape in [(4, 3), (3,), ()]:
+        for scale in _SCALES:
+            for p in (2, 2.0, 3.0, 1.0):
+                _assert_param_op_same_as_reference("power", _signed_values(rng, shape, scale),
+                                                   (p,), rng)
+            for p in (0.5, -1.0, -2.5):
+                _assert_param_op_same_as_reference("power", _positive_values(rng, shape, scale),
+                                                   (p,), rng)
+
+
+def test_tsum_bitwise_matches_hand_written_op_in_every_axis_form():
+    rng = np.random.default_rng(17)
+    for shape in [(4, 3), (3,), (), (2, 3, 4)]:
+        ndim = len(shape)
+        axes = [None, *range(ndim), *range(-ndim, 0)] + ([(0, 1), (0, -1)] if ndim > 1 else [])
+        for axis in axes:
+            for keepdims in (False, True):
+                for scale in _SCALES:
+                    _assert_param_op_same_as_reference(
+                        "tsum", _signed_values(rng, shape, scale), (axis, keepdims), rng)
+
+
+def test_segment_sum_bitwise_matches_hand_written_op():
+    rng = np.random.default_rng(18)
+    for n, width, n_segments in [(7, 3, 3), (9, None, 4), (1, 2, 1), (6, 4, 8), (0, 3, 2)]:
+        shape = (n,) if width is None else (n, width)
+        for scale in _SCALES:
+            seg = rng.integers(0, n_segments, size=n)
+            _assert_param_op_same_as_reference(
+                "segment_sum", _signed_values(rng, shape, scale), (seg, n_segments), rng)
+
+
+def test_segment_max_bitwise_matches_hand_written_op_with_ties_and_negative_grads():
+    rng = np.random.default_rng(19)
+    for n, width, n_segments in [(7, 3, 3), (9, None, 4), (1, 2, 1), (12, 4, 2)]:
+        shape = (n,) if width is None else (n, width)
+        for _ in range(8):
+            seg = np.concatenate([np.arange(n_segments), rng.integers(0, n_segments,
+                                                                      size=n - n_segments)])
+            values = np.trunc(rng.normal(size=shape) * 2.0).clip(-2.0, 2.0)  # many ties
+            g = -np.abs(_signed_values(rng, (n_segments,) + shape[1:], 1.0))
+            _assert_param_op_same_as_reference("segment_max", values, (seg, n_segments), rng, g)
+            _assert_param_op_same_as_reference("segment_max", values, (seg, n_segments), rng)
+    x = ad.parameter(np.array([[1.0], [5.0], [5.0], [2.0]]))
+    x.grad = np.full((4, 1), -0.0)   # the additive identity that keeps a -0.0 addend's sign
+    ad.segment_max(x, np.array([0, 0, 0, 1]), 2)._backprop(np.array([[-3.0], [-1.0]]))
+    assert bits(x.grad) == bits(np.array([[-0.0], [-3.0], [-0.0], [-1.0]]))   # a tie: lowest row
+    with pytest.raises(ValueError, match="empty segment"):
+        ad.segment_max(x, np.array([0, 0, 2, 2]), 3)
+
+
+def test_slice_cols_bitwise_matches_hand_written_op():
+    rng = np.random.default_rng(20)
+    for start, stop in [(0, 5), (1, 3), (4, 5), (2, 2)]:
+        for scale in _SCALES:
+            _assert_param_op_same_as_reference(
+                "slice_cols", _signed_values(rng, (4, 5), scale), (start, stop), rng)

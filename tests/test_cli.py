@@ -953,3 +953,50 @@ def test_the_console_script_and_the_module_run_the_entry(mols_csv, tmp_path):
     assert child.returncode == 0, child.stderr
     assert child.stdout.startswith("frozen\n")
     assert child.stdout.splitlines()[-1] == "decomposed 3 molecules (0 rows skipped)"
+
+
+@pytest.mark.parametrize("command", ["influence", "finetune"])
+@pytest.mark.parametrize("part,value", [("values", np.nan), ("Adam m", np.inf),
+                                        ("Adam v", -np.inf)])
+def test_a_non_finite_checkpoint_tensor_is_a_data_error_naming_file_and_tensor(
+        small_inputs, tmp_path, capsys, command, part, value):
+    ck = load_checkpoint(small_inputs["checkpoint"])
+    name = "enc.0.w1"
+    arrays = {"values": ck.store[name].values, "Adam m": ck.store.m[name],
+              "Adam v": ck.store.v[name]}
+    arrays[part][1, 2] = value
+    bad = tmp_path / "bad.moam"
+    save_checkpoint(bad, ck.store, ck.config, ck.rng, ck.epoch)
+    argv = [command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs),
+            "--set", f"run.checkpoint={bad}"]
+    assert _run_cli(argv, capsys) == (
+        2, f"data error: {bad}: tensor {name} holds non-finite {part}\n")
+
+
+@pytest.mark.parametrize("command,name", [("influence", "influence_nodes.csv"),
+                                          ("finetune", "auc_report.csv")])
+def test_checkpoint_encoder_settings_replace_the_run_s_with_a_notice(
+        small_inputs, tmp_path, capsys, command, name):
+    args = [*_inputs_for(command, small_inputs),
+            "--set", f"run.checkpoint={small_inputs['checkpoint']}"]
+    assert main([command, "--out", str(tmp_path / "same"), *args]) == 0
+    assert "using encoder settings" not in capsys.readouterr().out
+    assert main([command, "--out", str(tmp_path / "other"), *args,
+                 "--set", "encoder.layers=3"]) == 0
+    assert ("using encoder settings from checkpoint: EncoderConfig(layers=2, embed_dim=8,"
+            in capsys.readouterr().out)
+    assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "other" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["enc.0\nw1", "enc.0\rw1", "enc.0\u2028w1"])
+def test_a_checkpoint_tensor_name_with_a_line_break_is_one_line(small_inputs, tmp_path, capsys,
+                                                                name):
+    data = small_inputs["checkpoint"].read_bytes()
+    bad = tmp_path / "renamed.moam"
+    raw = name.encode()
+    bad.write_bytes(data.replace(struct.pack("<H", 8) + b"enc.0.w1",
+                                 struct.pack("<H", len(raw)) + raw))
+    argv = ["influence", "--out", str(tmp_path / "out"), *_inputs_for("influence", small_inputs),
+            "--set", f"run.checkpoint={bad}"]
+    assert _run_cli(argv, capsys) == (
+        2, f"data error: {bad} is truncated or corrupt: tensor name {name!r} is not printable\n")

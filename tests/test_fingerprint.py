@@ -11,9 +11,9 @@ from moama.fingerprint import (
     refine,
     tanimoto_matrix,
 )
-from moama.molgraph import BOND_ORDER_INDEX, relabel, stack_edges
+from moama.molgraph import BOND_ORDER_INDEX, stack
 
-from conftest import bits, hash_ints_oracle, odd_molecules, refine_oracle
+from conftest import bits, hash_ints_oracle, odd_molecules, refine_oracle, relabel
 
 
 def _fp_from_bits(on_bits, width=256):
@@ -170,7 +170,8 @@ def test_refine_over_kept_hashes_the_filtered_sorted_pairs(corpus500):
     on random codes of which about half are >= 2**63."""
     rng = np.random.default_rng(0)
     graphs = corpus500[:100] + odd_molecules()
-    src, dst, order = stack_edges(graphs)
+    s = stack(graphs)
+    src, dst, order = s.src, s.dst, s.order
     n = sum(g.n_atoms for g in graphs)
     codes = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
     assert (codes >= 2**63).any() and (codes < 2**63).any()

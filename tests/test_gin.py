@@ -20,13 +20,12 @@ from moama.gin import (
     param_shapes,
     predict_label,
     readout,
-    single,
 )
 from moama.loss import LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
 from moama.masking import MaskPlan, apply_mask
-from moama.molgraph import BOND_ORDER_INDEX, AtomAttr, MolGraph, relabel, shortest_path_lengths
+from moama.molgraph import BOND_ORDER_INDEX, AtomAttr, MolGraph
 
-from conftest import bits, encode_oracle, random_molgraph
+from conftest import bits, encode_oracle, random_molgraph, relabel, shortest_path_lengths, single
 
 
 def _zeroed(store: ParamStore) -> ParamStore:

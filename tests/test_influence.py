@@ -16,10 +16,9 @@ from moama.influence import (
     influence_pair,
     mrr_from_rows,
 )
-from moama.molgraph import shortest_path_lengths
 from moama.motif import Motif, MotifDecomposition, decompose
 
-from conftest import encode_oracle, random_molgraph
+from conftest import encode_oracle, random_molgraph, shortest_path_lengths
 
 CFG = EncoderConfig(layers=2, embed_dim=8)
 

@@ -6,11 +6,21 @@ from moama.molgraph import (
     BOND_ORDER_INDEX,
     AtomAttr,
     MolGraph,
-    relabel,
-    shortest_path_lengths,
+    Stack,
+    stack,
 )
 
-from conftest import bfs_oracle, graph_state, molgraph_oracle, random_molgraph, ring_bonds_oracle
+from conftest import (
+    bfs_oracle,
+    graph_state,
+    molgraph_oracle,
+    odd_molecules,
+    random_molgraph,
+    relabel,
+    ring_bonds_oracle,
+    shortest_path_lengths,
+    stack_edges_oracle,
+)
 
 
 def test_single_atom_has_empty_neighbor_list():
@@ -235,3 +245,38 @@ def test_shared_bonds_keep_the_endpoint_types_they_were_given():
     assert plain == wide and plain is not wide
     assert type(plain.u) is int and type(wide.u) is np.int64
     assert MolGraph(atoms, [(1, 0, "single")]).bonds[0] is plain
+
+
+def _stack_by_loops(graphs) -> dict:
+    """Stack fields by per-molecule loops: node rows, molecule ids and starts
+    counted one atom at a time; edges by the former ``stack_edges``."""
+    x, mol, starts, ring = [], [], [], []
+    offset = 0
+    for k, g in enumerate(graphs):
+        starts.append(offset)
+        for v in range(g.n_atoms):
+            x.append([g.atoms[v].atom_type, g.atoms[v].chirality])
+            mol.append(k)
+        ring.extend(bool(f) for f in g.ring_edges)
+        offset += g.n_atoms
+    src, dst, order = stack_edges_oracle(graphs)
+    return {"x": np.array(x, dtype=np.int64).reshape(-1, 2), "mol": np.array(mol, dtype=np.int64),
+            "starts": np.array(starts, dtype=np.int64), "src": src, "dst": dst, "order": order,
+            "ring": np.array(ring, dtype=bool)}
+
+
+def test_stack_equals_the_former_stackers(refinement_corpora):
+    rng = np.random.default_rng(21)
+    bondless = [MolGraph([AtomAttr(5)] * n, []) for n in (1, 3)]
+    corpora = [*refinement_corpora.values(), odd_molecules(), bondless, [parse("C")],
+               [random_molgraph(rng) for _ in range(30)] + bondless + odd_molecules()]
+    for graphs in corpora:
+        got, want = stack(graphs), _stack_by_loops(graphs)
+        assert isinstance(got, Stack) and got._fields == tuple(want)
+        for name, value in want.items():
+            assert np.asarray(getattr(got, name)).dtype == value.dtype, name
+            assert np.array_equal(getattr(got, name), value), name
+        # each molecule's edges stay (dst, src)-sorted and inside the molecule
+        assert np.all(np.diff(got.dst * len(got.mol) + got.src) > 0)
+        assert np.array_equal(got.mol[got.src], got.mol[got.dst])
+

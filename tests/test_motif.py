@@ -23,7 +23,7 @@ from moama import (
 from moama.cli import main
 from moama.datagen import has_carbonyl
 from moama.errors import DataError
-from moama.molgraph import relabel
+from moama.molgraph import AtomAttr, MolGraph
 from moama.motif import (
     _BOND_MARKS,
     EnvPattern,
@@ -38,9 +38,12 @@ from moama.smiles import ATOM_CODE
 from conftest import (
     ODD_SMILES,
     GraphContextOracle,
+    NarrowCorpusOracle,
+    cleavable_bonds_narrow_oracle,
     match_rules_oracle,
     odd_molecules,
     random_molgraph,
+    relabel,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -477,6 +480,20 @@ def test_cut_sets_do_not_depend_on_the_rest_of_the_corpus(rule_tables, matcher_c
     assert list(decompositions(graphs, rules)) == [decompose(g, rules) for g in graphs]
     perm = np.random.default_rng(31).permutation(len(graphs))
     assert cleavable_bonds([graphs[i] for i in perm], rules) == [together[i] for i in perm]
+
+
+@pytest.mark.parametrize("table", ["bundled", "every_kind"])
+def test_the_stack_corpus_equals_the_narrow_typed_corpus(rule_tables, matcher_corpora, table):
+    rules = rule_tables[table]
+    bondless = [MolGraph([AtomAttr(6)] * n, []) for n in (1, 2)]
+    for name, graphs in {**matcher_corpora, "bondless": bondless,
+                         "mixed": bondless + matcher_corpora["odd"] + bondless}.items():
+        ctx, narrow = _Corpus(graphs), NarrowCorpusOracle(graphs)
+        for fact in ("elem", "degree", "aromatic", "on_ring", "carbonyl"):
+            assert np.array_equal(getattr(ctx, fact), getattr(narrow, fact)), (name, fact)
+        for env in rules.envs.values():
+            assert np.array_equal(env.matches(ctx), env.matches(narrow)), (name, env.expr)
+        assert cleavable_bonds(graphs, rules) == cleavable_bonds_narrow_oracle(graphs, rules), name
 
 
 def test_an_empty_corpus_and_molecules_without_acyclic_bonds():

@@ -236,3 +236,34 @@ def test_function_import_check_flags_every_nested_import():
               "        from .. import cli\n"
               "    import sys\n")
     assert function_imports(source) == ["4:.smiles", "6:json", "6:numpy", "11:.."]
+
+
+# molgraph.stack is the one reader of each molecule's edge arrays
+_EDGE_ARRAYS = {"edges", "ring_edges"}
+
+
+def edge_array_reads(source: str) -> list[str]:
+    """``line:name`` for each read of an attribute named ``edges`` or
+    ``ring_edges``, in source order."""
+    return [f"{node.lineno}:{node.attr}" for node in sorted(
+        (n for n in ast.walk(ast.parse(source))
+         if isinstance(n, ast.Attribute) and n.attr in _EDGE_ARRAYS),
+        key=lambda n: (n.lineno, n.col_offset))]
+
+
+EDGE_READING_MODULES = [p for p in ALL_MODULES if p.name != "molgraph.py"]
+
+
+@pytest.mark.parametrize("path", EDGE_READING_MODULES,
+                         ids=[p.name for p in EDGE_READING_MODULES])
+def test_only_molgraph_reads_a_graph_s_edge_arrays(path):
+    assert edge_array_reads(path.read_text("utf-8")) == []
+
+
+def test_edge_array_check_flags_every_read():
+    source = ("def f(g, graphs, dec):\n"
+              "    e = g.edges[0]\n"
+              "    r = [h.ring_edges for h in graphs]\n"
+              "    return e, r, dec.cut_edges, g._edges, g.bonds, getattr(g, 'edges')\n"
+              "x = g.ring_edges.sum() + g.edges.shape[1]\n")
+    assert edge_array_reads(source) == ["2:edges", "3:ring_edges", "5:ring_edges", "5:edges"]

@@ -19,10 +19,10 @@ from moama.gin import (
     init_params,
     predict_label,
     readout,
-    single,
 )
 from moama.loss import LossConfig
 from moama.masking import MaskConfig
+from moama.molgraph import AtomAttr, MolGraph
 from moama.train import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -42,7 +42,15 @@ from moama.train import (
     scaffold_split,
 )
 
-from conftest import auc_oracle, bits, odd_molecules, scaffold_key_oracle
+from conftest import (
+    auc_oracle,
+    bits,
+    odd_molecules,
+    relabel,
+    scaffold_key_oracle,
+    scaffold_keys_ring_loop_oracle,
+    single,
+)
 
 DESK = RunConfig(
     epochs=3,
@@ -218,7 +226,8 @@ def test_checkpoint_cursor_gives_the_former_decoder_outcome_at_every_cut(tmp_pat
     save_checkpoint(path, store, {"encoder.learn_epsilon": "true"}, {"seed": 0}, 1)
     data = path.read_bytes()
     assert len(data) > 600 and any(store[n].values.ndim == 0 for n in names)
-    outcomes = [_outcome(_decode_checkpoint, data[:cut]) for cut in range(4, len(data) + 1)]
+    outcomes = [_outcome(lambda d: _decode_checkpoint(d, path), data[:cut])
+                for cut in range(4, len(data) + 1)]
     assert outcomes == [_outcome(_offset_by_hand_decode, data[:cut])
                         for cut in range(4, len(data) + 1)]
     assert len({o for o in outcomes[:-1] if len(o) == 2}) > 20   # many distinct messages
@@ -231,7 +240,7 @@ def test_learned_eps_checkpoint_round_trip_keeps_every_bit(tmp_path, learned_eps
     ck = load_checkpoint(p1)
     save_checkpoint(p2, ck.store, ck.config, ck.rng, ck.epoch)
     assert p1.read_bytes() == p2.read_bytes()
-    assert _outcome(_decode_checkpoint, p1.read_bytes()) == _outcome(
+    assert _outcome(lambda d: _decode_checkpoint(d, p1), p1.read_bytes()) == _outcome(
         _offset_by_hand_decode, p1.read_bytes())
     for n in learned_eps_store.names():
         assert bits(ck.store[n]) == bits(learned_eps_store[n])
@@ -276,8 +285,6 @@ def test_scaffold_isomorphic_share_key_distinct_differ():
 
 
 def test_scaffold_key_relabel_invariant():
-    from moama.molgraph import relabel
-
     rng = np.random.default_rng(0)
     g = parse("CCOC(=O)c1ccc2ccccc2c1")
     key = scaffold_key(g)
@@ -290,6 +297,13 @@ def test_scaffold_keys_match_the_per_molecule_oracle(refinement_corpora):
         assert scaffold_keys(graphs) == [scaffold_key_oracle(g) for g in graphs]
     assert len(set(scaffold_keys(refinement_corpora["corpus500"]))) > 10
     assert scaffold_keys(odd_molecules()) == ["", "", scaffold_key(parse("c1ccccc1")), ""]
+
+
+def test_scaffold_keys_equal_the_ring_loop_kernel(refinement_corpora):
+    bondless = [MolGraph([AtomAttr(6)] * n, []) for n in (1, 3)]
+    for graphs in [*refinement_corpora.values(), odd_molecules(), bondless,
+                   bondless + odd_molecules() + refinement_corpora["seed2"][:20] + bondless]:
+        assert scaffold_keys(graphs) == scaffold_keys_ring_loop_oracle(graphs)
 
 
 def test_a_scaffold_key_does_not_depend_on_its_corpus(corpus500):
