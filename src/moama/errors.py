@@ -36,12 +36,13 @@ class NumericsError(MoamaError, ArithmeticError):
 def read_input(path, what: str, error: type[MoamaError] = DataError,
                text: bool = True) -> str | bytes:
     """Read one input file: its bytes, or with ``text`` those bytes as strict
-    UTF-8 with no newline translation. An ``OSError``, or a ``ValueError`` (a
-    NUL in the path, invalid UTF-8), becomes ``error`` naming the path.
+    UTF-8, less one leading byte-order mark, with no newline translation. An
+    ``OSError``, or a ``ValueError`` (a NUL in the path, invalid UTF-8),
+    becomes ``error`` naming the path.
     """
     try:
         data = Path(path).read_bytes()
-        return data.decode("utf-8") if text else data
+        return data.decode("utf-8-sig") if text else data
     except (OSError, ValueError) as e:
         raise error(f"cannot read {what} {path}: {e}") from e
 

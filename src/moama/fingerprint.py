@@ -23,6 +23,7 @@ from .molgraph import MolGraph, stack
 
 _SEED = 0x6D6F616D61  # fixed hash seed
 MAX_WIDTH = 1 << 16  # a fingerprint is one int of width bits; cap its memory
+MAX_RADIUS = 16  # each round keeps its codes; cap their memory
 _K1 = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's multipliers
 _K2 = np.uint64(0xBF58476D1CE4E5B9)
 _K3 = np.uint64(0x94D049BB133111EB)
@@ -82,8 +83,8 @@ class FingerprintConfig:
     width: int = 2048
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
+        if not 0 <= self.radius <= MAX_RADIUS:
+            raise ValueError(f"radius must be between 0 and {MAX_RADIUS}")
         if not 0 < self.width <= MAX_WIDTH or self.width & (self.width - 1):
             raise ValueError(f"width must be a power of two <= {MAX_WIDTH}")
 

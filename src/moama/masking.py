@@ -12,11 +12,8 @@ Selection criteria for a motif:
      masked nodes keep access to unmasked context inside the receptive field;
   2. selected motifs are pairwise non-adjacent.
 
-Criterion 1 depends only on the molecule, its decomposition and hop_k, and
-draws no random numbers. ``eligible_motifs`` is its one implementation; a
-caller that plans the same molecule many times (pre-training, once per epoch)
-computes it once per molecule and passes it to ``build_plan``, which otherwise
-computes it itself.
+Criterion 1 draws no random numbers; ``eligible_motifs`` checks it with one
+BFS per molecule, from the atoms of its cut bonds.
 
 Molecules where no selection can reach alpha_min (e.g. a single giant motif)
 keep an empty or undersized plan with ``feasible=False``.
@@ -78,37 +75,22 @@ def eligible_motifs(g: MolGraph, dec: MotifDecomposition, hop_k: int) -> tuple[i
     """Ascending indices of the motifs whose every member has a non-member
     within hop_k hops (selection criterion 1).
 
-    Distance is symmetric, so that holds when one BFS from all of the
-    motif's non-members, cut at hop_k, reaches every member.
+    For hop_k >= 1, a node has a node of another motif within hop_k hops
+    exactly when it lies within hop_k - 1 hops of an atom of a cut bond: the
+    last bond of a shortest path to the nearest such node joins two motifs, so
+    it is a cut bond. Conversely, every cut bond joins two motifs, so each of
+    its atoms lies in a motif other than the node's or is bonded to one.
     """
+    border = {v for pair in dec.cut_pairs for v in pair} if hop_k else ()
+    reach = k_hop_neighborhood(g, border, max(hop_k - 1, 0))
+    return tuple(mi for mi, m in enumerate(dec.motifs) if reach.issuperset(m.node_ids))
+
+
+def sample_motifs(g: MolGraph, dec: MotifDecomposition, cfg: MaskConfig,
+                  rng: np.random.Generator) -> MaskPlan:
+    """Draw a motif-aware plan: shuffled greedy selection, then coverage."""
     n = g.n_atoms
-    eligible = []
-    for mi, motif in enumerate(dec.motifs):
-        members = set(motif.node_ids)
-        if len(members) == n:
-            continue  # no inter-motif nodes exist
-        outside = [u for u in range(n) if u not in members]
-        if members <= k_hop_neighborhood(g, outside, hop_k):
-            eligible.append(mi)
-    return tuple(eligible)
-
-
-def sample_motifs(
-    g: MolGraph,
-    dec: MotifDecomposition,
-    cfg: MaskConfig,
-    rng: np.random.Generator,
-    eligible: tuple[int, ...] | None = None,
-) -> MaskPlan:
-    """Draw a motif-aware plan: shuffled greedy selection, then coverage.
-
-    ``eligible`` is ``eligible_motifs(g, dec, cfg.hop_k)``, computed here
-    when not given.
-    """
-    n = g.n_atoms
-    if eligible is None:
-        eligible = eligible_motifs(g, dec, cfg.hop_k)
-
+    eligible = eligible_motifs(g, dec, cfg.hop_k)
     adj = motif_adjacency(dec)
     selected: list[int] = []
     total = 0
@@ -155,20 +137,12 @@ def random_mask(g: MolGraph, fraction: float, rng: np.random.Generator) -> MaskP
     return MaskPlan((), (picked, picked), count / n, True)
 
 
-def build_plan(
-    g: MolGraph,
-    dec: MotifDecomposition,
-    cfg: MaskConfig,
-    rng: np.random.Generator,
-    eligible: tuple[int, ...] | None = None,
-) -> MaskPlan:
-    """Dispatch on cfg.mode; the baseline budget is the alpha midpoint.
-
-    ``eligible`` is passed on to ``sample_motifs``; the baseline ignores it.
-    """
+def build_plan(g: MolGraph, dec: MotifDecomposition, cfg: MaskConfig,
+               rng: np.random.Generator) -> MaskPlan:
+    """Dispatch on cfg.mode; the baseline budget is the alpha midpoint."""
     if cfg.mode == "random_baseline":
         return random_mask(g, (cfg.alpha_min + cfg.alpha_max) / 2.0, rng)
-    return sample_motifs(g, dec, cfg, rng, eligible)
+    return sample_motifs(g, dec, cfg, rng)
 
 
 def apply_mask(g: MolGraph, plan: MaskPlan) -> np.ndarray:

@@ -305,7 +305,8 @@ class Motif:
 
 @dataclass(frozen=True)
 class MotifDecomposition:
-    """Node partition into motifs; cut edges join different motifs."""
+    """Node partition into motifs. Every cut bond joins two motifs, and every
+    bond joining two motifs is a cut bond."""
 
     motifs: tuple[Motif, ...]
     cut_edges: tuple[int, ...]
@@ -371,7 +372,6 @@ def motif_adjacency(dec: MotifDecomposition) -> tuple[frozenset[int], ...]:
     nbrs: list[set[int]] = [set() for _ in dec.motifs]
     for u, v in dec.cut_pairs:
         mu, mv = dec.motif_of[u], dec.motif_of[v]
-        if mu != mv:
-            nbrs[mu].add(mv)
-            nbrs[mv].add(mu)
+        nbrs[mu].add(mv)
+        nbrs[mv].add(mu)
     return tuple(frozenset(s) for s in nbrs)

@@ -212,10 +212,8 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
     that stays at or below ``alpha_min``) still masks the motifs it selected;
     only a molecule whose plan is empty adds no reconstruction loss. A batch
     whose loss is a constant (nothing masked, no pair to align) takes no Adam
-    step, and its loss still counts in the epoch means. Each
-    molecule's mask eligibility (``masking.eligible_motifs``) does not depend
-    on the epoch, so it is computed once per molecule, before the first epoch.
-    Settings that leave every batch nothing to learn fail before it: a DataError
+    step, and its loss still counts in the epoch means. Settings that leave
+    every batch nothing to learn fail before the first epoch: a DataError
     when no molecule has an eligible motif under a motif mask mode, and a
     ConfigError when ``loss.beta`` is 0 and no batch can hold a pair.
     A ``resume`` store whose encoder or decoder tensors do not fit
@@ -235,10 +233,8 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
     else:
         store, start_epoch = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed), 0
     decomps = list(decompositions(graphs, cfg.motif.rule_table()))
-    motif_masking = cfg.mask.mode != "random_baseline"
-    eligible = ([eligible_motifs(g, d, cfg.mask.hop_k) for g, d in zip(graphs, decomps)]
-                if motif_masking else [None] * len(graphs))
-    if motif_masking and not any(eligible):
+    if cfg.mask.mode != "random_baseline" and not any(
+            eligible_motifs(g, d, cfg.mask.hop_k) for g, d in zip(graphs, decomps)):
         raise DataError(f"no molecule has a motif eligible at mask.hop_k={cfg.mask.hop_k}; "
                         "nothing can be masked")
 
@@ -258,7 +254,7 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
             batch_graphs = [graphs[i] for i in batch_idx]
             plans = [
                 build_plan(graphs[i], decomps[i], cfg.mask,
-                           plan_rng(cfg.mask.seed, int(i), epoch_resample), eligible[i])
+                           plan_rng(cfg.mask.seed, int(i), epoch_resample))
                 for i in batch_idx
             ]
             n_feasible += sum(p.feasible for p in plans)

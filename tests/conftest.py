@@ -6,9 +6,10 @@ encoder via a tape-free numpy re-implementation, AUC via all-pairs counting,
 the corpus-wide uint64 refinement kernel via the per-node Python-int hash it
 replaced, the one-pass parser and graph constructor via the token-object parser
 and the validate-then-build constructor they replaced, the corpus-wide
-rule-matching kernel via the per-atom closure matcher it replaced, and
+rule-matching kernel via the per-atom closure matcher it replaced,
 ``molgraph.stack`` via the edge stacker, the narrow-typed rule-matching corpus
-and the bond-loop ring marks it replaced.
+and the bond-loop ring marks it replaced, and mask eligibility via the
+per-motif BFS it replaced.
 
 ``single``, ``relabel`` and ``shortest_path_lengths`` are helpers that only
 the tests use.
@@ -39,6 +40,7 @@ from moama.molgraph import (
     MolGraph,
     Stack,
     bridge_flags,
+    k_hop_neighborhood,
 )
 from moama.motif import RuleTable, default_rules
 from moama.smiles import _BRACKET_RE, _TOKEN_RE, AROMATIC_SUBSET, ATOM_CODE, SmilesToken
@@ -133,6 +135,20 @@ def bfs_oracle(g: MolGraph, v: int, k: int) -> frozenset[int]:
         frontier = {u for w in frontier for u in g.neighbors(w)} - seen
         seen |= frontier
     return frozenset(seen)
+
+
+def eligible_motifs_oracle(g: MolGraph, dec, hop_k: int) -> tuple[int, ...]:
+    """The former ``masking.eligible_motifs``: one BFS per motif, from every
+    atom outside it, cut at hop_k."""
+    eligible = []
+    for mi, motif in enumerate(dec.motifs):
+        members = set(motif.node_ids)
+        if len(members) == g.n_atoms:
+            continue  # no inter-motif nodes exist
+        outside = [u for u in range(g.n_atoms) if u not in members]
+        if members <= k_hop_neighborhood(g, outside, hop_k):
+            eligible.append(mi)
+    return tuple(eligible)
 
 
 _MASK64 = (1 << 64) - 1

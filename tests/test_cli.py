@@ -298,7 +298,8 @@ def test_malformed_checkpoint_encoder_setting_is_a_data_error(mols_csv, tmp_path
 
 @pytest.mark.parametrize("key,value", [("fp.width", "1000"), ("fp.width", "0"),
                                        ("fp.width", str(2 ** 17)), ("fp.width", str(2 ** 40)),
-                                       ("fp.radius", "-1")])
+                                       ("fp.radius", "-1"), ("fp.radius", "17"),
+                                       ("fp.radius", "1000000000")])
 def test_fingerprint_rejects_bad_settings(mols_csv, tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert main(["fingerprint", "--out", str(out), "--set", f"data.input={mols_csv}",
@@ -403,6 +404,28 @@ def test_dataset_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert main(["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={data}"]) == 2
     err = capsys.readouterr().err
     assert str(data) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["dataset", "config", "rules"])
+def test_a_text_input_with_a_leading_byte_order_mark_reads_as_its_twin(mols_csv, tmp_path,
+                                                                       capsys, which):
+    from importlib import resources
+
+    path, out = tmp_path / f"input.{which}", tmp_path / "out"
+    text, argv = {
+        "dataset": (mols_csv.read_text(), ["--set", f"data.input={path}"]),
+        "config": (f"data.input={mols_csv}\nmask.seed=1\n", ["--config", str(path)]),
+        "rules": ((resources.files("moama") / "rules" / "brics.tsv").read_text("utf-8"),
+                  ["--set", f"data.input={mols_csv}", "--set", f"motif.rules={path}"]),
+    }[which]
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + text.encode("utf-8"))
+        code = main(["decompose", "--out", str(out), *argv])
+        runs.append((code, capsys.readouterr(), {f.name: f.read_bytes() for f in out.iterdir()}))
+        for f in out.iterdir():
+            f.unlink()
+    assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("below", ["", "sub"])

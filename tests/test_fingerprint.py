@@ -55,8 +55,9 @@ def test_fingerprint_deterministic():
 def test_width_must_be_power_of_two():
     with pytest.raises(ValueError):
         FingerprintConfig(width=100)
-    with pytest.raises(ValueError):
-        FingerprintConfig(radius=-1)
+    for radius in (-1, 17):
+        with pytest.raises(ValueError):
+            FingerprintConfig(radius=radius)
 
 
 def test_tanimoto_trivial_values():

@@ -13,9 +13,9 @@ from moama.masking import (
     plan_rng,
 )
 from moama.molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, N_ATOM_TYPES, N_CHIRALITY, k_hop_neighborhood
-from moama.motif import BricsRule, EnvPattern, decompose, motif_adjacency
+from moama.motif import BricsRule, EnvPattern, decompose, decompositions, motif_adjacency
 
-from conftest import bfs_oracle, random_molgraph
+from conftest import bfs_oracle, eligible_motifs_oracle, odd_molecules, random_molgraph
 
 # cuts every acyclic single or double bond: the bundled table leaves most
 # random graphs whole, this one splits them into several motifs
@@ -214,22 +214,35 @@ def test_plan_rng_reproducible_and_index_sensitive():
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), hop_k=st.integers(0, 6),
-       mode=st.sampled_from(["node_wise", "element_wise"]),
-       coverage=st.sampled_from([0.5, 1.0]),
        rules=st.sampled_from([None, _CUT_CHAIN_BONDS]))
-def test_precomputed_eligibility_gives_the_same_plans(seed, hop_k, mode, coverage, rules):
-    rng = np.random.default_rng(seed)
-    g = random_molgraph(rng, n_min=2, n_max=16)
+def test_eligibility_equals_a_per_atom_bfs_on_random_graphs(seed, hop_k, rules):
+    g = random_molgraph(np.random.default_rng(seed), n_min=2, n_max=16)
     dec = decompose(g, rules)
-    eligible = eligible_motifs(g, dec, hop_k)
     # criterion 1 by plain BFS: every member sees a non-member within hop_k
-    assert eligible == tuple(
+    assert eligible_motifs(g, dec, hop_k) == tuple(
         mi for mi, m in enumerate(dec.motifs)
         if all(bfs_oracle(g, v, hop_k) - set(m.node_ids) for v in m.node_ids))
-    cfg = MaskConfig(hop_k=hop_k, mode=mode, coverage=coverage)
-    for epoch in range(4):
-        with_cache = build_plan(g, dec, cfg, plan_rng(seed, 5, epoch), eligible)
-        assert with_cache == build_plan(g, dec, cfg, plan_rng(seed, 5, epoch))
+
+
+@pytest.mark.parametrize("rules", [None, _CUT_CHAIN_BONDS], ids=["bundled", "cut_chains"])
+def test_eligibility_equals_the_per_motif_bfs(corpus500, rules):
+    graphs = corpus500 + odd_molecules()
+    decomps = list(decompositions(graphs, rules))
+    for hop_k in range(8):
+        for g, dec in zip(graphs, decomps):
+            assert eligible_motifs(g, dec, hop_k) == eligible_motifs_oracle(g, dec, hop_k)
+
+
+@pytest.mark.parametrize("rules", [None, _CUT_CHAIN_BONDS], ids=["bundled", "cut_chains"])
+def test_a_bond_joins_two_motifs_exactly_when_it_is_cut(corpus500, rules):
+    """The fact ``eligible_motifs`` and ``motif_adjacency`` rest on."""
+    rng = np.random.default_rng(11)
+    graphs = corpus500 + [random_molgraph(rng, n_min=2, n_max=16) for _ in range(300)]
+    for g, dec in zip(graphs, decompositions(graphs, rules)):
+        joining = tuple(i for i, b in enumerate(g.bonds)
+                        if dec.motif_of[b.u] != dec.motif_of[b.v])
+        assert dec.cut_edges == joining
+        assert dec.cut_pairs == tuple((g.bonds[i].u, g.bonds[i].v) for i in joining)
 
 
 def _two_branch_sample_motifs(g, dec, cfg, rng, eligible):
@@ -276,7 +289,7 @@ def test_one_coverage_loop_equals_the_two_branch_loop(corpus500, mode, coverage)
         dec = decompose(g, _CUT_CHAIN_BONDS)
         eligible = eligible_motifs(g, dec, cfg.hop_k)
         for epoch in range(2):
-            plan = sample_motifs(g, dec, cfg, plan_rng(7, i, epoch), eligible)
+            plan = sample_motifs(g, dec, cfg, plan_rng(7, i, epoch))
             assert plan == _two_branch_sample_motifs(g, dec, cfg, plan_rng(7, i, epoch), eligible)
             masked += len(plan.masked_nodes[0])
     assert masked > 0
