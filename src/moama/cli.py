@@ -60,11 +60,26 @@ def _require_input(run: RunConfig) -> str:
 
 
 def _output_paths(command: str, run: RunConfig, out_dir: Path) -> dict[str, Path]:
+    """Each output's path by role, checked before any work: no two may be one
+    file and none ``data.input``, but the ``--config`` file may be an output."""
     paths = {role: out_dir / name for role, name in COMMANDS[command][1].items()}
     if command == "pretrain" and run.checkpoint:
+        del paths["checkpoint"]   # set again last, so a clash names it
         paths["checkpoint"] = Path(run.checkpoint)
     # command-scoped, so runs that share one --out keep their provenance
-    return {"config": out_dir / f"effective-config.{command}", **paths}
+    out = {"config": out_dir / f"effective-config.{command}", **paths}
+    taken = {Path(run.data.input).resolve(): "the data.input file"} if (
+        run.data.input and "\0" not in run.data.input) else {}
+    for role, path in out.items():
+        reason = ("it is a directory" if path.is_dir() else
+                  f"no directory {path.parent}" if not path.parent.is_dir() else
+                  "it holds a NUL byte" if "\0" in str(path) else None)
+        what = f"the {role} output"
+        if reason is None and taken.setdefault(path.resolve(), what) != what:
+            reason = f"it is also {taken[path.resolve()]}"
+        if reason:
+            raise DataError(f"cannot write {role} {path}: {reason}")
+    return out
 
 
 def _skipped(data) -> str:
@@ -205,12 +220,6 @@ def main(argv=None) -> int:
         except OSError as e:
             raise DataError(f"cannot create --out {out_dir}: {e.strerror or e}") from e
         out = _output_paths(args.command, run, out_dir)
-        for role, path in out.items():   # before any work, so a bad path costs none
-            reason = ("it is a directory" if path.is_dir() else
-                      f"no directory {path.parent}" if not path.parent.is_dir() else
-                      "it holds a NUL byte" if "\0" in str(path) else None)
-            if reason:
-                raise DataError(f"cannot write {role} {path}: {reason}")
         effective = format_effective(cfg)
         write_output(out["config"], effective, "config")
         sys.stdout.write(effective)

@@ -1,6 +1,6 @@
 """Shared exception types; ``read_input`` and ``write_output``, the one reader
 of input files and the one writer of output files; and ``csv_text``, the text
-of every CSV file the package writes."""
+of every CSV file written but ``loss.csv`` (``train.loss_curve_rows``, LF line ends)."""
 
 from __future__ import annotations
 

@@ -103,9 +103,6 @@ class Fingerprint:
     def to_hex(self) -> str:
         return format(self.bits, f"0{self.width // 4}x")
 
-    def on_bits(self) -> frozenset[int]:
-        return frozenset(i for i in range(self.width) if (self.bits >> i) & 1)
-
 
 def morgan_fingerprints(graphs, cfg: FingerprintConfig = FingerprintConfig()) -> list[Fingerprint]:
     """Iterative neighborhood-hashing fingerprint of each molecule, every

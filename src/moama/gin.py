@@ -1,11 +1,12 @@
 """GIN encoder, attribute decoders, prediction head, and Adam updates.
 
-Everything runs in double precision on the autodiff tape. A batch is the
-molecules' ``molgraph.stack``: their nodes laid end to end, each with its
-graph id, and their directed edges, which each molecule sorts by
-(destination, source) once, when it is built. Neighbour sums add from +0.0,
-in content order (``autodiff._canonical_order``) for three or more messages,
-so a sum depends only on its messages and runs stay bit-reproducible.
+Everything runs in double precision on the autodiff tape. A batch
+(``TensorGraph``) is its molecules' ``molgraph.stack`` plus the codes the
+encoder embeds. The stack lays their nodes end to end, each with its molecule
+id, and their directed edges, which each molecule sorts by (destination,
+source) once, when it is built. Neighbour sums add from +0.0, in content order
+(``autodiff._canonical_order``) for three or more messages, so a sum depends
+only on its messages and runs stay bit-reproducible.
 
 Layer update, for layer weights (w1, b1, w2, b2) and scalar eps:
     h_v <- w2 . relu(w1 . ((1 + eps) h_v + sum_{u in N(v)} (h_u + bond_emb))
@@ -18,17 +19,20 @@ encoder and in the gnn decoder alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .masking import apply_mask
 from .molgraph import (
     BOND_ORDERS,
     MASK_ATOM_TYPE,
     MASK_CHIRALITY,
     N_ATOM_TYPES,
     N_CHIRALITY,
+    Stack,
     stack,
 )
 
@@ -84,37 +88,25 @@ class EncoderConfig:
             raise ValueError(f"decoder must be one of {', '.join(DECODERS)}")
 
 
-@dataclass(frozen=True)
-class TensorGraph:
-    """Concatenated batch of molecules with graph-id bookkeeping."""
+class TensorGraph(NamedTuple):
+    """A batch of molecules: their ``molgraph.Stack`` ``s``, whose ``x`` holds
+    the true codes, and ``x``, the codes the encoder embeds."""
 
-    atom_type: np.ndarray
-    chirality: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-    edge_order: np.ndarray
-    graph_ids: np.ndarray
-    n_nodes: int
-    n_graphs: int
+    s: Stack
+    x: np.ndarray
 
     @classmethod
-    def from_graphs(cls, graphs, x_list=None) -> "TensorGraph":
-        """Build from molecules (``molgraph.stack``), optionally with masked
-        attribute matrices."""
+    def from_graphs(cls, graphs, plans=None) -> "TensorGraph":
+        """Build from molecules (``molgraph.stack``), each masked by its plan
+        (``masking.apply_mask``) when ``plans`` is given."""
         graphs = list(graphs)
         if not graphs:
             raise ValueError("empty batch")
-        if x_list is not None and (len(x_list) != len(graphs) or any(
-                x.shape != (g.n_atoms, 2) for g, x in zip(graphs, x_list))):
-            raise ValueError("attribute matrix shape mismatch")
+        if plans is not None and len(plans) != len(graphs):
+            raise ValueError(f"{len(plans)} mask plans for {len(graphs)} molecules")
         s = stack(graphs)
-        x = s.x if x_list is None else np.concatenate(x_list).astype(np.int64, copy=False)
-        ts, cs = x.T
-        if ts.min() < 0 or ts.max() >= N_ATOM_EMBED:
-            raise ValueError("atom_type code out of range")
-        if cs.min() < 0 or cs.max() >= N_CHIRALITY_EMBED:
-            raise ValueError("chirality code out of range")
-        return cls(ts, cs, s.src, s.dst, s.order, s.mol, len(x), len(graphs))
+        return cls(s, s.x if plans is None else
+                   np.concatenate([apply_mask(g, p) for g, p in zip(graphs, plans)]))
 
 
 class ParamStore:
@@ -245,7 +237,7 @@ def _epsilon(store: ParamStore, cfg: EncoderConfig, name: str):
 def _gin_layer(h: Tensor, tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
                prefix: str, bond_embed: Tensor | None, relu_out: bool = False) -> Tensor:
     w1, b1, w2, b2 = (store[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
-    return ad.gin_layer(h, bond_embed, tg.edge_src, tg.edge_dst, tg.n_nodes,
+    return ad.gin_layer(h, bond_embed, tg.s.src, tg.s.dst, len(tg.x),
                         _epsilon(store, cfg, prefix), w1, b1, w2, b2, relu_out)
 
 
@@ -256,9 +248,9 @@ def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 
 
 def _bond_embedding(tg: TensorGraph, store: ParamStore) -> Tensor | None:
-    if tg.edge_src.size == 0:
+    if tg.s.src.size == 0:
         return None
-    return ad.take_rows(store["embed.bond"], tg.edge_order)
+    return ad.take_rows(store["embed.bond"], tg.s.order)
 
 
 def encode(tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
@@ -269,11 +261,11 @@ def encode(tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
     all other inputs stay unchanged. The influence analysis passes a graph of
     stacked copies of one molecule and zeroes one node in each copy.
     """
-    h = ad.take_rows(store["embed.atom"], tg.atom_type) + ad.take_rows(
-        store["embed.chirality"], tg.chirality
+    h = ad.take_rows(store["embed.atom"], tg.x[:, 0]) + ad.take_rows(
+        store["embed.chirality"], tg.x[:, 1]
     )
     if len(zero_nodes):
-        keep = np.ones((tg.n_nodes, 1))
+        keep = np.ones((len(tg.x), 1))
         keep[list(zero_nodes), 0] = 0.0
         h = h * ad.const(keep)
     bond_embed = _bond_embedding(tg, store)

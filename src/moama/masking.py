@@ -146,9 +146,9 @@ def build_plan(g: MolGraph, dec: MotifDecomposition, cfg: MaskConfig,
 
 
 def apply_mask(g: MolGraph, plan: MaskPlan) -> np.ndarray:
-    """Masked attribute matrix: the mask codes (``MASK_ATOM_TYPE``,
-    ``MASK_CHIRALITY``), which lie outside the real code spaces, on masked
-    entries and X elsewhere."""
+    """Masked attribute matrix of one molecule of a ``gin.TensorGraph.from_graphs``
+    batch: the mask codes (``MASK_ATOM_TYPE``, ``MASK_CHIRALITY``), which lie
+    outside the real code spaces, on masked entries and X elsewhere."""
     x = np.array(g.X, dtype=np.int64)
     for d, code in enumerate((MASK_ATOM_TYPE, MASK_CHIRALITY)):
         idx = list(plan.masked_nodes[d])

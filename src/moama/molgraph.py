@@ -8,9 +8,9 @@ and every corpus kernel that holds the graph. The constructor validates,
 normalizes and indexes the bond specs in one sweep, then perceives rings once.
 
 ``stack`` lays many molecules into one node and directed-edge space, a
-``Stack``: the GIN batch (``gin.TensorGraph``), the rule matcher
-(``motif._Corpus``), the fingerprints and the scaffold keys all read their
-molecules through it, and only this module reads a graph's ``edges`` or
+``Stack``: the GIN batch (``gin.TensorGraph`` holds its stack), the rule
+matcher (``motif._Corpus``), the fingerprints and the scaffold keys all read
+their molecules through it, and only this module reads a graph's ``edges`` or
 ``ring_edges``.
 
 Attribute code spaces:

@@ -39,7 +39,7 @@ from .gin import (
     readout,
 )
 from .loss import aux_loss, rec_loss, total_loss
-from .masking import apply_mask, build_plan, eligible_motifs, plan_rng
+from .masking import build_plan, eligible_motifs, plan_rng
 from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph, stack
 from .motif import decompositions
 
@@ -252,25 +252,21 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
         for lo in range(0, n, cfg.batch_pretrain):
             batch_idx = order[lo:lo + cfg.batch_pretrain]
             batch_graphs = [graphs[i] for i in batch_idx]
-            plans = [
-                build_plan(graphs[i], decomps[i], cfg.mask,
-                           plan_rng(cfg.mask.seed, int(i), epoch_resample))
-                for i in batch_idx
-            ]
+            plans = [build_plan(graphs[i], decomps[i], cfg.mask,
+                                plan_rng(cfg.mask.seed, int(i), epoch_resample))
+                     for i in batch_idx]
             n_feasible += sum(p.feasible for p in plans)
-            x_masked = [apply_mask(g, p) for g, p in zip(batch_graphs, plans)]
-            tg = TensorGraph.from_graphs(batch_graphs, x_masked)
+            tg = TensorGraph.from_graphs(batch_graphs, plans)
             # mask codes lie outside the real code spaces: they mark the plans
-            masked = (np.flatnonzero(tg.atom_type == MASK_ATOM_TYPE),
-                      np.flatnonzero(tg.chirality == MASK_CHIRALITY))
-            x_true = np.concatenate([g.X for g in batch_graphs])
+            masked = (np.flatnonzero(tg.x[:, 0] == MASK_ATOM_TYPE),
+                      np.flatnonzero(tg.x[:, 1] == MASK_CHIRALITY))
 
             h = encode(tg, store, cfg.encoder)
             logits = decode_attrs(tg, h, store, cfg.encoder, cfg.loss.targets)
-            l_rec, _ = rec_loss(logits, x_true, masked, cfg.loss)
+            l_rec, _ = rec_loss(logits, tg.s.x, masked, cfg.loss)
             l_aux = None
             if use_aux:
-                h_graph = readout(h, cfg.encoder.readout, tg.graph_ids, tg.n_graphs)
+                h_graph = readout(h, cfg.encoder.readout, tg.s.mol, len(batch_graphs))
                 batch_fps = [fps[i] for i in batch_idx]
                 l_aux, _ = aux_loss(h_graph, batch_fps, cfg.loss)
             total = total_loss(l_rec, l_aux, cfg.loss.beta)
@@ -415,7 +411,7 @@ def _bce(logits, y_const):
 def _graph_vectors(graphs, store: ParamStore, enc: EncoderConfig) -> ad.Tensor:
     """Readout of one batch of molecules: one row per molecule."""
     tg = TensorGraph.from_graphs(graphs)
-    return readout(encode(tg, store, enc), enc.readout, tg.graph_ids, tg.n_graphs)
+    return readout(encode(tg, store, enc), enc.readout, tg.s.mol, len(tg.s.starts))
 
 
 def _frozen_graph_vectors(graphs, store: ParamStore, cfg: RunConfig) -> np.ndarray:

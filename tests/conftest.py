@@ -41,6 +41,7 @@ from moama.molgraph import (
     Stack,
     bridge_flags,
     k_hop_neighborhood,
+    stack,
 )
 from moama.motif import RuleTable, default_rules
 from moama.smiles import _BRACKET_RE, _TOKEN_RE, AROMATIC_SUBSET, ATOM_CODE, SmilesToken
@@ -81,8 +82,9 @@ def odd_molecules() -> list[MolGraph]:
 
 
 def single(g: MolGraph, x=None) -> TensorGraph:
-    """The batch of one molecule, optionally with a masked attribute matrix."""
-    return TensorGraph.from_graphs([g], None if x is None else [x])
+    """The batch of one molecule, optionally embedding the codes ``x``."""
+    s = stack([g])
+    return TensorGraph(s, s.x if x is None else x)
 
 
 def relabel(g: MolGraph, perm) -> MolGraph:

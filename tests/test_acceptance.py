@@ -78,8 +78,7 @@ def test_criterion_01_gradient_oracle(criterion):
         # reconstruction and the pairwise alignment terms carry gradient
         plan2 = sample_motifs(g, dec, MaskConfig(hop_k=3), plan_rng(1, 1))
         plans = [plan, plan2 if plan2.all_masked else plan]
-        x_masked = [apply_mask(g, p) for p in plans]
-        tg = TensorGraph.from_graphs([g, g], x_masked)
+        tg = TensorGraph.from_graphs([g, g], plans)
         masked = ([], [])
         for off, p in zip((0, g.n_atoms), plans):
             for d in range(2):
@@ -91,7 +90,7 @@ def test_criterion_01_gradient_oracle(criterion):
             logits = decode_attrs(tg, h, store, cfg, lcfg.targets)
             l_rec, n_masked = rec_loss(logits, x_true, masked, lcfg)
             assert n_masked > 0
-            hg = readout(h, cfg.readout, tg.graph_ids, tg.n_graphs)
+            hg = readout(h, cfg.readout, tg.s.mol, len(tg.s.starts))
             l_aux, n_pairs = aux_loss(hg, fps, lcfg)
             assert n_pairs == 1
             return total_loss(l_rec, l_aux, lcfg.beta)

@@ -561,6 +561,34 @@ def test_checkpoint_path_holding_a_nul_is_a_data_error(small_inputs, tmp_path, c
         assert captured.err.count("\n") == 1 and "epoch 1" not in captured.out
 
 
+@pytest.mark.parametrize("checkpoint,clash", [
+    ("out/loss.csv", "the curve output"),
+    ("out/effective-config.pretrain", "the config output"),
+    ("mols.csv", "the data.input file"),
+    ("out/../out/loss.csv", "the curve output"),
+], ids=["curve", "effective_config", "dataset", "other_spelling"])
+def test_an_output_that_is_another_file_of_the_run_is_a_data_error(mols_csv, tmp_path, capsys,
+                                                                   checkpoint, clash):
+    dataset = mols_csv.read_bytes()
+    out = tmp_path / "out"
+    code, err = _run_cli(["pretrain", "--out", str(out), "--set", f"data.input={mols_csv}",
+                          "--set", f"run.checkpoint={tmp_path / checkpoint}"], capsys)
+    assert code == 2
+    assert err == (f"data error: cannot write checkpoint {tmp_path / checkpoint}: "
+                   f"it is also {clash}\n")
+    assert list(out.iterdir()) == []              # not even the effective config
+    assert mols_csv.read_bytes() == dataset
+
+
+def test_a_run_may_rewrite_the_effective_config_it_reads(mols_csv, tmp_path):
+    out = tmp_path / "out"
+    assert main(["decompose", "--out", str(out), "--set", f"data.input={mols_csv}"]) == 0
+    config = out / "effective-config.decompose"
+    first = config.read_bytes()
+    assert main(["decompose", "--out", str(out), "--config", str(config)]) == 0
+    assert config.read_bytes() == first
+
+
 @pytest.mark.parametrize("command", ["influence", "finetune"])
 @pytest.mark.parametrize("key,value,tensor", [("encoder.layers", "3", "enc.2."),
                                               ("encoder.embed_dim", "16", "embed.atom")])

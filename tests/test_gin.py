@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +20,12 @@ from moama.gin import (
     readout,
 )
 from moama.loss import LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
-from moama.masking import MaskPlan, apply_mask
+from moama.masking import MaskConfig, MaskPlan, build_plan, plan_rng
 from moama.molgraph import BOND_ORDER_INDEX, AtomAttr, MolGraph
+from moama.motif import decompositions, default_rules
 
-from conftest import bits, encode_oracle, random_molgraph, relabel, shortest_path_lengths, single
+from conftest import (bits, encode_oracle, odd_molecules, random_molgraph, relabel,
+                      shortest_path_lengths, single)
 
 
 def _zeroed(store: ParamStore) -> ParamStore:
@@ -82,8 +82,8 @@ def test_readout_permutation_invariant_bitwise():
     perm = list(rng.permutation(g.n_atoms))
     tg, tgp = single(g), single(relabel(g, perm))
     for mode in ("mean", "sum", "max"):
-        a = readout(encode(tg, store, cfg), mode, tg.graph_ids, 1).values
-        b = readout(encode(tgp, store, cfg), mode, tgp.graph_ids, 1).values
+        a = readout(encode(tg, store, cfg), mode, tg.s.mol, 1).values
+        b = readout(encode(tgp, store, cfg), mode, tgp.s.mol, 1).values
         if mode == "max":
             assert np.array_equal(a, b)
         else:
@@ -177,7 +177,7 @@ def test_predict_label_final_layer_linearity_and_determinism():
     g = parse("CCO")
     tg = TensorGraph.from_graphs([g, g])
     h = encode(tg, store, cfg)
-    hg2 = readout(h, "mean", tg.graph_ids, tg.n_graphs)
+    hg2 = readout(h, "mean", tg.s.mol, len(tg.s.starts))
     out = predict_label(hg2, store).values
     assert np.array_equal(out[0], out[1])
 
@@ -276,7 +276,7 @@ def test_frozen_leaves_its_source_and_returns_a_frozen_store_as_is():
 
 def test_loss_decreases_over_50_steps_overfit():
     from moama.loss import LossConfig, rec_loss
-    from moama.masking import MaskConfig, build_plan, plan_rng, apply_mask
+    from moama.masking import MaskConfig, build_plan, plan_rng
     from moama.motif import decompose
 
     graphs = [parse(s) for s in
@@ -288,8 +288,7 @@ def test_loss_decreases_over_50_steps_overfit():
     store = init_params(cfg, seed=13)
     decs = [decompose(g) for g in graphs]
     plans = [build_plan(g, d, mcfg, plan_rng(0, i)) for i, (g, d) in enumerate(zip(graphs, decs))]
-    xm = [apply_mask(g, p) for g, p in zip(graphs, plans)]
-    tg = TensorGraph.from_graphs(graphs, xm)
+    tg = TensorGraph.from_graphs(graphs, plans)
     offsets = np.cumsum([0] + [g.n_atoms for g in graphs[:-1]])
     masked = ([], [])
     for off, p in zip(offsets, plans):
@@ -310,15 +309,16 @@ def test_loss_decreases_over_50_steps_overfit():
     assert losses[-1] < losses[0]
 
 
-def _loop_and_lexsort_batch(graphs, x_list=None) -> dict:
+def _loop_and_lexsort_batch(graphs, plans=None) -> dict:
     """TensorGraph fields as the batch builder made them before molecules
-    carried their own edge arrays: per-atom and per-bond loops, one lexsort."""
+    carried their own edge arrays and the batch held their stack: per-atom and
+    per-bond loops, one lexsort, the mask codes written atom by atom."""
     types, chir, gids, src, dst, order = [], [], [], [], [], []
     offset = 0
     for gi, g in enumerate(graphs):
-        x = g.X if x_list is None else x_list[gi]
-        types.extend(int(v) for v in x[:, 0])
-        chir.extend(int(v) for v in x[:, 1])
+        masked = ((), ()) if plans is None else plans[gi].masked_nodes
+        types.extend(119 if v in masked[0] else a.atom_type for v, a in enumerate(g.atoms))
+        chir.extend(4 if v in masked[1] else a.chirality for v, a in enumerate(g.atoms))
         gids.extend([gi] * g.n_atoms)
         for b in g.bonds:
             code = BOND_ORDER_INDEX[b.order]
@@ -335,13 +335,24 @@ def _loop_and_lexsort_batch(graphs, x_list=None) -> dict:
             "n_nodes": offset, "n_graphs": len(graphs)}
 
 
-def _assert_batch_equals_reference(graphs, x_list=None):
-    tg = TensorGraph.from_graphs(graphs, x_list)
-    want = _loop_and_lexsort_batch(graphs, x_list)
-    for f in fields(TensorGraph):
-        got = getattr(tg, f.name)
-        assert np.array_equal(got, want[f.name]), f.name
-        assert np.asarray(got).dtype == np.asarray(want[f.name]).dtype, f.name
+def _batch_fields(x, s) -> dict:
+    """The former fields, read from the embedded codes ``x`` and the stack ``s``."""
+    return {"atom_type": x[:, 0], "chirality": x[:, 1],
+            "edge_src": s.src, "edge_dst": s.dst, "edge_order": s.order,
+            "graph_ids": s.mol, "n_nodes": len(x), "n_graphs": len(s.starts)}
+
+
+def _assert_batch_equals_reference(graphs, plans=None):
+    tg = TensorGraph.from_graphs(graphs, plans)
+    assert tg._fields == ("s", "x")
+    # the embedded codes carry the masks; the stack keeps the true codes
+    for x, want in ((tg.x, _loop_and_lexsort_batch(graphs, plans)),
+                    (tg.s.x, _loop_and_lexsort_batch(graphs))):
+        got = _batch_fields(x, tg.s)
+        assert got.keys() == want.keys()
+        for name, value in got.items():
+            assert np.array_equal(value, want[name]), name
+            assert np.asarray(value).dtype == np.asarray(want[name]).dtype, name
 
 
 def _bondless_molgraph(rng) -> MolGraph:
@@ -356,12 +367,26 @@ def test_from_graphs_matches_loop_and_lexsort_builder(seed, size, masked):
     rng = np.random.default_rng(seed)
     graphs = [_bondless_molgraph(rng) if rng.random() < 0.25 else random_molgraph(rng)
               for _ in range(size)]
-    x_list = None
+    plans = None
     if masked:
-        x_list = [apply_mask(g, MaskPlan((), tuple(
-            tuple(np.flatnonzero(rng.random(g.n_atoms) < 0.3)) for _ in range(2)), 0.0, True))
-            for g in graphs]
-    _assert_batch_equals_reference(graphs, x_list)
+        plans = [MaskPlan((), tuple(tuple(int(v) for v in np.flatnonzero(
+            rng.random(g.n_atoms) < 0.3)) for _ in range(2)), 0.0, True) for g in graphs]
+    _assert_batch_equals_reference(graphs, plans)
+
+
+@pytest.mark.parametrize("mask", [MaskConfig(), MaskConfig(mode="element_wise"),
+                                  MaskConfig(mode="element_wise", coverage=0.5),
+                                  MaskConfig(mode="random_baseline")],
+                         ids=["node_wise", "element_wise", "element_wise_half", "random_baseline"])
+def test_masked_batches_match_loop_and_lexsort_builder(corpus500, mask):
+    graphs = odd_molecules() + corpus500
+    decs = decompositions(graphs, default_rules())
+    plans = [build_plan(g, d, mask, plan_rng(mask.seed, i))
+             for i, (g, d) in enumerate(zip(graphs, decs))]
+    assert sum(bool(p.all_masked) for p in plans) > len(plans) // 2
+    assert any(p.masked_nodes[0] != p.masked_nodes[1] for p in plans) == (mask.coverage < 1)
+    for lo in range(0, len(graphs), 32):
+        _assert_batch_equals_reference(graphs[lo:lo + 32], plans[lo:lo + 32])
 
 
 def test_from_graphs_of_repeated_molecule_matches_reference():
@@ -379,15 +404,12 @@ def test_empty_graph_rejected():
         TensorGraph.from_graphs([])
 
 
-def test_from_graphs_rejects_bad_attribute_matrix():
+def test_from_graphs_needs_one_plan_per_molecule():
     g = parse("CCO")
-    with pytest.raises(ValueError, match="shape mismatch"):
-        TensorGraph.from_graphs([g, g], [g.X, g.X[:2]])
-    for row, name in (((120, 0), "atom_type"), ((-1, 0), "atom_type"), ((5, 5), "chirality")):
-        x = np.array(g.X)
-        x[1] = row
-        with pytest.raises(ValueError, match=f"{name} code out of range"):
-            TensorGraph.from_graphs([g, g], [g.X, x])
+    plan = MaskPlan((0,), ((0, 1), (0, 1)), 2 / 3, False)
+    for plans in ([], [plan], [plan] * 3):
+        with pytest.raises(ValueError, match=f"^{len(plans)} mask plans for 2 molecules$"):
+            TensorGraph.from_graphs([g, g], plans)
 
 
 def test_learnable_epsilon_matches_oracle_and_gets_gradient():
@@ -454,16 +476,16 @@ def _param_shapes_oracle(cfg, targets):
 
 def _decode_attrs_oracle(tg, h, store, cfg, targets):
     out = {}
-    if tg.edge_src.size:   # one bond lookup, shared by the heads
-        bond = ad.take_rows(store["embed.bond"], tg.edge_order)
+    if tg.s.src.size:   # one bond lookup, shared by the heads
+        bond = ad.take_rows(store["embed.bond"], tg.s.order)
     for head, _ in _heads_oracle(targets):
         p = f"dec.{head}"
         if cfg.decoder == "gnn":
             eps = store[f"{p}.eps"] if cfg.learn_epsilon else cfg.epsilon
             z = h * (1.0 + eps)
-            if tg.edge_src.size:
-                z = z + ad.segment_sum(ad.take_rows(h, tg.edge_src) + bond,
-                                       tg.edge_dst, tg.n_nodes)
+            if tg.s.src.size:
+                z = z + ad.segment_sum(ad.take_rows(h, tg.s.src) + bond,
+                                       tg.s.dst, len(tg.x))
             z = ad.relu(z @ store[f"{p}.w1"] + store[f"{p}.b1"])
             z = z @ store[f"{p}.w2"] + store[f"{p}.b2"]
             logits = z @ store[f"{p}.proj.w"] + store[f"{p}.proj.b"]
@@ -523,8 +545,8 @@ def test_decoders_and_losses_equal_the_decoder_heads_oracle(targets, decoder, le
     graphs = [parse("C")] + [random_molgraph(rng, 2, 9) for _ in range(5)]
     tg = TensorGraph.from_graphs(graphs)
     x_true = np.concatenate([g.X for g in graphs])
-    masked = (np.flatnonzero(rng.random(tg.n_nodes) < 0.4),
-              np.flatnonzero(rng.random(tg.n_nodes) < 0.3))
+    masked = (np.flatnonzero(rng.random(len(tg.x)) < 0.4),
+              np.flatnonzero(rng.random(len(tg.x)) < 0.3))
     for kind in ("sce", "ce", "mse"):
         loss_cfg = LossConfig(rec_kind=kind, targets=targets, gamma=2.0)
         seen = []
@@ -534,7 +556,7 @@ def test_decoders_and_losses_equal_the_decoder_heads_oracle(targets, decoder, le
             h = encode(tg, store, cfg)
             logits = decode(tg, h, store, cfg, targets)
             loss, n_masked = rec(logits, x_true, masked, loss_cfg)
-            label = predict(readout(h, "mean", tg.graph_ids, tg.n_graphs), store)
+            label = predict(readout(h, "mean", tg.s.mol, len(tg.s.starts)), store)
             store.zero_grad()
             (loss + ad.tmean(label)).backward()
             seen.append(([(k, bits(v)) for k, v in logits.items()], bits(loss), n_masked,
@@ -550,9 +572,9 @@ def test_decoders_and_losses_equal_the_decoder_heads_oracle(targets, decoder, le
 
 def _gin_layer_oracle(h, tg, store, cfg, prefix, bond_embed, relu_out=False):
     eps = store[f"{prefix}.eps"] if cfg.learn_epsilon else cfg.epsilon
-    if tg.edge_src.size:
-        messages = ad.take_rows(h, tg.edge_src) + bond_embed
-        agg = ad.segment_sum(messages, tg.edge_dst, tg.n_nodes)
+    if tg.s.src.size:
+        messages = ad.take_rows(h, tg.s.src) + bond_embed
+        agg = ad.segment_sum(messages, tg.s.dst, len(tg.x))
         z = h * (1.0 + eps) + agg
     else:
         z = h * (1.0 + eps)
@@ -565,16 +587,16 @@ def _training_step_bits(graphs, store, cfg, targets, beta, zero_nodes=()):
     """Bits of H, the logits, the loss and every gradient of one pretrain-like
     step: decoders and (when beta < 1) the readout's aux loss all read H."""
     tg = TensorGraph.from_graphs(graphs)
-    rng = np.random.default_rng(tg.n_nodes)
-    masked = (np.flatnonzero(rng.random(tg.n_nodes) < 0.5),
-              np.flatnonzero(rng.random(tg.n_nodes) < 0.5))
+    rng = np.random.default_rng(len(tg.x))
+    masked = (np.flatnonzero(rng.random(len(tg.x)) < 0.5),
+              np.flatnonzero(rng.random(len(tg.x)) < 0.5))
     loss_cfg = LossConfig(targets=targets, beta=beta)
     h = encode(tg, store, cfg, zero_nodes)
     logits = decode_attrs(tg, h, store, cfg, targets)
     l_rec, _ = rec_loss(logits, np.concatenate([g.X for g in graphs]), masked, loss_cfg)
     l_aux = None
     if beta < 1.0:
-        l_aux, _ = aux_loss(readout(h, cfg.readout, tg.graph_ids, tg.n_graphs),
+        l_aux, _ = aux_loss(readout(h, cfg.readout, tg.s.mol, len(tg.s.starts)),
                             [morgan_fingerprint(g) for g in graphs], loss_cfg)
     total = total_loss(l_rec, l_aux, beta)
     store.zero_grad()
@@ -622,9 +644,9 @@ def test_fused_layer_input_gradients_match_the_composed_ops():
     tg = single(g)
     cfg = EncoderConfig(layers=1, embed_dim=8, learn_epsilon=True, epsilon=-0.2)
     store = init_params(cfg, seed=9)
-    h0 = rng.normal(size=(tg.n_nodes, 8))
-    bond0 = rng.normal(size=(tg.edge_src.size, 8))
-    coef = rng.choice([-1.0, 0.0, -0.0, 2.0], size=(tg.n_nodes, 8))
+    h0 = rng.normal(size=(len(tg.x), 8))
+    bond0 = rng.normal(size=(tg.s.src.size, 8))
+    coef = rng.choice([-1.0, 0.0, -0.0, 2.0], size=(len(tg.x), 8))
     coef[1] = -0.0
     seen = []
     for layer in (gin._gin_layer, _gin_layer_oracle):

@@ -473,18 +473,18 @@ def test_probe_single_class_split_rejected():
 def test_a_batch_with_a_constant_loss_takes_no_step(small_corpus, monkeypatch):
     # beta=1 leaves no pair to align, so in batches of one a single-motif
     # molecule, or one whose plan masks no atom type, gives a constant loss
-    import moama.train
+    import moama.gin
 
     graphs = [parse(s) for s in ("CCO", "c1ccccc1", "CC(C)C")] + small_corpus[:6]
     cfg = replace(DESK, epochs=2, batch_pretrain=1, loss=LossConfig(beta=1.0))
     masked = []
-    real = moama.train.apply_mask
+    real = moama.gin.apply_mask
 
     def spy(g, plan):
         masked.append(bool(plan.masked_nodes[0]))
         return real(g, plan)
 
-    monkeypatch.setattr(moama.train, "apply_mask", spy)
+    monkeypatch.setattr(moama.gin, "apply_mask", spy)
     result = pretrain(graphs, cfg)
     assert len(masked) == 2 * len(graphs) and 0 < sum(masked) < len(masked)
     assert result.store.t == sum(masked)
@@ -613,7 +613,7 @@ def _finetune_probe_oracle(pretrained, graphs, labels, cfg):
     def logits_for(idx):
         tg = TensorGraph.from_graphs([graphs[i] for i in idx])
         h = encode(tg, store, cfg.encoder)
-        return predict_label(readout(h, cfg.encoder.readout, tg.graph_ids, tg.n_graphs), store)
+        return predict_label(readout(h, cfg.encoder.readout, tg.s.mol, len(tg.s.starts)), store)
 
     best = (-1.0, 0, None)
     for epoch in range(cfg.finetune_epochs):
@@ -711,7 +711,7 @@ def test_finetune_store_holds_no_decoder_and_keeps_the_heads_bits(mode, targets,
 def _batch_graph_vectors(graphs, store, cfg, idx):
     tg = TensorGraph.from_graphs([graphs[i] for i in idx])
     h = encode(tg, store, cfg.encoder)
-    return readout(h, cfg.encoder.readout, tg.graph_ids, tg.n_graphs).values
+    return readout(h, cfg.encoder.readout, tg.s.mol, len(tg.s.starts)).values
 
 
 @pytest.mark.parametrize("readout_mode", ["mean", "sum", "max"])
@@ -748,7 +748,7 @@ def _counting_encodes(monkeypatch):
     real = moama.train.encode
 
     def counting(tg, *args, **kwargs):
-        calls.append(tg.n_graphs)
+        calls.append(len(tg.s.starts))
         return real(tg, *args, **kwargs)
 
     monkeypatch.setattr(moama.train, "encode", counting)
