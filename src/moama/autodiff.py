@@ -12,11 +12,12 @@ shape by ``_unbroadcast`` (``g`` itself when the shapes match) and stored by
 ``_accum``. It builds ``add``, ``sub``, ``mul``, ``div``, ``matmul``,
 ``sqrt``, ``exp``, ``log`` and ``relu`` at import, and ``power``, ``tsum``,
 ``segment_sum``, ``segment_max`` and ``slice_cols`` per call, closed over
-their exponent, axes, segments or columns. ``gin_layer`` (below) and
-``take_rows`` are written by hand: ``take_rows`` scatters into the input's
-existing gradient in index order, where ``_accum`` would add a finished
-scatter, whose bits differ for a tensor gathered twice per tape (the bond
-embedding, by the encoder and by the gnn decoder).
+their exponent, axes, segments or columns. Four ops are written by hand:
+``take_rows``, and the fused ``gin_layer``, ``sce_term`` and
+``alignment_term`` (below). ``take_rows`` scatters into the input's existing
+gradient in index order, where ``_accum`` would add a finished scatter, whose
+bits differ for a tensor gathered twice per tape (the bond embedding, by the
+encoder and by the gnn decoder).
 
 Scatter-adds (``segment_sum``'s forward, ``take_rows``' backward) go through
 ``_scatter_add``, which is ``np.add.at`` on flat views: each cell takes its
@@ -27,23 +28,36 @@ canonical order, so its result depends only on the multiset of addends. Only
 segments with three or more addends need sorting by contents: IEEE addition
 is commutative, -0.0 included, so (0 + a) + b == (0 + b) + a bit for bit.
 
-``gin_layer`` is one GIN layer as one tape node, with a hand-written
-backward that keeps the bits of the composed ops it replaced. Its contract:
+A fused op is one tape node in place of a chain of composed ops, with a
+hand-written backward that keeps the chain's bits. ``gin_layer`` is one GIN
+layer; ``sce_term`` is one head's scaled cosine error and ``alignment_term``
+the fingerprint-alignment loss, which share one cosine (``_cosine``). The
+contract of each:
 
-- the forward evaluates the composed ops' numpy expressions in their order,
-  and its neighbour sum is ``_segment_sum_values``, as ``segment_sum``'s is;
-- the backward replays their accumulations in the order the tape ran them:
-  ``h`` takes ``g * (1 + eps)`` before the ``edge_src`` scatter, the bond rows
-  take theirs through ``_accum`` and a learned ``eps`` the full sum;
+- the forward evaluates the chain's numpy expressions in their order;
+  ``gin_layer``'s neighbour sum is ``_segment_sum_values``, as
+  ``segment_sum``'s is;
+- the backward replays the chain's accumulations in the order the tape ran
+  them. In ``gin_layer``, ``h`` takes ``g * (1 + eps)`` before the
+  ``edge_src`` scatter, the bond rows take theirs through ``_accum`` and a
+  learned ``eps`` the full sum. In the losses, a gathered row's gradient takes
+  the dot product's partial, then its norm's twice, before it is scattered, and
+  ``alignment_term`` scatters its first rows before its second;
 - the composed ops stored each intermediate gradient through ``_accum``,
   whose ``+ 0.0`` turns a -0.0 into +0.0. The fused backward skips those
   additions. A zero's sign changes only the signs of zero results
-  downstream, and each gradient that leaves the layer goes through
-  ``_accum``, or a scatter into a gradient ``_accum`` stored, which clears it;
-- its parents are ordered so that ``backward``'s DFS reaches the bond rows
-  before ``h``. Tensors the layer shares with other consumers (the bond rows
-  of every layer, the encoder output that the readout and each decoder read)
-  then take their gradients in the composed tape's order.
+  downstream, and each gradient that leaves the op goes through ``_accum``,
+  or a scatter into a gradient that ``_accum`` stored or that starts at +0.0,
+  which clears it;
+- its parents are ordered so that ``backward``'s DFS reaches tensors shared
+  with other consumers in the composed tape's order: ``gin_layer`` lists the
+  bond rows (read by every layer) before ``h`` (read by the readout and each
+  decoder); each loss has one parent, the tensor its chain gathered from
+  (a head's logits, the graph vectors);
+- it checks for finiteness every intermediate whose overflow need not reach
+  its output, so ``NumericsError`` fires exactly where the chain's tensors
+  raised it: ``gin_layer`` its messages, z and pre-activation, each loss its
+  cosine's denominator. The output is checked as every tensor is.
 
 Tensors built from parents with ``requires_grad=False`` record no tape, which
 makes pure inference (e.g. influence analysis) allocation-light.
@@ -56,6 +70,9 @@ import math
 import numpy as np
 
 from .errors import NumericsError
+
+_NORM_FLOOR = 1e-24   # smooths the cosine at an all-zero row
+_COS_EPS = 1e-12
 
 
 def _check_finite(v: np.ndarray) -> None:
@@ -382,6 +399,99 @@ def gin_layer(h, bond_embed, edge_src, edge_dst, n_nodes: int, eps, w1, b1, w2, 
                 _scatter_add(h.grad, edge_src, g_msg)
 
     return Tensor(out, _parents=parents, _backprop=back)
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, unit_b: bool):
+    """Row-wise ``sum(a*b) / (|a| |b| + 1e-12)`` with ``|x| = sqrt(sum(x*x) +
+    1e-24)``, and ``back(g)``: for the cosines' gradient ``g``, the gradient of
+    ``a`` and, unless ``unit_b``, of ``b``.
+
+    ``unit_b`` says that ``b`` is a constant whose rows all have norm exactly
+    1.0 (one-hot rows: sqrt(1 + 1e-24) == 1.0), so |b| is not computed and
+    ``|a| * 1.0`` keeps |a|'s bits. Each expression is the composed ops' (mul,
+    tsum, add, sqrt, div), in their order. A side's gradient takes the dot's
+    partial, then its norm's twice (once per input of ``x * x``), in the order
+    the tape added them.
+    """
+    dot = (a * b).sum(axis=1)
+    na = np.sqrt((a * a).sum(axis=1) + _NORM_FLOOR)
+    nb = 1.0 if unit_b else np.sqrt((b * b).sum(axis=1) + _NORM_FLOOR)
+    den = na * nb + _COS_EPS
+    # den overflows when a row's sum of squares or the norms' product does,
+    # which the cosine need not show (x / inf == 0); every other overflow of
+    # the composed ops reaches the loss
+    _check_finite(den)
+
+    def back(g):
+        g_dot = (g / den)[:, None]
+        g_den = -g * dot / (den * den)
+        grads = []
+        sides = [(a, b, na, nb)] if unit_b else [(a, b, na, nb), (b, a, nb, na)]
+        for x, other, nx, n_other in sides:
+            gx = g_dot * other
+            part = (g_den * n_other * 0.5 / nx)[:, None] * x
+            gx += part
+            gx += part
+            grads.append(gx)
+        return grads
+
+    return dot / den, back
+
+
+def sce_term(logits, idx, codes, gamma: float) -> Tensor:
+    """GraphMAE's scaled cosine error as one tape node: the mean over the rows
+    ``idx`` of ``logits`` of ``(1 - cos(row, one-hot of its code))^gamma``.
+
+    It keeps the bits of ``take_rows``, the cosine (``_cosine``), ``1 - cos``,
+    ``power`` and ``tmean`` composed. The backward scatters the rows' gradient
+    into ``logits`` in index order, as ``take_rows`` does.
+    """
+    logits = _lift(logits)
+    idx = np.asarray(idx, dtype=np.int64)
+    gamma = float(gamma)
+    rows = logits.values[idx]
+    target = np.zeros(rows.shape)
+    target[np.arange(idx.size), codes] = 1.0
+    cos, cos_back = _cosine(rows, target, unit_b=True)
+    gap = 1.0 - cos
+    terms = np.power(gap, gamma)
+    scale = 1.0 / terms.size
+
+    def back(g):
+        g_gap = np.broadcast_to(g * scale, terms.shape) * gamma * np.power(gap, gamma - 1.0)
+        (g_rows,) = cos_back(-g_gap)
+        if logits.grad is None:
+            logits.grad = np.zeros(logits.values.shape)
+        _scatter_add(logits.grad, idx, g_rows)
+
+    return Tensor(terms.sum() * scale, _parents=(logits,), _backprop=back)
+
+
+def alignment_term(h, ii, jj, sims, squared: bool) -> Tensor:
+    """The mean over row pairs ``(ii, jj)`` of ``sims - cos(h[ii], h[jj])``,
+    squared when ``squared``, as one tape node.
+
+    It keeps the bits of the two ``take_rows``, the cosine (``_cosine``),
+    ``sims - cos``, ``power`` and ``tmean`` composed. The backward scatters the
+    ``ii`` rows' gradient into ``h`` before the ``jj`` rows', as the tape did.
+    """
+    h = _lift(h)
+    cos, cos_back = _cosine(h.values[ii], h.values[jj], unit_b=False)
+    diff = sims - cos
+    terms = np.power(diff, 2.0) if squared else diff
+    scale = 1.0 / terms.size
+
+    def back(g):
+        g_diff = np.broadcast_to(g * scale, terms.shape)
+        if squared:
+            g_diff = g_diff * 2.0 * np.power(diff, 1.0)
+        g_a, g_b = cos_back(-g_diff)
+        if h.grad is None:
+            h.grad = np.zeros(h.values.shape)
+        _scatter_add(h.grad, ii, g_a)
+        _scatter_add(h.grad, jj, g_b)
+
+    return Tensor(terms.sum() * scale, _parents=(h,), _backprop=back)
 
 
 def segment_max(a, segments, n_segments: int) -> Tensor:

@@ -59,17 +59,19 @@ def _require_input(run: RunConfig) -> str:
     return run.data.input
 
 
-def _output_paths(command: str, run: RunConfig, out_dir: Path) -> dict[str, Path]:
+def _output_paths(command: str, cfg: dict[str, str], out_dir: Path) -> dict[str, Path]:
     """Each output's path by role, checked before any work: no two may be one
-    file and none ``data.input``, but the ``--config`` file may be an output."""
-    paths = {role: out_dir / name for role, name in COMMANDS[command][1].items()}
-    if command == "pretrain" and run.checkpoint:
+    file and none a file the command reads, but the ``--config`` file may be an
+    output."""
+    _, outputs, inputs = COMMANDS[command]
+    paths = {role: out_dir / name for role, name in outputs.items()}
+    if command == "pretrain" and cfg["run.checkpoint"]:
         del paths["checkpoint"]   # set again last, so a clash names it
-        paths["checkpoint"] = Path(run.checkpoint)
+        paths["checkpoint"] = Path(cfg["run.checkpoint"])
     # command-scoped, so runs that share one --out keep their provenance
     out = {"config": out_dir / f"effective-config.{command}", **paths}
-    taken = {Path(run.data.input).resolve(): "the data.input file"} if (
-        run.data.input and "\0" not in run.data.input) else {}
+    taken = {Path(cfg[key]).resolve(): f"the {key} file" for key in inputs
+             if cfg[key] and "\0" not in cfg[key]}
     for role, path in out.items():
         reason = ("it is a directory" if path.is_dir() else
                   f"no directory {path.parent}" if not path.parent.is_dir() else
@@ -196,16 +198,20 @@ def cmd_fingerprint(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     print(f"fingerprinted {len(rows)} molecules {_skipped(data)}")
 
 
-# Each command's handler and the files it writes under --out, by role; README's
-# table lists the same files. pretrain's checkpoint goes to run.checkpoint if set.
+# Each command's handler, the files it writes under --out, by role, and the
+# config keys of the files it reads; README's table lists the same outputs.
+# pretrain's checkpoint goes to run.checkpoint if set.
 COMMANDS = {
-    "decompose": (cmd_decompose, {"motifs": "motifs.csv"}),
-    "mask-preview": (cmd_mask_preview, {"plans": "mask_plans.csv"}),
-    "pretrain": (cmd_pretrain, {"checkpoint": "checkpoint.moam", "curve": "loss.csv"}),
-    "finetune": (cmd_finetune, {"report": "auc_report.csv"}),
+    "decompose": (cmd_decompose, {"motifs": "motifs.csv"}, ("data.input", "motif.rules")),
+    "mask-preview": (cmd_mask_preview, {"plans": "mask_plans.csv"},
+                     ("data.input", "motif.rules")),
+    "pretrain": (cmd_pretrain, {"checkpoint": "checkpoint.moam", "curve": "loss.csv"},
+                 ("data.input", "motif.rules")),
+    "finetune": (cmd_finetune, {"report": "auc_report.csv"}, ("data.input", "run.checkpoint")),
     "influence": (cmd_influence, {"nodes": "influence_nodes.csv",
-                                  "summary": "influence_summary.csv", "mrr": "mrr_inter.csv"}),
-    "fingerprint": (cmd_fingerprint, {"fingerprints": "fingerprints.csv"}),
+                                  "summary": "influence_summary.csv", "mrr": "mrr_inter.csv"},
+                  ("data.input", "run.checkpoint", "motif.rules")),
+    "fingerprint": (cmd_fingerprint, {"fingerprints": "fingerprints.csv"}, ("data.input",)),
 }
 
 
@@ -219,7 +225,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise DataError(f"cannot create --out {out_dir}: {e.strerror or e}") from e
-        out = _output_paths(args.command, run, out_dir)
+        out = _output_paths(args.command, cfg, out_dir)
         effective = format_effective(cfg)
         write_output(out["config"], effective, "config")
         sys.stdout.write(effective)

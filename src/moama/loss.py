@@ -10,6 +10,11 @@ Reconstruction compares decoder rows at masked nodes against one-hot targets:
 The auxiliary loss aligns graph-vector cosines with fingerprint Tanimoto
 similarity over the unordered pairs of the current batch. The squared
 difference is the default; ``raw_difference`` keeps the signed form.
+
+Each head's sce term (``autodiff.sce_term``) and the auxiliary loss
+(``autodiff.alignment_term``) are single tape nodes, with the bits of the
+composed chains they replaced. ce, mse, the two-head sum or average and the
+beta combination are composed of the tape's primitive ops.
 """
 
 from __future__ import annotations
@@ -22,9 +27,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .fingerprint import tanimoto_matrix
 from .gin import ATTRIBUTES, TARGETS
-
-_NORM_FLOOR = 1e-24   # smooths the cosine at an all-zero row
-_COS_EPS = 1e-12
 
 REC_KINDS = ("sce", "ce", "mse")
 AUX_FORMS = ("squared", "raw_difference")
@@ -51,20 +53,16 @@ class LossConfig:
             raise ValueError(f"aux_form must be one of {', '.join(AUX_FORMS)}")
 
 
-def _cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine of ``a`` and ``b``, its norms floored at an all-zero row."""
-    return ad.tsum(a * b, axis=1) / (ad.sqrt(ad.tsum(a * a, axis=1) + _NORM_FLOOR)
-                                     * ad.sqrt(ad.tsum(b * b, axis=1) + _NORM_FLOOR) + _COS_EPS)
-
-
-def _one_dim_loss(rows: Tensor, target_codes: np.ndarray, n_classes: int,
+def _one_dim_loss(logits: Tensor, idx: np.ndarray, codes: np.ndarray,
                   cfg: LossConfig) -> Tensor:
-    onehot = np.zeros((len(target_codes), n_classes))
-    onehot[np.arange(len(target_codes)), target_codes] = 1.0
-    target = ad.const(onehot)
+    """One attribute's loss at the masked rows ``idx`` of ``logits``, whose
+    true codes are ``codes``."""
     if cfg.rec_kind == "sce":
-        # the one-hot target's norm is sqrt(1 + 1e-24) == 1.0, so its product is exact
-        return ad.tmean((1.0 - _cosine(rows, target)) ** cfg.gamma)
+        return ad.sce_term(logits, idx, codes, cfg.gamma)
+    rows = ad.take_rows(logits, idx)
+    onehot = np.zeros(rows.shape)
+    onehot[np.arange(len(codes)), codes] = 1.0
+    target = ad.const(onehot)
     log_p = ad.log_softmax(rows)
     if cfg.rec_kind == "ce":
         picked = ad.tsum(log_p * target, axis=1)
@@ -85,14 +83,12 @@ def rec_loss(logits: dict[str, Tensor], x_true: np.ndarray,
     terms = []
     n_masked = 0
     for name in logits:
-        dim, n_classes = ATTRIBUTES[name]
+        dim = ATTRIBUTES[name][0]
         idx = np.asarray(masked_nodes[dim], dtype=np.int64)
         if idx.size == 0:
             continue
         n_masked += idx.size
-        rows = ad.take_rows(logits[name], idx)
-        codes = x_true[idx, dim]
-        terms.append(_one_dim_loss(rows, codes, n_classes, cfg))
+        terms.append(_one_dim_loss(logits[name], idx, x_true[idx, dim], cfg))
     if not terms:
         return ad.const(0.0), 0
     if len(terms) == 1:
@@ -114,10 +110,7 @@ def aux_loss(h_graphs: Tensor, fingerprints, cfg: LossConfig) -> tuple[Tensor, i
         return ad.const(0.0), 0
     ii, jj = np.triu_indices(n, k=1)
     sims = tanimoto_matrix(fingerprints)[ii, jj]
-    diff = ad.const(sims) - _cosine(ad.take_rows(h_graphs, ii), ad.take_rows(h_graphs, jj))
-    if cfg.aux_form == "squared":
-        diff = diff ** 2.0
-    return ad.tmean(diff), len(ii)
+    return ad.alignment_term(h_graphs, ii, jj, sims, cfg.aux_form == "squared"), len(ii)
 
 
 def total_loss(l_rec: Tensor, l_aux: Tensor | None, beta: float) -> Tensor:

@@ -514,16 +514,17 @@ def test_influence_leaves_numpy_random_unloaded(small_inputs, tmp_path):
     assert child.stdout.split()[-2:] == ["0", "False"]
 
 
-@pytest.mark.parametrize("command,code,message", [
-    ("pretrain", 3, "numerical failure: non-finite tensor values"),
-    ("finetune", 2, "data error: valid split is empty"),
-], ids=["overflow", "one_scaffold"])
+@pytest.mark.parametrize("command,setting,code,message", [
+    ("pretrain", "run.lr=1e300", 3, "numerical failure: non-finite tensor values"),
+    ("pretrain", "loss.gamma=1e308", 3, "numerical failure: non-finite tensor values"),
+    ("finetune", None, 2, "data error: valid split is empty"),
+], ids=["overflow", "sce_power_overflow", "one_scaffold"])
 def test_a_failure_that_warns_first_is_still_one_line_on_stderr(small_inputs, tmp_path,
-                                                                 command, code, message):
+                                                                 command, setting, code, message):
     # an overflow warns from numpy, and a split with one scaffold from scaffold_split
     args = [command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs)]
-    if command == "pretrain":
-        args += ["--set", "run.lr=1e300"]
+    if setting:
+        args += ["--set", setting]
     else:
         one_scaffold = tmp_path / "one_scaffold.csv"
         one_scaffold.write_text("smiles,label\nCCc1ccccc1,0\nCCCc1ccccc1,1\nc1ccccc1,0\n")
@@ -578,6 +579,34 @@ def test_an_output_that_is_another_file_of_the_run_is_a_data_error(mols_csv, tmp
                    f"it is also {clash}\n")
     assert list(out.iterdir()) == []              # not even the effective config
     assert mols_csv.read_bytes() == dataset
+
+
+@pytest.mark.parametrize("command,key,name,role", [
+    ("influence", "run.checkpoint", "mrr_inter.csv", "mrr"),
+    ("influence", "run.checkpoint", "effective-config.influence", "config"),
+    ("finetune", "run.checkpoint", "auc_report.csv", "report"),
+    ("decompose", "motif.rules", "motifs.csv", "motifs"),
+    ("mask-preview", "motif.rules", "mask_plans.csv", "plans"),
+    ("pretrain", "motif.rules", "loss.csv", "curve"),
+    ("influence", "motif.rules", "effective-config.influence", "config"),
+], ids=["influence_checkpoint_mrr", "influence_checkpoint_config", "finetune_checkpoint",
+        "decompose_rules", "mask_preview_rules", "pretrain_rules", "influence_rules"])
+def test_an_output_that_is_an_input_of_the_run_is_a_data_error(small_inputs, tmp_path, capsys,
+                                                               command, key, name, role):
+    from importlib import resources
+
+    out = tmp_path / "out"
+    out.mkdir()
+    held = out / name   # the input, where the command would write an output
+    held.write_bytes(small_inputs["checkpoint"].read_bytes() if key == "run.checkpoint" else
+                     (resources.files("moama") / "rules" / "brics.tsv").read_bytes())
+    before = held.read_bytes()
+    code, err = _run_cli([command, "--out", str(out), *_inputs_for(command, small_inputs),
+                          "--set", f"{key}={held}"], capsys)
+    assert code == 2
+    assert err == f"data error: cannot write {role} {held}: it is also the {key} file\n"
+    assert held.read_bytes() == before
+    assert [f.name for f in out.iterdir()] == [name]   # nothing else written
 
 
 def test_a_run_may_rewrite_the_effective_config_it_reads(mols_csv, tmp_path):
@@ -820,7 +849,7 @@ def test_readme_command_table_matches_the_outputs_table():
         command, files = (cell.strip() for cell in line.split("|")[1:3])
         names = set(re.findall(r"`([^`]+)`", files)) - set(DEFAULTS)   # config keys named in passing
         listed[command.strip("`")] = names
-    assert listed == {command: set(names.values()) for command, (_, names) in COMMANDS.items()}
+    assert listed == {command: set(names.values()) for command, (_, names, _) in COMMANDS.items()}
 
 
 def test_default_effective_config_is_unchanged(tmp_path):

@@ -505,13 +505,12 @@ def _decode_attrs_oracle(tg, h, store, cfg, targets):
 def _rec_loss_oracle(logits, x_true, masked, cfg):
     terms, n_masked = [], 0
     for name in logits:
-        dim, n_classes = {"atom_type": (0, 119), "chirality": (1, 4)}[name]
+        dim = {"atom_type": 0, "chirality": 1}[name]
         idx = np.asarray(masked[dim], dtype=np.int64)
         if idx.size == 0:
             continue
         n_masked += idx.size
-        rows = ad.take_rows(logits[name], idx)
-        terms.append(_one_dim_loss(rows, x_true[idx, dim], n_classes, cfg))
+        terms.append(_one_dim_loss(logits[name], idx, x_true[idx, dim], cfg))
     if not terms:
         return ad.const(0.0), 0
     if len(terms) == 1:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import moama.train
 from moama import autodiff as ad
 from moama import morgan_fingerprint, parse
+from moama.datagen import generate_corpus
+from moama.errors import NumericsError
 from moama.fingerprint import tanimoto_matrix
-from moama.gin import ATTRIBUTES, TARGETS
-from moama.loss import LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
+from moama.gin import ATTRIBUTES, TARGETS, EncoderConfig, ParamStore
+from moama.loss import AUX_FORMS, LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
+from moama.train import RunConfig, pretrain
 
 from conftest import bits, fd_gradient
 
@@ -193,7 +197,8 @@ def test_sce_term_bits_equal_the_chain_at_any_width(width):
         codes = rng.integers(0, width, len(rows))
         gamma = (1.0, 1.5, 2.0)[case % 3]
         runs = []
-        for term in (lambda r: _one_dim_loss(r, codes, width, LossConfig(gamma=gamma)),
+        for term in (lambda r: _one_dim_loss(r, np.arange(len(codes)), codes,
+                                            LossConfig(gamma=gamma)),
                      lambda r: _sce_term_oracle(r, codes, width, gamma)):
             param = ad.parameter(rows.copy())
             lossv = term(param)
@@ -342,3 +347,137 @@ def test_config_validation():
         LossConfig(beta=1.5)
     with pytest.raises(ValueError):
         LossConfig(rec_kind="huber")
+
+
+# --- the composed cosine chain the fused terms replaced ----------------------
+
+def _cosine_chain(a, b):
+    # loss._cosine before the fused terms, the one-hot target's norm included
+    return ad.tsum(a * b, axis=1) / (ad.sqrt(ad.tsum(a * a, axis=1) + 1e-24)
+                                     * ad.sqrt(ad.tsum(b * b, axis=1) + 1e-24) + 1e-12)
+
+
+def _composed_rec_loss(logits, x_true, masked_nodes, cfg):
+    # rec_loss under sce (rec_kind is not read), each term composed through _cosine_chain
+    terms, n_masked = [], 0
+    for name in logits:
+        dim, n_classes = ATTRIBUTES[name]
+        idx = np.asarray(masked_nodes[dim], dtype=np.int64)
+        if idx.size == 0:
+            continue
+        n_masked += idx.size
+        onehot = np.zeros((idx.size, n_classes))
+        onehot[np.arange(idx.size), x_true[idx, dim]] = 1.0
+        cos = _cosine_chain(ad.take_rows(logits[name], idx), ad.const(onehot))
+        terms.append(ad.tmean((1.0 - cos) ** cfg.gamma))
+    if not terms:
+        return ad.const(0.0), 0
+    if len(terms) == 1:
+        return terms[0], n_masked
+    if len(TARGETS[cfg.targets]) == 2:
+        return (terms[0] + terms[1]) * 0.5, n_masked
+    return terms[0] + terms[1], n_masked
+
+
+def _composed_aux_loss(h_graphs, fingerprints, cfg):
+    # aux_loss composed through _cosine_chain
+    n = h_graphs.values.shape[0]
+    if n < 2:
+        return ad.const(0.0), 0
+    ii, jj = np.triu_indices(n, k=1)
+    sims = tanimoto_matrix(fingerprints)[ii, jj]
+    diff = ad.const(sims) - _cosine_chain(ad.take_rows(h_graphs, ii), ad.take_rows(h_graphs, jj))
+    if cfg.aux_form == "squared":
+        diff = diff ** 2.0
+    return ad.tmean(diff), len(ii)
+
+
+def _outcome(loss_fn, values):
+    """"raises", or the bits of the loss and of the input's gradient."""
+    param = ad.parameter(values.copy())
+    with np.errstate(all="ignore"):   # overflows are the point here
+        try:
+            lossv = loss_fn(param)
+        except NumericsError:
+            return "raises"
+        lossv.backward()
+    return bits(lossv), bits(param.grad)
+
+
+@pytest.mark.parametrize("width", [4, 119])
+def test_sce_term_raises_exactly_when_the_composed_chain_raises(width):
+    # rows near and past sqrt(max float): a*a, its row sum or (1 - cos)^gamma overflows
+    rng = np.random.default_rng(30 + width)
+    raised = 0
+    for case in range(400):
+        n = int(rng.integers(1, 7))
+        rows = _awkward_rows(rng, n, width, 1.0) * (
+            10.0 ** rng.choice([0.0, 150.0, 153.0, 154.0, 155.0, 160.0, 200.0], size=(n, 1)))
+        codes = rng.integers(0, width, n)
+        x_true = np.stack([codes, codes % 4], axis=1)
+        masked = (tuple(range(n)), ()) if width == 119 else ((), tuple(range(n)))
+        name = "atom_type" if width == 119 else "chirality"
+        cfg = LossConfig(gamma=float(rng.choice([1.0, 1.5, 2.0, 1030.0, 1e308])),
+                         targets=name)
+        outcomes = [_outcome(lambda t: rec({name: t}, x_true, masked, cfg)[0], rows)
+                    for rec in (rec_loss, _composed_rec_loss)]
+        assert outcomes[0] == outcomes[1], (width, case)
+        raised += outcomes[0] == "raises"
+    assert 40 < raised < 360   # both outcomes are exercised
+
+
+@pytest.mark.parametrize("aux_form", AUX_FORMS)
+def test_alignment_term_raises_exactly_when_the_composed_chain_raises(aux_form):
+    # a*b, a*a, their row sums or the norms' product |a| |b| overflows
+    rng = np.random.default_rng(40)
+    fps = [morgan_fingerprint(parse(s)) for s in ("CCO", "CCN", "c1ccccc1", "CCS", "CC(=O)O", "C")]
+    cfg = LossConfig(aux_form=aux_form)
+    raised = 0
+    for case in range(300):
+        idx = rng.choice(len(fps), int(rng.integers(2, len(fps) + 1)), replace=False)
+        h = _awkward_rows(rng, len(idx), int(rng.integers(1, 10)), 1.0) * (
+            10.0 ** rng.choice([0.0, 150.0, 153.0, 154.0, 155.0, 160.0, 200.0],
+                               size=(len(idx), 1)))
+        outcomes = [_outcome(lambda t: aux(t, [fps[i] for i in idx], cfg)[0], h)
+                    for aux in (aux_loss, _composed_aux_loss)]
+        assert outcomes[0] == outcomes[1], (aux_form, case)
+        raised += outcomes[0] == "raises"
+    assert 30 < raised < 270
+
+
+@pytest.mark.parametrize("learn_epsilon", [False, True], ids=["fixed_eps", "learn_eps"])
+@pytest.mark.parametrize("decoder", ["gnn", "mlp"])
+@pytest.mark.parametrize("targets", sorted(TARGETS))
+def test_training_steps_keep_every_gradient_bit_of_the_composed_losses(targets, decoder,
+                                                                       learn_epsilon,
+                                                                       monkeypatch):
+    # The whole step: encode, decode_attrs, readout, both losses, backward and
+    # Adam. The loss oracles alone cannot see the order in which backward
+    # reaches tensors that the losses share with the rest of the tape.
+    graphs = [parse(s) for s in generate_corpus(10, seed=3)]
+    real_step = ParamStore.adam_step
+    steps = []
+
+    def recording(self, *args, **kwargs):
+        steps.append([(n, bits(self.params[n].grad)) for n in self.names()
+                      if self.params[n].grad is not None])
+        return real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParamStore, "adam_step", recording)
+    enc = EncoderConfig(layers=2, embed_dim=8, decoder=decoder, learn_epsilon=learn_epsilon,
+                        epsilon=0.25)
+    for aux_form in AUX_FORMS:
+        for gamma in (1.0, 1.5, 2.0):
+            cfg = RunConfig(epochs=2, batch_pretrain=4, seed=5, lr=0.01, encoder=enc,
+                            loss=LossConfig(gamma=gamma, targets=targets, aux_form=aux_form))
+            runs = []
+            for rec, aux in ((rec_loss, aux_loss), (_composed_rec_loss, _composed_aux_loss)):
+                monkeypatch.setattr(moama.train, "rec_loss", rec)
+                monkeypatch.setattr(moama.train, "aux_loss", aux)
+                steps.clear()
+                result = pretrain(graphs, cfg)
+                runs.append((list(steps), [bits(result.store[n]) for n in result.store.names()],
+                             [bits(np.array([s.loss, s.rec, s.aux])) for s in result.curve]))
+            assert runs[0] == runs[1], (aux_form, gamma)
+            assert len(runs[0][0]) == 6   # 2 epochs of 3 batches, each with a step
+            assert all(s.rec > 0.0 for s in result.curve)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from moama.datagen import write_corpus_csv
+from moama.gin import EncoderConfig, param_shapes
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
@@ -61,6 +62,11 @@ COUNTERS = {
 # (motif.decompositions, fingerprint.morgan_fingerprints). Nothing is asserted
 # about them.
 KNOWN_IDLE = ("motif.decompose", "fingerprint.morgan_fingerprint")
+
+# Tensors that each batch of the traced pretrain put on the autodiff tape when
+# the sce and alignment losses were composed chains: 69. The run built 309,
+# 33 of them the parameter store.
+COMPOSED_LOSS_TENSORS_PER_BATCH = 69
 
 
 def _tracer():
@@ -132,3 +138,12 @@ def test_influence_runs_no_backward(traced):
     _, _, calls, counters = traced["influence"]
     assert calls["autodiff.Tensor.backward"] == 0
     assert counters["influence.molecules"] == 40
+
+
+def test_pretrain_tape_is_a_third_of_the_composed_losses_tape(traced):
+    # ROADMAP's 3x target for the tape: 23 tensors per batch, where the
+    # parameter store is built once per run
+    _, _, calls, counters = traced["pretrain"]
+    params = len(param_shapes(EncoderConfig(), "atom_type"))
+    per_batch = (counters["autodiff.tensors"] - params) / calls["gin.TensorGraph.from_graphs"]
+    assert per_batch * 3 <= COMPOSED_LOSS_TENSORS_PER_BATCH
