@@ -76,7 +76,7 @@ _COS_EPS = 1e-12
 
 
 def _check_finite(v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericsError("non-finite tensor values")
 
 

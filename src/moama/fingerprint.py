@@ -104,17 +104,14 @@ class Fingerprint:
         return format(self.bits, f"0{self.width // 4}x")
 
 
-def morgan_fingerprints(graphs, cfg: FingerprintConfig = FingerprintConfig()) -> list[Fingerprint]:
-    """Iterative neighborhood-hashing fingerprint of each molecule, every
-    molecule's rounds run at once.
-
-    Invariant under node relabeling: neighbor multisets are sorted before
-    hashing and initial codes depend only on local attributes.
-    """
+def fingerprint_bits(graphs, cfg: FingerprintConfig = FingerprintConfig()) -> np.ndarray:
+    """The fingerprints of ``morgan_fingerprints`` as one packed uint8 matrix:
+    row i holds the width / 8 bytes (at least one) of molecule i's bits,
+    little-endian, as ``tanimoto_matrix`` takes them."""
     graphs = list(graphs)
     radius, width = cfg.radius, cfg.width
     if not graphs:
-        return []
+        return np.zeros((0, (width + 7) // 8), dtype=np.uint8)
     s = stack(graphs)
     n = len(s.x)
     codes = hash_rows([np.zeros(n, dtype=np.uint64), s.x[:, 0],
@@ -128,7 +125,18 @@ def morgan_fingerprints(graphs, cfg: FingerprintConfig = FingerprintConfig()) ->
     mol = np.tile(s.mol, radius + 1)
     packed = np.zeros((len(graphs), (width + 7) // 8), dtype=np.uint8)
     np.bitwise_or.at(packed, (mol, bit >> 3), (1 << (bit & 7)).astype(np.uint8))
-    return [Fingerprint(int.from_bytes(row.tobytes(), "little"), width, radius) for row in packed]
+    return packed
+
+
+def morgan_fingerprints(graphs, cfg: FingerprintConfig = FingerprintConfig()) -> list[Fingerprint]:
+    """Iterative neighborhood-hashing fingerprint of each molecule, every
+    molecule's rounds run at once (``fingerprint_bits``).
+
+    Invariant under node relabeling: neighbor multisets are sorted before
+    hashing and initial codes depend only on local attributes.
+    """
+    return [Fingerprint(int.from_bytes(row.tobytes(), "little"), cfg.width, cfg.radius)
+            for row in fingerprint_bits(graphs, cfg)]
 
 
 def morgan_fingerprint(g: MolGraph, cfg: FingerprintConfig = FingerprintConfig()) -> Fingerprint:
@@ -146,24 +154,16 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return (a.bits & b.bits).bit_count() / union
 
 
-def tanimoto_matrix(fps) -> np.ndarray:
-    """``tanimoto(fps[i], fps[j])`` for every pair, bit for bit, as an (n, n)
-    array.
+def tanimoto_matrix(packed: np.ndarray) -> np.ndarray:
+    """``tanimoto`` of every pair of the fingerprints whose bits are the rows
+    of ``packed`` (``fingerprint_bits``), bit for bit, as an (n, n) array.
 
     One product of the 0/1 bit matrices counts every intersection. Its
     addends are 0 and 1 and every partial sum is an integer below 2**53, so
     the float64 counts are exact in any summation order, and ``inter / union``
     is the correctly rounded quotient that Python's int division gives.
     """
-    if not fps:
-        return np.zeros((0, 0))
-    for fp in fps:
-        if fp.width != fps[0].width:
-            raise ValueError(f"fingerprint width mismatch: {fps[0].width} != {fp.width}")
-    n_bytes = (max(fp.bits.bit_length() for fp in fps) + 7) // 8
-    raw = b"".join(fp.bits.to_bytes(n_bytes, "little") for fp in fps)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(fps), n_bytes),
-                         axis=1).astype(np.float64)
+    bits = np.unpackbits(packed, axis=1).astype(np.float64)
     inter = bits @ bits.T
     counts = np.diagonal(inter)
     union = counts[:, None] + counts[None, :] - inter

@@ -100,7 +100,9 @@ def rec_loss(logits: dict[str, Tensor], x_true: np.ndarray,
 
 
 def aux_loss(h_graphs: Tensor, fingerprints, cfg: LossConfig) -> tuple[Tensor, int]:
-    """Tanimoto-alignment loss over unordered batch pairs.
+    """Tanimoto-alignment loss over unordered batch pairs. ``fingerprints``
+    holds the batch's packed fingerprint bits, one row per graph
+    (``fingerprint.fingerprint_bits``).
 
     Returns (loss, pair count); 0 with no pairs when the batch is smaller
     than two graphs.

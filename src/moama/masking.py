@@ -13,7 +13,13 @@ Selection criteria for a motif:
   2. selected motifs are pairwise non-adjacent.
 
 Criterion 1 draws no random numbers; ``eligible_motifs`` checks it with one
-BFS per molecule, from the atoms of its cut bonds.
+BFS per molecule, from the atoms of its cut bonds. What a decomposition fixes
+(eligibility, motif adjacency, each motif's nodes) is the molecule's
+``MotifTable``: ``train.pretrain`` builds each molecule's table once per run,
+before the first epoch (``motif_tables``; under the random baseline a table
+holds only the atom count), and ``build_plan`` draws every epoch's plan from it.
+At coverage 1.0 a plan masks every node of each selected motif, so the
+shuffle of the eligible motifs is its only draw.
 
 Molecules where no selection can reach alpha_min (e.g. a single giant motif)
 keep an empty or undersized plan with ``feasible=False``.
@@ -21,7 +27,9 @@ keep an empty or undersized plan with ``feasible=False``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,32 +94,66 @@ def eligible_motifs(g: MolGraph, dec: MotifDecomposition, hop_k: int) -> tuple[i
     return tuple(mi for mi, m in enumerate(dec.motifs) if reach.issuperset(m.node_ids))
 
 
-def sample_motifs(g: MolGraph, dec: MotifDecomposition, cfg: MaskConfig,
-                  rng: np.random.Generator) -> MaskPlan:
-    """Draw a motif-aware plan: shuffled greedy selection, then coverage."""
-    n = g.n_atoms
-    eligible = eligible_motifs(g, dec, cfg.hop_k)
-    adj = motif_adjacency(dec)
+class MotifTable(NamedTuple):
+    """What a molecule's decomposition fixes about its plans at one hop_k:
+    its atom count, its eligible motifs (``eligible_motifs``), the motif
+    adjacency (``motif.motif_adjacency``) and each motif's nodes. Only the
+    draws differ from plan to plan."""
+
+    n_atoms: int
+    eligible: tuple[int, ...]
+    adjacency: tuple[frozenset[int], ...]
+    nodes: tuple[tuple[int, ...], ...]
+
+
+def motif_table(g: MolGraph, dec: MotifDecomposition, hop_k: int) -> MotifTable:
+    """The ``MotifTable`` of one molecule: one eligibility BFS."""
+    return MotifTable(g.n_atoms, eligible_motifs(g, dec, hop_k), motif_adjacency(dec),
+                      tuple(m.node_ids for m in dec.motifs))
+
+
+def motif_tables(graphs, decomps, cfg: MaskConfig) -> Iterator[MotifTable]:
+    """The table ``build_plan`` reads under ``cfg`` of each molecule, built
+    when the iterator reaches it. The random baseline reads only the atom
+    count, so under it a table holds no motif and no BFS runs."""
+    for g, dec in zip(graphs, decomps):
+        if cfg.mode == "random_baseline":
+            yield MotifTable(g.n_atoms, (), (), ())
+        else:
+            yield motif_table(g, dec, cfg.hop_k)
+
+
+def _draw_motifs(table: MotifTable, cfg: MaskConfig, rng: np.random.Generator) -> MaskPlan:
+    """Shuffled greedy selection over the table's eligible motifs, then
+    coverage. At coverage 1.0 every node of a selected motif is masked, so
+    the permutation is the only draw."""
+    n = table.n_atoms
     selected: list[int] = []
+    blocked: set[int] = set()   # the motifs adjacent to a selected one
     total = 0
-    for idx in rng.permutation(len(eligible)):
-        mi = eligible[idx]
-        if any(mi in adj[sj] for sj in selected):
+    for idx in rng.permutation(len(table.eligible)).tolist():
+        mi = table.eligible[idx]
+        if mi in blocked:
             continue
-        new_total = total + dec.motifs[mi].size
+        new_total = total + len(table.nodes[mi])
         if new_total / n >= cfg.alpha_max:
             continue
         selected.append(mi)
+        blocked |= table.adjacency[mi]
         total = new_total
         if total / n > cfg.alpha_min:
             break
+    selected.sort()
 
     realized = total / n
     feasible = cfg.alpha_min < realized < cfg.alpha_max
+    if cfg.coverage == 1.0:
+        masked = tuple(sorted(v for mi in selected for v in table.nodes[mi]))
+        return MaskPlan(tuple(selected), (masked, masked), realized, feasible)
 
     dim_sets: tuple[list[int], list[int]] = ([], [])
-    for mi in sorted(selected):
-        nodes = np.array(dec.motifs[mi].node_ids, dtype=np.int64)
+    for mi in selected:
+        nodes = np.array(table.nodes[mi], dtype=np.int64)
         count = _coverage_count(len(nodes), cfg.coverage)
         for d in range(2):
             # node-wise masking is element-wise masking with one shared draw
@@ -120,29 +162,38 @@ def sample_motifs(g: MolGraph, dec: MotifDecomposition, cfg: MaskConfig,
             dim_sets[d].extend(int(x) for x in picked)
 
     return MaskPlan(
-        tuple(sorted(selected)),
+        tuple(selected),
         (tuple(sorted(dim_sets[0])), tuple(sorted(dim_sets[1]))),
         realized,
         feasible,
     )
 
 
+def sample_motifs(g: MolGraph, dec: MotifDecomposition, cfg: MaskConfig,
+                  rng: np.random.Generator) -> MaskPlan:
+    """Draw a motif-aware plan for one molecule from its ``motif_table``."""
+    return _draw_motifs(motif_table(g, dec, cfg.hop_k), cfg, rng)
+
+
 def random_mask(g: MolGraph, fraction: float, rng: np.random.Generator) -> MaskPlan:
     """Uniform node sample without motif constraints (baseline strategy)."""
+    return _random_plan(g.n_atoms, fraction, rng)
+
+
+def _random_plan(n: int, fraction: float, rng: np.random.Generator) -> MaskPlan:
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    n = g.n_atoms
     count = _coverage_count(n, fraction)
     picked = tuple(sorted(int(x) for x in rng.choice(n, size=count, replace=False)))
     return MaskPlan((), (picked, picked), count / n, True)
 
 
-def build_plan(g: MolGraph, dec: MotifDecomposition, cfg: MaskConfig,
-               rng: np.random.Generator) -> MaskPlan:
-    """Dispatch on cfg.mode; the baseline budget is the alpha midpoint."""
+def build_plan(table: MotifTable, cfg: MaskConfig, rng: np.random.Generator) -> MaskPlan:
+    """One plan of the molecule of ``table``. Dispatches on cfg.mode; the
+    baseline budget is the alpha midpoint."""
     if cfg.mode == "random_baseline":
-        return random_mask(g, (cfg.alpha_min + cfg.alpha_max) / 2.0, rng)
-    return sample_motifs(g, dec, cfg, rng)
+        return _random_plan(table.n_atoms, (cfg.alpha_min + cfg.alpha_max) / 2.0, rng)
+    return _draw_motifs(table, cfg, rng)
 
 
 def apply_mask(g: MolGraph, plan: MaskPlan) -> np.ndarray:

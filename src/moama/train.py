@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig, build_section
 from .errors import ConfigError, DataError, read_input, write_output
-from .fingerprint import hash_rows, morgan_fingerprints, refine
+from .fingerprint import fingerprint_bits, hash_rows, refine
 from .gin import (
     EncoderConfig,
     ParamStore,
@@ -39,7 +39,7 @@ from .gin import (
     readout,
 )
 from .loss import aux_loss, rec_loss, total_loss
-from .masking import build_plan, eligible_motifs, plan_rng
+from .masking import build_plan, motif_tables, plan_rng
 from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph, stack
 from .motif import decompositions
 
@@ -207,15 +207,22 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
              progress=None) -> PretrainResult:
     """Masked-reconstruction pre-training over a molecule corpus.
 
-    Per epoch: fresh mask plans per molecule, encode the masked attributes,
-    decode, combine losses, one Adam step per batch. An infeasible plan (one
-    that stays at or below ``alpha_min``) still masks the motifs it selected;
-    only a molecule whose plan is empty adds no reconstruction loss. A batch
-    whose loss is a constant (nothing masked, no pair to align) takes no Adam
-    step, and its loss still counts in the epoch means. Settings that leave
-    every batch nothing to learn fail before the first epoch: a DataError
-    when no molecule has an eligible motif under a motif mask mode, and a
-    ConfigError when ``loss.beta`` is 0 and no batch can hold a pair.
+    Before the first epoch, each molecule's ``masking.MotifTable`` (one
+    eligibility BFS under a motif mask mode, none under the random baseline)
+    and, when the auxiliary loss is on, the packed bit matrix
+    of every fingerprint (``fingerprint.fingerprint_bits``) are built once for
+    the run. Per epoch: fresh mask plans per molecule, drawn from its table
+    (nothing is drawn past the motif shuffle at coverage 1.0), encode the
+    masked attributes, decode, combine losses (each batch's Tanimoto matrix
+    from its rows of the bit matrix), one Adam step per batch. An infeasible
+    plan (one that stays at or below ``alpha_min``) still masks the motifs it
+    selected; only a molecule whose plan is empty adds no reconstruction
+    loss. A batch whose loss is a constant (nothing masked, no pair to align)
+    takes no Adam step, and its loss still counts in the epoch means.
+    Settings that leave every batch nothing to learn fail before the first
+    epoch: a DataError when no molecule has an eligible motif under a motif
+    mask mode (read from the tables), and a ConfigError when ``loss.beta`` is
+    0 and no batch can hold a pair.
     A ``resume`` store whose encoder or decoder tensors do not fit
     ``cfg.encoder`` and ``cfg.loss.targets`` is a DataError.
     """
@@ -232,14 +239,13 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
         store, start_epoch = resume.store, resume.epoch
     else:
         store, start_epoch = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed), 0
-    decomps = list(decompositions(graphs, cfg.motif.rule_table()))
-    if cfg.mask.mode != "random_baseline" and not any(
-            eligible_motifs(g, d, cfg.mask.hop_k) for g, d in zip(graphs, decomps)):
+    tables = list(motif_tables(graphs, decompositions(graphs, cfg.motif.rule_table()), cfg.mask))
+    if cfg.mask.mode != "random_baseline" and not any(t.eligible for t in tables):
         raise DataError(f"no molecule has a motif eligible at mask.hop_k={cfg.mask.hop_k}; "
                         "nothing can be masked")
 
     use_aux = cfg.loss.beta < 1.0
-    fps = morgan_fingerprints(graphs, cfg.fp) if use_aux else None
+    fp_bits = fingerprint_bits(graphs, cfg.fp) if use_aux else None
 
     curve: list[EpochStats] = []
     n = len(graphs)
@@ -252,7 +258,7 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
         for lo in range(0, n, cfg.batch_pretrain):
             batch_idx = order[lo:lo + cfg.batch_pretrain]
             batch_graphs = [graphs[i] for i in batch_idx]
-            plans = [build_plan(graphs[i], decomps[i], cfg.mask,
+            plans = [build_plan(tables[i], cfg.mask,
                                 plan_rng(cfg.mask.seed, int(i), epoch_resample))
                      for i in batch_idx]
             n_feasible += sum(p.feasible for p in plans)
@@ -267,8 +273,7 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
             l_aux = None
             if use_aux:
                 h_graph = readout(h, cfg.encoder.readout, tg.s.mol, len(batch_graphs))
-                batch_fps = [fps[i] for i in batch_idx]
-                l_aux, _ = aux_loss(h_graph, batch_fps, cfg.loss)
+                l_aux, _ = aux_loss(h_graph, fp_bits[batch_idx], cfg.loss)
             total = total_loss(l_rec, l_aux, cfg.loss.beta)
 
             if total.requires_grad:   # a constant loss has nothing to learn

@@ -9,7 +9,8 @@ and the validate-then-build constructor they replaced, the corpus-wide
 rule-matching kernel via the per-atom closure matcher it replaced,
 ``molgraph.stack`` via the edge stacker, the narrow-typed rule-matching corpus
 and the bond-loop ring marks it replaced, and mask eligibility via the
-per-motif BFS it replaced.
+per-motif BFS it replaced, and table-based mask planning via the
+decomposition-based planner it replaced.
 
 ``single``, ``relabel`` and ``shortest_path_lengths`` are helpers that only
 the tests use.
@@ -28,6 +29,7 @@ from moama import parse
 from moama.errors import SmilesError
 from moama.fingerprint import hash_rows, refine
 from moama.gin import EncoderConfig, TensorGraph
+from moama.masking import MaskPlan, _coverage_count, eligible_motifs, random_mask
 from moama.molgraph import (
     CHIRALITY_NONE,
     CHIRALITY_OTHER,
@@ -43,7 +45,7 @@ from moama.molgraph import (
     k_hop_neighborhood,
     stack,
 )
-from moama.motif import RuleTable, default_rules
+from moama.motif import RuleTable, default_rules, motif_adjacency
 from moama.smiles import _BRACKET_RE, _TOKEN_RE, AROMATIC_SUBSET, ATOM_CODE, SmilesToken
 
 
@@ -151,6 +153,55 @@ def eligible_motifs_oracle(g: MolGraph, dec, hop_k: int) -> tuple[int, ...]:
         if members <= k_hop_neighborhood(g, outside, hop_k):
             eligible.append(mi)
     return tuple(eligible)
+
+
+def sample_motifs_oracle(g: MolGraph, dec, cfg, rng: np.random.Generator) -> MaskPlan:
+    """The former ``masking.sample_motifs``: eligibility and motif adjacency
+    recomputed for every plan, one coverage draw per selected motif even at
+    coverage 1.0."""
+    n = g.n_atoms
+    eligible = eligible_motifs(g, dec, cfg.hop_k)
+    adj = motif_adjacency(dec)
+    selected: list[int] = []
+    total = 0
+    for idx in rng.permutation(len(eligible)):
+        mi = eligible[idx]
+        if any(mi in adj[sj] for sj in selected):
+            continue
+        new_total = total + dec.motifs[mi].size
+        if new_total / n >= cfg.alpha_max:
+            continue
+        selected.append(mi)
+        total = new_total
+        if total / n > cfg.alpha_min:
+            break
+
+    realized = total / n
+    feasible = cfg.alpha_min < realized < cfg.alpha_max
+
+    dim_sets: tuple[list[int], list[int]] = ([], [])
+    for mi in sorted(selected):
+        nodes = np.array(dec.motifs[mi].node_ids, dtype=np.int64)
+        count = _coverage_count(len(nodes), cfg.coverage)
+        for d in range(2):
+            if d == 0 or cfg.mode == "element_wise":
+                picked = rng.choice(nodes, size=count, replace=False)
+            dim_sets[d].extend(int(x) for x in picked)
+
+    return MaskPlan(
+        tuple(sorted(selected)),
+        (tuple(sorted(dim_sets[0])), tuple(sorted(dim_sets[1]))),
+        realized,
+        feasible,
+    )
+
+
+def build_plan_oracle(g: MolGraph, dec, cfg, rng: np.random.Generator) -> MaskPlan:
+    """The former ``masking.build_plan``, which took the molecule and its
+    decomposition."""
+    if cfg.mode == "random_baseline":
+        return random_mask(g, (cfg.alpha_min + cfg.alpha_max) / 2.0, rng)
+    return sample_motifs_oracle(g, dec, cfg, rng)
 
 
 _MASK64 = (1 << 64) - 1

@@ -15,7 +15,7 @@ import pytest
 
 from moama import parse
 from moama.datagen import generate_corpus, has_carbonyl
-from moama.fingerprint import Fingerprint, morgan_fingerprint, tanimoto
+from moama.fingerprint import Fingerprint, fingerprint_bits, morgan_fingerprint, tanimoto
 from moama.gin import EncoderConfig, TensorGraph, decode_attrs, encode, init_params, readout
 from moama.influence import NodeInfluence, analyze_dataset, influence_pair, mrr_from_rows
 from moama.loss import LossConfig, aux_loss, rec_loss, total_loss
@@ -72,7 +72,7 @@ def test_criterion_01_gradient_oracle(criterion):
         cfg = EncoderConfig(layers=3, embed_dim=12)
         lcfg = LossConfig(rec_kind="sce", gamma=1.0, beta=0.5)
         store = init_params(cfg, seed=2024)
-        fps = [morgan_fingerprint(g), morgan_fingerprint(g)]
+        fps = fingerprint_bits([g, g])
 
         # batch holds the molecule twice with independent plans so both the
         # reconstruction and the pairwise alignment terms carry gradient

@@ -367,13 +367,13 @@ def test_pretrain_uses_the_configured_rules_and_fingerprint(mols_csv, tmp_path, 
         assert "no rules found" in capsys.readouterr().err
 
     seen = []
-    real = moama.train.morgan_fingerprints
+    real = moama.train.fingerprint_bits
 
     def spy(graphs, cfg):
         seen.append((len(graphs), cfg.radius, cfg.width))
         return real(graphs, cfg)
 
-    monkeypatch.setattr(moama.train, "morgan_fingerprints", spy)
+    monkeypatch.setattr(moama.train, "fingerprint_bits", spy)
     assert main(["pretrain", "--out", str(tmp_path / "fp"), *args,
                  "--set", "fp.radius=1", "--set", "fp.width=64"]) == 0
     assert seen == [(3, 1, 64)]

@@ -7,6 +7,7 @@ from moama import morgan_fingerprint, parse, tanimoto
 from moama.fingerprint import (
     Fingerprint,
     FingerprintConfig,
+    fingerprint_bits,
     morgan_fingerprints,
     refine,
     tanimoto_matrix,
@@ -96,19 +97,39 @@ def test_tanimoto_matches_set_oracle(sa, sb):
 def test_tanimoto_matrix_is_the_pair_loop_bit_for_bit(sets):
     fps = [_fp_from_bits(s) for s in sets] + [_fp_from_bits([])] * 2
     want = np.array([[tanimoto(a, b) for b in fps] for a in fps])
-    assert bits(tanimoto_matrix(fps)) == bits(want)
+    packed = np.array([list(fp.bits.to_bytes(32, "little")) for fp in fps], dtype=np.uint8)
+    assert bits(tanimoto_matrix(packed)) == bits(want)
+
+
+@pytest.mark.parametrize("cfg", [FingerprintConfig(), FingerprintConfig(1, 64),
+                                 FingerprintConfig(0, 1)], ids=["default", "w64", "w1"])
+def test_packed_fingerprint_rows_give_the_pair_loop_bit_for_bit(cfg):
+    from moama.datagen import generate_corpus
+
+    graphs = [parse(s) for s in generate_corpus(40, seed=1)] + odd_molecules()
+    packed = fingerprint_bits(graphs, cfg)
+    fps = morgan_fingerprints(graphs, cfg)
+    assert packed.dtype == np.uint8 and packed.shape == (len(graphs), max(cfg.width // 8, 1))
+    assert [int.from_bytes(row.tobytes(), "little") for row in packed] == [fp.bits for fp in fps]
+    # two empty fingerprints: Tanimoto 1 with each other, 0 with the rest
+    packed = np.vstack([packed, np.zeros((2, packed.shape[1]), dtype=np.uint8)])
+    fps += [Fingerprint(0, cfg.width, cfg.radius)] * 2
+    batch = np.random.default_rng(0).permutation(len(fps))[:16]
+    for rows in (np.arange(len(fps)), batch, batch[-1:], batch[:0]):
+        want = np.array([[tanimoto(fps[i], fps[j]) for j in rows] for i in rows])
+        assert bits(tanimoto_matrix(packed[rows])) == bits(want.reshape(len(rows), len(rows)))
+    assert fingerprint_bits([], cfg).shape == (0, max(cfg.width // 8, 1))
 
 
 def test_tanimoto_matrix_of_datagen_fingerprints_and_its_edge_cases():
     from moama.datagen import generate_corpus
 
-    fps = [morgan_fingerprint(parse(s)) for s in generate_corpus(40, seed=1)]
+    graphs = [parse(s) for s in generate_corpus(40, seed=1)]
+    fps = [morgan_fingerprint(g) for g in graphs]
     want = np.array([[tanimoto(a, b) for b in fps] for a in fps])
-    assert bits(tanimoto_matrix(fps)) == bits(want)
-    assert tanimoto_matrix([_fp_from_bits([]), _fp_from_bits([])]).tolist() == [[1.0, 1.0]] * 2
-    assert bits(tanimoto_matrix([])) == bits(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="width mismatch: 256 != 128"):
-        tanimoto_matrix([_fp_from_bits([1]), _fp_from_bits([1]), _fp_from_bits([1], width=128)])
+    assert bits(tanimoto_matrix(fingerprint_bits(graphs))) == bits(want)
+    assert tanimoto_matrix(np.zeros((2, 32), dtype=np.uint8)).tolist() == [[1.0, 1.0]] * 2
+    assert bits(tanimoto_matrix(np.zeros((0, 32), dtype=np.uint8))) == bits(np.zeros((0, 0)))
 
 
 def test_hex_round_trip():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from moama import autodiff as ad
 from moama import gin, parse
 from moama.errors import NumericsError
-from moama.fingerprint import morgan_fingerprint
+from moama.fingerprint import fingerprint_bits
 from moama.gin import (
     TARGETS,
     EncoderConfig,
@@ -20,7 +20,7 @@ from moama.gin import (
     readout,
 )
 from moama.loss import LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
-from moama.masking import MaskConfig, MaskPlan, build_plan, plan_rng
+from moama.masking import MaskConfig, MaskPlan, build_plan, motif_table, plan_rng
 from moama.molgraph import BOND_ORDER_INDEX, AtomAttr, MolGraph
 from moama.motif import decompositions, default_rules
 
@@ -276,7 +276,7 @@ def test_frozen_leaves_its_source_and_returns_a_frozen_store_as_is():
 
 def test_loss_decreases_over_50_steps_overfit():
     from moama.loss import LossConfig, rec_loss
-    from moama.masking import MaskConfig, build_plan, plan_rng
+    from moama.masking import MaskConfig, build_plan, motif_table, plan_rng
     from moama.motif import decompose
 
     graphs = [parse(s) for s in
@@ -287,7 +287,8 @@ def test_loss_decreases_over_50_steps_overfit():
     mcfg = MaskConfig(hop_k=2)
     store = init_params(cfg, seed=13)
     decs = [decompose(g) for g in graphs]
-    plans = [build_plan(g, d, mcfg, plan_rng(0, i)) for i, (g, d) in enumerate(zip(graphs, decs))]
+    plans = [build_plan(motif_table(g, d, mcfg.hop_k), mcfg, plan_rng(0, i))
+             for i, (g, d) in enumerate(zip(graphs, decs))]
     tg = TensorGraph.from_graphs(graphs, plans)
     offsets = np.cumsum([0] + [g.n_atoms for g in graphs[:-1]])
     masked = ([], [])
@@ -381,7 +382,7 @@ def test_from_graphs_matches_loop_and_lexsort_builder(seed, size, masked):
 def test_masked_batches_match_loop_and_lexsort_builder(corpus500, mask):
     graphs = odd_molecules() + corpus500
     decs = decompositions(graphs, default_rules())
-    plans = [build_plan(g, d, mask, plan_rng(mask.seed, i))
+    plans = [build_plan(motif_table(g, d, mask.hop_k), mask, plan_rng(mask.seed, i))
              for i, (g, d) in enumerate(zip(graphs, decs))]
     assert sum(bool(p.all_masked) for p in plans) > len(plans) // 2
     assert any(p.masked_nodes[0] != p.masked_nodes[1] for p in plans) == (mask.coverage < 1)
@@ -596,7 +597,7 @@ def _training_step_bits(graphs, store, cfg, targets, beta, zero_nodes=()):
     l_aux = None
     if beta < 1.0:
         l_aux, _ = aux_loss(readout(h, cfg.readout, tg.s.mol, len(tg.s.starts)),
-                            [morgan_fingerprint(g) for g in graphs], loss_cfg)
+                            fingerprint_bits(graphs), loss_cfg)
     total = total_loss(l_rec, l_aux, beta)
     store.zero_grad()
     total.backward()

@@ -6,7 +6,7 @@ from moama import autodiff as ad
 from moama import morgan_fingerprint, parse
 from moama.datagen import generate_corpus
 from moama.errors import NumericsError
-from moama.fingerprint import tanimoto_matrix
+from moama.fingerprint import fingerprint_bits, tanimoto_matrix
 from moama.gin import ATTRIBUTES, TARGETS, EncoderConfig, ParamStore
 from moama.loss import AUX_FORMS, LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
 from moama.train import RunConfig, pretrain
@@ -209,7 +209,7 @@ def test_sce_term_bits_equal_the_chain_at_any_width(width):
 
 def test_aux_identical_molecules_identical_embeddings_zero():
     g = parse("CCO")
-    fps = [morgan_fingerprint(g), morgan_fingerprint(g)]
+    fps = fingerprint_bits([g, g])
     h = ad.const(np.tile(np.array([1.0, 2.0, 3.0]), (2, 1)))
     lossv, pairs = aux_loss(h, fps, LossConfig())
     assert pairs == 1
@@ -218,16 +218,12 @@ def test_aux_identical_molecules_identical_embeddings_zero():
 
 def test_aux_matching_similarity_zero_term():
     # cosine of the two rows is 0.5; fingerprints engineered to tanimoto 0.5
-    from moama.fingerprint import Fingerprint
-
-    fa = Fingerprint(0b0011, 16, 2)
-    fb = Fingerprint(0b0110, 16, 2)  # intersection 1, union 3
-    fc = Fingerprint(0b0011, 16, 2)
+    fa, fb = [0b0011, 0], [0b0110, 0]  # 16-bit fingerprints: intersection 1, union 3
     h = ad.const(np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]]))  # cos = 0.5
-    lossv, _ = aux_loss(h, [fa, fc], LossConfig())  # tanimoto 1 vs cos 0.5
+    lossv, _ = aux_loss(h, np.array([fa, fa], dtype=np.uint8), LossConfig())  # tanimoto 1 vs cos 0.5
     assert lossv.item() == pytest.approx(0.25)
     h2 = ad.const(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    lossv2, _ = aux_loss(h2, [fa, fb], LossConfig())  # tanimoto 1/3 vs cos 1
+    lossv2, _ = aux_loss(h2, np.array([fa, fb], dtype=np.uint8), LossConfig())  # tanimoto 1/3 vs cos 1
     assert lossv2.item() == pytest.approx((1.0 / 3.0 - 1.0) ** 2)
 
 
@@ -243,7 +239,7 @@ def test_aux_three_graph_batch_matches_pair_oracle():
         for j in range(i + 1, 3):
             cos = h[i] @ h[j] / (np.linalg.norm(h[i]) * np.linalg.norm(h[j]))
             expected_terms.append((tanimoto(fps[i], fps[j]) - cos) ** 2)
-    lossv, pairs = aux_loss(ad.const(h), fps, LossConfig())
+    lossv, pairs = aux_loss(ad.const(h), fingerprint_bits(graphs), LossConfig())
     assert pairs == 3
     assert lossv.item() == pytest.approx(np.mean(expected_terms), rel=1e-9)
 
@@ -260,7 +256,7 @@ def test_aux_raw_difference_mode():
         for j in range(i + 1, 3):
             cos = h[i] @ h[j] / (np.linalg.norm(h[i]) * np.linalg.norm(h[j]))
             expected.append(tanimoto(fps[i], fps[j]) - cos)
-    lossv, _ = aux_loss(ad.const(h), fps, LossConfig(aux_form="raw_difference"))
+    lossv, _ = aux_loss(ad.const(h), fingerprint_bits(graphs), LossConfig(aux_form="raw_difference"))
     assert lossv.item() == pytest.approx(np.mean(expected), rel=1e-9)
 
 
@@ -272,18 +268,18 @@ def test_aux_small_batch_zero_flag():
 def test_aux_symmetric_under_batch_permutation():
     rng = np.random.default_rng(6)
     graphs = [parse(s) for s in ("CCO", "CCN", "c1ccccc1", "CCS")]
-    fps = [morgan_fingerprint(g) for g in graphs]
+    fps = fingerprint_bits(graphs)
     h = rng.normal(size=(4, 6))
     base = aux_loss(ad.const(h), fps, LossConfig())[0].item()
     perm = [2, 0, 3, 1]
-    shuffled = aux_loss(ad.const(h[perm]), [fps[i] for i in perm], LossConfig())[0].item()
+    shuffled = aux_loss(ad.const(h[perm]), fps[perm], LossConfig())[0].item()
     assert shuffled == pytest.approx(base, rel=1e-12)
 
 
 def test_aux_gradients_match_fd():
     rng = np.random.default_rng(7)
     graphs = [parse(s) for s in ("CCO", "CCN", "c1ccccc1")]
-    fps = [morgan_fingerprint(g) for g in graphs]
+    fps = fingerprint_bits(graphs)
     vals = rng.normal(size=(3, 6))
     param = ad.parameter(vals)
 
@@ -314,14 +310,14 @@ def _aux_loss_oracle(h_graphs, fingerprints, cfg):
 @pytest.mark.parametrize("aux_form", ["squared", "raw_difference"])
 def test_aux_bits_equal_the_chain_before_the_shared_cosine(aux_form):
     rng = np.random.default_rng(8)
-    fps = [morgan_fingerprint(parse(s)) for s in ("CCO", "CCN", "c1ccccc1", "CCS", "CC(=O)O", "C")]
+    fps = fingerprint_bits([parse(s) for s in ("CCO", "CCN", "c1ccccc1", "CCS", "CC(=O)O", "C")])
     cfg = LossConfig(aux_form=aux_form)
     for case in range(200):
         idx = rng.choice(len(fps), int(rng.integers(2, len(fps) + 1)), replace=False)
         h = _awkward_rows(rng, len(idx), int(rng.integers(1, 10)), 10.0 ** rng.uniform(-8, 3))
         runs = []
-        for aux in (lambda t: aux_loss(t, [fps[i] for i in idx], cfg)[0],
-                    lambda t: _aux_loss_oracle(t, [fps[i] for i in idx], cfg)):
+        for aux in (lambda t: aux_loss(t, fps[idx], cfg)[0],
+                    lambda t: _aux_loss_oracle(t, fps[idx], cfg)):
             param = ad.parameter(h.copy())
             lossv = aux(param)
             lossv.backward()
@@ -430,7 +426,7 @@ def test_sce_term_raises_exactly_when_the_composed_chain_raises(width):
 def test_alignment_term_raises_exactly_when_the_composed_chain_raises(aux_form):
     # a*b, a*a, their row sums or the norms' product |a| |b| overflows
     rng = np.random.default_rng(40)
-    fps = [morgan_fingerprint(parse(s)) for s in ("CCO", "CCN", "c1ccccc1", "CCS", "CC(=O)O", "C")]
+    fps = fingerprint_bits([parse(s) for s in ("CCO", "CCN", "c1ccccc1", "CCS", "CC(=O)O", "C")])
     cfg = LossConfig(aux_form=aux_form)
     raised = 0
     for case in range(300):
@@ -438,7 +434,7 @@ def test_alignment_term_raises_exactly_when_the_composed_chain_raises(aux_form):
         h = _awkward_rows(rng, len(idx), int(rng.integers(1, 10)), 1.0) * (
             10.0 ** rng.choice([0.0, 150.0, 153.0, 154.0, 155.0, 160.0, 200.0],
                                size=(len(idx), 1)))
-        outcomes = [_outcome(lambda t: aux(t, [fps[i] for i in idx], cfg)[0], h)
+        outcomes = [_outcome(lambda t: aux(t, fps[idx], cfg)[0], h)
                     for aux in (aux_loss, _composed_aux_loss)]
         assert outcomes[0] == outcomes[1], (aux_form, case)
         raised += outcomes[0] == "raises"

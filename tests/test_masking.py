@@ -10,12 +10,20 @@ from moama.masking import (
     _coverage_count,
     build_plan,
     eligible_motifs,
+    motif_table,
+    motif_tables,
     plan_rng,
 )
 from moama.molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, N_ATOM_TYPES, N_CHIRALITY, k_hop_neighborhood
 from moama.motif import BricsRule, EnvPattern, decompose, decompositions, motif_adjacency
 
-from conftest import bfs_oracle, eligible_motifs_oracle, odd_molecules, random_molgraph
+from conftest import (
+    bfs_oracle,
+    build_plan_oracle,
+    eligible_motifs_oracle,
+    odd_molecules,
+    random_molgraph,
+)
 
 # cuts every acyclic single or double bond: the bundled table leaves most
 # random graphs whole, this one splits them into several motifs
@@ -190,7 +198,7 @@ def test_build_plan_random_baseline_budget():
     g = parse("C" * 20)
     dec = decompose(g)
     cfg = MaskConfig(mode="random_baseline")
-    plan = build_plan(g, dec, cfg, np.random.default_rng(0))
+    plan = build_plan(motif_table(g, dec, cfg.hop_k), cfg, np.random.default_rng(0))
     assert plan.realized_alpha == pytest.approx(0.2)  # midpoint of (0.15, 0.25)
     assert plan.selected_motifs == ()
     assert plan.feasible
@@ -293,3 +301,39 @@ def test_one_coverage_loop_equals_the_two_branch_loop(corpus500, mode, coverage)
             assert plan == _two_branch_sample_motifs(g, dec, cfg, plan_rng(7, i, epoch), eligible)
             masked += len(plan.masked_nodes[0])
     assert masked > 0
+
+
+@pytest.mark.parametrize("hop_k", range(8))
+def test_table_plans_equal_the_decomposition_planner(corpus500, hop_k):
+    rng = np.random.default_rng(hop_k)
+    random_graphs = [random_molgraph(rng, n_min=2, n_max=16) for _ in range(100)]
+    cases = [(g, dec) for graphs, rules in ((corpus500 + odd_molecules(), None),
+                                           (random_graphs, _CUT_CHAIN_BONDS))
+             for g, dec in zip(graphs, decompositions(graphs, rules))]
+    # the baseline reads neither coverage nor the table's motifs
+    cfgs = [MaskConfig(hop_k=hop_k, mode="random_baseline")] + [
+        MaskConfig(hop_k=hop_k, mode=mode, coverage=coverage)
+        for mode in ("node_wise", "element_wise") for coverage in (1.0, 0.5, 0.7)]
+    masked = 0
+    for i, (g, dec) in enumerate(cases):
+        for cfg in cfgs:
+            table, = motif_tables([g], [dec], cfg)
+            for epoch in range(3):
+                plan = build_plan(table, cfg, plan_rng(7, i, epoch))
+                assert plan == build_plan_oracle(g, dec, cfg, plan_rng(7, i, epoch))
+                masked += len(plan.masked_nodes[0])
+    assert masked > 0
+
+
+@pytest.mark.parametrize("mode", ["node_wise", "element_wise"])
+def test_a_coverage_one_plan_draws_only_the_motif_shuffle(corpus500, mode):
+    cfg = MaskConfig(hop_k=2, mode=mode)
+    decomps = decompositions(corpus500, _CUT_CHAIN_BONDS)
+    selected = 0
+    for i, (g, dec) in enumerate(zip(corpus500, decomps)):
+        table = motif_table(g, dec, cfg.hop_k)
+        rng, shuffled = plan_rng(3, i), plan_rng(3, i)
+        selected += len(build_plan(table, cfg, rng).selected_motifs)
+        shuffled.permutation(len(table.eligible))
+        assert rng.bit_generator.state == shuffled.bit_generator.state
+    assert selected > 0

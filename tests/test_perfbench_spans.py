@@ -134,6 +134,12 @@ def test_pretrain_masks_every_planned_molecule_once(traced):
     assert calls["gin.TensorGraph.from_graphs"] == 4   # 2 epochs of 2 batches
 
 
+def test_pretrain_checks_mask_eligibility_once_per_molecule(traced):
+    # each molecule's motif table is built once per run, before epoch 1
+    _, _, calls, _ = traced["pretrain"]
+    assert calls["molgraph.k_hop_neighborhood"] == 40
+
+
 def test_influence_runs_no_backward(traced):
     _, _, calls, counters = traced["influence"]
     assert calls["autodiff.Tensor.backward"] == 0

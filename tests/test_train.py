@@ -10,7 +10,7 @@ from moama import autodiff as ad
 from moama import parse
 from moama.datagen import generate_corpus, has_carbonyl
 from moama.errors import ConfigError, DataError
-from moama.fingerprint import FingerprintConfig, morgan_fingerprints
+from moama.fingerprint import FingerprintConfig, fingerprint_bits, morgan_fingerprints, tanimoto_matrix
 from moama.gin import (
     EncoderConfig,
     ParamStore,
@@ -526,7 +526,8 @@ def test_empty_corpus_is_rejected_with_the_cli_message():
         pretrain([], DESK)
 
 
-def test_each_epoch_checks_mask_eligibility_once_per_molecule(small_corpus, monkeypatch):
+@pytest.mark.parametrize("mode", ["node_wise", "element_wise", "random_baseline"])
+def test_a_run_checks_mask_eligibility_once_per_molecule(small_corpus, monkeypatch, mode):
     import moama.masking
 
     calls = []
@@ -537,17 +538,39 @@ def test_each_epoch_checks_mask_eligibility_once_per_molecule(small_corpus, monk
         return real(g, v, k)
 
     monkeypatch.setattr(moama.masking, "k_hop_neighborhood", counting)
-    baseline = MaskConfig(hop_k=2, mode="random_baseline")
     counts = []
-    for cfg in (replace(DESK, epochs=1), replace(DESK, epochs=3),
-                replace(DESK, epochs=3, mask=baseline)):
+    for epochs in (1, 3):
         calls.clear()
-        pretrain(small_corpus, cfg)
+        pretrain(small_corpus, replace(DESK, epochs=epochs, mask=replace(DESK.mask, mode=mode)))
         counts.append(len(calls))
-    # each epoch plans every molecule with one BFS; the up-front check adds at least one
-    assert counts[1] - counts[0] == 2 * len(small_corpus)
-    assert counts[0] > len(small_corpus)
-    assert counts[2] == 0
+    # one BFS per molecule builds its table before epoch 1; epochs draw from it.
+    # The baseline's plans read only the atom counts, so it makes none.
+    assert counts == [0 if mode == "random_baseline" else len(small_corpus)] * 2
+
+
+def test_each_batch_aligns_with_its_own_fingerprints(small_corpus, monkeypatch):
+    import moama.train
+
+    batches, checked = [], []
+    real_tg, real_aux = moama.train.TensorGraph, moama.train.aux_loss
+
+    class Recording:
+        @staticmethod
+        def from_graphs(graphs, plans=None):
+            batches.append(list(graphs))
+            return real_tg.from_graphs(graphs, plans)
+
+    def checking(h_graphs, fingerprints, cfg):
+        # the run's bit matrix, sliced per batch: the batch's fingerprints in batch order
+        want = tanimoto_matrix(fingerprint_bits(batches[-1], FingerprintConfig(1, 64)))
+        assert bits(tanimoto_matrix(fingerprints)) == bits(want)
+        checked.append(len(batches[-1]))
+        return real_aux(h_graphs, fingerprints, cfg)
+
+    monkeypatch.setattr(moama.train, "TensorGraph", Recording)
+    monkeypatch.setattr(moama.train, "aux_loss", checking)
+    pretrain(small_corpus, replace(DESK, epochs=2, fp=FingerprintConfig(1, 64)))
+    assert checked == [16, 16, 16] * 2
 
 
 @pytest.mark.parametrize("mode", ["node_wise", "element_wise", "random_baseline"])
@@ -557,9 +580,9 @@ def test_rec_loss_gets_each_plans_entries_at_its_batch_offset(small_corpus, monk
     plans, checked = [], []
     real_plan, real_rec = moama.train.build_plan, moama.train.rec_loss
 
-    def planning(g, *args, **kwargs):
-        plan = real_plan(g, *args, **kwargs)
-        plans.append((g.n_atoms, plan))
+    def planning(table, *args, **kwargs):
+        plan = real_plan(table, *args, **kwargs)
+        plans.append((table.n_atoms, plan))
         return plan
 
     def checking(logits, x_true, masked, cfg):
