@@ -38,10 +38,11 @@ contract of each:
   ``gin_layer``'s neighbour sum is ``_segment_sum_values``, as
   ``segment_sum``'s is;
 - the backward replays the chain's accumulations in the order the tape ran
-  them. In ``gin_layer``, ``h`` takes ``g * (1 + eps)`` before the
-  ``edge_src`` scatter, the bond rows take theirs through ``_accum`` and a
-  learned ``eps`` the full sum. In the losses, a gathered row's gradient takes
-  the dot product's partial, then its norm's twice, before it is scattered, and
+  them. In ``gin_layer``, ``h`` takes ``g * (1 + eps)`` (scattered into
+  ``rows`` when given) before the ``edge_src`` scatter, the bond rows take
+  theirs through ``_accum`` and a learned ``eps`` the full sum. In the
+  losses, a row's gradient takes the dot product's partial, then its norm's
+  twice, before it is stored (``sce_term``) or scattered, and
   ``alignment_term`` scatters its first rows before its second;
 - the composed ops stored each intermediate gradient through ``_accum``,
   whose ``+ 0.0`` turns a -0.0 into +0.0. The fused backward skips those
@@ -52,8 +53,9 @@ contract of each:
 - its parents are ordered so that ``backward``'s DFS reaches tensors shared
   with other consumers in the composed tape's order: ``gin_layer`` lists the
   bond rows (read by every layer) before ``h`` (read by the readout and each
-  decoder); each loss has one parent, the tensor its chain gathered from
-  (a head's logits, the graph vectors);
+  decoder); each loss has one parent: ``sce_term`` the rows it scores (a
+  head's logits at masked nodes), ``alignment_term`` the graph vectors its
+  chain gathered from;
 - it checks for finiteness every intermediate whose overflow need not reach
   its output, so ``NumericsError`` fires exactly where the chain's tensors
   raised it: ``gin_layer`` its messages, z and pre-activation, each loss its
@@ -139,15 +141,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -156,9 +149,6 @@ class Tensor:
 
     def __pow__(self, p):
         return power(self, p)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
 def const(values) -> Tensor:
@@ -218,6 +208,7 @@ def _op(forward, *partials):
 add = _op(lambda a, b: a + b, lambda g, out, a, b: g, lambda g, out, a, b: g)
 sub = _op(lambda a, b: a - b, lambda g, out, a, b: g, lambda g, out, a, b: -g)
 mul = _op(lambda a, b: a * b, lambda g, out, a, b: g * b, lambda g, out, a, b: g * a)
+# no tape reads div; the benchmark's tracer names it (tests/test_perfbench_names.py)
 div = _op(lambda a, b: a / b, lambda g, out, a, b: g / b,
           lambda g, out, a, b: -g * a / (b * b))
 matmul = _op(lambda a, b: a @ b, lambda g, out, a, b: g @ b.T, lambda g, out, a, b: a.T @ g)
@@ -327,18 +318,22 @@ def segment_sum(a, segments, n_segments: int) -> Tensor:
     return _op(lambda a: _segment_sum_values(a, seg, n_segments), lambda g, out, a: g[seg])(a)
 
 
-def gin_layer(h, bond_embed, edge_src, edge_dst, n_nodes: int, eps, w1, b1, w2, b2,
+def gin_layer(h, bond_embed, edge_src, edge_dst, rows, eps, w1, b1, w2, b2,
               relu_out: bool) -> Tensor:
     """One GIN layer as one tape node:
     ``w2 . relu(w1 . ((1 + eps) h + sum_{src -> dst} (h[src] + bond)) + b1) + b2``,
-    rectified once more when ``relu_out``.
+    rectified once more when ``relu_out``, at the destination nodes ``rows``
+    (distinct node ids; None for every row of ``h``), one output row each.
 
-    ``bond_embed`` holds one row per edge (None when there are none) and
-    ``eps`` is a float or a 0-d tensor. The forward evaluates the numpy
-    expressions of the composed ops (take_rows, add, segment_sum, mul, add,
-    matmul, add, relu, matmul, add, relu) in their order, so every value keeps
-    its bits, and checks the messages, z, the pre-activation and the output for
-    finiteness: a non-finite value in any composed tensor reaches one of them.
+    ``edge_src`` and ``edge_dst`` list the edges into those nodes: each one's
+    source node and its destination's position in ``rows``. ``bond_embed``
+    holds one row per edge (None when there are none) and ``eps`` is a float
+    or a 0-d tensor. The forward evaluates the numpy expressions of the
+    composed ops (take_rows, add, segment_sum, mul, add, matmul, add, relu,
+    matmul, add, relu, with ``rows`` a take_rows of ``h`` of its own) in their
+    order, so every value keeps its bits, and checks the messages, z, the
+    pre-activation and the output for finiteness: a non-finite value in any
+    composed tensor reaches one of them.
     The backward replays the composed ops' accumulations (see the module
     docstring). With no input that requires a gradient, each intermediate is
     dropped as soon as the next step has used it.
@@ -353,17 +348,18 @@ def gin_layer(h, bond_embed, edge_src, edge_dst, n_nodes: int, eps, w1, b1, w2, 
     tape = any(p.requires_grad for p in parents)
 
     hv = h.values
+    base = hv if rows is None else hv[rows]
     if edge_src.size:
         messages = hv[edge_src]
         messages += bond_embed.values
         _check_finite(messages)
-        agg = _segment_sum_values(messages, edge_dst, n_nodes)
+        agg = _segment_sum_values(messages, edge_dst, len(base))
         del messages
-        z = hv * scale
+        z = base * scale
         z += agg
         del agg
     else:
-        z = hv * scale
+        z = base * scale
     _check_finite(z)
     hidden = z @ w1.values
     if not tape:
@@ -389,9 +385,15 @@ def gin_layer(h, bond_embed, edge_src, edge_dst, n_nodes: int, eps, w1, b1, w2, 
         _accum(b1, _unbroadcast(g_hidden, b1.values.shape))
         _accum(w1, z.T @ g_hidden)
         g_z = g_hidden @ w1.values.T
-        _accum(h, g_z * scale)          # before the edge_src scatter below
+        # before the edge_src scatter below
+        if rows is None:
+            _accum(h, g_z * scale)
+        elif h.requires_grad:
+            if h.grad is None:
+                h.grad = np.zeros(hv.shape)
+            _scatter_add(h.grad, rows, g_z * scale)
         if learned:
-            _accum(eps, _unbroadcast(g_z * hv, ()))
+            _accum(eps, _unbroadcast(g_z * base, ()))
         if edge_src.size:
             g_msg = g_z[edge_dst]
             _accum(bond_embed, g_msg)
@@ -438,21 +440,18 @@ def _cosine(a: np.ndarray, b: np.ndarray, unit_b: bool):
     return dot / den, back
 
 
-def sce_term(logits, idx, codes, gamma: float) -> Tensor:
-    """GraphMAE's scaled cosine error as one tape node: the mean over the rows
-    ``idx`` of ``logits`` of ``(1 - cos(row, one-hot of its code))^gamma``.
+def sce_term(rows, codes, gamma: float) -> Tensor:
+    """GraphMAE's scaled cosine error as one tape node: the mean over the
+    ``rows`` of ``(1 - cos(row, one-hot of its code))^gamma``.
 
-    It keeps the bits of ``take_rows``, the cosine (``_cosine``), ``1 - cos``,
-    ``power`` and ``tmean`` composed. The backward scatters the rows' gradient
-    into ``logits`` in index order, as ``take_rows`` does.
+    It keeps the bits of the cosine (``_cosine``), ``1 - cos``, ``power`` and
+    ``tmean`` composed.
     """
-    logits = _lift(logits)
-    idx = np.asarray(idx, dtype=np.int64)
+    rows = _lift(rows)
     gamma = float(gamma)
-    rows = logits.values[idx]
     target = np.zeros(rows.shape)
-    target[np.arange(idx.size), codes] = 1.0
-    cos, cos_back = _cosine(rows, target, unit_b=True)
+    target[np.arange(len(target)), codes] = 1.0
+    cos, cos_back = _cosine(rows.values, target, unit_b=True)
     gap = 1.0 - cos
     terms = np.power(gap, gamma)
     scale = 1.0 / terms.size
@@ -460,11 +459,9 @@ def sce_term(logits, idx, codes, gamma: float) -> Tensor:
     def back(g):
         g_gap = np.broadcast_to(g * scale, terms.shape) * gamma * np.power(gap, gamma - 1.0)
         (g_rows,) = cos_back(-g_gap)
-        if logits.grad is None:
-            logits.grad = np.zeros(logits.values.shape)
-        _scatter_add(logits.grad, idx, g_rows)
+        _accum(rows, g_rows)
 
-    return Tensor(terms.sum() * scale, _parents=(logits,), _backprop=back)
+    return Tensor(terms.sum() * scale, _parents=(rows,), _backprop=back)
 
 
 def alignment_term(h, ii, jj, sims, squared: bool) -> Tensor:

@@ -22,7 +22,7 @@ from .config import RunConfig, build_section, effective_config, format_effective
 from .errors import ConfigError, DataError, NumericsError, csv_text, write_output
 from .fingerprint import morgan_fingerprints
 from .influence import analyze_dataset
-from .masking import build_plan, motif_tables, plan_rng
+from .masking import PlanStreams, build_plan, motif_tables
 from .motif import decompositions
 from .smiles import read_dataset
 from .train import finetune_probe, load_checkpoint, loss_curve_rows, pretrain, save_checkpoint
@@ -115,8 +115,9 @@ def cmd_mask_preview(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     rows = []
     graphs = data.graphs()
     tables = motif_tables(graphs, decompositions(graphs, run.motif.rule_table()), run.mask)
+    streams = PlanStreams(run.mask.seed)
     for i, (rec, table) in enumerate(zip(data.records, tables)):
-        plan = build_plan(table, run.mask, plan_rng(run.mask.seed, i))
+        plan = build_plan(table, run.mask, streams.rng(i))
         rows.append([
             rec.smiles,
             int(plan.feasible),

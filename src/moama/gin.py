@@ -108,6 +108,12 @@ class TensorGraph(NamedTuple):
         return cls(s, s.x if plans is None else
                    np.concatenate([apply_mask(g, p) for g, p in zip(graphs, plans)]))
 
+    def masked_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending rows whose atom type, and whose chirality, the plans
+        masked: the mask codes lie outside the real code spaces."""
+        return (np.flatnonzero(self.x[:, 0] == MASK_ATOM_TYPE),
+                np.flatnonzero(self.x[:, 1] == MASK_CHIRALITY))
+
 
 class ParamStore:
     """Named parameter tensors plus per-parameter Adam moment buffers.
@@ -192,14 +198,14 @@ def encoder_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def param_shapes(cfg: EncoderConfig, targets: str) -> dict[str, tuple[int, ...]]:
+def param_shapes(cfg: EncoderConfig, targets: str | None) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter: the encoder's, the decoders' (``dec.*``) for
-    ``targets`` and the label head's (``head.*``), in the order ``init_params``
-    draws them. The label head has one output: fine-tuning reads one binary
-    label."""
+    ``targets`` (none when it is None, as fine-tuning needs) and the label
+    head's (``head.*``), in the order ``init_params`` draws them. The label
+    head has one output: fine-tuning reads one binary label."""
     k = cfg.embed_dim
     shapes = encoder_shapes(cfg)
-    for head, attrs in TARGETS[targets]:
+    for head, attrs in TARGETS[targets] if targets else ():
         out_dim = sum(ATTRIBUTES[a][1] for a in attrs)
         if cfg.decoder == "gnn":
             shapes.update(_mlp_block(f"dec.{head}", k, k))
@@ -213,7 +219,7 @@ def param_shapes(cfg: EncoderConfig, targets: str) -> dict[str, tuple[int, ...]]
     return shapes
 
 
-def init_params(cfg: EncoderConfig, targets: str = "atom_type", seed: int = 0) -> ParamStore:
+def init_params(cfg: EncoderConfig, targets: str | None = "atom_type", seed: int = 0) -> ParamStore:
     """Seeded init of ``param_shapes(cfg, targets)``: weights (2-D) uniform in
     +-1/sqrt(embed_dim), biases (1-D) zero, epsilons (0-D) at ``cfg.epsilon``."""
     shapes = param_shapes(cfg, targets)
@@ -234,11 +240,13 @@ def _epsilon(store: ParamStore, cfg: EncoderConfig, name: str):
     return cfg.epsilon
 
 
-def _gin_layer(h: Tensor, tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
-               prefix: str, bond_embed: Tensor | None, relu_out: bool = False) -> Tensor:
+def _gin_layer(h: Tensor, store: ParamStore, cfg: EncoderConfig, prefix: str, src, dst,
+               bond_embed: Tensor | None, rows=None, relu_out: bool = False) -> Tensor:
+    """The GIN layer named ``prefix`` at the nodes ``rows`` (None: every node)
+    over the edges into them (``autodiff.gin_layer``)."""
     w1, b1, w2, b2 = (store[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
-    return ad.gin_layer(h, bond_embed, tg.s.src, tg.s.dst, len(tg.x),
-                        _epsilon(store, cfg, prefix), w1, b1, w2, b2, relu_out)
+    return ad.gin_layer(h, bond_embed, src, dst, rows, _epsilon(store, cfg, prefix),
+                        w1, b1, w2, b2, relu_out)
 
 
 def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
@@ -247,10 +255,19 @@ def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return z @ store[f"{prefix}.w2"] + store[f"{prefix}.b2"]
 
 
-def _bond_embedding(tg: TensorGraph, store: ParamStore) -> Tensor | None:
-    if tg.s.src.size == 0:
-        return None
-    return ad.take_rows(store["embed.bond"], tg.s.order)
+def _bond_embedding(store: ParamStore, order: np.ndarray) -> Tensor | None:
+    """The bond embedding row of each edge, by its bond order code."""
+    return ad.take_rows(store["embed.bond"], order) if order.size else None
+
+
+def _in_edges(tg: TensorGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges into the distinct nodes ``rows``: their indices, ascending,
+    and each one's destination position in ``rows``."""
+    pos = np.full(len(tg.x), -1)
+    pos[rows] = np.arange(len(rows))
+    dst = pos[tg.s.dst]
+    edges = np.flatnonzero(dst >= 0)
+    return edges, dst[edges]
 
 
 def encode(tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
@@ -268,9 +285,10 @@ def encode(tg: TensorGraph, store: ParamStore, cfg: EncoderConfig,
         keep = np.ones((len(tg.x), 1))
         keep[list(zero_nodes), 0] = 0.0
         h = h * ad.const(keep)
-    bond_embed = _bond_embedding(tg, store)
+    bond_embed = _bond_embedding(store, tg.s.order)
     for layer in range(cfg.layers):
-        h = _gin_layer(h, tg, store, cfg, f"enc.{layer}", bond_embed, layer < cfg.layers - 1)
+        h = _gin_layer(h, store, cfg, f"enc.{layer}", tg.s.src, tg.s.dst, bond_embed,
+                       relu_out=layer < cfg.layers - 1)
     return h
 
 
@@ -289,26 +307,38 @@ def readout(h: Tensor, mode: str, graph_ids, n_graphs: int) -> Tensor:
     raise ValueError(f"unknown readout {mode!r}")
 
 
-def decode_attrs(tg: TensorGraph, h: Tensor, store: ParamStore,
-                 cfg: EncoderConfig, targets: str = "atom_type") -> dict[str, Tensor]:
-    """Per-node reconstruction rows keyed by attribute, in ``TARGETS`` order.
+def decode_attrs(tg: TensorGraph, h: Tensor, store: ParamStore, cfg: EncoderConfig,
+                 targets: str = "atom_type", masked=None) -> dict[str, Tensor]:
+    """Reconstruction rows keyed by attribute, in ``TARGETS`` order: one row
+    per node of ``masked[d]`` (default ``tg.masked_nodes()``), in its order,
+    for the attribute of column d.
 
-    The gnn decoder applies one more GIN layer over H (no re-masking) and a
-    linear projection; the mlp decoder is a per-node 2-layer MLP. A head that
-    holds two attributes is sliced into their column ranges.
+    Each head decodes only the nodes its attributes need (GraphMAE
+    reconstructs only masked nodes): the gnn decoder applies one more GIN
+    layer over H (no re-masking) at those nodes, reading their rows and
+    in-edges, then a linear projection; the mlp decoder is a per-node 2-layer
+    MLP on their rows. A head that holds two attributes decodes the union of
+    their nodes and is sliced into their column ranges, each gathered down to
+    its attribute's nodes where the union holds more.
     """
-    bond_embed = _bond_embedding(tg, store)
+    masked = tg.masked_nodes() if masked is None else masked
     out: dict[str, Tensor] = {}
     for head, attrs in TARGETS[targets]:
+        wanted = [np.asarray(masked[ATTRIBUTES[a][0]], dtype=np.int64) for a in attrs]
+        rows = np.unique(np.concatenate(wanted))
         if cfg.decoder == "gnn":
-            z = _gin_layer(h, tg, store, cfg, f"dec.{head}", bond_embed)
+            edges, dst = _in_edges(tg, rows)
+            z = _gin_layer(h, store, cfg, f"dec.{head}", tg.s.src[edges], dst,
+                           _bond_embedding(store, tg.s.order[edges]), rows)
             logits = z @ store[f"dec.{head}.proj.w"] + store[f"dec.{head}.proj.b"]
         else:
-            logits = _mlp(h, store, f"dec.{head}")
+            logits = _mlp(ad.take_rows(h, rows), store, f"dec.{head}")
         col = 0
-        for attr in attrs:
+        for attr, nodes in zip(attrs, wanted):
             width = ATTRIBUTES[attr][1]
-            out[attr] = logits if len(attrs) == 1 else ad.slice_cols(logits, col, col + width)
+            part = logits if len(attrs) == 1 else ad.slice_cols(logits, col, col + width)
+            out[attr] = part if np.array_equal(nodes, rows) else ad.take_rows(
+                part, np.searchsorted(rows, nodes))
             col += width
     return out
 

@@ -1,7 +1,9 @@
 """Reconstruction losses, the fingerprint-alignment auxiliary loss, and the
 beta-combined training objective.
 
-Reconstruction compares decoder rows at masked nodes against one-hot targets:
+Reconstruction compares decoder rows against one-hot targets. The decoder
+computes rows only at masked nodes (``gin.decode_attrs``), so each
+attribute's rows arrive already gathered, one per masked node:
   sce   mean of (1 - cos(target, row))^gamma over masked nodes, computed on
         the raw (softmax-free) rows; invariant to positive row rescaling
   ce    mean categorical cross-entropy of the softmaxed rows
@@ -53,13 +55,11 @@ class LossConfig:
             raise ValueError(f"aux_form must be one of {', '.join(AUX_FORMS)}")
 
 
-def _one_dim_loss(logits: Tensor, idx: np.ndarray, codes: np.ndarray,
-                  cfg: LossConfig) -> Tensor:
-    """One attribute's loss at the masked rows ``idx`` of ``logits``, whose
-    true codes are ``codes``."""
+def _one_dim_loss(rows: Tensor, codes: np.ndarray, cfg: LossConfig) -> Tensor:
+    """One attribute's loss over its masked nodes' ``rows``, whose true codes
+    are ``codes``."""
     if cfg.rec_kind == "sce":
-        return ad.sce_term(logits, idx, codes, cfg.gamma)
-    rows = ad.take_rows(logits, idx)
+        return ad.sce_term(rows, codes, cfg.gamma)
     onehot = np.zeros(rows.shape)
     onehot[np.arange(len(codes)), codes] = 1.0
     target = ad.const(onehot)
@@ -76,9 +76,10 @@ def rec_loss(logits: dict[str, Tensor], x_true: np.ndarray,
     """Reconstruction loss over masked nodes.
 
     ``x_true`` holds pre-mask attribute codes for the whole batch;
-    ``masked_nodes`` gives batch-level node indices per attribute dimension.
-    Returns (loss, number of masked entries); the loss is exactly 0 when
-    nothing is masked (infeasible-plan molecules).
+    ``masked_nodes`` gives batch-level node indices per attribute dimension,
+    and ``logits`` one row per node of them, in their order
+    (``gin.decode_attrs``). Returns (loss, number of masked entries); the loss
+    is exactly 0 when nothing is masked (empty plans).
     """
     terms = []
     n_masked = 0
@@ -87,8 +88,10 @@ def rec_loss(logits: dict[str, Tensor], x_true: np.ndarray,
         idx = np.asarray(masked_nodes[dim], dtype=np.int64)
         if idx.size == 0:
             continue
+        if logits[name].shape[0] != idx.size:
+            raise ValueError(f"{logits[name].shape[0]} {name} rows for {idx.size} masked nodes")
         n_masked += idx.size
-        terms.append(_one_dim_loss(logits[name], idx, x_true[idx, dim], cfg))
+        terms.append(_one_dim_loss(logits[name], x_true[idx, dim], cfg))
     if not terms:
         return ad.const(0.0), 0
     if len(terms) == 1:

@@ -21,8 +21,16 @@ holds only the atom count), and ``build_plan`` draws every epoch's plan from it.
 At coverage 1.0 a plan masks every node of each selected motif, so the
 shuffle of the eligible motifs is its only draw.
 
+A plan's draws come from a counter-based stream (Salmon et al., SC 2011): one
+``PlanStreams`` per run holds one Philox bit generator keyed by the mask seed,
+and each plan of molecule i in epoch e resets its whole state to the counter
+(0, 0, e, i). Draws advance only the low counter words, so no two plans share
+a stream, and a plan does not depend on which plans were drawn before it.
+
 Molecules where no selection can reach alpha_min (e.g. a single giant motif)
-keep an empty or undersized plan with ``feasible=False``.
+keep an empty or undersized plan with ``feasible=False``. Such a plan still
+masks the motifs it selected: they meet both selection criteria, and
+``train.pretrain`` trains on them.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ class MaskConfig:
             raise ValueError(f"mode must be one of {', '.join(MASK_MODES)}")
         if self.hop_k < 0:
             raise ValueError("hop_k must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed < 2 ** 128:   # the Philox key's width
+            raise ValueError("seed must be >= 0 and below 2**128")
 
 
 @dataclass(frozen=True)
@@ -208,10 +216,30 @@ def apply_mask(g: MolGraph, plan: MaskPlan) -> np.ndarray:
     return x
 
 
-def plan_rng(seed: int, molecule_index: int, epoch: int = 0) -> np.random.Generator:
-    """Per-molecule mask RNG: seed XOR molecule index, epoch as extra entropy.
+class PlanStreams:
+    """The plans' random streams of one run: one ``np.random.Philox`` keyed
+    by the mask seed, behind one Generator.
 
-    Stateless derivation keeps plans reproducible whatever order molecules are
-    planned in.
+    ``rng(i, epoch)`` resets the bit generator's whole state (counter
+    ``(0, 0, epoch, i)``, an empty output buffer and no cached 32-bit half)
+    and returns the Generator, so a plan's draws depend only on (seed, i,
+    epoch), whatever order molecules are planned in. Each call invalidates
+    the Generator it returned before: draw one plan at a time.
     """
-    return np.random.default_rng([seed ^ molecule_index, epoch])
+
+    def __init__(self, seed: int):
+        self._bits = np.random.Philox(key=seed)
+        self._rng = np.random.Generator(self._bits)
+        self._fresh = self._bits.state   # counter 0, buffer empty, no 32-bit half
+
+    def rng(self, molecule_index: int, epoch: int = 0) -> np.random.Generator:
+        self._fresh["state"]["counter"][2:] = (epoch, molecule_index)
+        self._bits.state = self._fresh
+        return self._rng
+
+
+def plan_rng(seed: int, molecule_index: int, epoch: int = 0) -> np.random.Generator:
+    """The stream of one plan (``PlanStreams``), on a stream object of its
+    own: the draws of molecule ``molecule_index`` in ``epoch`` under mask
+    seed ``seed``."""
+    return PlanStreams(seed).rng(molecule_index, epoch)

@@ -2,9 +2,10 @@
 binary checkpoint format.
 
 All randomness is derived statelessly: the epoch shuffle comes from
-(seed, epoch) and each molecule's mask plan from (mask seed XOR molecule
-index, epoch), so runs are bit-reproducible and resuming from a checkpoint
-matches an uninterrupted run exactly.
+(seed, epoch) and each molecule's mask plan from the run's Philox stream keyed
+by the mask seed, at the counter (0, 0, epoch, molecule index)
+(``masking.PlanStreams``), so runs are bit-reproducible and resuming from a
+checkpoint matches an uninterrupted run exactly.
 
 Checkpoint layout (little-endian):
   magic "MOAM" | u32 version | u32 len + config JSON | u32 len + RNG JSON |
@@ -39,8 +40,8 @@ from .gin import (
     readout,
 )
 from .loss import aux_loss, rec_loss, total_loss
-from .masking import build_plan, motif_tables, plan_rng
-from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph, stack
+from .masking import PlanStreams, build_plan, motif_tables
+from .molgraph import MolGraph, stack
 from .motif import decompositions
 
 CHECKPOINT_MAGIC = b"MOAM"
@@ -212,11 +213,13 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
     and, when the auxiliary loss is on, the packed bit matrix
     of every fingerprint (``fingerprint.fingerprint_bits``) are built once for
     the run. Per epoch: fresh mask plans per molecule, drawn from its table
-    (nothing is drawn past the motif shuffle at coverage 1.0), encode the
-    masked attributes, decode, combine losses (each batch's Tanimoto matrix
-    from its rows of the bit matrix), one Adam step per batch. An infeasible
-    plan (one that stays at or below ``alpha_min``) still masks the motifs it
-    selected; only a molecule whose plan is empty adds no reconstruction
+    and the run's plan streams (``masking.PlanStreams``; nothing is drawn
+    past the motif shuffle at coverage 1.0), encode the masked attributes,
+    decode the masked rows only (``gin.decode_attrs``), combine losses (each
+    batch's Tanimoto matrix from its rows of the bit matrix), one Adam step
+    per batch. An infeasible plan (one that stays at or below ``alpha_min``)
+    still masks the motifs it selected, by design: each meets both selection
+    criteria. Only a molecule whose plan is empty adds no reconstruction
     loss. A batch whose loss is a constant (nothing masked, no pair to align)
     takes no Adam step, and its loss still counts in the epoch means.
     Settings that leave every batch nothing to learn fail before the first
@@ -246,6 +249,7 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
 
     use_aux = cfg.loss.beta < 1.0
     fp_bits = fingerprint_bits(graphs, cfg.fp) if use_aux else None
+    streams = PlanStreams(cfg.mask.seed)
 
     curve: list[EpochStats] = []
     n = len(graphs)
@@ -258,17 +262,14 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
         for lo in range(0, n, cfg.batch_pretrain):
             batch_idx = order[lo:lo + cfg.batch_pretrain]
             batch_graphs = [graphs[i] for i in batch_idx]
-            plans = [build_plan(tables[i], cfg.mask,
-                                plan_rng(cfg.mask.seed, int(i), epoch_resample))
+            plans = [build_plan(tables[i], cfg.mask, streams.rng(int(i), epoch_resample))
                      for i in batch_idx]
             n_feasible += sum(p.feasible for p in plans)
             tg = TensorGraph.from_graphs(batch_graphs, plans)
-            # mask codes lie outside the real code spaces: they mark the plans
-            masked = (np.flatnonzero(tg.x[:, 0] == MASK_ATOM_TYPE),
-                      np.flatnonzero(tg.x[:, 1] == MASK_CHIRALITY))
+            masked = tg.masked_nodes()
 
             h = encode(tg, store, cfg.encoder)
-            logits = decode_attrs(tg, h, store, cfg.encoder, cfg.loss.targets)
+            logits = decode_attrs(tg, h, store, cfg.encoder, cfg.loss.targets, masked)
             l_rec, _ = rec_loss(logits, tg.s.x, masked, cfg.loss)
             l_aux = None
             if use_aux:
@@ -463,10 +464,7 @@ def finetune_probe(pretrained: ParamStore | None, graphs, labels,
         if len(set(labels[idx])) < 2:
             raise DataError(f"single-class {name} split; AUC undefined")
 
-    # drawn with the decoders, which come first, so the head keeps its initial
-    # bits; then the decoders are dropped: nothing here reads them
-    drawn = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed + 104729)
-    store = ParamStore({n: t for n, t in drawn.params.items() if not n.startswith("dec.")})
+    store = init_params(cfg.encoder, None, seed=cfg.seed + 104729)   # no decoders
     if pretrained is not None:
         # only the encoder transfers; the head is fresh
         store.load_values(pretrained, check_encoder_tensors(pretrained, cfg.encoder))

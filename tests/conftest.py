@@ -9,8 +9,9 @@ and the validate-then-build constructor they replaced, the corpus-wide
 rule-matching kernel via the per-atom closure matcher it replaced,
 ``molgraph.stack`` via the edge stacker, the narrow-typed rule-matching corpus
 and the bond-loop ring marks it replaced, and mask eligibility via the
-per-motif BFS it replaced, and table-based mask planning via the
-decomposition-based planner it replaced.
+per-motif BFS it replaced, table-based mask planning via the
+decomposition-based planner it replaced, and the masked-row decoders via the
+full decoder and the gathering loss they replaced.
 
 ``single``, ``relabel`` and ``shortest_path_lengths`` are helpers that only
 the tests use.
@@ -25,10 +26,12 @@ from collections import deque
 import numpy as np
 import pytest
 
+from moama import autodiff as ad
 from moama import parse
 from moama.errors import SmilesError
 from moama.fingerprint import hash_rows, refine
 from moama.gin import EncoderConfig, TensorGraph
+from moama.loss import _one_dim_loss
 from moama.masking import MaskPlan, _coverage_count, eligible_motifs, random_mask
 from moama.molgraph import (
     CHIRALITY_NONE,
@@ -755,3 +758,72 @@ def scaffold_keys_ring_loop_oracle(graphs) -> list[str]:
     by_mol = codes[np.lexsort((codes, mol))]
     final = hash_rows([n_kept], by_mol, n_kept)
     return [format(h, "016x") if k else "" for h, k in zip(final.tolist(), n_kept.tolist())]
+
+
+# --- the full decoder --------------------------------------------------------
+# The decoders as they were before they read only masked nodes: every node's
+# rows, one composed op per step, and the reconstruction loss that gathered
+# the masked rows from them, with the if-chain of heads and the target test
+# that ``gin.TARGETS`` replaced. ``gin.decode_attrs`` and ``loss.rec_loss``
+# match them within rounding.
+
+def heads_oracle(targets):
+    """(head, width) of each decoder head of ``targets``."""
+    if targets == "atom_type":
+        return (("atom", 119),)
+    if targets == "chirality":
+        return (("chir", 4),)
+    if targets == "both_one_decoder":
+        return (("joint", 119 + 4),)
+    if targets == "both_two_decoders":
+        return (("atom", 119), ("chir", 4))
+    raise ValueError(targets)
+
+
+def decode_attrs_full_oracle(tg, h, store, cfg, targets):
+    """Every node's reconstruction rows, keyed by attribute."""
+    out = {}
+    if tg.s.src.size:   # one bond lookup, shared by the heads
+        bond = ad.take_rows(store["embed.bond"], tg.s.order)
+    for head, _ in heads_oracle(targets):
+        p = f"dec.{head}"
+        if cfg.decoder == "gnn":
+            eps = store[f"{p}.eps"] if cfg.learn_epsilon else cfg.epsilon
+            z = h * (1.0 + eps)
+            if tg.s.src.size:
+                z = z + ad.segment_sum(ad.take_rows(h, tg.s.src) + bond,
+                                       tg.s.dst, len(tg.x))
+            z = ad.relu(z @ store[f"{p}.w1"] + store[f"{p}.b1"])
+            z = z @ store[f"{p}.w2"] + store[f"{p}.b2"]
+            logits = z @ store[f"{p}.proj.w"] + store[f"{p}.proj.b"]
+        else:
+            z = ad.relu(h @ store[f"{p}.w1"] + store[f"{p}.b1"])
+            logits = z @ store[f"{p}.w2"] + store[f"{p}.b2"]
+        if head == "joint":
+            out["atom_type"] = ad.slice_cols(logits, 0, 119)
+            out["chirality"] = ad.slice_cols(logits, 119, 119 + 4)
+        elif head == "atom":
+            out["atom_type"] = logits
+        else:
+            out["chirality"] = logits
+    return out
+
+
+def rec_loss_full_oracle(logits, x_true, masked, cfg):
+    """(loss, masked entries) over every node's rows ``logits``, gathered at
+    the masked nodes."""
+    terms, n_masked = [], 0
+    for name in logits:
+        dim = {"atom_type": 0, "chirality": 1}[name]
+        idx = np.asarray(masked[dim], dtype=np.int64)
+        if idx.size == 0:
+            continue
+        n_masked += idx.size
+        terms.append(_one_dim_loss(ad.take_rows(logits[name], idx), x_true[idx, dim], cfg))
+    if not terms:
+        return ad.const(0.0), 0
+    if len(terms) == 1:
+        return terms[0], n_masked
+    if cfg.targets == "both_two_decoders":
+        return (terms[0] + terms[1]) * 0.5, n_masked
+    return terms[0] + terms[1], n_masked

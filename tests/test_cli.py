@@ -17,6 +17,9 @@ from moama.datagen import write_corpus_csv
 from moama.gin import MAX_EMBED_DIM, MAX_LAYERS, EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
 from moama.errors import DataError, write_output
+from moama.masking import MaskConfig, build_plan, motif_tables, plan_rng
+from moama.motif import decompositions, default_rules
+from moama.smiles import parse
 from moama.train import load_checkpoint, save_checkpoint
 
 
@@ -51,6 +54,27 @@ def test_mask_preview_columns(mols_csv, tmp_path):
     assert feasible
     for r in feasible:
         assert 0.15 < float(r["realized_alpha"]) < 0.25
+
+
+def test_mask_preview_plans_are_the_one_plan_helpers(tmp_path):
+    # one stream object serves every row; each row resets it fully, so the
+    # draw-heavy element-wise plans equal those of a stream of their own
+    data = tmp_path / "mols.csv"
+    write_corpus_csv(data, 60, seed=3)
+    out = tmp_path / "out"
+    settings = ["mask.mode=element_wise", "mask.coverage=0.5", "mask.hop_k=2"]
+    assert main(["mask-preview", "--out", str(out), "--seed", "4", "--set", f"data.input={data}",
+                 *(a for kv in settings for a in ("--set", kv))]) == 0
+    graphs = [parse(r["smiles"]) for r in _read_rows(data)]
+    cfg = MaskConfig(mode="element_wise", coverage=0.5, hop_k=2, seed=4)
+    tables = motif_tables(graphs, decompositions(graphs, default_rules()), cfg)
+    rows = _read_rows(out / "mask_plans.csv")
+    assert len(rows) == len(graphs)
+    for i, (row, table) in enumerate(zip(rows, tables)):
+        plan = build_plan(table, cfg, plan_rng(4, i))
+        assert (row["masked_atom_type"], row["masked_chirality"]) == tuple(
+            "|".join(map(str, nodes)) for nodes in plan.masked_nodes)
+    assert any(r["masked_atom_type"] != r["masked_chirality"] for r in rows)
 
 
 def test_fingerprint_hex_output(mols_csv, tmp_path):
@@ -765,7 +789,8 @@ def test_a_config_file_line_without_equals_is_a_config_error(mols_csv, tmp_path,
     (["foo"], "--set expects KEY=VALUE, got 'foo'"),
     (["mask.hop_k=-1"], "mask.hop_k must be >= 0"),
     (["run.seed=-1", "mask.seed=0"], "run.seed must be >= 0"),
-], ids=["set_without_equals", "negative_hop_k", "negative_run_seed"])
+    ([f"mask.seed={2 ** 128}"], "mask.seed must be >= 0 and below 2**128"),
+], ids=["set_without_equals", "negative_hop_k", "negative_run_seed", "mask_seed_past_the_key"])
 def test_bad_settings_are_config_errors(mols_csv, tmp_path, capsys, settings, err):
     argv = ["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}"]
     argv += [a for kv in settings for a in ("--set", kv)]

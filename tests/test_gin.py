@@ -7,7 +7,9 @@ from moama import autodiff as ad
 from moama import gin, parse
 from moama.errors import NumericsError
 from moama.fingerprint import fingerprint_bits
+from moama.datagen import generate_corpus
 from moama.gin import (
+    ATTRIBUTES,
     TARGETS,
     EncoderConfig,
     ParamStore,
@@ -19,12 +21,13 @@ from moama.gin import (
     predict_label,
     readout,
 )
-from moama.loss import LossConfig, _one_dim_loss, aux_loss, rec_loss, total_loss
-from moama.masking import MaskConfig, MaskPlan, build_plan, motif_table, plan_rng
+from moama.loss import LossConfig, aux_loss, rec_loss, total_loss
+from moama.masking import MaskConfig, MaskPlan, build_plan, motif_table, motif_tables, plan_rng
 from moama.molgraph import BOND_ORDER_INDEX, AtomAttr, MolGraph
 from moama.motif import decompositions, default_rules
 
-from conftest import (bits, encode_oracle, odd_molecules, random_molgraph, relabel,
+from conftest import (bits, decode_attrs_full_oracle, encode_oracle, heads_oracle,
+                      odd_molecules, random_molgraph, rec_loss_full_oracle, relabel,
                       shortest_path_lengths, single)
 
 
@@ -122,8 +125,9 @@ def test_mlp_decoder_ignores_graph_structure():
     g1 = parse("CCCC")
     g2 = parse("CC(C)C")  # same atoms, different edges
     h = ad.const(np.random.default_rng(0).normal(size=(4, 8)))
-    l1 = decode_attrs(single(g1), h, store, cfg)["atom_type"].values
-    l2 = decode_attrs(single(g2), h, store, cfg)["atom_type"].values
+    every = (np.arange(4), np.arange(4))
+    l1 = decode_attrs(single(g1), h, store, cfg, masked=every)["atom_type"].values
+    l2 = decode_attrs(single(g2), h, store, cfg, masked=every)["atom_type"].values
     assert np.array_equal(l1, l2)
 
 
@@ -132,7 +136,7 @@ def test_gnn_decoder_on_isolated_node_equals_self_term():
     store = init_params(cfg, seed=7)
     g = parse("C")
     h = ad.const(np.random.default_rng(1).normal(size=(1, 8)))
-    got = decode_attrs(single(g), h, store, cfg)["atom_type"].values
+    got = decode_attrs(single(g), h, store, cfg, masked=([0], [0]))["atom_type"].values
     p = {n: t.values for n, t in store.params.items()}
     z = np.maximum(h.values * (1 + cfg.epsilon) @ p["dec.atom.w1"] + p["dec.atom.b1"], 0.0)
     z = z @ p["dec.atom.w2"] + p["dec.atom.b2"]
@@ -143,6 +147,7 @@ def test_gnn_decoder_on_isolated_node_equals_self_term():
 def test_logit_shapes_per_target():
     g = parse("CCO")
     tg = single(g)
+    masked = ([2, 0], [1])   # one row per masked node, in this order
     for targets, keys in (
         ("atom_type", {"atom_type": 119}),
         ("chirality", {"chirality": 4}),
@@ -152,9 +157,14 @@ def test_logit_shapes_per_target():
         cfg = EncoderConfig(layers=1, embed_dim=8)
         store = init_params(cfg, targets=targets, seed=8)
         h = encode(tg, store, cfg)
-        logits = decode_attrs(tg, h, store, cfg, targets)
+        logits = decode_attrs(tg, h, store, cfg, targets, masked)
         assert {k: v.values.shape[1] for k, v in logits.items()} == keys
-        assert all(v.values.shape[0] == 3 for v in logits.values())
+        assert {k: v.values.shape[0] for k, v in logits.items()} == {
+            k: len(masked[ATTRIBUTES[k][0]]) for k in keys}
+        every = decode_attrs(tg, h, store, cfg, targets, ([0, 1, 2], [0, 1, 2]))
+        for k, v in logits.items():
+            rows = every[k].values[masked[ATTRIBUTES[k][0]]]
+            np.testing.assert_allclose(v.values, rows, rtol=1e-12, atol=0)
 
 
 def test_predict_label_zero_weights_gives_half_probability():
@@ -433,22 +443,10 @@ def test_learnable_epsilon_matches_oracle_and_gets_gradient():
     assert eps.grad.reshape(-1)[0] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
-# --- reference decoders -----------------------------------------------------
-# The if-chain of decoder heads and widths, decode_attrs' per-head branches
-# and rec_loss's target test that the TARGETS table replaced, kept as the
-# oracle. The MLP forward is written out, as each copy of it was.
-
-def _heads_oracle(targets):
-    if targets == "atom_type":
-        return (("atom", 119),)
-    if targets == "chirality":
-        return (("chir", 4),)
-    if targets == "both_one_decoder":
-        return (("joint", 119 + 4),)
-    if targets == "both_two_decoders":
-        return (("atom", 119), ("chir", 4))
-    raise ValueError(targets)
-
+# --- reference parameter shapes ----------------------------------------------
+# The if-chain of decoder heads and widths that the TARGETS table replaced
+# (``conftest.heads_oracle``), kept as the oracle of the shapes and the order
+# ``init_params`` draws them in.
 
 def _param_shapes_oracle(cfg, targets):
     k = cfg.embed_dim
@@ -462,7 +460,7 @@ def _param_shapes_oracle(cfg, targets):
         shapes.update(block(f"enc.{layer}", k))
         if cfg.learn_epsilon:
             shapes[f"enc.{layer}.eps"] = ()
-    for head, out_dim in _heads_oracle(targets):
+    for head, out_dim in heads_oracle(targets):
         if cfg.decoder == "gnn":
             shapes.update(block(f"dec.{head}", k))
             if cfg.learn_epsilon:
@@ -475,61 +473,26 @@ def _param_shapes_oracle(cfg, targets):
     return shapes
 
 
-def _decode_attrs_oracle(tg, h, store, cfg, targets):
-    out = {}
-    if tg.s.src.size:   # one bond lookup, shared by the heads
-        bond = ad.take_rows(store["embed.bond"], tg.s.order)
-    for head, _ in _heads_oracle(targets):
-        p = f"dec.{head}"
-        if cfg.decoder == "gnn":
-            eps = store[f"{p}.eps"] if cfg.learn_epsilon else cfg.epsilon
-            z = h * (1.0 + eps)
-            if tg.s.src.size:
-                z = z + ad.segment_sum(ad.take_rows(h, tg.s.src) + bond,
-                                       tg.s.dst, len(tg.x))
-            z = ad.relu(z @ store[f"{p}.w1"] + store[f"{p}.b1"])
-            z = z @ store[f"{p}.w2"] + store[f"{p}.b2"]
-            logits = z @ store[f"{p}.proj.w"] + store[f"{p}.proj.b"]
-        else:
-            z = ad.relu(h @ store[f"{p}.w1"] + store[f"{p}.b1"])
-            logits = z @ store[f"{p}.w2"] + store[f"{p}.b2"]
-        if head == "joint":
-            out["atom_type"] = ad.slice_cols(logits, 0, 119)
-            out["chirality"] = ad.slice_cols(logits, 119, 119 + 4)
-        elif head == "atom":
-            out["atom_type"] = logits
-        else:
-            out["chirality"] = logits
-    return out
-
-
-def _rec_loss_oracle(logits, x_true, masked, cfg):
-    terms, n_masked = [], 0
-    for name in logits:
-        dim = {"atom_type": 0, "chirality": 1}[name]
-        idx = np.asarray(masked[dim], dtype=np.int64)
-        if idx.size == 0:
-            continue
-        n_masked += idx.size
-        terms.append(_one_dim_loss(logits[name], idx, x_true[idx, dim], cfg))
-    if not terms:
-        return ad.const(0.0), 0
-    if len(terms) == 1:
-        return terms[0], n_masked
-    if cfg.targets == "both_two_decoders":
-        return (terms[0] + terms[1]) * 0.5, n_masked
-    return terms[0] + terms[1], n_masked
-
-
 def _predict_label_oracle(h_graph, store):
     z = ad.relu(h_graph @ store["head.w1"] + store["head.b1"])
     return z @ store["head.w2"] + store["head.b2"]
 
 
+def _coverage_half_batch(mode):
+    """A batch of datagen molecules masked by coverage-0.5 plans."""
+    graphs = [parse("C")] + [parse(smi) for smi in generate_corpus(10, seed=5)]
+    mask = MaskConfig(mode=mode, coverage=0.5, hop_k=2)
+    tables = motif_tables(graphs, decompositions(graphs, default_rules()), mask)
+    return TensorGraph.from_graphs(graphs, [build_plan(t, mask, plan_rng(5, i))
+                                            for i, t in enumerate(tables)])
+
+
+@pytest.mark.parametrize("mode", ["node_wise", "element_wise"])
 @pytest.mark.parametrize("learn_epsilon", [False, True], ids=["fixed_eps", "learn_eps"])
 @pytest.mark.parametrize("decoder", ["gnn", "mlp"])
 @pytest.mark.parametrize("targets", list(TARGETS))
-def test_decoders_and_losses_equal_the_decoder_heads_oracle(targets, decoder, learn_epsilon):
+def test_masked_rows_decoders_match_the_full_decoder_oracle(targets, decoder, learn_epsilon,
+                                                            mode):
     cfg = EncoderConfig(layers=2, embed_dim=8, decoder=decoder, learn_epsilon=learn_epsilon,
                         epsilon=0.25)
     shapes = param_shapes(cfg, targets)
@@ -541,28 +504,34 @@ def test_decoders_and_losses_equal_the_decoder_heads_oracle(targets, decoder, le
             want = rng.uniform(-bound, bound, size=shape)
             assert np.array_equal(store[name].values.view(np.uint64), want.view(np.uint64))
 
-    rng = np.random.default_rng(5)
-    graphs = [parse("C")] + [random_molgraph(rng, 2, 9) for _ in range(5)]
-    tg = TensorGraph.from_graphs(graphs)
-    x_true = np.concatenate([g.X for g in graphs])
-    masked = (np.flatnonzero(rng.random(len(tg.x)) < 0.4),
-              np.flatnonzero(rng.random(len(tg.x)) < 0.3))
+    tg = _coverage_half_batch(mode)
+    masked = tg.masked_nodes()
+    assert 0 < masked[0].size < len(tg.x) // 2
+    assert np.array_equal(*masked) == (mode == "node_wise")
     for kind in ("sce", "ce", "mse"):
         loss_cfg = LossConfig(rec_kind=kind, targets=targets, gamma=2.0)
         seen = []
         for decode, rec, predict in ((decode_attrs, rec_loss, predict_label),
-                                     (_decode_attrs_oracle, _rec_loss_oracle,
+                                     (decode_attrs_full_oracle, rec_loss_full_oracle,
                                       _predict_label_oracle)):
             h = encode(tg, store, cfg)
             logits = decode(tg, h, store, cfg, targets)
-            loss, n_masked = rec(logits, x_true, masked, loss_cfg)
+            loss, n_masked = rec(logits, tg.s.x, masked, loss_cfg)
             label = predict(readout(h, "mean", tg.s.mol, len(tg.s.starts)), store)
             store.zero_grad()
             (loss + ad.tmean(label)).backward()
-            seen.append(([(k, bits(v)) for k, v in logits.items()], bits(loss), n_masked,
-                         bits(label), [(n, bits(store[n].grad))
-                                       for n in store.names() if store[n].grad is not None]))
-        assert seen[0] == seen[1]
+            seen.append((logits, loss.item(), n_masked, bits(label),
+                         {n: store[n].grad for n in store.names() if store[n].grad is not None}))
+        (logits, loss, n_masked, label, grads), (full, *want, want_grads) = seen
+        assert (n_masked, label) == tuple(want[1:])
+        assert list(logits) == list(full)
+        for name, rows in logits.items():   # one row per masked node of its attribute
+            nodes = masked[ATTRIBUTES[name][0]]
+            np.testing.assert_allclose(rows.values, full[name].values[nodes], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(loss, want[0], rtol=1e-12, atol=0)
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-12, atol=0, err_msg=name)
 
 
 # --- reference GIN layer ----------------------------------------------------
@@ -570,14 +539,15 @@ def test_decoders_and_losses_equal_the_decoder_heads_oracle(targets, decoder, le
 # per op, with the rectifier between layers as a node of its own. Kept as the
 # oracle for the fused op's values and its gradients' bits.
 
-def _gin_layer_oracle(h, tg, store, cfg, prefix, bond_embed, relu_out=False):
+def _gin_layer_oracle(h, store, cfg, prefix, src, dst, bond_embed, rows=None, relu_out=False):
     eps = store[f"{prefix}.eps"] if cfg.learn_epsilon else cfg.epsilon
-    if tg.s.src.size:
-        messages = ad.take_rows(h, tg.s.src) + bond_embed
-        agg = ad.segment_sum(messages, tg.s.dst, len(tg.x))
-        z = h * (1.0 + eps) + agg
+    base = h if rows is None else ad.take_rows(h, rows)
+    if src.size:
+        messages = ad.take_rows(h, src) + bond_embed
+        agg = ad.segment_sum(messages, dst, len(base.values))
+        z = base * (1.0 + eps) + agg
     else:
-        z = h * (1.0 + eps)
+        z = base * (1.0 + eps)
     z = ad.relu(z @ store[f"{prefix}.w1"] + store[f"{prefix}.b1"])
     out = z @ store[f"{prefix}.w2"] + store[f"{prefix}.b2"]
     return ad.relu(out) if relu_out else out
@@ -585,14 +555,15 @@ def _gin_layer_oracle(h, tg, store, cfg, prefix, bond_embed, relu_out=False):
 
 def _training_step_bits(graphs, store, cfg, targets, beta, zero_nodes=()):
     """Bits of H, the logits, the loss and every gradient of one pretrain-like
-    step: decoders and (when beta < 1) the readout's aux loss all read H."""
+    step: decoders (at the masked rows only) and (when beta < 1) the readout's
+    aux loss all read H."""
     tg = TensorGraph.from_graphs(graphs)
     rng = np.random.default_rng(len(tg.x))
     masked = (np.flatnonzero(rng.random(len(tg.x)) < 0.5),
               np.flatnonzero(rng.random(len(tg.x)) < 0.5))
     loss_cfg = LossConfig(targets=targets, beta=beta)
     h = encode(tg, store, cfg, zero_nodes)
-    logits = decode_attrs(tg, h, store, cfg, targets)
+    logits = decode_attrs(tg, h, store, cfg, targets, masked)
     l_rec, _ = rec_loss(logits, np.concatenate([g.X for g in graphs]), masked, loss_cfg)
     l_aux = None
     if beta < 1.0:
@@ -636,23 +607,28 @@ def test_fused_layer_keeps_the_composed_layers_bits(monkeypatch, width, learn_ep
             {"embed.bond"} if batch == "bondless" else set())
 
 
-def test_fused_layer_input_gradients_match_the_composed_ops():
+@pytest.mark.parametrize("subset", [False, True], ids=["every_row", "row_subset"])
+def test_fused_layer_input_gradients_match_the_composed_ops(subset):
     # h and the bond rows as parameters with a second consumer each, read
-    # before and after the layer; the incoming gradient holds zero rows
+    # before and after the layer; the incoming gradient holds zero rows. The
+    # row subset is unsorted and holds nodes with and without in-edges.
     rng = np.random.default_rng(9)
     g = random_molgraph(rng, 6, 10)
     tg = single(g)
     cfg = EncoderConfig(layers=1, embed_dim=8, learn_epsilon=True, epsilon=-0.2)
     store = init_params(cfg, seed=9)
+    rows = rng.permutation(len(tg.x))[:4] if subset else None
+    edges, dst = gin._in_edges(tg, rows) if subset else (np.arange(tg.s.src.size), tg.s.dst)
+    assert edges.size
     h0 = rng.normal(size=(len(tg.x), 8))
-    bond0 = rng.normal(size=(tg.s.src.size, 8))
-    coef = rng.choice([-1.0, 0.0, -0.0, 2.0], size=(len(tg.x), 8))
+    bond0 = rng.normal(size=(edges.size, 8))
+    coef = rng.choice([-1.0, 0.0, -0.0, 2.0], size=(len(tg.x) if rows is None else 4, 8))
     coef[1] = -0.0
     seen = []
     for layer in (gin._gin_layer, _gin_layer_oracle):
         h, bond = ad.parameter(h0.copy()), ad.parameter(bond0.copy())
         store.zero_grad()
-        out = layer(h, tg, store, cfg, "enc.0", bond, True)
+        out = layer(h, store, cfg, "enc.0", tg.s.src[edges], dst, bond, rows, True)
         loss = ad.tsum(out * ad.const(coef)) + ad.tsum(h * h) + ad.tsum(bond * 2.0)
         loss.backward()
         seen.append([bits(out), bits(h.grad), bits(bond.grad)]

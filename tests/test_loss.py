@@ -81,6 +81,14 @@ def test_empty_masked_set_returns_zero_flag():
     assert lossv.item() == 0.0
 
 
+def test_rows_that_are_not_one_per_masked_node_are_rejected():
+    # every node's rows, as the decoders returned them before they read only
+    # masked nodes, would otherwise score the wrong rows
+    logits = {"atom_type": ad.const(np.ones((3, 119)))}
+    with pytest.raises(ValueError, match="^3 atom_type rows for 2 masked nodes$"):
+        rec_loss(logits, np.zeros((3, 2), dtype=np.int64), ([0, 2], []), LossConfig())
+
+
 def test_two_decoder_loss_is_average_one_decoder_is_sum():
     rng = np.random.default_rng(2)
     atom_rows = rng.normal(size=(3, 119))
@@ -130,17 +138,17 @@ def _sce_term_oracle(rows, codes, n_classes, gamma):
     onehot[np.arange(len(codes)), codes] = 1.0
     dot = ad.tsum(rows * ad.const(onehot), axis=1)
     norm = ad.sqrt(ad.tsum(rows * rows, axis=1) + 1e-24)
-    return ad.tmean((1.0 - dot / (norm + 1e-12)) ** gamma)
+    return ad.tmean(ad.sub(1.0, ad.div(dot, norm + 1e-12)) ** gamma)
 
 
 def _sce_rec_loss_oracle(logits, x_true, masked_nodes, cfg):
+    # logits: each attribute's rows at its masked nodes
     terms = []
     for name in logits:
         dim, n_classes = ATTRIBUTES[name]
         idx = np.asarray(masked_nodes[dim], dtype=np.int64)
         if idx.size:
-            terms.append(_sce_term_oracle(ad.take_rows(logits[name], idx), x_true[idx, dim],
-                                          n_classes, cfg.gamma))
+            terms.append(_sce_term_oracle(logits[name], x_true[idx, dim], n_classes, cfg.gamma))
     if len(terms) < 2:
         return terms[0] if terms else ad.const(0.0)
     return (terms[0] + terms[1]) * 0.5 if len(TARGETS[cfg.targets]) == 2 else terms[0] + terms[1]
@@ -154,12 +162,15 @@ def _awkward_rows(rng, n, width, scale):
     return rows
 
 
-def _logits(values, targets):
-    # the heads decode_attrs returns: both_one_decoder slices one joint tensor
+def _logits(values, targets, masked):
+    # the heads decode_attrs returns: both_one_decoder slices one joint tensor;
+    # each attribute's rows gathered at its masked nodes
     if targets == "both_one_decoder":
-        return {"atom_type": ad.slice_cols(values, 0, 119),
-                "chirality": ad.slice_cols(values, 119, 123)}
-    return dict(zip((a for _, attrs in TARGETS[targets] for a in attrs), values))
+        heads = {"atom_type": ad.slice_cols(values, 0, 119),
+                 "chirality": ad.slice_cols(values, 119, 123)}
+    else:
+        heads = dict(zip((a for _, attrs in TARGETS[targets] for a in attrs), values))
+    return {name: ad.take_rows(t, masked[ATTRIBUTES[name][0]]) for name, t in heads.items()}
 
 
 @pytest.mark.parametrize("targets", sorted(TARGETS))
@@ -181,7 +192,8 @@ def test_sce_bits_equal_the_chain_without_the_target_norm(targets):
         for rec in (lambda lg: rec_loss(lg, x_true, masked, cfg)[0],
                     lambda lg: _sce_rec_loss_oracle(lg, x_true, masked, cfg)):
             params = [ad.parameter(r.copy()) for r in rows]
-            lossv = rec(_logits(params[0] if targets == "both_one_decoder" else params, targets))
+            lossv = rec(_logits(params[0] if targets == "both_one_decoder" else params, targets,
+                                masked))
             if lossv.requires_grad:
                 lossv.backward()
             runs.append([bits(lossv)] + [bits(np.zeros_like(p.values) if p.grad is None else p.grad)
@@ -197,8 +209,7 @@ def test_sce_term_bits_equal_the_chain_at_any_width(width):
         codes = rng.integers(0, width, len(rows))
         gamma = (1.0, 1.5, 2.0)[case % 3]
         runs = []
-        for term in (lambda r: _one_dim_loss(r, np.arange(len(codes)), codes,
-                                            LossConfig(gamma=gamma)),
+        for term in (lambda r: _one_dim_loss(r, codes, LossConfig(gamma=gamma)),
                      lambda r: _sce_term_oracle(r, codes, width, gamma)):
             param = ad.parameter(rows.copy())
             lossv = term(param)
@@ -303,7 +314,7 @@ def _aux_loss_oracle(h_graphs, fingerprints, cfg):
     dots = ad.tsum(a * b, axis=1)
     na = ad.sqrt(ad.tsum(a * a, axis=1) + 1e-24)
     nb = ad.sqrt(ad.tsum(b * b, axis=1) + 1e-24)
-    diff = ad.const(tanimoto_matrix(fingerprints)[ii, jj]) - dots / (na * nb + 1e-12)
+    diff = ad.const(tanimoto_matrix(fingerprints)[ii, jj]) - ad.div(dots, na * nb + 1e-12)
     return ad.tmean(diff ** 2.0 if cfg.aux_form == "squared" else diff)
 
 
@@ -349,12 +360,13 @@ def test_config_validation():
 
 def _cosine_chain(a, b):
     # loss._cosine before the fused terms, the one-hot target's norm included
-    return ad.tsum(a * b, axis=1) / (ad.sqrt(ad.tsum(a * a, axis=1) + 1e-24)
-                                     * ad.sqrt(ad.tsum(b * b, axis=1) + 1e-24) + 1e-12)
+    return ad.div(ad.tsum(a * b, axis=1), ad.sqrt(ad.tsum(a * a, axis=1) + 1e-24)
+                  * ad.sqrt(ad.tsum(b * b, axis=1) + 1e-24) + 1e-12)
 
 
 def _composed_rec_loss(logits, x_true, masked_nodes, cfg):
-    # rec_loss under sce (rec_kind is not read), each term composed through _cosine_chain
+    # rec_loss under sce (rec_kind is not read), each term composed through
+    # _cosine_chain on its masked nodes' rows
     terms, n_masked = [], 0
     for name in logits:
         dim, n_classes = ATTRIBUTES[name]
@@ -364,8 +376,8 @@ def _composed_rec_loss(logits, x_true, masked_nodes, cfg):
         n_masked += idx.size
         onehot = np.zeros((idx.size, n_classes))
         onehot[np.arange(idx.size), x_true[idx, dim]] = 1.0
-        cos = _cosine_chain(ad.take_rows(logits[name], idx), ad.const(onehot))
-        terms.append(ad.tmean((1.0 - cos) ** cfg.gamma))
+        cos = _cosine_chain(logits[name], ad.const(onehot))
+        terms.append(ad.tmean(ad.sub(1.0, cos) ** cfg.gamma))
     if not terms:
         return ad.const(0.0), 0
     if len(terms) == 1:

@@ -7,6 +7,7 @@ from moama import apply_mask, parse, random_mask, sample_motifs
 from moama.masking import (
     MaskConfig,
     MaskPlan,
+    PlanStreams,
     _coverage_count,
     build_plan,
     eligible_motifs,
@@ -335,5 +336,45 @@ def test_a_coverage_one_plan_draws_only_the_motif_shuffle(corpus500, mode):
         rng, shuffled = plan_rng(3, i), plan_rng(3, i)
         selected += len(build_plan(table, cfg, rng).selected_motifs)
         shuffled.permutation(len(table.eligible))
-        assert rng.bit_generator.state == shuffled.bit_generator.state
+        assert str(rng.bit_generator.state) == str(shuffled.bit_generator.state)
     assert selected > 0
+
+
+def test_no_two_plans_share_their_first_draws():
+    # the grid holds pairs the former XOR seeding gave one stream:
+    # (s, i) and (s', i ^ s ^ s'), e.g. (0, 1) and (1, 0)
+    grid = [(s, i, e) for s in range(4) for i in range(64) for e in range(4)]
+    assert len({(s ^ i, e) for s, i, e in grid}) < len(grid)
+    firsts = set()
+    for seed in range(4):
+        streams = PlanStreams(seed)   # one per run, as pretrain holds it
+        for i in range(64):
+            for epoch in range(4):
+                firsts.add(tuple(streams.rng(i, epoch).bit_generator.random_raw(8).tolist()))
+    assert len(firsts) == len(grid)
+
+
+def test_a_plan_does_not_depend_on_the_plans_drawn_before_it(corpus500):
+    # plans that draw more (coverage 0.5, the baseline's rng.choice) leave a
+    # part-used output buffer or a cached 32-bit half behind; the next plan's
+    # reset clears both, so it equals the plan of a fresh stream
+    graphs = corpus500[:120]
+    decomps = list(decompositions(graphs, _CUT_CHAIN_BONDS))
+    heavy = [MaskConfig(hop_k=2, mode="element_wise", coverage=0.5),
+             MaskConfig(hop_k=2, mode="random_baseline")]
+    heavy_tables = [list(motif_tables(graphs, decomps, cfg)) for cfg in heavy]
+    streams = PlanStreams(7)
+    left = set()
+    planned = 0
+    for cfg in (MaskConfig(hop_k=2), MaskConfig(hop_k=2, mode="element_wise", coverage=0.5)):
+        for i, table in enumerate(motif_tables(graphs, decomps, cfg)):
+            for before, tables in zip(heavy, heavy_tables):
+                j = (i + 1) % len(graphs)
+                rng = streams.rng(j, 1)
+                build_plan(tables[j], before, rng)
+                state = rng.bit_generator.state
+                left.add((state["buffer_pos"] < 4, state["has_uint32"]))
+            plan = build_plan(table, cfg, streams.rng(i, 2))
+            assert plan == build_plan(table, cfg, plan_rng(7, i, 2))
+            planned += bool(plan.all_masked)
+    assert {(True, 0), (True, 1)} <= left and planned > 0

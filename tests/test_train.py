@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import moama.train
 from moama import autodiff as ad
 from moama import parse
 from moama.datagen import generate_corpus, has_carbonyl
 from moama.errors import ConfigError, DataError
 from moama.fingerprint import FingerprintConfig, fingerprint_bits, morgan_fingerprints, tanimoto_matrix
 from moama.gin import (
+    TARGETS,
     EncoderConfig,
     ParamStore,
     TensorGraph,
@@ -625,7 +627,7 @@ def _finetune_probe_oracle(pretrained, graphs, labels, cfg):
     filters Adam by name."""
     labels = np.asarray(labels, dtype=np.float64)
     train_idx, valid_idx, test_idx = scaffold_split(graphs)
-    store = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed + 104729)
+    store = init_params(cfg.encoder, None, seed=cfg.seed + 104729)
     if pretrained is not None:
         store.load_values(pretrained, [n for n in store.names()
                                        if n.startswith(("embed.", "enc."))])
@@ -709,26 +711,35 @@ def test_probe_step_leaves_gradients_only_on_the_head(mode, monkeypatch):
             assert names > head and "enc.0.w1" in names and "enc.1.eps" in names
 
 
-@pytest.mark.parametrize("targets", ["atom_type", "both_two_decoders"])
 @pytest.mark.parametrize("mode", ["probe", "full"])
-def test_finetune_store_holds_no_decoder_and_keeps_the_heads_bits(mode, targets, monkeypatch):
-    stores = []
-    real = ParamStore.adam_step
+def test_finetune_draws_no_decoder_and_the_heads_bits_ignore_targets(mode, monkeypatch):
+    drawn, stores = [], []
+    real_init, real_step = moama.train.init_params, ParamStore.adam_step
+
+    def drawing(*args, **kwargs):
+        store = real_init(*args, **kwargs)
+        drawn.append({n: bits(store[n]) for n in store.names()})
+        return store
 
     def recording(self, *args, **kwargs):
         stores.append(self.names())
-        return real(self, *args, **kwargs)
+        return real_step(self, *args, **kwargs)
 
+    monkeypatch.setattr(moama.train, "init_params", drawing)
     monkeypatch.setattr(ParamStore, "adam_step", recording)
     graphs, labels = _labeled_task()
-    cfg = replace(_probe_cfg(mode, True), loss=LossConfig(targets=targets))
-    got = finetune_probe(None, graphs, labels, cfg)
-    assert stores
+    reports = []
+    for targets in TARGETS:
+        cfg = replace(_probe_cfg(mode, True), loss=LossConfig(targets=targets))
+        reports.append(finetune_probe(None, graphs, labels, cfg))
+        assert reports[-1] == _finetune_probe_oracle(None, graphs, labels, cfg)
+    assert len(drawn) == len(TARGETS) and stores
+    assert not [n for store in drawn for n in store if n.startswith("dec.")]
+    assert all(store == drawn[0] for store in drawn)   # the head's bits among them
+    assert "head.w1" in drawn[0] and "enc.1.eps" in drawn[0]
     for names in stores:
         assert not [n for n in names if n.startswith("dec.")]
-        assert "head.w1" in names and "enc.1.eps" in names
-    # the head is still drawn after the decoders, so its bits do not move
-    assert got == _finetune_probe_oracle(None, graphs, labels, cfg)
+    assert all(r == reports[0] for r in reports)
 
 
 def _batch_graph_vectors(graphs, store, cfg, idx):
@@ -799,3 +810,27 @@ def test_full_mode_encodes_every_batch_and_each_evaluation(monkeypatch):
     n_train = len(scaffold_split(graphs)[0])
     per_epoch = -(-n_train // cfg.batch_finetune) + 1     # training batches, then valid
     assert len(calls) == cfg.finetune_epochs * per_epoch + 1
+
+
+def test_pretrain_plans_do_not_depend_on_the_planning_order(small_corpus, monkeypatch):
+    # each plan keyed by the stream counter it was drawn at, (0, 0, epoch, i)
+    real = moama.train.build_plan
+    drawn = []
+
+    def planning(table, cfg, rng):
+        counter = rng.bit_generator.state["state"]["counter"].tolist()
+        assert counter[:2] == [0, 0]
+        drawn.append((tuple(counter[2:]), real(table, cfg, rng)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(moama.train, "build_plan", planning)
+    runs = []
+    for seed, batch in ((0, 16), (1, 5)):   # other shuffles, other batches; one mask seed
+        drawn.clear()
+        pretrain(small_corpus, replace(DESK, epochs=2, seed=seed, batch_pretrain=batch,
+                                       mask=MaskConfig(hop_k=2, coverage=0.5, seed=3)))
+        runs.append(list(drawn))
+    assert [k for k, _ in runs[0]] != [k for k, _ in runs[1]]
+    assert sorted(runs[0]) == sorted(runs[1])
+    assert sorted(k for k, _ in runs[0]) == [(e, i) for e in range(2)
+                                             for i in range(len(small_corpus))]
