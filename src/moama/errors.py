@@ -22,7 +22,8 @@ class DataError(MoamaError):
 
 
 class SmilesError(DataError):
-    """SMILES grammar violation; carries the byte offset of the problem."""
+    """SMILES grammar violation; carries the offset of the problem, a
+    character index into the string (not a byte offset)."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")

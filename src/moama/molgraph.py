@@ -4,8 +4,11 @@ Molecules are heavy-atom graphs: nodes carry a (atom_type, chirality) code
 pair, bonds carry an order and a derived ring flag. Hydrogens are implicit and
 never appear as nodes. Graphs are immutable after construction, so arrays
 derived once (``X``, ``edges``, ``ring_edges``) can be shared by every batch
-and every corpus kernel that holds the graph. The constructor validates,
-normalizes and indexes the bond specs in one sweep, then perceives rings once.
+and every corpus kernel that holds the graph. One private builder fills a
+graph from bond specs that are already normalized and valid, plus their ring
+flags. The parser hands it the flags it reads off its own parse tree; the
+public constructor first validates, normalizes and indexes the bond specs in
+one sweep, then finds the flags with one bridge search (``bridge_flags``).
 
 ``stack`` lays many molecules into one node and directed-edge space, a
 ``Stack``: the GIN batch (``gin.TensorGraph`` holds its stack), the rule
@@ -83,8 +86,10 @@ def _bond(u, v, order, in_ring) -> Bond:
 class MolGraph:
     """Immutable attributed molecular graph.
 
-    ``bonds`` ring flags are derived with bridge detection at construction
-    time, never caller-supplied. A bond spec's order may be None, meaning
+    ``bonds`` ring flags are derived at construction time, never
+    caller-supplied: ``smiles.parse`` reads them off its parse tree, and
+    ``MolGraph(atoms, bonds)``, which also takes disconnected and hand-built
+    graphs, runs ``bridge_flags``. A bond spec's order may be None, meaning
     unwritten: it becomes ``"aromatic"`` when the bond lies on a ring and
     ``"single"`` otherwise. The attribute matrix ``X`` is the read-only
     (|V|, 2) integer matrix of (atom_type, chirality) codes. ``edges`` is the
@@ -119,38 +124,42 @@ class MolGraph:
             specs.append((*key, order))
             adj[u].append((v, i))
             adj[v].append((u, i))
+        self._build(atoms, specs, [not b for b in bridge_flags(adj, len(specs))], adj)
+
+    def _build(self, atoms, specs, ring, adj) -> MolGraph:
+        """Fill this graph from a tuple of atoms, bond specs that are already
+        normalized (u < v) and valid, each spec's ring flag, and each node's
+        list of (neighbor, bond id) pairs in any order; returns the graph."""
+        self.atoms = atoms
+        self.bonds = tuple(
+            _bond(u, v, order if order is not None else "aromatic" if r else "single", r)
+            for (u, v, order), r in zip(specs, ring)
+        )
         for a in adj:
             a.sort()
         self._adjacency = nbrs = tuple(map(tuple, adj))
 
-        bridge = bridge_flags(nbrs, len(specs))
-        self.atoms = atoms
-        self.bonds = tuple(
-            _bond(u, v, order if order is not None else "single" if bridge[i] else "aromatic",
-                  not bridge[i])
-            for i, (u, v, order) in enumerate(specs)
-        )
-
         x = np.array([c for a in atoms for c in (a.atom_type, a.chirality)],
-                     dtype=np.int64).reshape(n, 2)
+                     dtype=np.int64).reshape(len(atoms), 2)
         x.setflags(write=False)
         self._X = x
 
         # each adjacency list is sorted by neighbor, so walking the lists in
         # node order yields the directed edges sorted by (dst, src)
         codes = [BOND_ORDER_INDEX[b.order] for b in self.bonds]
-        src, dst, code, ring = [], [], [], []
+        src, dst, code, flag = [], [], [], []
         for v, a in enumerate(nbrs):
             for u, i in a:
                 src.append(u)
                 dst.append(v)
                 code.append(codes[i])
-                ring.append(not bridge[i])
-        e = np.array([src, dst, code, ring], dtype=np.int64)
+                flag.append(ring[i])
+        e = np.array([src, dst, code, flag], dtype=np.int64)
         e.setflags(write=False)
         self._edges = e[:3]
         self._ring_edges = e[3] == 1
         self._ring_edges.setflags(write=False)
+        return self
 
     @property
     def n_atoms(self) -> int:

@@ -15,15 +15,22 @@ Supported grammar (a documented subset, not full OpenSMILES):
 
 Isotopes, H-counts, and charges are parsed then discarded. A bond written
 without an order between two aromatic atoms is left unwritten (None), and
-``MolGraph``'s ring perception makes it aromatic when it lies on a ring and
-single otherwise; any other bond written without an order is single. Errors
-report the byte offset of the offending token.
+becomes aromatic when it lies on a ring and single otherwise; any other bond
+written without an order is single. Errors report the offset of the offending
+token as a character index into the string, not a byte offset.
 
-``parse`` makes two passes over a record. ``_lex`` cuts the whole string into
-(kind, text, pos) tuples first, so a lexical error is reported before any
-grammar error; the grammar pass then walks the tuples once. Organic-subset
-atoms come from a table, and every atom of one (atom_type, chirality) is the
-same frozen ``AtomAttr`` value. ``tokenize`` wraps the same lexer.
+``parse`` makes one pass over a record: it walks ``_TOKEN_RE``'s matches and
+applies the grammar to each token as it comes, with no token list. The pass
+keeps its parse tree, each atom's parent and creating bond. The ring-closure
+bonds are exactly the bonds outside that tree, so a bond lies on a ring when it
+is a closure or a tree bond on a closure's cycle, and the pass marks each
+closure's cycle as it closes. ``MolGraph``'s builder then takes the bond specs,
+already normalized and checked, with these ring flags; the bridge search of
+``MolGraph(atoms, bonds)`` is not run. The pass stops at its first error, so
+only then is the whole string lexed again with ``_lex``: a lexical error
+anywhere wins, then a record with no atoms, then the pass's error. Organic-
+subset atoms come from a table, and every atom of one (atom_type, chirality)
+is the same frozen ``AtomAttr`` value. ``tokenize`` wraps ``_lex``.
 """
 
 from __future__ import annotations
@@ -98,6 +105,13 @@ class SmilesToken:
     pos: int
 
 
+def _lex_error(smiles: str, pos: int) -> SmilesError:
+    """The error of a character that starts no token."""
+    if smiles[pos] == "[":
+        return SmilesError("unterminated bracket atom", pos)
+    return SmilesError(f"unexpected character {smiles[pos]!r}", pos)
+
+
 def _lex(smiles: str) -> list[tuple[str, str, int]]:
     """(kind, text, pos) of each token of a SMILES string; raises SmilesError
     at the first character that starts no token."""
@@ -109,9 +123,7 @@ def _lex(smiles: str) -> list[tuple[str, str, int]]:
         tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     if pos != len(smiles):
-        if smiles[pos] == "[":
-            raise SmilesError("unterminated bracket atom", pos)
-        raise SmilesError(f"unexpected character {smiles[pos]!r}", pos)
+        raise _lex_error(smiles, pos)
     return tokens
 
 
@@ -159,18 +171,32 @@ def parse(smiles: str) -> MolGraph:
     """Parse one SMILES record into an attributed MolGraph.
 
     Deterministic: node ids follow atom-token order, bonds follow creation
-    order. The whole string is lexed before the grammar pass, so a lexical
-    error wins over a grammar error that comes before it. Raises SmilesError
-    with a byte offset on grammar violations.
+    order. A lexical error anywhere wins over every other error, and a record
+    with no atoms over every grammar error. Raises SmilesError with the
+    character offset of the problem.
     """
-    tokens = _lex(smiles)
-    if not any(kind.endswith("atom") for kind, _, _ in tokens):
+    try:
+        return _parse(smiles)
+    except SmilesError as e:
+        error = e
+    # the pass stopped at its first error; a lexical error after it, or no atoms, comes first
+    if not any(kind.endswith("atom") for kind, _, _ in _lex(smiles)):
         raise SmilesError("no atoms in input", 0)
+    raise error
 
+
+def _parse(smiles: str) -> MolGraph:
+    """The one pass of ``parse``: it raises the first error in string order."""
     atoms: list[AtomAttr] = []
     aromatic: list[bool] = []
     bonds: list[tuple[int, int, str | None]] = []
     bond_keys: set[tuple[int, int]] = set()
+    adj: list[list[tuple[int, int]]] = []
+    # the parse tree: each atom's parent, its creating bond (the root has
+    # neither) and each bond's ring flag
+    parent: list[int] = []
+    tree_bond: list[int] = []
+    ring: list[bool] = []
 
     prev: int | None = None
     pending_bond: str | None = None          # explicit order awaiting its atom
@@ -178,18 +204,35 @@ def parse(smiles: str) -> MolGraph:
     branch_stack: list[tuple[int | None, int]] = []
     open_rings: dict[int, tuple[int, str | None, int]] = {}
 
-    for kind, text, pos in tokens:
+    end = 0
+    for m in _TOKEN_RE.finditer(smiles):
+        pos = m.start()
+        if pos != end:
+            break
+        end = m.end()
+        kind = m.lastgroup
         if kind == "organic_atom" or kind == "bracket_atom":
+            text = m.group()
             atom, arom = _ORGANIC[text] if kind == "organic_atom" else _bracket_atom(text, pos)
             idx = len(atoms)
             atoms.append(atom)
             aromatic.append(arom)
-            if prev is not None:
-                # MolGraph resolves an unwritten bond between aromatic atoms by its ring flag
+            if prev is None:
+                adj.append([])
+                parent.append(-1)
+                tree_bond.append(-1)
+            else:
+                # the builder resolves an unwritten bond between aromatic atoms by its ring flag
                 if pending_bond is None and not (arom and aromatic[prev]):
                     pending_bond = "single"
+                b = len(bonds)
                 bonds.append((prev, idx, pending_bond))
                 bond_keys.add((prev, idx))
+                ring.append(False)
+                adj[prev].append((idx, b))
+                adj.append([(prev, b)])
+                parent.append(prev)
+                tree_bond.append(b)
                 pending_bond = None
             prev = idx
         elif kind == "bond":
@@ -197,7 +240,7 @@ def parse(smiles: str) -> MolGraph:
                 raise SmilesError("two consecutive bond symbols", pos)
             if prev is None:
                 raise SmilesError("bond with no preceding atom", pos)
-            pending_bond = _BOND_CHAR_ORDER[text]
+            pending_bond = _BOND_CHAR_ORDER[m.group()]
             pending_pos = pos
         elif kind == "branch_open":
             if prev is None:
@@ -214,6 +257,7 @@ def parse(smiles: str) -> MolGraph:
         elif kind == "ring_closure":
             if prev is None:
                 raise SmilesError("ring closure with no preceding atom", pos)
+            text = m.group()
             num = int(text[1:]) if text[0] == "%" else int(text)
             if num in open_rings:
                 other, other_order, _ = open_rings.pop(num)
@@ -229,13 +273,29 @@ def parse(smiles: str) -> MolGraph:
                 order = pending_bond if pending_bond is not None else other_order
                 if order is None and not (aromatic[other] and aromatic[prev]):
                     order = "single"
-                bonds.append((other, prev, order))
+                b = len(bonds)
+                bonds.append((*key, order))
+                ring.append(True)
+                adj[other].append((prev, b))
+                adj[prev].append((other, b))
+                # the closure's cycle: the tree path between its endpoints,
+                # walked up from the larger id (parents have lower ids)
+                u, v = key
+                while u != v:
+                    ring[tree_bond[v]] = True
+                    v = parent[v]
+                    if u > v:
+                        u, v = v, u
             else:
                 open_rings[num] = (prev, pending_bond, pos)
             pending_bond = None
         else:
             raise SmilesError("multi-fragment input (dot) not supported", pos)
 
+    if end != len(smiles):
+        raise _lex_error(smiles, end)
+    if not atoms:
+        raise SmilesError("no atoms in input", 0)
     if pending_bond is not None:
         raise SmilesError("dangling bond at end of input", pending_pos)
     if branch_stack:
@@ -244,7 +304,8 @@ def parse(smiles: str) -> MolGraph:
         first = min(open_rings.values(), key=lambda item: item[2])
         raise SmilesError("unpaired ring closure", first[2])
 
-    return MolGraph(atoms, bonds)
+    # specs are normalized and valid here, so MolGraph's own checks are skipped
+    return MolGraph.__new__(MolGraph)._build(tuple(atoms), bonds, ring, adj)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from moama.molgraph import (
     AtomAttr,
     MolGraph,
 )
-from moama.smiles import _BRACKET_RE, _TOKEN_RE, AROMATIC_SUBSET, ATOM_CODE
+from moama.smiles import _TOKEN_RE, ATOM_CODE
 
 from conftest import ODD_SMILES, graph_state, parse_oracle, tokenize_oracle
 
@@ -198,70 +198,7 @@ def test_token_kinds_are_the_lexer_group_names():
     assert all(f"``{kind}``" in tokenize.__doc__ for kind in kinds)
 
 
-# --- the parser's former ring perception, kept as an oracle --------------------
-
-def _edge_list_bridge_flags(n, edges):
-    """The former ``bridge_flags(n, edges)``: it built its own adjacency from
-    an edge list, in edge order, then ran the low-link DFS."""
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    disc = [-1] * n
-    low = [0] * n
-    is_bridge = [False] * len(edges)
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            node, parent_edge, it = stack[-1]
-            pushed = False
-            for nbr, eid in it:
-                if eid == parent_edge:
-                    continue
-                if disc[nbr] == -1:
-                    disc[nbr] = low[nbr] = timer
-                    timer += 1
-                    stack.append((nbr, eid, iter(adj[nbr])))
-                    pushed = True
-                    break
-                low[node] = min(low[node], disc[nbr])
-            if not pushed:
-                stack.pop()
-                if stack:
-                    pnode = stack[-1][0]
-                    low[pnode] = min(low[pnode], low[node])
-                    if low[node] > disc[pnode]:
-                        is_bridge[parent_edge] = True
-    return is_bridge
-
-
-def _parse_then_resolve(smi):
-    """(atoms, bonds as (u, v, order, in_ring)) by the former path: the parser
-    resolved every unwritten bond itself, aromatic when both endpoints are
-    aromatic atoms and the bond is no bridge of the raw edge list, and
-    MolGraph searched the same edges again for the ring flags."""
-    specs = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(smiles_module, "MolGraph", lambda atoms, bonds: specs.append((atoms, bonds)))
-        parse(smi)
-    (atoms, bonds), = specs
-    aromatic = [t.text in AROMATIC_SUBSET if t.kind == "organic_atom"
-                else _BRACKET_RE.match(t.text).group("symbol") in AROMATIC_SUBSET
-                for t in tokenize(smi) if t.kind.endswith("atom")]
-    bridge = _edge_list_bridge_flags(len(atoms), [(u, v) for u, v, _ in bonds])
-    resolved = []
-    for i, (u, v, order) in enumerate(bonds):
-        if order is None:
-            assert aromatic[u] and aromatic[v]   # only such bonds wait for MolGraph
-            order = "aromatic" if not bridge[i] else "single"
-        resolved.append((min(u, v), max(u, v), order, not bridge[i]))
-    return [(a.atom_type, a.chirality) for a in atoms], resolved
-
+# --- ring flags from the parse tree against the low-link search ---------------
 
 RING_CASES = ["c1ccccc1", "c1ccc2ccccc2c1", "c1ccc2c(c1)ccc1ccccc12", "c1ccccc1c1ccccc1",
               "c1ccccc1-c1ccccc1", "c1ccccc1:c1ccccc1", "c1ccccc1Cc1ccccc1", "C1CC2CC1CC2",
@@ -269,24 +206,43 @@ RING_CASES = ["c1ccccc1", "c1ccc2ccccc2c1", "c1ccc2c(c1)ccc1ccccc12", "c1ccccc1c
               "c1cc[nH]c1-c1ccccc1", "C1=CC=CC=C1c1ccccc1", "c1ccc1c", "c%10ccccc%10"]
 
 
-def test_ring_perception_equals_the_former_parse_then_resolve():
-    # corpus500's SMILES
-    for smi in generate_corpus(500, seed=42) + RING_CASES:
+def _parse_and_specs(smi):
+    """The graph ``parse`` builds and the atoms and bond specs it hands
+    ``MolGraph._build``, unwritten orders still None."""
+    handed = []
+    real = MolGraph._build
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MolGraph, "_build", lambda g, atoms, specs, *rest:
+                   handed.append((atoms, list(specs))) or real(g, atoms, specs, *rest))
         g = parse(smi)
-        atoms, bonds = _parse_then_resolve(smi)
-        assert [(a.atom_type, a.chirality) for a in g.atoms] == atoms, smi
-        assert [(b.u, b.v, b.order, b.in_ring) for b in g.bonds] == bonds, smi
-        former = MolGraph([AtomAttr(*a) for a in atoms], [b[:3] for b in bonds])
-        assert g._adjacency == former._adjacency, smi
-        assert np.array_equal(g.edges, former.edges), smi
+    (atoms, specs), = handed
+    return g, atoms, specs
 
 
-def test_parse_runs_the_bridge_search_once(monkeypatch):
+def test_ring_perception_equals_the_low_link_search():
+    smiles = generate_corpus(500, seed=42) + RING_CASES + ODD_SMILES
+    for seed in (1, 2, 3):
+        smiles += generate_corpus(200, seed=seed)
+    # a spiro atom, a bridged bicycle, a closure whose opening atom has the
+    # higher id, and one whose endpoints sit on two branches, neither the
+    # other's ancestor
+    smiles += ["C1CCC2(C1)CCCC2", "C1CC2CCC1C2", "CC(CC1)1", "C(C1)CC1"]
+    for smi in smiles:
+        g, atoms, specs = _parse_and_specs(smi)
+        assert all(u < v for u, v, _ in specs), smi
+        # the public constructor validates the same specs and runs bridge_flags
+        assert graph_state(g) == graph_state(MolGraph(atoms, specs)), smi
+    assert [b.in_ring for b in parse("CC(CC1)1").bonds] == [False, True, True, True]
+
+
+def test_only_the_public_constructor_runs_the_bridge_search(monkeypatch):
     calls = []
     real = molgraph.bridge_flags
     monkeypatch.setattr(molgraph, "bridge_flags", lambda *args: calls.append(args) or real(*args))
     g = parse("c1ccccc1c1ccccc1")
-    assert calls == [(g._adjacency, 13)]
+    assert calls == []
+    MolGraph(g.atoms, [(b.u, b.v, b.order) for b in g.bonds])
+    assert len(calls) == 1
     assert not hasattr(smiles_module, "bridge_flags")
 
 
@@ -355,6 +311,24 @@ def test_parse_errors_equal_the_former_parser():
             "conflicting ring closure bond orders", "ring closure bonds an atom to itself",
             "duplicate bond", "multi-fragment input (dot) not supported",
             "dangling bond at end of input", "unclosed branch", "unpaired ring closure"} <= errors
+
+
+@pytest.mark.parametrize("smi,message,offset", [
+    (")C!", "unexpected character '!'", 2),   # a lexical error wins over a grammar error before it
+    ("((", "no atoms in input", 0),           # no atoms wins over every grammar error
+    ("[Xx]C!", "unexpected character '!'", 5),
+    ("C.C!", "unexpected character '!'", 3),
+])
+def test_error_precedence(smi, message, offset):
+    with pytest.raises(SmilesError) as e:
+        parse(smi)
+    assert str(e.value) == f"{message} at offset {offset}" and e.value.offset == offset
+
+
+def test_error_offsets_count_characters_not_bytes():
+    with pytest.raises(SmilesError) as e:
+        parse("[é]C!")
+    assert e.value.offset == 4 == "[é]C!".index("!") != "[é]C!".encode().index(b"!")
 
 
 def test_read_dataset_parses_each_row_once(tmp_path, monkeypatch):
