@@ -14,12 +14,17 @@ shape by ``_unbroadcast`` (``g`` itself when the shapes match) and stored by
 ``segment_sum``, ``segment_max`` and ``slice_cols`` per call, closed over
 their exponent, axes, segments or columns. Four ops are written by hand:
 ``take_rows``, and the fused ``gin_layer``, ``sce_term`` and
-``alignment_term`` (below). ``take_rows`` scatters into the input's existing
-gradient in index order, where ``_accum`` would add a finished scatter, whose
-bits differ for a tensor gathered twice per tape (the bond embedding, by the
+``alignment_term`` (below).
+
+A gradient reaches a tensor through one of two sinks. ``_accum`` stores a
+whole gradient, or adds it to the one stored. ``_scatter_grad`` scatter-adds
+rows into the tensor's gradient in index order, from +0.0 when it has none:
+``take_rows``' backward, and the gathered rows of ``gin_layer`` and
+``alignment_term``. Adding a finished scatter through ``_accum`` would give
+other bits for a tensor gathered twice per tape (the bond embedding, by the
 encoder and by the gnn decoder).
 
-Scatter-adds (``segment_sum``'s forward, ``take_rows``' backward) go through
+Scatter-adds (``segment_sum``'s forward and ``_scatter_grad``) go through
 ``_scatter_add``, which is ``np.add.at`` on flat views: each cell takes its
 addends one at a time in a fixed order, so repeated runs are bit-identical.
 
@@ -31,8 +36,8 @@ is commutative, -0.0 included, so (0 + a) + b == (0 + b) + a bit for bit.
 A fused op is one tape node in place of a chain of composed ops, with a
 hand-written backward that keeps the chain's bits. ``gin_layer`` is one GIN
 layer; ``sce_term`` is one head's scaled cosine error and ``alignment_term``
-the fingerprint-alignment loss, which share one cosine (``_cosine``). The
-contract of each:
+the fingerprint-alignment loss, which share one mean of a power of a cosine
+gap (``_gap_mean``). The contract of each:
 
 - the forward evaluates the chain's numpy expressions in their order;
   ``gin_layer``'s neighbour sum is ``_segment_sum_values``, as
@@ -48,8 +53,8 @@ contract of each:
   whose ``+ 0.0`` turns a -0.0 into +0.0. The fused backward skips those
   additions. A zero's sign changes only the signs of zero results
   downstream, and each gradient that leaves the op goes through ``_accum``,
-  or a scatter into a gradient that ``_accum`` stored or that starts at +0.0,
-  which clears it;
+  or through ``_scatter_grad`` into a gradient that ``_accum`` stored or that
+  starts at +0.0, which clears it;
 - its parents are ordered so that ``backward``'s DFS reaches tensors shared
   with other consumers in the composed tape's order: ``gin_layer`` lists the
   bond rows (read by every layer) before ``h`` (read by the readout and each
@@ -251,20 +256,22 @@ def _scatter_add(dst, idx, src) -> None:
     np.add.at(dst.reshape(-1), cells, src.reshape(-1))
 
 
+def _scatter_grad(t: Tensor, idx, g: np.ndarray) -> None:
+    """Scatter-add ``g``'s rows into ``t``'s gradient at rows ``idx``, in
+    index order (``_scatter_add``), from +0.0 when ``t`` has none yet."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros(t.values.shape)
+    _scatter_add(t.grad, idx, g)
+
+
 def take_rows(a, idx) -> Tensor:
-    """Gather rows by integer index; gradient scatter-adds in index order
-    (``_scatter_add``, the bits of ``np.add.at``)."""
+    """Gather rows by integer index; the gradient scatters back
+    (``_scatter_grad``)."""
     a = _lift(a)
     idx = np.asarray(idx, dtype=np.int64)
-
-    def back(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros(a.values.shape)
-        _scatter_add(a.grad, idx, g)
-
-    return Tensor(a.values[idx], _parents=(a,), _backprop=back)
+    return Tensor(a.values[idx], _parents=(a,), _backprop=lambda g: _scatter_grad(a, idx, g))
 
 
 def _canonical_order(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -354,12 +361,11 @@ def gin_layer(h, bond_embed, edge_src, edge_dst, rows, eps, w1, b1, w2, b2,
         messages += bond_embed.values
         _check_finite(messages)
         agg = _segment_sum_values(messages, edge_dst, len(base))
-        del messages
-        z = base * scale
+        del messages   # before z: the per-edge rows are the largest array
+    z = base * scale
+    if edge_src.size:
         z += agg
         del agg
-    else:
-        z = base * scale
     _check_finite(z)
     hidden = z @ w1.values
     if not tape:
@@ -388,32 +394,31 @@ def gin_layer(h, bond_embed, edge_src, edge_dst, rows, eps, w1, b1, w2, b2,
         # before the edge_src scatter below
         if rows is None:
             _accum(h, g_z * scale)
-        elif h.requires_grad:
-            if h.grad is None:
-                h.grad = np.zeros(hv.shape)
-            _scatter_add(h.grad, rows, g_z * scale)
+        else:
+            _scatter_grad(h, rows, g_z * scale)
         if learned:
             _accum(eps, _unbroadcast(g_z * base, ()))
         if edge_src.size:
             g_msg = g_z[edge_dst]
             _accum(bond_embed, g_msg)
-            if h.requires_grad:
-                _scatter_add(h.grad, edge_src, g_msg)
+            _scatter_grad(h, edge_src, g_msg)
 
     return Tensor(out, _parents=parents, _backprop=back)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, unit_b: bool):
-    """Row-wise ``sum(a*b) / (|a| |b| + 1e-12)`` with ``|x| = sqrt(sum(x*x) +
-    1e-24)``, and ``back(g)``: for the cosines' gradient ``g``, the gradient of
-    ``a`` and, unless ``unit_b``, of ``b``.
+def _gap_mean(a: np.ndarray, b: np.ndarray, unit_b: bool, target, p: float):
+    """``mean((target - cos)^p)`` over the rows, with ``cos`` the row-wise
+    ``sum(a*b) / (|a| |b| + 1e-12)`` and ``|x| = sqrt(sum(x*x) + 1e-24)``, and
+    ``back(g)``: for the mean's gradient ``g``, the gradient of ``a`` and,
+    unless ``unit_b``, of ``b``.
 
     ``unit_b`` says that ``b`` is a constant whose rows all have norm exactly
     1.0 (one-hot rows: sqrt(1 + 1e-24) == 1.0), so |b| is not computed and
     ``|a| * 1.0`` keeps |a|'s bits. Each expression is the composed ops' (mul,
-    tsum, add, sqrt, div), in their order. A side's gradient takes the dot's
-    partial, then its norm's twice (once per input of ``x * x``), in the order
-    the tape added them.
+    tsum, add, sqrt, div, sub, power, tmean), in their order; at ``p = 1``
+    ``x ** 1.0`` is ``x`` and ``x ** 0.0`` is 1, so no power changes a bit. A
+    side's gradient takes the dot's partial, then its norm's twice (once per
+    input of ``x * x``), in the order the tape added them.
     """
     dot = (a * b).sum(axis=1)
     na = np.sqrt((a * a).sum(axis=1) + _NORM_FLOOR)
@@ -423,10 +428,14 @@ def _cosine(a: np.ndarray, b: np.ndarray, unit_b: bool):
     # which the cosine need not show (x / inf == 0); every other overflow of
     # the composed ops reaches the loss
     _check_finite(den)
+    gap = target - dot / den
+    terms = np.power(gap, p)
+    scale = 1.0 / terms.size
 
     def back(g):
-        g_dot = (g / den)[:, None]
-        g_den = -g * dot / (den * den)
+        g_cos = -(np.broadcast_to(g * scale, terms.shape) * p * np.power(gap, p - 1.0))
+        g_dot = (g_cos / den)[:, None]
+        g_den = -g_cos * dot / (den * den)
         grads = []
         sides = [(a, b, na, nb)] if unit_b else [(a, b, na, nb), (b, a, nb, na)]
         for x, other, nx, n_other in sides:
@@ -437,58 +446,37 @@ def _cosine(a: np.ndarray, b: np.ndarray, unit_b: bool):
             grads.append(gx)
         return grads
 
-    return dot / den, back
+    return terms.sum() * scale, back
 
 
 def sce_term(rows, codes, gamma: float) -> Tensor:
     """GraphMAE's scaled cosine error as one tape node: the mean over the
-    ``rows`` of ``(1 - cos(row, one-hot of its code))^gamma``.
-
-    It keeps the bits of the cosine (``_cosine``), ``1 - cos``, ``power`` and
-    ``tmean`` composed.
-    """
+    ``rows`` of ``(1 - cos(row, one-hot of its code))^gamma``
+    (``_gap_mean``)."""
     rows = _lift(rows)
-    gamma = float(gamma)
     target = np.zeros(rows.shape)
     target[np.arange(len(target)), codes] = 1.0
-    cos, cos_back = _cosine(rows.values, target, unit_b=True)
-    gap = 1.0 - cos
-    terms = np.power(gap, gamma)
-    scale = 1.0 / terms.size
-
-    def back(g):
-        g_gap = np.broadcast_to(g * scale, terms.shape) * gamma * np.power(gap, gamma - 1.0)
-        (g_rows,) = cos_back(-g_gap)
-        _accum(rows, g_rows)
-
-    return Tensor(terms.sum() * scale, _parents=(rows,), _backprop=back)
+    value, back = _gap_mean(rows.values, target, True, 1.0, float(gamma))
+    return Tensor(value, _parents=(rows,), _backprop=lambda g: _accum(rows, *back(g)))
 
 
 def alignment_term(h, ii, jj, sims, squared: bool) -> Tensor:
     """The mean over row pairs ``(ii, jj)`` of ``sims - cos(h[ii], h[jj])``,
-    squared when ``squared``, as one tape node.
+    squared when ``squared``, as one tape node (``_gap_mean``).
 
-    It keeps the bits of the two ``take_rows``, the cosine (``_cosine``),
-    ``sims - cos``, ``power`` and ``tmean`` composed. The backward scatters the
-    ``ii`` rows' gradient into ``h`` before the ``jj`` rows', as the tape did.
+    It keeps the bits of the two ``take_rows`` and the composed loss. The
+    backward scatters the ``ii`` rows' gradient into ``h`` before the ``jj``
+    rows', as the tape did.
     """
     h = _lift(h)
-    cos, cos_back = _cosine(h.values[ii], h.values[jj], unit_b=False)
-    diff = sims - cos
-    terms = np.power(diff, 2.0) if squared else diff
-    scale = 1.0 / terms.size
+    value, back = _gap_mean(h.values[ii], h.values[jj], False, sims, 2.0 if squared else 1.0)
 
-    def back(g):
-        g_diff = np.broadcast_to(g * scale, terms.shape)
-        if squared:
-            g_diff = g_diff * 2.0 * np.power(diff, 1.0)
-        g_a, g_b = cos_back(-g_diff)
-        if h.grad is None:
-            h.grad = np.zeros(h.values.shape)
-        _scatter_add(h.grad, ii, g_a)
-        _scatter_add(h.grad, jj, g_b)
+    def scatter(g):
+        g_a, g_b = back(g)
+        _scatter_grad(h, ii, g_a)
+        _scatter_grad(h, jj, g_b)
 
-    return Tensor(terms.sum() * scale, _parents=(h,), _backprop=back)
+    return Tensor(value, _parents=(h,), _backprop=scatter)
 
 
 def segment_max(a, segments, n_segments: int) -> Tensor:

@@ -114,7 +114,7 @@ def cmd_mask_preview(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
     rows = []
     graphs = data.graphs()
-    tables = motif_tables(graphs, decompositions(graphs, run.motif.rule_table()), run.mask)
+    tables = motif_tables(graphs, run.motif.rule_table(), run.mask)
     streams = PlanStreams(run.mask.seed)
     for i, (rec, table) in enumerate(zip(data.records, tables)):
         plan = build_plan(table, run.mask, streams.rng(i))

@@ -16,8 +16,9 @@ Criterion 1 draws no random numbers; ``eligible_motifs`` checks it with one
 BFS per molecule, from the atoms of its cut bonds. What a decomposition fixes
 (eligibility, motif adjacency, each motif's nodes) is the molecule's
 ``MotifTable``: ``train.pretrain`` builds each molecule's table once per run,
-before the first epoch (``motif_tables``; under the random baseline a table
-holds only the atom count), and ``build_plan`` draws every epoch's plan from it.
+before the first epoch, and ``build_plan`` draws every epoch's plan from it.
+``motif_tables`` decomposes a corpus and builds its tables; under the random
+baseline a table holds only the atom count, and no molecule is decomposed.
 At coverage 1.0 a plan masks every node of each selected motif, so the
 shuffle of the eligible motifs is its only draw.
 
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .molgraph import MASK_ATOM_TYPE, MASK_CHIRALITY, MolGraph, k_hop_neighborhood
-from .motif import MotifDecomposition, motif_adjacency
+from .motif import MotifDecomposition, decompositions, motif_adjacency
 
 MASK_MODES = ("node_wise", "element_wise", "random_baseline")
 
@@ -120,15 +121,16 @@ def motif_table(g: MolGraph, dec: MotifDecomposition, hop_k: int) -> MotifTable:
                       tuple(m.node_ids for m in dec.motifs))
 
 
-def motif_tables(graphs, decomps, cfg: MaskConfig) -> Iterator[MotifTable]:
-    """The table ``build_plan`` reads under ``cfg`` of each molecule, built
-    when the iterator reaches it. The random baseline reads only the atom
-    count, so under it a table holds no motif and no BFS runs."""
-    for g, dec in zip(graphs, decomps):
-        if cfg.mode == "random_baseline":
-            yield MotifTable(g.n_atoms, (), (), ())
-        else:
-            yield motif_table(g, dec, cfg.hop_k)
+def motif_tables(graphs, rules, cfg: MaskConfig) -> Iterator[MotifTable]:
+    """The table ``build_plan`` reads under ``cfg`` of each molecule of a
+    corpus, decomposed with the rule table ``rules`` (``motif.decompositions``)
+    and built when the iterator reaches it. The random baseline reads only the
+    atom count, so under it a table holds no motif and nothing is decomposed."""
+    if cfg.mode == "random_baseline":
+        return (MotifTable(g.n_atoms, (), (), ()) for g in graphs)
+    graphs = list(graphs)
+    decomps = decompositions(graphs, rules)
+    return (motif_table(g, dec, cfg.hop_k) for g, dec in zip(graphs, decomps))
 
 
 def _draw_motifs(table: MotifTable, cfg: MaskConfig, rng: np.random.Generator) -> MaskPlan:

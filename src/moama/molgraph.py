@@ -111,16 +111,14 @@ class MolGraph:
         # one sweep validates each spec, normalizes it to u < v and fills the adjacency
         adj = [[] for _ in range(n)]
         specs = []
-        seen = set()
         for i, (u, v, order) in enumerate(bonds):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bond ({u}, {v}) references missing atom")
             if u == v:
                 raise ValueError(f"self-bond on atom {u}")
             key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if any(w == v for w, _ in adj[u]):
                 raise ValueError(f"duplicate bond {key}")
-            seen.add(key)
             specs.append((*key, order))
             adj[u].append((v, i))
             adj[v].append((u, i))

@@ -21,11 +21,13 @@ token as a character index into the string, not a byte offset.
 
 ``parse`` makes one pass over a record: it walks ``_TOKEN_RE``'s matches and
 applies the grammar to each token as it comes, with no token list. The pass
-keeps its parse tree, each atom's parent and creating bond. The ring-closure
-bonds are exactly the bonds outside that tree, so a bond lies on a ring when it
-is a closure or a tree bond on a closure's cycle, and the pass marks each
-closure's cycle as it closes. ``MolGraph``'s builder then takes the bond specs,
-already normalized and checked, with these ring flags; the bridge search of
+keeps its parse tree as each atom's creating bond, whose first end is the
+atom's parent. The ring-closure bonds are exactly the bonds outside that tree,
+so a bond lies on a ring when it is a closure or a tree bond on a closure's
+cycle, and the pass marks each closure's cycle as it closes. A closure
+duplicates a bond when its ends are already neighbours in the adjacency the
+pass builds. ``MolGraph``'s builder then takes the bond specs, already
+normalized and checked, with these ring flags; the bridge search of
 ``MolGraph(atoms, bonds)`` is not run. The pass stops at its first error, so
 only then is the whole string lexed again with ``_lex``: a lexical error
 anywhere wins, then a record with no atoms, then the pass's error. Organic-
@@ -190,11 +192,9 @@ def _parse(smiles: str) -> MolGraph:
     atoms: list[AtomAttr] = []
     aromatic: list[bool] = []
     bonds: list[tuple[int, int, str | None]] = []
-    bond_keys: set[tuple[int, int]] = set()
     adj: list[list[tuple[int, int]]] = []
-    # the parse tree: each atom's parent, its creating bond (the root has
-    # neither) and each bond's ring flag
-    parent: list[int] = []
+    # the parse tree: each atom's creating bond (the root has none), whose
+    # first end is the atom's parent, and each bond's ring flag
     tree_bond: list[int] = []
     ring: list[bool] = []
 
@@ -219,7 +219,6 @@ def _parse(smiles: str) -> MolGraph:
             aromatic.append(arom)
             if prev is None:
                 adj.append([])
-                parent.append(-1)
                 tree_bond.append(-1)
             else:
                 # the builder resolves an unwritten bond between aromatic atoms by its ring flag
@@ -227,11 +226,9 @@ def _parse(smiles: str) -> MolGraph:
                     pending_bond = "single"
                 b = len(bonds)
                 bonds.append((prev, idx, pending_bond))
-                bond_keys.add((prev, idx))
                 ring.append(False)
                 adj[prev].append((idx, b))
                 adj.append([(prev, b)])
-                parent.append(prev)
                 tree_bond.append(b)
                 pending_bond = None
             prev = idx
@@ -266,10 +263,9 @@ def _parse(smiles: str) -> MolGraph:
                     raise SmilesError("conflicting ring closure bond orders", pos)
                 if other == prev:
                     raise SmilesError("ring closure bonds an atom to itself", pos)
-                key = (other, prev) if other < prev else (prev, other)
-                if key in bond_keys:
+                if any(u == prev for u, _ in adj[other]):
                     raise SmilesError("duplicate bond", pos)
-                bond_keys.add(key)
+                key = (other, prev) if other < prev else (prev, other)
                 order = pending_bond if pending_bond is not None else other_order
                 if order is None and not (aromatic[other] and aromatic[prev]):
                     order = "single"
@@ -282,8 +278,9 @@ def _parse(smiles: str) -> MolGraph:
                 # walked up from the larger id (parents have lower ids)
                 u, v = key
                 while u != v:
-                    ring[tree_bond[v]] = True
-                    v = parent[v]
+                    b = tree_bond[v]
+                    ring[b] = True
+                    v = bonds[b][0]
                     if u > v:
                         u, v = v, u
             else:

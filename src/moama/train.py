@@ -42,7 +42,6 @@ from .gin import (
 from .loss import aux_loss, rec_loss, total_loss
 from .masking import PlanStreams, build_plan, motif_tables
 from .molgraph import MolGraph, stack
-from .motif import decompositions
 
 CHECKPOINT_MAGIC = b"MOAM"
 CHECKPOINT_VERSION = 1
@@ -133,7 +132,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _decode_checkpoint(data: bytes, path) -> Checkpoint:
     """The checkpoint in ``data``, read from ``path``. A tensor holding a
-    non-finite value, moments included, is a DataError naming both."""
+    non-finite value, moments included, or a tensor name stored twice is a
+    DataError naming both; bytes after the last tensor are a ValueError."""
     pos = 4   # the read cursor, just past the magic
 
     def advance(n: int) -> int:   # the cursor's offset; the cursor moves n bytes on
@@ -162,6 +162,8 @@ def _decode_checkpoint(data: bytes, path) -> Checkpoint:
         name = blob("<H").decode()
         if not name.isprintable():   # it would break the one-line error messages that name it
             raise ValueError(f"tensor name {name!r} is not printable")
+        if name in params:   # its later record would replace this one's weights
+            raise DataError(f"{path}: tensor {name} is stored twice")
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
         size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
@@ -172,6 +174,8 @@ def _decode_checkpoint(data: bytes, path) -> Checkpoint:
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: tensor {name} holds non-finite {part}")
         params[name] = ad.parameter(values)
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} bytes after its last tensor")
     store = ParamStore(params)
     store.m, store.v, store.t = moments_m, moments_v, adam_t
     return Checkpoint(store, config, rng, epoch)
@@ -208,20 +212,21 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
              progress=None) -> PretrainResult:
     """Masked-reconstruction pre-training over a molecule corpus.
 
-    Before the first epoch, each molecule's ``masking.MotifTable`` (one
-    eligibility BFS under a motif mask mode, none under the random baseline)
-    and, when the auxiliary loss is on, the packed bit matrix
-    of every fingerprint (``fingerprint.fingerprint_bits``) are built once for
-    the run. Per epoch: fresh mask plans per molecule, drawn from its table
-    and the run's plan streams (``masking.PlanStreams``; nothing is drawn
-    past the motif shuffle at coverage 1.0), encode the masked attributes,
-    decode the masked rows only (``gin.decode_attrs``), combine losses (each
-    batch's Tanimoto matrix from its rows of the bit matrix), one Adam step
-    per batch. An infeasible plan (one that stays at or below ``alpha_min``)
-    still masks the motifs it selected, by design: each meets both selection
-    criteria. Only a molecule whose plan is empty adds no reconstruction
-    loss. A batch whose loss is a constant (nothing masked, no pair to align)
-    takes no Adam step, and its loss still counts in the epoch means.
+    Before the first epoch, each molecule's ``masking.MotifTable`` (its
+    decomposition and one eligibility BFS under a motif mask mode, neither
+    under the random baseline) and, when the auxiliary loss is on, the packed
+    bit matrix of every fingerprint (``fingerprint.fingerprint_bits``) are
+    built once for the run. Per epoch: fresh mask plans per molecule, drawn
+    from its table and the run's plan streams (``masking.PlanStreams``;
+    nothing is drawn past the motif shuffle at coverage 1.0), encode the
+    masked attributes, decode the masked rows only (``gin.decode_attrs``),
+    combine losses (each batch's Tanimoto matrix from its rows of the bit
+    matrix), one Adam step per batch. An infeasible plan (one that stays at
+    or below ``alpha_min``) still masks the motifs it selected, by design:
+    each meets both selection criteria. Only a molecule whose plan is empty
+    adds no reconstruction loss. A batch whose loss is a constant (nothing
+    masked, no pair to align) takes no Adam step, and its loss still counts
+    in the epoch means.
     Settings that leave every batch nothing to learn fail before the first
     epoch: a DataError when no molecule has an eligible motif under a motif
     mask mode (read from the tables), and a ConfigError when ``loss.beta`` is
@@ -242,7 +247,7 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
         store, start_epoch = resume.store, resume.epoch
     else:
         store, start_epoch = init_params(cfg.encoder, cfg.loss.targets, seed=cfg.seed), 0
-    tables = list(motif_tables(graphs, decompositions(graphs, cfg.motif.rule_table()), cfg.mask))
+    tables = list(motif_tables(graphs, cfg.motif.rule_table(), cfg.mask))
     if cfg.mask.mode != "random_baseline" and not any(t.eligible for t in tables):
         raise DataError(f"no molecule has a motif eligible at mask.hop_k={cfg.mask.hop_k}; "
                         "nothing can be masked")

@@ -13,14 +13,15 @@ per-motif BFS it replaced, table-based mask planning via the
 decomposition-based planner it replaced, and the masked-row decoders via the
 full decoder and the gathering loss they replaced.
 
-``single``, ``relabel`` and ``shortest_path_lengths`` are helpers that only
-the tests use.
+``single``, ``relabel``, ``shortest_path_lengths`` and
+``write_checkpoint_naming_twice`` are helpers that only the tests use.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import struct
 from collections import deque
 
 import numpy as np
@@ -30,7 +31,7 @@ from moama import autodiff as ad
 from moama import parse
 from moama.errors import SmilesError
 from moama.fingerprint import hash_rows, refine
-from moama.gin import EncoderConfig, TensorGraph
+from moama.gin import EncoderConfig, ParamStore, TensorGraph
 from moama.loss import _one_dim_loss
 from moama.masking import MaskPlan, _coverage_count, eligible_motifs, random_mask
 from moama.molgraph import (
@@ -50,6 +51,7 @@ from moama.molgraph import (
 )
 from moama.motif import RuleTable, default_rules, motif_adjacency
 from moama.smiles import _BRACKET_RE, _TOKEN_RE, AROMATIC_SUBSET, ATOM_CODE, SmilesToken
+from moama.train import save_checkpoint
 
 
 @pytest.fixture(scope="session")
@@ -827,3 +829,18 @@ def rec_loss_full_oracle(logits, x_true, masked, cfg):
     if cfg.targets == "both_two_decoders":
         return (terms[0] + terms[1]) * 0.5, n_masked
     return terms[0] + terms[1], n_masked
+
+
+def write_checkpoint_naming_twice(path, ck, name) -> None:
+    """Write checkpoint ``ck`` to ``path`` with one more record after its
+    last: tensor ``name`` again, its values plus one. Every other byte is
+    ``save_checkpoint``'s, the tensor count included."""
+    save_checkpoint(path, ParamStore({}), ck.config, ck.rng, ck.epoch)
+    head = len(path.read_bytes())   # the bytes before the first record
+    again = ParamStore({name: ad.parameter(ck.store[name].values + 1.0)})
+    save_checkpoint(path, again, ck.config, ck.rng, ck.epoch)
+    record = path.read_bytes()[head:]
+    save_checkpoint(path, ck.store, ck.config, ck.rng, ck.epoch)
+    data = path.read_bytes()
+    (count,) = struct.unpack_from("<I", data, head - 4)
+    path.write_bytes(data[:head - 4] + struct.pack("<I", count + 1) + data[head:] + record)

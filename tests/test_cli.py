@@ -18,9 +18,11 @@ from moama.gin import MAX_EMBED_DIM, MAX_LAYERS, EncoderConfig, ParamStore, init
 from moama import autodiff as ad
 from moama.errors import DataError, write_output
 from moama.masking import MaskConfig, build_plan, motif_tables, plan_rng
-from moama.motif import decompositions, default_rules
+from moama.motif import default_rules
 from moama.smiles import parse
 from moama.train import load_checkpoint, save_checkpoint
+
+from conftest import build_plan_oracle, write_checkpoint_naming_twice
 
 
 @pytest.fixture()
@@ -67,7 +69,7 @@ def test_mask_preview_plans_are_the_one_plan_helpers(tmp_path):
                  *(a for kv in settings for a in ("--set", kv))]) == 0
     graphs = [parse(r["smiles"]) for r in _read_rows(data)]
     cfg = MaskConfig(mode="element_wise", coverage=0.5, hop_k=2, seed=4)
-    tables = motif_tables(graphs, decompositions(graphs, default_rules()), cfg)
+    tables = motif_tables(graphs, default_rules(), cfg)
     rows = _read_rows(out / "mask_plans.csv")
     assert len(rows) == len(graphs)
     for i, (row, table) in enumerate(zip(rows, tables)):
@@ -689,6 +691,35 @@ def test_config_snapshot_that_is_not_an_object_of_strings_is_a_data_error(
     assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["influence", "finetune"])
+def test_a_config_snapshot_without_a_key_is_a_data_error_naming_it(small_inputs, tmp_path,
+                                                                    capsys, command):
+    ck = load_checkpoint(small_inputs["checkpoint"])
+    snapshot = {key: text for key, text in ck.config.items() if key != "encoder.layers"}
+    bad = tmp_path / "no_layers.moam"
+    save_checkpoint(bad, ck.store, snapshot, ck.rng, ck.epoch)
+    argv = [command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs),
+            "--set", f"run.checkpoint={bad}"]
+    assert _run_cli(argv, capsys) == (
+        2, "data error: checkpoint config snapshot: encoder.layers is missing\n")
+
+
+@pytest.mark.parametrize("command", ["influence", "finetune"])
+@pytest.mark.parametrize("fault", ["bytes_after", "tensor_twice"])
+def test_a_checkpoint_with_bytes_after_it_or_a_tensor_twice_is_one_data_error_line(
+        small_inputs, tmp_path, capsys, command, fault):
+    bad = tmp_path / "bad.moam"
+    if fault == "bytes_after":
+        bad.write_bytes(small_inputs["checkpoint"].read_bytes() + b"\x00" * 8)
+        err = f"{bad} is truncated or corrupt: 8 bytes after its last tensor"
+    else:
+        write_checkpoint_naming_twice(bad, load_checkpoint(small_inputs["checkpoint"]), "enc.0.w1")
+        err = f"{bad}: tensor enc.0.w1 is stored twice"
+    argv = [command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs),
+            "--set", f"run.checkpoint={bad}"]
+    assert _run_cli(argv, capsys) == (2, f"data error: {err}\n")
+
+
 @pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
 def test_dataset_cell_over_the_csv_field_limit_is_a_data_error(tmp_path, capsys, line):
     huge = "C" * 200_000
@@ -766,7 +797,8 @@ def _run_cli(argv, capsys):
     ("17\tC\tC\tsingle", "rule id 17 outside 1..16"),
     ("1\tC\tC\tquadruple", "unknown bond order 'quadruple'"),
     ("1\t;\tC\tsingle", "empty rule environment expression"),
-], ids=["two_fields", "rule_id_17", "quadruple", "empty_environment"])
+    ("x\tC\tC\tsingle", "bad rule id 'x'"),
+], ids=["two_fields", "rule_id_17", "quadruple", "empty_environment", "non_integer_id"])
 def test_a_bad_rule_file_line_is_a_data_error(mols_csv, tmp_path, capsys, line, err):
     rules = tmp_path / "rules.tsv"
     rules.write_text(f"# one rule\n{line}\n")
@@ -790,7 +822,12 @@ def test_a_config_file_line_without_equals_is_a_config_error(mols_csv, tmp_path,
     (["mask.hop_k=-1"], "mask.hop_k must be >= 0"),
     (["run.seed=-1", "mask.seed=0"], "run.seed must be >= 0"),
     ([f"mask.seed={2 ** 128}"], "mask.seed must be >= 0 and below 2**128"),
-], ids=["set_without_equals", "negative_hop_k", "negative_run_seed", "mask_seed_past_the_key"])
+    (["run.lr=0"], "run.lr must be positive"),
+    (["run.lr=-1"], "run.lr must be positive"),
+    (["run.lr=inf"], "run.lr: not a finite number: 'inf'"),
+    (["mask.coverage=nan"], "mask.coverage: not a finite number: 'nan'"),
+], ids=["set_without_equals", "negative_hop_k", "negative_run_seed", "mask_seed_past_the_key",
+        "zero_lr", "negative_lr", "infinite_lr", "nan_coverage"])
 def test_bad_settings_are_config_errors(mols_csv, tmp_path, capsys, settings, err):
     argv = ["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}"]
     argv += [a for kv in settings for a in ("--set", kv)]
@@ -1030,6 +1067,43 @@ def test_each_command_parses_each_row_once_and_matches_the_rules_once(
     assert main([command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs)]) == 0
     assert len(parsed) == rows + len(_BAD_ROWS) and parsed[-2:] == _BAD_ROWS
     assert seen == matched
+
+
+@pytest.mark.parametrize("command", ["mask-preview", "pretrain"])
+def test_the_random_baseline_decomposes_nothing_and_plans_as_the_oracle(
+        small_inputs, tmp_path, monkeypatch, command):
+    import moama.cli
+    import moama.motif
+    import moama.train
+
+    matched, planned = [], []
+    cleavable_bonds = moama.motif.cleavable_bonds
+
+    def match_spy(graphs, rules=None):
+        matched.append(graphs)
+        return cleavable_bonds(graphs, rules)
+
+    def plan_spy(table, cfg, rng):
+        # the stream's counter names the plan's molecule and epoch (masking.PlanStreams)
+        epoch, i = rng.bit_generator.state["state"]["counter"][2:].tolist()
+        plan = build_plan(table, cfg, rng)
+        planned.append((i, epoch, plan))
+        return plan
+
+    monkeypatch.setattr(moama.motif, "cleavable_bonds", match_spy)
+    monkeypatch.setattr(moama.cli, "build_plan", plan_spy)
+    monkeypatch.setattr(moama.train, "build_plan", plan_spy)
+    argv = [command, "--out", str(tmp_path / "out"), *_inputs_for(command, small_inputs),
+            "--seed", "4", "--set", "mask.mode=random_baseline", "--set", "run.epochs=2"]
+    assert main(argv) == 0
+    assert matched == []
+    graphs = [parse(r["smiles"]) for r in _read_rows(small_inputs["corpus"])]
+    cfg = MaskConfig(mode="random_baseline", seed=4)
+    epochs = 2 if command == "pretrain" else 1
+    assert sorted((i, epoch) for i, epoch, _ in planned) == [
+        (i, epoch) for i in range(len(graphs)) for epoch in range(epochs)]
+    for i, epoch, plan in planned:
+        assert plan == build_plan_oracle(graphs[i], None, cfg, plan_rng(4, i, epoch))
 
 
 def test_the_process_entry_freezes_the_collector_and_main_does_not(mols_csv, tmp_path, monkeypatch):

@@ -482,7 +482,7 @@ def _coverage_half_batch(mode):
     """A batch of datagen molecules masked by coverage-0.5 plans."""
     graphs = [parse("C")] + [parse(smi) for smi in generate_corpus(10, seed=5)]
     mask = MaskConfig(mode=mode, coverage=0.5, hop_k=2)
-    tables = motif_tables(graphs, decompositions(graphs, default_rules()), mask)
+    tables = motif_tables(graphs, default_rules(), mask)
     return TensorGraph.from_graphs(graphs, [build_plan(t, mask, plan_rng(5, i))
                                             for i, t in enumerate(tables)])
 

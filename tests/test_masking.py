@@ -308,17 +308,17 @@ def test_one_coverage_loop_equals_the_two_branch_loop(corpus500, mode, coverage)
 def test_table_plans_equal_the_decomposition_planner(corpus500, hop_k):
     rng = np.random.default_rng(hop_k)
     random_graphs = [random_molgraph(rng, n_min=2, n_max=16) for _ in range(100)]
-    cases = [(g, dec) for graphs, rules in ((corpus500 + odd_molecules(), None),
-                                           (random_graphs, _CUT_CHAIN_BONDS))
-             for g, dec in zip(graphs, decompositions(graphs, rules))]
     # the baseline reads neither coverage nor the table's motifs
     cfgs = [MaskConfig(hop_k=hop_k, mode="random_baseline")] + [
         MaskConfig(hop_k=hop_k, mode=mode, coverage=coverage)
         for mode in ("node_wise", "element_wise") for coverage in (1.0, 0.5, 0.7)]
+    cases = []   # (molecule, decomposition, its table under each of cfgs)
+    for graphs, rules in ((corpus500 + odd_molecules(), None), (random_graphs, _CUT_CHAIN_BONDS)):
+        tables = zip(*(motif_tables(graphs, rules, cfg) for cfg in cfgs))
+        cases += zip(graphs, decompositions(graphs, rules), tables)
     masked = 0
-    for i, (g, dec) in enumerate(cases):
-        for cfg in cfgs:
-            table, = motif_tables([g], [dec], cfg)
+    for i, (g, dec, tables) in enumerate(cases):
+        for cfg, table in zip(cfgs, tables):
             for epoch in range(3):
                 plan = build_plan(table, cfg, plan_rng(7, i, epoch))
                 assert plan == build_plan_oracle(g, dec, cfg, plan_rng(7, i, epoch))
@@ -359,15 +359,14 @@ def test_a_plan_does_not_depend_on_the_plans_drawn_before_it(corpus500):
     # part-used output buffer or a cached 32-bit half behind; the next plan's
     # reset clears both, so it equals the plan of a fresh stream
     graphs = corpus500[:120]
-    decomps = list(decompositions(graphs, _CUT_CHAIN_BONDS))
     heavy = [MaskConfig(hop_k=2, mode="element_wise", coverage=0.5),
              MaskConfig(hop_k=2, mode="random_baseline")]
-    heavy_tables = [list(motif_tables(graphs, decomps, cfg)) for cfg in heavy]
+    heavy_tables = [list(motif_tables(graphs, _CUT_CHAIN_BONDS, cfg)) for cfg in heavy]
     streams = PlanStreams(7)
     left = set()
     planned = 0
     for cfg in (MaskConfig(hop_k=2), MaskConfig(hop_k=2, mode="element_wise", coverage=0.5)):
-        for i, table in enumerate(motif_tables(graphs, decomps, cfg)):
+        for i, table in enumerate(motif_tables(graphs, _CUT_CHAIN_BONDS, cfg)):
             for before, tables in zip(heavy, heavy_tables):
                 j = (i + 1) % len(graphs)
                 rng = streams.rng(j, 1)

@@ -130,6 +130,7 @@ def test_errors_report_offsets():
 @pytest.mark.parametrize("smi,message,offset", [
     ("C1C1", "duplicate bond", 3),
     ("CC(C1)1", "duplicate bond", 6),    # the ring closes back onto the branch's first bond
+    ("C12CC12", "duplicate bond", 6),    # the second closure repeats the first
     ("=C", "bond with no preceding atom", 0),
     ("(C)", "branch with no preceding atom", 0),
     ("C=(C)", "bond symbol before branch open", 2),

@@ -267,3 +267,66 @@ def test_edge_array_check_flags_every_read():
               "    return e, r, dec.cut_edges, g._edges, g.bonds, getattr(g, 'edges')\n"
               "x = g.ring_edges.sum() + g.edges.shape[1]\n")
     assert edge_array_reads(source) == ["2:edges", "3:ring_edges", "5:ring_edges", "5:edges"]
+
+
+# autodiff's two gradient sinks: the functions that may scatter rows into a
+# gradient, and those that may store one
+_GRADIENT_SINKS = {"_scatter_add": {"_scatter_grad", "_segment_sum_values"},
+                   "grad": {"Tensor.__init__", "Tensor.backward", "_accum", "_scatter_grad"}}
+
+
+def stray_gradient_writes(source: str) -> list[str]:
+    """``line:function:name`` for each read of ``_scatter_add`` and each
+    assignment to a ``.grad`` attribute outside the functions
+    ``_GRADIENT_SINKS`` allows, in source order. ``function`` is the dotted
+    name of the enclosing defs and classes (``<module>`` at top level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Name) and child.id == "_scatter_add":
+                name = child.id
+            elif (isinstance(child, ast.Attribute) and child.attr == "grad"
+                  and isinstance(child.ctx, ast.Store)):
+                name = child.attr
+            else:
+                name = None
+            if name is not None and scope not in _GRADIENT_SINKS[name]:
+                found.append((child.lineno, child.col_offset, f"{scope}:{name}"))
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return [f"{line}:{what}" for line, _, what in sorted(found)]
+
+
+def test_autodiff_writes_gradients_only_through_its_sinks():
+    assert stray_gradient_writes((SRC / "autodiff.py").read_text("utf-8")) == []
+
+
+def test_gradient_sink_check_flags_a_leftover_inline_scatter():
+    source = ("def _scatter_add(dst, idx, src):\n"
+              "    pass\n"
+              "def _scatter_grad(t, idx, g):\n"
+              "    if t.grad is None:\n"
+              "        t.grad = 0.0\n"
+              "    _scatter_add(t.grad, idx, g)\n"
+              "def take_rows(a, idx):\n"
+              "    def back(g):\n"
+              "        if a.grad is None:\n"
+              "            a.grad = 0.0\n"
+              "        _scatter_add(a.grad, idx, g)\n"
+              "    return back\n"
+              "class Tensor:\n"
+              "    def __init__(self):\n"
+              "        self.grad = None\n"
+              "    def zero(self, other):\n"
+              "        self.grad, other.grad = None, None\n"
+              "def _accum(t, g):\n"
+              "    t.grad += g\n"
+              "add_rows = _scatter_add\n")
+    assert stray_gradient_writes(source) == [
+        "10:take_rows.back:grad", "11:take_rows.back:_scatter_add", "17:Tensor.zero:grad",
+        "17:Tensor.zero:grad", "20:<module>:_scatter_add"]

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -52,6 +53,7 @@ from conftest import (
     scaffold_key_oracle,
     scaffold_keys_ring_loop_oracle,
     single,
+    write_checkpoint_naming_twice,
 )
 
 DESK = RunConfig(
@@ -259,6 +261,27 @@ def test_bad_checkpoint_rejected(tmp_path):
         load_checkpoint(bad)
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "missing.moam")
+
+
+@pytest.mark.parametrize("extra", [1, 8, 100])
+def test_a_checkpoint_with_bytes_after_its_last_tensor_is_corrupt(tmp_path, learned_eps_store,
+                                                                  extra):
+    path = tmp_path / "long.moam"
+    save_checkpoint(path, learned_eps_store, {}, {"seed": 0}, 1)
+    assert len(load_checkpoint(path).store.names()) == len(learned_eps_store.names())
+    path.write_bytes(path.read_bytes() + b"\x00" * extra)
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))} is truncated or corrupt: "
+                                        rf"{extra} bytes after its last tensor$"):
+        load_checkpoint(path)
+
+
+def test_a_checkpoint_naming_a_tensor_twice_is_a_data_error(tmp_path, learned_eps_store):
+    path = tmp_path / "twice.moam"
+    ck = Checkpoint(learned_eps_store, {}, {"seed": 0}, 1)
+    for name in ("dec.atom.eps", "enc.0.w1"):   # a 0-d and a 2-d tensor
+        write_checkpoint_naming_twice(path, ck, name)
+        with pytest.raises(DataError, match=re.escape(f"{path}: tensor {name} is stored twice")):
+            load_checkpoint(path)
 
 
 # --- scaffolds ---------------------------------------------------------------
