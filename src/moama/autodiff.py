@@ -449,13 +449,11 @@ def _gap_mean(a: np.ndarray, b: np.ndarray, unit_b: bool, target, p: float):
     return terms.sum() * scale, back
 
 
-def sce_term(rows, codes, gamma: float) -> Tensor:
+def sce_term(rows, target: np.ndarray, gamma: float) -> Tensor:
     """GraphMAE's scaled cosine error as one tape node: the mean over the
-    ``rows`` of ``(1 - cos(row, one-hot of its code))^gamma``
-    (``_gap_mean``)."""
+    ``rows`` of ``(1 - cos(row, target row))^gamma`` (``_gap_mean``). Each
+    row of ``target`` is a one-hot row, so its norm is exactly 1.0."""
     rows = _lift(rows)
-    target = np.zeros(rows.shape)
-    target[np.arange(len(target)), codes] = 1.0
     value, back = _gap_mean(rows.values, target, True, 1.0, float(gamma))
     return Tensor(value, _parents=(rows,), _backprop=lambda g: _accum(rows, *back(g)))
 

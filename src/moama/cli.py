@@ -121,7 +121,7 @@ def cmd_mask_preview(run: RunConfig, cfg, out: dict[str, Path]) -> None:
         rows.append([
             rec.smiles,
             int(plan.feasible),
-            repr(plan.realized_alpha),
+            plan.realized_alpha,
             "|".join(map(str, plan.selected_motifs)),
             "|".join(map(str, plan.masked_nodes[0])),
             "|".join(map(str, plan.masked_nodes[1])),
@@ -159,8 +159,8 @@ def cmd_finetune(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     report = finetune_probe(pretrained, graphs, labels, run)
     write_output(out["report"], csv_text(
         ["test_auc", "valid_auc", "best_epoch", "mode", "train", "valid", "test"],
-        [[repr(report.test_auc), repr(report.valid_auc), report.best_epoch,
-          report.mode, *report.split_sizes]]))
+        [[report.test_auc, report.valid_auc, report.best_epoch, report.mode,
+          *report.split_sizes]]))
     print(f"test AUC {report.test_auc:.4f} (valid {report.valid_auc:.4f}, "
           f"epoch {report.best_epoch}, {report.mode}) {_skipped(data)}")
 
@@ -175,19 +175,14 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     report = analyze_dataset(graphs, decomps, ckpt.store, run.encoder, run.influence)
     write_output(out["nodes"], csv_text(
         ["graph", "node", "n_motifs", "s_intra", "s_inter", "rank", "truncated"],
-        [[r.graph_index, r.node, r.n_motifs,
-          "" if r.intra is None else repr(r.intra),
-          "" if r.inter is None else repr(r.inter),
-          "" if r.rank is None else r.rank,
-          int(r.truncated)] for r in report.nodes]))
+        [[r.graph_index, r.node, r.n_motifs, r.intra, r.inter, r.rank, int(r.truncated)]
+         for r in report.nodes]))
     write_output(out["summary"], csv_text(
         ["inf_ratio_node", "inf_ratio_graph", "mrr_node", "mrr_graph",
          "mrr_motif", "top_k", "inter_mode", "excluded_nodes"],
-        [[repr(report.inf_ratio_node), repr(report.inf_ratio_graph),
-          repr(report.mrr_node), repr(report.mrr_graph), repr(report.mrr_motif),
-          report.top_k, report.inter_mode, report.excluded_nodes]]))
-    write_output(out["mrr"], csv_text(["n", "score", "graph_count"], [
-        [n, repr(score), count] for n, score, count in report.mrr_inter]))
+        [[report.inf_ratio_node, report.inf_ratio_graph, report.mrr_node, report.mrr_graph,
+          report.mrr_motif, report.top_k, report.inter_mode, report.excluded_nodes]]))
+    write_output(out["mrr"], csv_text(["n", "score", "graph_count"], report.mrr_inter))
     print(f"influence report over {len(graphs)} molecules {_skipped(data)} -> "
           f"{out['nodes'].parent}")
 

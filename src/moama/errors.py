@@ -61,7 +61,10 @@ def write_output(path, data: str | bytes, what: str = "file") -> None:
 
 
 def csv_text(header, rows) -> str:
-    """``header`` and ``rows`` as CSV text, with the ``csv`` module's CRLF line ends."""
+    """``header`` and ``rows`` as CSV text, with the ``csv`` module's CRLF line
+    ends. The cells are raw values, written by the one rule of ``csv.writer``:
+    a float (a numpy float too) as ``float.__repr__`` writes it, None as an
+    empty cell, any other value as ``str`` writes it."""
     buf = io.StringIO()
     csv.writer(buf).writerows([header, *rows])
     return buf.getvalue()

@@ -234,19 +234,13 @@ def init_params(cfg: EncoderConfig, targets: str | None = "atom_type", seed: int
     return ParamStore({name: ad.parameter(value(shape)) for name, shape in shapes.items()})
 
 
-def _epsilon(store: ParamStore, cfg: EncoderConfig, name: str):
-    if cfg.learn_epsilon:
-        return store[f"{name}.eps"]
-    return cfg.epsilon
-
-
 def _gin_layer(h: Tensor, store: ParamStore, cfg: EncoderConfig, prefix: str, src, dst,
                bond_embed: Tensor | None, rows=None, relu_out: bool = False) -> Tensor:
     """The GIN layer named ``prefix`` at the nodes ``rows`` (None: every node)
     over the edges into them (``autodiff.gin_layer``)."""
     w1, b1, w2, b2 = (store[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
-    return ad.gin_layer(h, bond_embed, src, dst, rows, _epsilon(store, cfg, prefix),
-                        w1, b1, w2, b2, relu_out)
+    eps = store[f"{prefix}.eps"] if cfg.learn_epsilon else cfg.epsilon
+    return ad.gin_layer(h, bond_embed, src, dst, rows, eps, w1, b1, w2, b2, relu_out)
 
 
 def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:

@@ -57,11 +57,11 @@ class LossConfig:
 
 def _one_dim_loss(rows: Tensor, codes: np.ndarray, cfg: LossConfig) -> Tensor:
     """One attribute's loss over its masked nodes' ``rows``, whose true codes
-    are ``codes``."""
-    if cfg.rec_kind == "sce":
-        return ad.sce_term(rows, codes, cfg.gamma)
+    are ``codes``: each row is scored against the one-hot row of its code."""
     onehot = np.zeros(rows.shape)
     onehot[np.arange(len(codes)), codes] = 1.0
+    if cfg.rec_kind == "sce":
+        return ad.sce_term(rows, onehot, cfg.gamma)
     target = ad.const(onehot)
     log_p = ad.log_softmax(rows)
     if cfg.rec_kind == "ce":

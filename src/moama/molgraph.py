@@ -2,13 +2,15 @@
 
 Molecules are heavy-atom graphs: nodes carry a (atom_type, chirality) code
 pair, bonds carry an order and a derived ring flag. Hydrogens are implicit and
-never appear as nodes. Graphs are immutable after construction, so arrays
-derived once (``X``, ``edges``, ``ring_edges``) can be shared by every batch
-and every corpus kernel that holds the graph. One private builder fills a
-graph from bond specs that are already normalized and valid, plus their ring
-flags. The parser hands it the flags it reads off its own parse tree; the
-public constructor first validates, normalizes and indexes the bond specs in
-one sweep, then finds the flags with one bridge search (``bridge_flags``).
+are no nodes, except a hydrogen written as a bracket atom (``[H]``, ``[2H]``),
+which is a node of atom type 0 as any atom is. Graphs are immutable after
+construction, so arrays derived once (``X``, ``edges``, ``ring_edges``) can be
+shared by every batch and every corpus kernel that holds the graph. One
+private builder fills a graph from bond specs that are already normalized and
+valid, plus their ring flags. The parser hands it the flags it reads off its
+own parse tree; the public constructor first validates, normalizes and indexes
+the bond specs in one sweep, then finds the flags with one bridge search
+(``bridge_flags``).
 
 ``stack`` lays many molecules into one node and directed-edge space, a
 ``Stack``: the GIN batch (``gin.TensorGraph`` holds its stack), the rule

@@ -45,8 +45,8 @@ _SINGLE, _DOUBLE, _TRIPLE, _AROMATIC = (BOND_ORDER_INDEX[o] for o in BOND_ORDERS
 
 _CMP = {"=": operator.eq, ">=": operator.ge, "<=": operator.le}
 
-_DEG_RE = re.compile(r"^deg(?P<op>>=|<=|=)(?P<n>\d+)$")
-_NBR_RE = re.compile(r"^nbr\((?P<spec>[^)]+)\)(?P<op>>=|<=|=)(?P<n>\d+)$")
+_DEG_RE = re.compile(r"^deg(?P<op>>=|<=|=)(?P<n>\d+)$", re.ASCII)
+_NBR_RE = re.compile(r"^nbr\((?P<spec>[^)]+)\)(?P<op>>=|<=|=)(?P<n>\d+)$", re.ASCII)
 _ELEMSET_RE = re.compile(r"^[A-Z][a-z]?(\|[A-Z][a-z]?)*$")
 
 # The one table of bond marks, each a test on every directed edge. Its order

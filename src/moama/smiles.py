@@ -13,11 +13,13 @@ Supported grammar (a documented subset, not full OpenSMILES):
              after they close
   dots       rejected: one molecule per record
 
-Isotopes, H-counts, and charges are parsed then discarded. A bond written
-without an order between two aromatic atoms is left unwritten (None), and
-becomes aromatic when it lies on a ring and single otherwise; any other bond
-written without an order is single. Errors report the offset of the offending
-token as a character index into the string, not a byte offset.
+Isotopes, H-counts, and charges are parsed then discarded. A bracket
+hydrogen (``[H]``, ``[2H]``) is an atom as any bracket atom is: a node of
+atom type 0. A bond written without an order between two aromatic atoms is
+left unwritten (None), and becomes aromatic when it lies on a ring and single
+otherwise; any other bond written without an order is single. Errors report
+the offset of the offending token as a character index into the string, not
+a byte offset.
 
 ``parse`` makes one pass over a record: it walks ``_TOKEN_RE``'s matches and
 applies the grammar to each token as it comes, with no token list. The pass
@@ -29,10 +31,11 @@ duplicates a bond when its ends are already neighbours in the adjacency the
 pass builds. ``MolGraph``'s builder then takes the bond specs, already
 normalized and checked, with these ring flags; the bridge search of
 ``MolGraph(atoms, bonds)`` is not run. The pass stops at its first error, so
-only then is the whole string lexed again with ``_lex``: a lexical error
+only then is the whole string lexed, with ``tokenize``: a lexical error
 anywhere wins, then a record with no atoms, then the pass's error. Organic-
 subset atoms come from a table, and every atom of one (atom_type, chirality)
-is the same frozen ``AtomAttr`` value. ``tokenize`` wraps ``_lex``.
+is the same frozen ``AtomAttr`` value. The patterns are ASCII: a digit is
+``0-9``, never another script's decimal digit.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, SmilesError, read_input
 from .molgraph import (
@@ -85,7 +89,7 @@ _TOKEN_RE = re.compile(
       | (?P<ring_closure>%\d{2}|\d)
       | (?P<dot>\.)
     """,
-    re.X,
+    re.X | re.ASCII,
 )
 
 _BRACKET_RE = re.compile(
@@ -96,12 +100,11 @@ _BRACKET_RE = re.compile(
         (?P<hcount>H\d*)?
         (?P<charge>\+\d+|-\d+|\++|-+)?
     \]$""",
-    re.X,
+    re.X | re.ASCII,
 )
 
 
-@dataclass(frozen=True)
-class SmilesToken:
+class SmilesToken(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -114,26 +117,21 @@ def _lex_error(smiles: str, pos: int) -> SmilesError:
     return SmilesError(f"unexpected character {smiles[pos]!r}", pos)
 
 
-def _lex(smiles: str) -> list[tuple[str, str, int]]:
-    """(kind, text, pos) of each token of a SMILES string; raises SmilesError
-    at the first character that starts no token."""
+def tokenize(smiles: str) -> list[SmilesToken]:
+    """Lex a SMILES string; token texts concatenate back to the input. Each
+    token's kind is one of ``bracket_atom``, ``organic_atom``, ``bond``,
+    ``branch_open``, ``branch_close``, ``ring_closure`` and ``dot``. Raises
+    SmilesError at the first character that starts no token."""
     tokens = []
     pos = 0
     for m in _TOKEN_RE.finditer(smiles):
         if m.start() != pos:
             break
-        tokens.append((m.lastgroup, m.group(), pos))
+        tokens.append(SmilesToken(m.lastgroup, m.group(), pos))
         pos = m.end()
     if pos != len(smiles):
         raise _lex_error(smiles, pos)
     return tokens
-
-
-def tokenize(smiles: str) -> list[SmilesToken]:
-    """Lex a SMILES string; token texts concatenate back to the input. Each
-    token's kind is one of ``bracket_atom``, ``organic_atom``, ``bond``,
-    ``branch_open``, ``branch_close``, ``ring_closure`` and ``dot``."""
-    return [SmilesToken(*token) for token in _lex(smiles)]
 
 
 @functools.cache
@@ -182,7 +180,7 @@ def parse(smiles: str) -> MolGraph:
     except SmilesError as e:
         error = e
     # the pass stopped at its first error; a lexical error after it, or no atoms, comes first
-    if not any(kind.endswith("atom") for kind, _, _ in _lex(smiles)):
+    if not any(t.kind.endswith("atom") for t in tokenize(smiles)):
         raise SmilesError("no atoms in input", 0)
     raise error
 

@@ -16,7 +16,7 @@ from moama.config import DEFAULTS, RunConfig, build_section, effective_config
 from moama.datagen import write_corpus_csv
 from moama.gin import MAX_EMBED_DIM, MAX_LAYERS, EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
-from moama.errors import DataError, write_output
+from moama.errors import DataError, csv_text, write_output
 from moama.masking import MaskConfig, build_plan, motif_tables, plan_rng
 from moama.motif import default_rules
 from moama.smiles import parse
@@ -798,10 +798,14 @@ def _run_cli(argv, capsys):
     ("1\tC\tC\tquadruple", "unknown bond order 'quadruple'"),
     ("1\t;\tC\tsingle", "empty rule environment expression"),
     ("x\tC\tC\tsingle", "bad rule id 'x'"),
-], ids=["two_fields", "rule_id_17", "quadruple", "empty_environment", "non_integer_id"])
+    # a count is ASCII digits; U+0662 is ARABIC-INDIC DIGIT TWO
+    ("1\tdeg>=\u0662\tC\tsingle", "cannot parse rule predicate 'deg>=\u0662'"),
+    ("1\tnbr(C)=\u0662\tC\tsingle", "cannot parse rule predicate 'nbr(C)=\u0662'"),
+], ids=["two_fields", "rule_id_17", "quadruple", "empty_environment", "non_integer_id",
+        "non_ascii_degree", "non_ascii_neighbour_count"])
 def test_a_bad_rule_file_line_is_a_data_error(mols_csv, tmp_path, capsys, line, err):
     rules = tmp_path / "rules.tsv"
-    rules.write_text(f"# one rule\n{line}\n")
+    rules.write_text(f"# one rule\n{line}\n", encoding="utf-8")
     argv = ["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}",
             "--set", f"motif.rules={rules}"]
     assert _run_cli(argv, capsys) == (2, f"data error: {rules}:2: {err}\n")
@@ -861,6 +865,15 @@ def test_write_output_under_a_regular_file_is_a_data_error(tmp_path):
     (tmp_path / "file").write_text("")
     with pytest.raises(DataError, match=r"^cannot write report .*file/out\.csv: "):
         write_output(tmp_path / "file" / "out.csv", "x", "report")
+
+
+def test_csv_text_writes_each_cell_by_one_rule():
+    # a numpy float is written as its float's repr, which repr() of it is not under numpy 2
+    cells = [0.1, np.float64(0.1), 1e-20, np.float64(-2.5e300), None, 3, np.int64(4), "a|b", ""]
+    assert csv_text(["h"] * len(cells), [cells]) == (
+        "h,h,h,h,h,h,h,h,h\r\n0.1,0.1,1e-20,-2.5e+300,,3,4,a|b,\r\n")
+    assert csv_text(["x"], [[float("nan")], [np.float64("-inf")], [-0.0]]) == (
+        "x\r\nnan\r\n-inf\r\n-0.0\r\n")
 
 
 @pytest.mark.parametrize("bad,every,labels", [("0.5", 3, {"0", "0.5", "1"}),

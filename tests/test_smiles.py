@@ -120,11 +120,17 @@ def test_errors_report_offsets():
         "C==C": ("consecutive bond", 2),
         "C11": ("itself", 2),
         "[C": ("unterminated bracket", 0),
+        # a digit is ASCII 0-9: another script's decimal digit is no ring closure,
+        # isotope or H count
+        "C\u0661CCCCC\u0661": ("unexpected character '\u0661'", 1),
+        "C\uff11CC\uff11": ("unexpected character '\uff11'", 1),
+        "[CH\u0663]": ("malformed bracket atom '[CH\u0663]'", 0),
+        "[\u0661\u0663C]": ("malformed bracket atom '[\u0661\u0663C]'", 0),
     }
-    for smi, (_, offset) in cases.items():
+    for smi, (message, offset) in cases.items():
         with pytest.raises(SmilesError) as e:
             parse(smi)
-        assert e.value.offset == offset, smi
+        assert message in str(e.value) and e.value.offset == offset, smi
 
 
 @pytest.mark.parametrize("smi,message,offset", [
@@ -143,6 +149,14 @@ def test_grammar_errors_name_the_problem_and_its_offset(smi, message, offset):
     with pytest.raises(SmilesError) as e:
         parse(smi)
     assert str(e.value) == f"{message} at offset {offset}" and e.value.offset == offset
+
+
+def test_a_bracket_hydrogen_is_a_node_of_atom_type_0():
+    g = parse("[H]C([H])([H])[H]")
+    assert [a.atom_type for a in g.atoms] == [0, ATOM_CODE["C"], 0, 0, 0]
+    assert sorted((b.u, b.v) for b in g.bonds) == [(0, 1), (1, 2), (1, 3), (1, 4)]
+    g = parse("[2H]OC")   # the isotope is discarded
+    assert [a.atom_type for a in g.atoms] == [0, ATOM_CODE["O"], ATOM_CODE["C"]]
 
 
 def test_parse_deterministic():

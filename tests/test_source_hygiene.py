@@ -1,6 +1,7 @@
 """Source checks that need no tool beyond the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -330,3 +331,48 @@ def test_gradient_sink_check_flags_a_leftover_inline_scatter():
     assert stray_gradient_writes(source) == [
         "10:take_rows.back:grad", "11:take_rows.back:_scatter_add", "17:Tensor.zero:grad",
         "17:Tensor.zero:grad", "20:<module>:_scatter_add"]
+
+
+# \d, \w and \s (and their negations) match non-ASCII digits, letters and
+# spaces unless a pattern is compiled with re.ASCII
+_UNICODE_CLASS = re.compile(r"(?<!\\)(?:\\\\)*\\[dDwWsS]")
+
+
+def unicode_class_patterns(source: str) -> list[str]:
+    """``line:name`` for each module-level ``name = re.compile(pattern, ...)``
+    whose literal pattern uses ``\\d``, ``\\w`` or ``\\s`` (or a negation)
+    and whose flags do not name ``re.ASCII`` (or ``re.A``), in source order."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        call = node.value
+        if not (isinstance(call.func, ast.Attribute) and call.func.attr == "compile"
+                and isinstance(call.func.value, ast.Name) and call.func.value.id == "re"
+                and call.args and isinstance(call.args[0], ast.Constant)
+                and isinstance(call.args[0].value, str)):
+            continue
+        flags = call.args[1:] + [k.value for k in call.keywords if k.arg == "flags"]
+        ascii_flag = any(isinstance(n, ast.Attribute) and n.attr in ("ASCII", "A")
+                         for f in flags for n in ast.walk(f))
+        if _UNICODE_CLASS.search(call.args[0].value) and not ascii_flag:
+            found += [f"{node.lineno}:{t.id}" for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_module_patterns_match_only_ascii_classes(path):
+    assert unicode_class_patterns(path.read_text("utf-8")) == []
+
+
+def test_unicode_class_check_flags_a_pattern_without_re_ascii():
+    source = ("import re\n"
+              "_A = re.compile(r'\\d+')\n"
+              "_B = re.compile(r'\\d+', re.ASCII)\n"
+              "_C = re.compile(r'''x\n  \\s''', re.X)\n"
+              "_D = re.compile(r'[A-Z]\\\\d')\n"
+              "_E = re.compile(r'\\\\\\w', flags=re.X | re.A)\n"
+              "_F = re.compile(r'\\\\\\W')\n"
+              "def f():\n"
+              "    return re.compile(r'\\d')\n")
+    assert unicode_class_patterns(source) == ["2:_A", "4:_C", "8:_F"]
