@@ -35,9 +35,11 @@ is commutative, -0.0 included, so (0 + a) + b == (0 + b) + a bit for bit.
 
 A fused op is one tape node in place of a chain of composed ops, with a
 hand-written backward that keeps the chain's bits. ``gin_layer`` is one GIN
-layer; ``sce_term`` is one head's scaled cosine error and ``alignment_term``
-the fingerprint-alignment loss, which share one mean of a power of a cosine
-gap (``_gap_mean``). The contract of each:
+layer, or one MLP (no edges and eps 0: ``x * 1.0`` keeps x's bits), so every
+layer and every MLP of ``gin`` is one node; ``sce_term`` is one head's
+scaled cosine error and ``alignment_term`` the fingerprint-alignment loss,
+which share one mean of a power of a cosine gap (``_gap_mean``). The
+contract of each:
 
 - the forward evaluates the chain's numpy expressions in their order;
   ``gin_layer``'s neighbour sum is ``_segment_sum_values``, as

@@ -4,7 +4,8 @@ Commands: decompose, mask-preview, pretrain, finetune, influence,
 fingerprint. Every run writes an ``effective-config`` artifact to the output
 directory; re-running with it reproduces the run bit-identically.
 
-Exit codes: 1 config error, 2 data error, 3 numerical failure.
+Exit codes: 1 config error (a command line that does not parse too),
+2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,12 +29,19 @@ from .smiles import read_dataset
 from .train import finetune_probe, load_checkpoint, loss_curve_rows, pretrain, save_checkpoint
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command line it cannot parse is a ConfigError, one line on stderr."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="moama", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="moama", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", metavar="PATH", help="key=value config file")
-    p.add_argument("--seed", type=int, metavar="N", help="override run.seed")
+    p.add_argument("--seed", metavar="N", help="override run.seed (as --set run.seed=N)")
     p.add_argument("--out", metavar="DIR", default="out", help="output directory")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override one config key")
@@ -43,13 +51,12 @@ def _parser() -> argparse.ArgumentParser:
 def _load_config(args) -> dict[str, str]:
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {}
-    for item in args.overrides:
+    seed = [] if args.seed is None else [f"run.seed={args.seed}"]
+    for item in args.overrides + seed:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
     return effective_config(file_values, overrides)
 
 
@@ -189,7 +196,7 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
 
 def cmd_fingerprint(run: RunConfig, cfg, out: dict[str, Path]) -> None:
     data = read_dataset(_require_input(run))
-    fps = morgan_fingerprints([rec.graph for rec in data.records], run.fp)
+    fps = morgan_fingerprints(data.graphs(), run.fp)
     rows = [[rec.smiles, fp.to_hex()] for rec, fp in zip(data.records, fps)]
     write_output(out["fingerprints"], csv_text(["smiles", "fingerprint_hex"], rows))
     print(f"fingerprinted {len(rows)} molecules {_skipped(data)}")
@@ -213,8 +220,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = _load_config(args)
         run = build_section(RunConfig, "run", cfg)
         out_dir = Path(args.out)

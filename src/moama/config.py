@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
-from .errors import ConfigError, read_input
+from .errors import ConfigError, ascii_number, read_input
 from .fingerprint import FingerprintConfig
 from .gin import EncoderConfig
 from .influence import InfluenceConfig
@@ -66,14 +66,14 @@ def _boolean(text: str) -> bool:
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    value = ascii_number(text, float)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     return value
 
 
 # field type -> parser of its value text
-_PARSERS = {int: int, float: _finite, bool: _boolean, str: str}
+_PARSERS = {int: lambda text: ascii_number(text, int), float: _finite, bool: _boolean, str: str}
 
 
 def _defaults(cls, section: str):

@@ -1,6 +1,8 @@
 """Shared exception types; ``read_input`` and ``write_output``, the one reader
-of input files and the one writer of output files; and ``csv_text``, the text
-of every CSV file written but ``loss.csv`` (``train.loss_curve_rows``, LF line ends)."""
+of input files and the one writer of output files; ``csv_text``, the text of
+every CSV file written (``loss.csv`` with LF line ends,
+``train.loss_curve_rows``); and ``ascii_number``, the one reader of a number
+in a config value, rule file or label cell."""
 
 from __future__ import annotations
 
@@ -68,3 +70,14 @@ def csv_text(header, rows) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerows([header, *rows])
     return buf.getvalue()
+
+
+def ascii_number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``kind(text)`` of ASCII ``text`` without ``_``. ``int()`` and
+    ``float()`` also read other scripts' digits, Unicode spaces and ``_``
+    digit separators, which no input spells a number with here. Text that
+    ``kind`` does not read, or that is not ASCII or holds a ``_``, is a
+    ``ValueError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII {kind.__name__}: {text!r}")
+    return kind(text)

@@ -11,9 +11,9 @@ only on its messages and runs stay bit-reproducible.
 Layer update, for layer weights (w1, b1, w2, b2) and scalar eps:
     h_v <- w2 . relu(w1 . ((1 + eps) h_v + sum_{u in N(v)} (h_u + bond_emb))
            + b1) + b2
-with an extra rectifier between layers except after the last. Each layer,
-that rectifier included, is one tape node (``autodiff.gin_layer``), in the
-encoder and in the gnn decoder alike.
+with an extra rectifier between layers except after the last. Every layer,
+that rectifier included, and every MLP (the mlp decoder, the label head: a
+layer with no edges and eps 0) is one tape node (``autodiff.gin_layer``).
 """
 
 from __future__ import annotations
@@ -185,9 +185,11 @@ def _mlp_block(prefix: str, k: int, out_dim: int) -> dict[str, tuple[int, ...]]:
             f"{prefix}.w2": (k, out_dim), f"{prefix}.b2": (out_dim,)}
 
 
-def encoder_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of each encoder parameter (``embed.*``, ``enc.*``), in the order
-    ``init_params`` draws them."""
+def param_shapes(cfg: EncoderConfig, targets: str | None) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in the order ``init_params`` draws them: the
+    encoder's (``embed.*``, ``enc.*``), the decoders' (``dec.*``) for
+    ``targets`` (none when None, as fine-tuning needs) and the label head's
+    (``head.*``, one output: fine-tuning reads one binary label)."""
     k = cfg.embed_dim
     shapes = {"embed.atom": (N_ATOM_EMBED, k), "embed.chirality": (N_CHIRALITY_EMBED, k),
               "embed.bond": (N_BOND_EMBED, k)}
@@ -195,16 +197,6 @@ def encoder_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
         shapes.update(_mlp_block(f"enc.{layer}", k, k))
         if cfg.learn_epsilon:
             shapes[f"enc.{layer}.eps"] = ()
-    return shapes
-
-
-def param_shapes(cfg: EncoderConfig, targets: str | None) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter: the encoder's, the decoders' (``dec.*``) for
-    ``targets`` (none when it is None, as fine-tuning needs) and the label
-    head's (``head.*``), in the order ``init_params`` draws them. The label
-    head has one output: fine-tuning reads one binary label."""
-    k = cfg.embed_dim
-    shapes = encoder_shapes(cfg)
     for head, attrs in TARGETS[targets] if targets else ():
         out_dim = sum(ATTRIBUTES[a][1] for a in attrs)
         if cfg.decoder == "gnn":
@@ -234,19 +226,27 @@ def init_params(cfg: EncoderConfig, targets: str | None = "atom_type", seed: int
     return ParamStore({name: ad.parameter(value(shape)) for name, shape in shapes.items()})
 
 
+def _block(store: ParamStore, prefix: str) -> tuple[Tensor, ...]:
+    """The (w1, b1, w2, b2) of the ``_mlp_block`` named ``prefix``."""
+    return tuple(store[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
+
+
 def _gin_layer(h: Tensor, store: ParamStore, cfg: EncoderConfig, prefix: str, src, dst,
                bond_embed: Tensor | None, rows=None, relu_out: bool = False) -> Tensor:
     """The GIN layer named ``prefix`` at the nodes ``rows`` (None: every node)
     over the edges into them (``autodiff.gin_layer``)."""
-    w1, b1, w2, b2 = (store[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
     eps = store[f"{prefix}.eps"] if cfg.learn_epsilon else cfg.epsilon
-    return ad.gin_layer(h, bond_embed, src, dst, rows, eps, w1, b1, w2, b2, relu_out)
+    return ad.gin_layer(h, bond_embed, src, dst, rows, eps, *_block(store, prefix), relu_out)
 
 
-def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    """``w2 . relu(w1 . x + b1) + b2`` on the ``_mlp_block`` named ``prefix``."""
-    z = ad.relu(x @ store[f"{prefix}.w1"] + store[f"{prefix}.b1"])
-    return z @ store[f"{prefix}.w2"] + store[f"{prefix}.b2"]
+_NO_EDGES = np.empty(0, dtype=np.int64)
+
+
+def _mlp(x: Tensor, store: ParamStore, prefix: str, rows=None) -> Tensor:
+    """``w2 . relu(w1 . x + b1) + b2`` on the ``_mlp_block`` named ``prefix``,
+    at the rows ``rows`` of x (None: every row): a GIN layer with no edges and
+    eps 0, whose ``x * 1.0`` keeps x's bits."""
+    return ad.gin_layer(x, None, _NO_EDGES, _NO_EDGES, rows, 0.0, *_block(store, prefix), False)
 
 
 def _bond_embedding(store: ParamStore, order: np.ndarray) -> Tensor | None:
@@ -326,7 +326,7 @@ def decode_attrs(tg: TensorGraph, h: Tensor, store: ParamStore, cfg: EncoderConf
                            _bond_embedding(store, tg.s.order[edges]), rows)
             logits = z @ store[f"dec.{head}.proj.w"] + store[f"dec.{head}.proj.b"]
         else:
-            logits = _mlp(ad.take_rows(h, rows), store, f"dec.{head}")
+            logits = _mlp(h, store, f"dec.{head}", rows)
         col = 0
         for attr, nodes in zip(attrs, wanted):
             width = ATTRIBUTES[attr][1]

@@ -35,7 +35,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DataError, read_input
+from .errors import DataError, ascii_number, read_input
 from .molgraph import BOND_ORDER_INDEX, BOND_ORDERS, N_ATOM_TYPES, MolGraph, stack
 from .smiles import ATOM_CODE
 
@@ -214,7 +214,6 @@ def load_rules(path=None) -> RuleTable:
     rules = []
     envs: dict[str, EnvPattern] = {}   # each expression text compiled once, shared by its rules
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
@@ -222,7 +221,7 @@ def load_rules(path=None) -> RuleTable:
             raise DataError(f"{origin}:{lineno}: expected 4 tab-separated fields")
         rid_text, left, right, order = (p.strip() for p in parts)
         try:
-            rid = int(rid_text)
+            rid = ascii_number(rid_text, int)
         except ValueError as e:
             raise DataError(f"{origin}:{lineno}: bad rule id {rid_text!r}") from e
         if not 1 <= rid <= 16:

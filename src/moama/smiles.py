@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DataError, SmilesError, read_input
+from .errors import DataError, SmilesError, ascii_number, read_input
 from .molgraph import (
     CHIRALITY_NONE,
     CHIRALITY_OTHER,
@@ -354,7 +354,7 @@ def read_dataset(path, label: str | None = None) -> Dataset:
                 continue
             cell = (row.get(label) or "").strip() if label is not None else ""
             try:
-                value = float(cell) if cell else float("nan")
+                value = ascii_number(cell, float) if cell else float("nan")
             except ValueError as e:
                 # line_num: the file lines read so far, this row's last line included
                 raise DataError(f"dataset {path} at line {reader.line_num}: label "

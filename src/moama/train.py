@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig, build_section
-from .errors import ConfigError, DataError, read_input, write_output
+from .errors import ConfigError, DataError, csv_text, read_input, write_output
 from .fingerprint import fingerprint_bits, hash_rows, refine
 from .gin import (
     EncoderConfig,
@@ -33,7 +33,6 @@ from .gin import (
     TensorGraph,
     decode_attrs,
     encode,
-    encoder_shapes,
     init_params,
     param_shapes,
     predict_label,
@@ -74,7 +73,7 @@ def check_encoder_tensors(store: ParamStore, enc: EncoderConfig) -> list[str]:
     Raises DataError unless ``store`` holds exactly those encoder tensors,
     each with the shape ``init_params(enc)`` gives it.
     """
-    return _check_tensors(store, encoder_shapes(enc), ("embed.", "enc."))
+    return _check_tensors(store, param_shapes(enc, None), ("embed.", "enc."))
 
 
 def _check_tensors(store: ParamStore, shapes: dict, prefixes: tuple[str, ...]) -> list[str]:
@@ -197,15 +196,11 @@ class PretrainResult:
 
 
 def loss_curve_rows(curve, include_aux: bool) -> list[str]:
-    header = "epoch,loss,rec,aux,feasible_frac" if include_aux else "epoch,loss,rec,feasible_frac"
-    rows = [header]
-    for s in curve:
-        cells = [str(s.epoch), repr(s.loss), repr(s.rec)]
-        if include_aux:
-            cells.append(repr(s.aux))
-        cells.append(repr(s.feasible_frac))
-        rows.append(",".join(cells))
-    return rows
+    """The lines of ``loss.csv``, one row per epoch, by ``csv_text``'s cell rule."""
+    header = ["epoch", "loss", "rec", *(["aux"] if include_aux else []), "feasible_frac"]
+    rows = [[s.epoch, s.loss, s.rec, *([s.aux] if include_aux else []), s.feasible_frac]
+            for s in curve]
+    return csv_text(header, rows).splitlines()
 
 
 def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,

@@ -732,13 +732,17 @@ def test_dataset_cell_over_the_csv_field_limit_is_a_data_error(tmp_path, capsys,
 
 
 def test_non_numeric_label_names_the_file_and_its_line(tmp_path, capsys):
-    data = tmp_path / "labels.csv"
-    data.write_text("smiles,label\nCCO,1\nCCN,x\nCCC,0\n")
-    out = tmp_path / "out"
-    assert main(["finetune", "--out", str(out), "--set", f"data.input={data}", *_SMALL]) == 2
-    err = capsys.readouterr().err
-    assert err == f"data error: dataset {data} at line 3: label label='x' is not numeric\n"
-    assert not (out / "auc_report.csv").exists()
+    # a label is ASCII with no digit separator: float() reads "0_1" as 0.1 and
+    # U+0661 (ARABIC-INDIC DIGIT ONE) as 1.0
+    for cell in ("x", "0_1", "\u0661"):
+        data = tmp_path / "labels.csv"
+        data.write_text(f"smiles,label\nCCO,1\nCCN,{cell}\nCCC,0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["finetune", "--out", str(out), "--set", f"data.input={data}", *_SMALL]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"data error: dataset {data} at line 3: "
+                       f"label label={cell!r} is not numeric\n")
+        assert not (out / "auc_report.csv").exists()
 
 
 def test_pretrain_on_only_unparseable_smiles_is_a_data_error(tmp_path, capsys):
@@ -798,11 +802,14 @@ def _run_cli(argv, capsys):
     ("1\tC\tC\tquadruple", "unknown bond order 'quadruple'"),
     ("1\t;\tC\tsingle", "empty rule environment expression"),
     ("x\tC\tC\tsingle", "bad rule id 'x'"),
+    # int() reads U+0661 (ARABIC-INDIC DIGIT ONE) as 1 and "1_6" as 16
+    ("\u0661\tC\tC\tsingle", "bad rule id '\u0661'"),
+    ("1_6\tC\tC\tsingle", "bad rule id '1_6'"),
     # a count is ASCII digits; U+0662 is ARABIC-INDIC DIGIT TWO
     ("1\tdeg>=\u0662\tC\tsingle", "cannot parse rule predicate 'deg>=\u0662'"),
     ("1\tnbr(C)=\u0662\tC\tsingle", "cannot parse rule predicate 'nbr(C)=\u0662'"),
 ], ids=["two_fields", "rule_id_17", "quadruple", "empty_environment", "non_integer_id",
-        "non_ascii_degree", "non_ascii_neighbour_count"])
+        "non_ascii_id", "id_with_separator", "non_ascii_degree", "non_ascii_neighbour_count"])
 def test_a_bad_rule_file_line_is_a_data_error(mols_csv, tmp_path, capsys, line, err):
     rules = tmp_path / "rules.tsv"
     rules.write_text(f"# one rule\n{line}\n", encoding="utf-8")
@@ -830,12 +837,49 @@ def test_a_config_file_line_without_equals_is_a_config_error(mols_csv, tmp_path,
     (["run.lr=-1"], "run.lr must be positive"),
     (["run.lr=inf"], "run.lr: not a finite number: 'inf'"),
     (["mask.coverage=nan"], "mask.coverage: not a finite number: 'nan'"),
+    # int() and float() read other scripts' digits and "_" separators
+    (["run.epochs=\u0661"], "run.epochs: not an ASCII int: '\u0661'"),
+    (["run.epochs=1_0"], "run.epochs: not an ASCII int: '1_0'"),
+    (["run.lr=\u0661e-3"], "run.lr: not an ASCII float: '\u0661e-3'"),
+    (["mask.coverage=0_5"], "mask.coverage: not an ASCII float: '0_5'"),
 ], ids=["set_without_equals", "negative_hop_k", "negative_run_seed", "mask_seed_past_the_key",
-        "zero_lr", "negative_lr", "infinite_lr", "nan_coverage"])
+        "zero_lr", "negative_lr", "infinite_lr", "nan_coverage", "non_ascii_int",
+        "int_with_separator", "non_ascii_float", "float_with_separator"])
 def test_bad_settings_are_config_errors(mols_csv, tmp_path, capsys, settings, err):
     argv = ["decompose", "--out", str(tmp_path / "out"), "--set", f"data.input={mols_csv}"]
     argv += [a for kv in settings for a in ("--set", kv)]
     assert _run_cli(argv, capsys) == (1, f"config error: {err}\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["decompose", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["decompose", "--seed", "x"], "run.seed: invalid literal for int() with base 10: 'x'"),
+], ids=["unknown_command", "unknown_option", "no_command", "seed_not_a_number"])
+def test_a_command_line_that_does_not_parse_is_one_config_error_line(tmp_path, capsys, argv,
+                                                                    err):
+    code, stderr = _run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 1 and stderr.startswith(f"config error: {err}") and stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: moama ")
+
+
+def test_seed_text_is_read_as_set_run_seed_reads_it(mols_csv, tmp_path):
+    echoes = []
+    for i, flag in enumerate([["--seed", "007"], ["--set", "run.seed=007"]]):
+        out = tmp_path / str(i)
+        argv = ["decompose", "--out", str(out), "--set", f"data.input={mols_csv}", *flag]
+        assert main(argv) == 0
+        echoes.append((out / "effective-config.decompose").read_bytes())
+    assert echoes[0] == echoes[1]
+    assert b"\nrun.seed=007\n" in echoes[0] and b"\nmask.seed=007\n" in echoes[0]
 
 
 def test_a_checkpoint_of_another_version_is_a_data_error(small_inputs, tmp_path, capsys):

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from moama import autodiff as ad
 from moama import gin, parse
+from moama.cli import main as cli_main
 from moama.errors import NumericsError
 from moama.fingerprint import fingerprint_bits
-from moama.datagen import generate_corpus
+from moama.datagen import generate_corpus, write_corpus_csv
 from moama.gin import (
     ATTRIBUTES,
     TARGETS,
@@ -473,9 +474,78 @@ def _param_shapes_oracle(cfg, targets):
     return shapes
 
 
+# --- reference MLP ------------------------------------------------------------
+# The composed MLP that ``gin._mlp`` fused into one ``ad.gin_layer`` node (no
+# edges, eps 0): one node per op, the mlp decoder's row gather included. Kept
+# as the oracle for the fused MLP's values and its gradients' bits.
+
+def _mlp_oracle(x, store, prefix, rows=None):
+    x = x if rows is None else ad.take_rows(x, rows)
+    z = ad.relu(x @ store[f"{prefix}.w1"] + store[f"{prefix}.b1"])
+    return z @ store[f"{prefix}.w2"] + store[f"{prefix}.b2"]
+
+
 def _predict_label_oracle(h_graph, store):
-    z = ad.relu(h_graph @ store["head.w1"] + store["head.b1"])
-    return z @ store["head.w2"] + store["head.b2"]
+    return _mlp_oracle(h_graph, store, "head")
+
+
+@pytest.mark.parametrize("width", [8, 32, 76, 300])
+def test_fused_mlp_keeps_the_composed_mlp_s_bits(width):
+    # x is a parameter with a second consumer; row 1 is -0.0 and the rectifier
+    # zeroes all of row 3; the incoming gradient holds -0.0 and 0.0
+    rng = np.random.default_rng(width)
+    store = init_params(EncoderConfig(layers=1, embed_dim=width), None, seed=width)
+    store["head.b1"].values = rng.uniform(-0.5, 0.5, size=width)
+    store["head.b2"].values = rng.uniform(-0.5, 0.5, size=1)
+    x0 = rng.normal(size=(6, width))
+    x0[1] = -0.0
+    x0[3] = np.linalg.solve(store["head.w1"].values.T, -np.ones(width))
+    assert (x0[3] @ store["head.w1"].values + store["head.b1"].values < 0.0).all()
+    coef = rng.choice([-1.0, 0.0, -0.0, 2.0], size=(6, 1))
+    coef[0] = -0.0
+    rows = np.array([5, 1, 3, 0])
+    cases = [(lambda x: predict_label(x, store), lambda x: _predict_label_oracle(x, store)),
+             (lambda x: gin._mlp(x, store, "head", rows),
+              lambda x: _mlp_oracle(x, store, "head", rows))]
+    for fused, oracle in cases:
+        seen = []
+        for mlp in (fused, oracle):
+            x = ad.parameter(x0.copy())
+            store.zero_grad()
+            out = mlp(x)
+            loss = ad.tsum(out * ad.const(coef[:len(out.values)])) + ad.tsum(x * x)
+            loss.backward()
+            seen.append([bits(out), bits(x.grad)]
+                        + [bits(store[n].grad) for n in store.names() if n.startswith("head.")])
+        assert seen[0] == seen[1]
+
+
+def test_fused_mlp_runs_keep_the_composed_mlp_s_bytes(tmp_path, monkeypatch):
+    # mlp-decoder pretrains under every loss.targets and a full finetune from
+    # one of their checkpoints, once through the fused MLP and once through
+    # the composed oracle
+    corpus, labeled = tmp_path / "corpus.csv", tmp_path / "labeled.csv"
+    write_corpus_csv(corpus, 24, seed=3)
+    write_corpus_csv(labeled, 60, seed=11, labeled=True)
+    small = ["--seed", "2", "--set", "encoder.layers=2", "--set", "encoder.decoder=mlp",
+             "--set", "run.epochs=2", "--set", "run.batch_pretrain=8"]
+    seen = []
+    for i, mlp in enumerate((gin._mlp, _mlp_oracle)):
+        outputs = []
+        with monkeypatch.context() as m:
+            m.setattr(gin, "_mlp", mlp)
+            for targets in TARGETS:
+                out = tmp_path / f"{i}-{targets}"
+                assert cli_main(["pretrain", "--out", str(out), "--set", f"data.input={corpus}",
+                                 "--set", f"loss.targets={targets}", *small]) == 0
+                outputs += [(out / name).read_bytes() for name in ("checkpoint.moam", "loss.csv")]
+            out, ckpt = tmp_path / f"{i}-finetune", tmp_path / f"{i}-atom_type" / "checkpoint.moam"
+            assert cli_main(["finetune", "--out", str(out), "--set", f"data.input={labeled}",
+                             "--set", f"run.checkpoint={ckpt}", "--set", "run.finetune_mode=full",
+                             "--set", "run.finetune_epochs=3", *small]) == 0
+            outputs.append((out / "auc_report.csv").read_bytes())
+        seen.append(outputs)
+    assert seen[0] == seen[1]
 
 
 def _coverage_half_batch(mode):

@@ -29,6 +29,7 @@ from moama.molgraph import AtomAttr, MolGraph
 from moama.train import (
     CHECKPOINT_VERSION,
     Checkpoint,
+    EpochStats,
     ProbeReport,
     RunConfig,
     _bce,
@@ -91,6 +92,15 @@ def test_beta_one_skips_aux_column():
     assert rows[0] == "epoch,loss,rec,feasible_frac"
     rows_aux = loss_curve_rows(result.curve, include_aux=True)
     assert rows_aux[0].split(",") == ["epoch", "loss", "rec", "aux", "feasible_frac"]
+
+
+def test_loss_curve_cells_follow_the_one_csv_cell_rule():
+    # a numpy float is written as its float's repr, which repr() of it is not under numpy 2
+    curve = [EpochStats(np.int64(1), np.float64(0.5), np.float64(0.25), np.float64(1e-20),
+                        np.float64(1.0))]
+    assert loss_curve_rows(curve, True) == ["epoch,loss,rec,aux,feasible_frac",
+                                            "1,0.5,0.25,1e-20,1.0"]
+    assert loss_curve_rows(curve, False) == ["epoch,loss,rec,feasible_frac", "1,0.5,0.25,1.0"]
 
 
 def test_fixed_seed_bit_identical_curves(small_corpus):
