@@ -177,6 +177,8 @@ def cmd_influence(run: RunConfig, cfg, out: dict[str, Path]) -> None:
         raise ConfigError("influence requires run.checkpoint")
     ckpt, run = _checkpoint(run)
     data = read_dataset(_require_input(run))
+    if not data.records:
+        raise DataError("no parseable molecules in the dataset")
     graphs = data.graphs()[:run.influence.max_graphs or None]   # 0 = all
     decomps = list(decompositions(graphs, run.motif.rule_table()))
     report = analyze_dataset(graphs, decomps, ckpt.store, run.encoder, run.influence)

@@ -16,6 +16,14 @@ small motifs and large inter-motif pools compare on equal footing; pools
 smaller than k fall back to all candidates (flagged), and nodes whose own
 motif has no other member are excluded from aggregates but counted.
 
+Molecules are analysed independently, so ``analyze_dataset`` uses one
+process per usable CPU: it forks a child for each CPU beyond the first, share
+s taking the molecules whose index is s modulo the process count, and puts
+the rows back in corpus order. Each molecule is encoded whole by one process,
+at the BLAS thread count that process inherits from the parent, so the
+outputs do not depend on the CPU count. The only threads at the fork are
+OpenBLAS's, which its own fork handler stops and restarts.
+
 Aggregates:
   InfRatio  node-level and graph-level means of inter/intra influence ratios.
   MRR       motifs ranked per node by descending motif influence (ties break
@@ -27,6 +35,8 @@ Aggregates:
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +177,98 @@ def _node_rows(gi: int, dec: MotifDecomposition, S: np.ndarray,
             for v, m in enumerate(dec.motif_of)]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_rows(pairs, share: int, k: int, store: ParamStore, cfg: EncoderConfig,
+                settings: InfluenceConfig):
+    """The node rows of molecules share, share + k, ..., one list per molecule,
+    and (index, error) of the molecule that raised, or None. A share stops at
+    its first error, so the lowest failing index over all shares is the one
+    a serial loop would have raised at."""
+    done = []
+    for gi in range(share, len(pairs), k):
+        g, dec = pairs[gi]
+        try:
+            done.append(_node_rows(gi, dec, influence_matrix(g, store, cfg), settings))
+        except Exception as e:   # raised by analyze_dataset once every share is in
+            return done, (gi, e)
+    return done, None
+
+
+def _send_and_exit(fd: int, inherited, compute) -> None:
+    """A forked child's whole life: close the pipe ends it inherited, write
+    ``compute()`` pickled to the pipe ``fd``, and leave by ``os._exit``,
+    running none of the parent's exit handlers. A failure to send ends it
+    with status 1."""
+    status = 1
+    try:
+        for r in inherited:
+            os.close(r)
+        data = memoryview(pickle.dumps(compute(), pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(fd, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _rows_in_processes(pairs, store: ParamStore, cfg: EncoderConfig,
+                       settings: InfluenceConfig) -> tuple[NodeInfluence, ...]:
+    """Every molecule's node rows in corpus order, from k strided shares: k is
+    the usable CPU count (1 without ``os.fork``), at most one per molecule.
+    This process computes share 0 and forks a child for each other share; it
+    reads each child's pipe to EOF and waits for every child before it
+    returns or raises."""
+    k = max(1, min(usable_cpus(), len(pairs))) if hasattr(os, "fork") else 1
+    children = []   # (pid, read end) of shares 1, 2, ...
+    try:
+        for share in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _send_and_exit(w, [r, *(fd for _, fd in children)],
+                               lambda: _share_rows(pairs, share, k, store, cfg, settings))
+            os.close(w)
+            children.append((pid, r))
+        outcomes = [_share_rows(pairs, 0, k, store, cfg, settings)]
+        payloads = [_read_to_eof(r) for _, r in children]
+    finally:
+        statuses = []
+        for pid, r in children:
+            os.close(r)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), data, status in zip(children, payloads, statuses):
+        if status != 0 or not data:
+            raise RuntimeError(f"influence child {pid} exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} without sending its rows")
+        outcomes.append(pickle.loads(data))
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    by_molecule = [None] * len(pairs)
+    for share, (done, _) in enumerate(outcomes):
+        by_molecule[share::k] = done
+    return tuple(row for rows in by_molecule for row in rows)
+
+
 @dataclass(frozen=True)
 class InfluenceReport:
     nodes: tuple[NodeInfluence, ...]
@@ -187,8 +289,7 @@ def analyze_dataset(graphs, decomps, store: ParamStore, cfg: EncoderConfig,
     ``settings.top_k`` and ``settings.inter_mode``. Every graph given is
     analysed: ``max_graphs`` is for the caller to apply."""
     store = store.frozen()  # once here, so each molecule's encode reuses it
-    rows = tuple(row for gi, (g, dec) in enumerate(zip(graphs, decomps))
-                 for row in _node_rows(gi, dec, influence_matrix(g, store, cfg), settings))
+    rows = _rows_in_processes(list(zip(graphs, decomps)), store, cfg, settings)
 
     ratios_by_graph: dict[int, list[float]] = {}
     for r in rows:

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import moama.influence
 from moama.cli import COMMANDS, main
 from moama.config import DEFAULTS, RunConfig, build_section, effective_config
 from moama.datagen import write_corpus_csv
 from moama.gin import MAX_EMBED_DIM, MAX_LAYERS, EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
-from moama.errors import DataError, csv_text, write_output
+from moama.errors import DataError, NumericsError, csv_text, write_output
 from moama.masking import MaskConfig, build_plan, motif_tables, plan_rng
 from moama.motif import default_rules
 from moama.smiles import parse
@@ -520,6 +521,40 @@ def test_commands_that_read_the_small_checkpoint_succeed(small_inputs, tmp_path,
     assert (out / name).is_file()
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_influence_files_do_not_depend_on_the_cpu_count(small_inputs, tmp_path, monkeypatch):
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(moama.influence, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"out-{cpus}"
+        assert main(["influence", "--out", str(out), *_inputs_for("influence", small_inputs)]) == 0
+        _no_child_left()
+        outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs[1]) == 4 and outputs[2] == outputs[1]
+
+
+def test_influence_numerical_failure_in_a_child_is_one_line(small_inputs, tmp_path, monkeypatch,
+                                                            capsys):
+    parent = os.getpid()
+    real = moama.influence.influence_matrix
+
+    def influence_matrix(g, store, cfg):
+        if os.getpid() != parent:
+            raise NumericsError("non-finite tensor values")
+        return real(g, store, cfg)
+    monkeypatch.setattr(moama.influence, "influence_matrix", influence_matrix)
+    monkeypatch.setattr(moama.influence, "usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["influence", "--out", str(out), *_inputs_for("influence", small_inputs)]) == 3
+    _no_child_left()
+    assert capsys.readouterr().err == "numerical failure: non-finite tensor values\n"
+    assert not (out / "influence_nodes.csv").exists()
+
+
 def _child(script: str) -> subprocess.CompletedProcess:
     """``script`` run by a fresh interpreter with the package on its path; its
     warnings reach stderr as they do outside pytest."""
@@ -753,6 +788,18 @@ def test_pretrain_on_only_unparseable_smiles_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "data error: no parseable molecules in the dataset\n"
     assert not (out / "checkpoint.moam").exists()
+
+
+# influence once wrote an all-nan summary "over 0 molecules" and exited 0
+@pytest.mark.parametrize("text", ["smiles\n", "smiles\nC1CC\nnot-a-smiles\n(((\n"],
+                         ids=["header_only", "only_unparseable"])
+def test_influence_on_no_parseable_smiles_is_a_data_error(small_inputs, tmp_path, capsys, text):
+    small_inputs["corpus"].write_text(text)
+    out = tmp_path / "out"
+    assert main(["influence", "--out", str(out), *_inputs_for("influence", small_inputs)]) == 2
+    assert capsys.readouterr().err == "data error: no parseable molecules in the dataset\n"
+    for name in COMMANDS["influence"][1].values():
+        assert not (out / name).exists()
 
 
 # each setting once ended in "backward() on a graph with no differentiable inputs"

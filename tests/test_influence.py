@@ -1,9 +1,16 @@
+import dataclasses
+import os
+import signal
+import struct
+
 import numpy as np
 import pytest
 
+import moama.influence
 from moama import autodiff as ad
 from moama import parse
 from moama.datagen import generate_corpus
+from moama.errors import NumericsError
 from moama.gin import EncoderConfig, ParamStore, TensorGraph, encode, init_params
 from moama.influence import (
     INTER_MODES,
@@ -487,3 +494,118 @@ def test_node_rows_equal_the_node_row_oracle(oracle_graphs, store, mode, top_k):
     assert repr(rep.nodes) == repr(tuple(expected))
     assert rep.excluded_nodes == sum(r.intra is None or r.inter is None or r.intra <= 0.0
                                      for r in expected)
+
+
+# Process count invariance: ``usable_cpus`` is the one seam that sets how many
+# processes ``analyze_dataset`` forks (one per usable CPU, at most one per
+# molecule).
+
+def _bits(x):
+    """``x`` with each float replaced by its bytes and each value tagged with
+    its type, so two reports compare equal only field for field, bit for bit."""
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(_bits(y) for y in x)
+    return type(x).__name__, struct.pack("<d", x) if isinstance(x, float) else x
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def bounded():
+    """Fails a test that blocks for a minute, a child's pipe never reaching EOF."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting after 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def share_corpus():
+    smiles = generate_corpus(7, seed=41) + ["C", "CCCCCCCCCCOc1ccccc1"]
+    return [parse(s) for s in smiles], [decompose(parse(s)) for s in smiles]
+
+
+@pytest.mark.parametrize("mode", INTER_MODES)
+@pytest.mark.parametrize("width", [32, 76])
+def test_report_is_bit_identical_for_any_process_count(share_corpus, monkeypatch, bounded,
+                                                       width, mode):
+    graphs, decs = share_corpus
+    cfg = EncoderConfig(layers=2, embed_dim=width)
+    store = init_params(cfg, seed=width)
+    settings = InfluenceConfig(inter_mode=mode)
+    reports = {}
+    for cpus in (1, 2, 3, len(graphs) + 5):
+        monkeypatch.setattr(moama.influence, "usable_cpus", lambda: cpus)
+        reports[cpus] = _bits(analyze_dataset(graphs, decs, store, cfg, settings))
+        _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")   # one process, whatever the CPU count
+    reports["no fork"] = _bits(analyze_dataset(graphs, decs, store, cfg, settings))
+    assert all(report == reports[1] for report in reports.values())
+
+
+def _fail_on(monkeypatch, graphs, action):
+    """``influence_matrix`` runs ``action(gi)`` first for each graphs[gi], in
+    whichever process encodes it."""
+    index = {id(g): gi for gi, g in enumerate(graphs)}
+    real = moama.influence.influence_matrix
+
+    def influence_matrix(g, store, cfg):
+        action(index[id(g)])
+        return real(g, store, cfg)
+    monkeypatch.setattr(moama.influence, "influence_matrix", influence_matrix)
+
+
+@pytest.mark.parametrize("cpus,failing,raised", [
+    (2, [1], 1),        # a child's share
+    (3, [4, 2], 2),     # two children: the lower index wins, not the lower share
+    (3, [3, 1], 1),     # this process's share and a child's
+    (3, [0, 2], 0),
+    (2, [3, 5], 3),     # one share, two molecules: its first
+    (1, [4, 2], 2),     # no child at all
+])
+def test_first_failing_molecule_raises_as_in_serial_order(share_corpus, store, monkeypatch,
+                                                          bounded, cpus, failing, raised):
+    graphs, decs = share_corpus
+
+    def fail(gi):
+        if gi in failing:
+            raise NumericsError(f"molecule {gi}")
+    _fail_on(monkeypatch, graphs, fail)
+    monkeypatch.setattr(moama.influence, "usable_cpus", lambda: cpus)
+    with pytest.raises(NumericsError, match=f"^molecule {raised}$"):
+        analyze_dataset(graphs, decs, store, CFG)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("death,status", [
+    (lambda: os._exit(7), 7),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+], ids=["exit_7", "killed"])
+def test_child_that_sends_no_rows_is_an_error_naming_its_status(share_corpus, store,
+                                                               monkeypatch, bounded,
+                                                               death, status):
+    graphs, decs = share_corpus
+    parent = os.getpid()
+
+    def die(gi):
+        if gi == 1 and os.getpid() != parent:
+            death()
+    _fail_on(monkeypatch, graphs, die)
+    monkeypatch.setattr(moama.influence, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=f"exited with status {status} without sending"):
+        analyze_dataset(graphs, decs, store, CFG)
+    _assert_no_child_left()
+
+
+def test_usable_cpus_is_the_affinity_set(monkeypatch):
+    assert moama.influence.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert moama.influence.usable_cpus() == (os.cpu_count() or 1)
