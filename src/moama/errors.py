@@ -29,7 +29,12 @@ class SmilesError(DataError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
+        self.message = message
         self.offset = offset
+
+    def __reduce__(self):
+        # the default would call SmilesError(str(self)), which lacks the offset
+        return type(self), (self.message, self.offset)
 
 
 class NumericsError(MoamaError, ArithmeticError):

@@ -7,10 +7,10 @@ code together with the sorted multiset of (bond order, neighbor code) pairs.
 Every code from every round sets one bit (code mod width).
 
 The hash runs on numpy ``uint64`` arrays, whose arithmetic wraps mod 2**64,
-for a whole corpus at once: the molecules are stacked into one node and edge
-space (``molgraph.stack``), and ``refine`` gives every node its next code in
-one call. Edges never join two molecules, so each molecule's codes are those
-it gets alone. ``train.scaffold_keys`` runs the same kernel.
+for a whole corpus at once: the molecules' stack (``molgraph.corpus_stack``)
+lays them in one node and edge space, and ``refine`` gives every node its
+next code in one call. Edges never join two molecules, so each molecule's
+codes are those it gets alone. ``train.scaffold_keys`` runs the same kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .molgraph import MolGraph, stack
+from .molgraph import MolGraph, corpus_stack
 
 _SEED = 0x6D6F616D61  # fixed hash seed
 MAX_WIDTH = 1 << 16  # a fingerprint is one int of width bits; cap its memory
@@ -112,7 +112,7 @@ def fingerprint_bits(graphs, cfg: FingerprintConfig = FingerprintConfig()) -> np
     radius, width = cfg.radius, cfg.width
     if not graphs:
         return np.zeros((0, (width + 7) // 8), dtype=np.uint8)
-    s = stack(graphs)
+    s = corpus_stack(graphs)
     n = len(s.x)
     codes = hash_rows([np.zeros(n, dtype=np.uint64), s.x[:, 0],
                        np.bincount(s.dst, minlength=n), s.x[:, 1]])

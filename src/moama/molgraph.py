@@ -4,19 +4,23 @@ Molecules are heavy-atom graphs: nodes carry a (atom_type, chirality) code
 pair, bonds carry an order and a derived ring flag. Hydrogens are implicit and
 are no nodes, except a hydrogen written as a bracket atom (``[H]``, ``[2H]``),
 which is a node of atom type 0 as any atom is. Graphs are immutable after
-construction, so arrays derived once (``X``, ``edges``, ``ring_edges``) can be
-shared by every batch and every corpus kernel that holds the graph. One
-private builder fills a graph from bond specs that are already normalized and
-valid, plus their ring flags. The parser hands it the flags it reads off its
-own parse tree; the public constructor first validates, normalizes and indexes
-the bond specs in one sweep, then finds the flags with one bridge search
-(``bridge_flags``).
+construction. One private builder fills a graph from bond specs that are
+already normalized and valid, plus their ring flags. The parser hands it the
+flags it reads off its own parse tree; the public constructor first
+validates, normalizes and indexes the bond specs in one sweep, then finds the
+flags with one bridge search (``bridge_flags``).
 
-``stack`` lays many molecules into one node and directed-edge space, a
-``Stack``: the GIN batch (``gin.TensorGraph`` holds its stack), the rule
-matcher (``motif._Corpus``), the fingerprints and the scaffold keys all read
-their molecules through it, and only this module reads a graph's ``edges`` or
-``ring_edges``.
+A ``Stack`` lays many molecules into one node and directed-edge space: the
+disjoint-union layout of Fey & Lenssen 2019 (arXiv:1903.02428). Arrays live
+only in stacks. ``build_stack`` lays a corpus out once, one ``np.fromiter``
+per field: ``smiles.read_dataset`` calls it on the molecules it parses, and a
+graph made alone becomes a corpus of one when its arrays are first read. A
+graph's ``X``, ``edges`` and ``ring_edges`` are read-only views of its rows of
+its corpus. The corpus kernels (the rule matcher ``motif._Corpus``, the
+fingerprints and the scaffold keys) read a corpus whole through
+``corpus_stack``. ``stack`` concatenates the arrays of molecules that are not
+one whole corpus, such as a GIN batch (``gin.TensorGraph``). Only this module
+reads a graph's ``edges`` or ``ring_edges``.
 
 Attribute code spaces:
   atom_type  0..118 for real atoms (element number - 1); 119 is reserved for
@@ -28,9 +32,11 @@ Attribute code spaces:
 from __future__ import annotations
 
 import functools
+import operator
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -98,10 +104,12 @@ class MolGraph:
     read-only (3, 2|E|) integer array of directed edges, rows (src, dst, bond
     order code), sorted by (dst, src): the order in which the encoder sums
     each node's messages. ``ring_edges`` is the read-only boolean ring flag of
-    each of those directed edges.
+    each of those directed edges. All three are views of the graph's rows of
+    its corpus (``build_stack``), in the graph's own node ids; a graph made
+    alone becomes a corpus of one when they are first read.
     """
 
-    __slots__ = ("atoms", "bonds", "_adjacency", "_X", "_edges", "_ring_edges")
+    __slots__ = ("atoms", "bonds", "_adjacency", "_corpus", "_index", "_views")
 
     def __init__(self, atoms, bonds):
         """Build a graph from AtomAttr values and (u, v, order) bond specs;
@@ -129,7 +137,8 @@ class MolGraph:
     def _build(self, atoms, specs, ring, adj) -> MolGraph:
         """Fill this graph from a tuple of atoms, bond specs that are already
         normalized (u < v) and valid, each spec's ring flag, and each node's
-        list of (neighbor, bond id) pairs in any order; returns the graph."""
+        list of (neighbor, bond id) pairs in any order; returns the graph,
+        which belongs to no corpus yet."""
         self.atoms = atoms
         self.bonds = tuple(
             _bond(u, v, order if order is not None else "aromatic" if r else "single", r)
@@ -137,29 +146,20 @@ class MolGraph:
         )
         for a in adj:
             a.sort()
-        self._adjacency = nbrs = tuple(map(tuple, adj))
-
-        x = np.array([c for a in atoms for c in (a.atom_type, a.chirality)],
-                     dtype=np.int64).reshape(len(atoms), 2)
-        x.setflags(write=False)
-        self._X = x
-
-        # each adjacency list is sorted by neighbor, so walking the lists in
-        # node order yields the directed edges sorted by (dst, src)
-        codes = [BOND_ORDER_INDEX[b.order] for b in self.bonds]
-        src, dst, code, flag = [], [], [], []
-        for v, a in enumerate(nbrs):
-            for u, i in a:
-                src.append(u)
-                dst.append(v)
-                code.append(codes[i])
-                flag.append(ring[i])
-        e = np.array([src, dst, code, flag], dtype=np.int64)
-        e.setflags(write=False)
-        self._edges = e[:3]
-        self._ring_edges = e[3] == 1
-        self._ring_edges.setflags(write=False)
+        self._adjacency = tuple(map(tuple, adj))
+        self._corpus = self._index = self._views = None
         return self
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(``X``, ``edges``, ``ring_edges``), made once as views of the
+        corpus."""
+        if self._views is None:
+            if self._corpus is None:
+                build_stack([self])
+            c, i = self._corpus, self._index
+            n0, n1, e0, e1 = c.nodes[i], c.nodes[i + 1], c.edges[i], c.edges[i + 1]
+            self._views = c.stack.x[n0:n1], c.local[:, e0:e1], c.stack.ring[e0:e1]
+        return self._views
 
     @property
     def n_atoms(self) -> int:
@@ -167,15 +167,15 @@ class MolGraph:
 
     @property
     def X(self) -> np.ndarray:
-        return self._X
+        return self._arrays()[0]
 
     @property
     def edges(self) -> np.ndarray:
-        return self._edges
+        return self._arrays()[1]
 
     @property
     def ring_edges(self) -> np.ndarray:
-        return self._ring_edges
+        return self._arrays()[2]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(u for u, _ in self._adjacency[v])
@@ -203,8 +203,82 @@ class Stack(NamedTuple):
     ring: np.ndarray    # the ring flag of each directed edge
 
 
+class _Corpus(NamedTuple):
+    """A corpus's ``Stack`` and what its molecules' views read besides."""
+
+    stack: Stack
+    local: np.ndarray   # (3, edges): src and dst in their molecule's node ids, and stack.order
+    nodes: list[int]    # molecule i holds stack nodes nodes[i]:nodes[i + 1]
+    edges: list[int]    # and directed edges edges[i]:edges[i + 1]
+
+
+def build_stack(graphs) -> Stack:
+    """Lay molecules into one new corpus and return its read-only ``Stack``;
+    each molecule's ``X``, ``edges`` and ``ring_edges`` become views of it.
+
+    Each field is one ``np.fromiter`` over the molecules' atoms, bonds or
+    (neighbor, bond id) adjacency lists, fed by iterators, then array
+    arithmetic: walking each molecule's sorted adjacency lists in node order
+    yields its directed edges sorted by (dst, src), and a directed edge takes
+    its bond's order code and ring flag by the bond's corpus-wide id.
+    """
+    graphs = list(graphs)
+    nodes = [0, *accumulate(len(g.atoms) for g in graphs)]
+    bond_starts = [0, *accumulate(len(g.bonds) for g in graphs)]
+    edges = [2 * b for b in bond_starts]
+    n, n_bonds, n_edges = nodes[-1], bond_starts[-1], edges[-1]
+
+    def each(field, attr=None):   # every molecule's atoms, bonds or adjacency lists in turn
+        items = chain.from_iterable(map(operator.attrgetter(field), graphs))
+        return items if attr is None else map(operator.attrgetter(attr), items)
+
+    x = np.empty((n, 2), dtype=np.int64)
+    for col, attr in enumerate(("atom_type", "chirality")):
+        x[:, col] = np.fromiter(each("atoms", attr), np.int64, n)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(each("_adjacency"))),
+                        np.int64, 2 * n_edges).reshape(n_edges, 2)
+    degree = np.fromiter(map(len, each("_adjacency")), np.int64, n)
+    code = np.fromiter(map(BOND_ORDER_INDEX.__getitem__, each("bonds", "order")),
+                       np.int64, n_bonds)
+    flag = np.fromiter(each("bonds", "in_ring"), bool, n_bonds)
+
+    mol = np.repeat(np.arange(len(graphs), dtype=np.int64), np.diff(nodes))
+    starts = np.array(nodes[:-1], dtype=np.int64)
+    dst = np.repeat(np.arange(n, dtype=np.int64), degree)
+    edge_mol = mol[dst]
+    shift = starts[edge_mol]
+    bond = pairs[:, 1] + np.array(bond_starts[:-1], dtype=np.int64)[edge_mol]
+    local = np.empty((3, n_edges), dtype=np.int64)
+    local[0] = pairs[:, 0]
+    np.subtract(dst, shift, out=local[1])
+    local[2] = code[bond]
+    s = Stack(x, mol, starts, local[0] + shift, dst, local[2], flag[bond])
+    for a in (*s, local):
+        a.setflags(write=False)
+    corpus = _Corpus(s, local, nodes, edges)
+    for i, g in enumerate(graphs):
+        g._corpus, g._index, g._views = corpus, i, None
+    return s
+
+
+def corpus_stack(graphs) -> Stack:
+    """The ``Stack`` of one or more molecules. When they are all of one
+    corpus in its order (``smiles.read_dataset``'s molecules, or one molecule
+    made alone), it is that corpus's stack, built once; otherwise their arrays
+    are concatenated (``stack``)."""
+    graphs = list(graphs)
+    c = graphs[0]._corpus
+    if c is None and len(graphs) == 1:
+        return build_stack(graphs)
+    if (c is not None and len(c.nodes) == len(graphs) + 1
+            and all(g._corpus is c and g._index == i for i, g in enumerate(graphs))):
+        return c.stack
+    return stack(graphs)
+
+
 def stack(graphs) -> Stack:
-    """The ``Stack`` of one or more molecules: int64 arrays and a boolean ``ring``."""
+    """The ``Stack`` of one or more molecules, made by concatenating their
+    arrays: int64 arrays and a boolean ``ring``."""
     sizes = [g.n_atoms for g in graphs]
     starts = np.cumsum([0] + sizes[:-1])
     edges = np.concatenate([g.edges for g in graphs], axis=1)

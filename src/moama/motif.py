@@ -7,9 +7,10 @@ only; motifs are the connected components that remain, so their union always
 reconstructs the molecule exactly and ring bonds are never cut. Which bonds
 lie on a ring is ``Bond.in_ring``, from ``MolGraph``'s one ring perception.
 
-Matching runs once per corpus. ``_Corpus`` holds the molecules'
-``molgraph.stack`` (its per-directed-edge src, dst, order and ring arrays and
-its elements) and the per-atom degree, aromatic, on_ring and carbonyl facts
+Matching runs once per corpus. ``_Corpus`` holds the molecules' stack
+(``molgraph.corpus_stack``, the one ``read_dataset`` built for a parsed
+corpus: its per-directed-edge src, dst, order and ring arrays and its
+elements) and the per-atom degree, aromatic, on_ring and carbonyl facts
 derived from it. Each predicate compiles, when the table loads, into an array
 test ``(ctx) -> bool[n_atoms]``; ``nbr(...)`` counts the marked edges from
 matching neighbors with one ``np.bincount``, and an environment is the AND of
@@ -36,7 +37,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError, ascii_number, read_input
-from .molgraph import BOND_ORDER_INDEX, BOND_ORDERS, N_ATOM_TYPES, MolGraph, stack
+from .molgraph import BOND_ORDER_INDEX, BOND_ORDERS, N_ATOM_TYPES, MolGraph, corpus_stack
 from .smiles import ATOM_CODE
 
 _C = ATOM_CODE["C"]
@@ -154,13 +155,13 @@ class BricsRule:
 
 
 class _Corpus:
-    """What every compiled predicate reads: the molecules' ``molgraph.stack``
-    (``s``) and four atom facts derived from it once. The stack's int64
-    arrays are read as they are: narrower copies cost more to make than they
-    save in matching."""
+    """What every compiled predicate reads: the molecules' stack (``s``,
+    ``molgraph.corpus_stack``) and four atom facts derived from it once. The
+    stack's int64 arrays are read as they are: narrower copies cost more to
+    make than they save in matching."""
 
     def __init__(self, graphs):
-        self.s = s = stack(graphs)
+        self.s = s = corpus_stack(graphs)
         self.n = n = len(s.mol)
         self.elem = elem = s.x[:, 0]
 

@@ -1,4 +1,5 @@
-"""SMILES parsing into MolGraph; the only data-ingestion path.
+"""SMILES parsing into MolGraph, and the dataset reader that lays a parsed
+corpus into its stack; the only data-ingestion path.
 
 Supported grammar (a documented subset, not full OpenSMILES):
 
@@ -30,11 +31,14 @@ cycle, and the pass marks each closure's cycle as it closes. A closure
 duplicates a bond when its ends are already neighbours in the adjacency the
 pass builds. ``MolGraph``'s builder then takes the bond specs, already
 normalized and checked, with these ring flags; the bridge search of
-``MolGraph(atoms, bonds)`` is not run. The pass stops at its first error, so
-only then is the whole string lexed, with ``tokenize``: a lexical error
-anywhere wins, then a record with no atoms, then the pass's error. Organic-
-subset atoms come from a table, and every atom of one (atom_type, chirality)
-is the same frozen ``AtomAttr`` value. The patterns are ASCII: a digit is
+``MolGraph(atoms, bonds)`` is not run. A graph holds no arrays after parse:
+``read_dataset`` lays every molecule it parsed into one corpus stack
+(``molgraph.build_stack``) once the last row is read, and the graphs' arrays
+are views of it. The pass stops at its first error, so only then is the
+whole string lexed, with ``tokenize``: a lexical error anywhere wins, then a
+record with no atoms, then the pass's error. Organic-subset atoms come from
+a table, and every atom of one (atom_type, chirality) is the same frozen
+``AtomAttr`` value. The patterns are ASCII: a digit is
 ``0-9``, never another script's decimal digit.
 """
 
@@ -56,6 +60,8 @@ from .molgraph import (
     CHIRALITY_TET2,
     AtomAttr,
     MolGraph,
+    Stack,
+    build_stack,
 )
 
 ELEMENTS = (
@@ -312,9 +318,14 @@ class DatasetRecord:
 
 @dataclass(frozen=True)
 class Dataset:
+    """The parsed records of a dataset, in file order, and their corpus
+    ``stack`` (``molgraph.build_stack``): each record's graph arrays are views
+    of it, and the corpus kernels read it whole."""
+
     records: tuple[DatasetRecord, ...]
     skipped: int
     parse_errors: tuple[tuple[int, str], ...]
+    stack: Stack
 
     def graphs(self) -> list[MolGraph]:
         return [r.graph for r in self.records]
@@ -333,7 +344,11 @@ def read_dataset(path, label: str | None = None) -> Dataset:
     numeric label column.
 
     Unparseable SMILES rows are skipped and counted, not fatal. Record order
-    matches file order. Empty label cells become NaN (missing).
+    matches file order. Empty label cells become NaN (missing). Every row is
+    parsed (``parse``), then the parsed molecules are laid into one corpus
+    stack (``molgraph.build_stack``), molecule i being record i: the
+    ``Dataset``'s ``stack``, which the corpus kernels read whole and whose
+    views are each record's graph arrays.
     """
     path = Path(path)
     reader = csv.DictReader(io.StringIO(read_input(path, "dataset"), newline=""))
@@ -362,4 +377,5 @@ def read_dataset(path, label: str | None = None) -> Dataset:
             records.append(DatasetRecord(smi, graph, value))
     except csv.Error as e:  # a field over csv's size limit; line_num counts the lines before it
         raise DataError(f"cannot read dataset {path} at line {reader.line_num + 1}: {e}") from e
-    return Dataset(tuple(records), len(errors), tuple(errors))
+    return Dataset(tuple(records), len(errors), tuple(errors),
+                   build_stack(r.graph for r in records))

@@ -40,7 +40,7 @@ from .gin import (
 )
 from .loss import aux_loss, rec_loss, total_loss
 from .masking import PlanStreams, build_plan, motif_tables
-from .molgraph import MolGraph, stack
+from .molgraph import MolGraph, corpus_stack
 
 CHECKPOINT_MAGIC = b"MOAM"
 CHECKPOINT_VERSION = 1
@@ -307,20 +307,20 @@ def pretrain(graphs, cfg: RunConfig, resume: Checkpoint | None = None,
 def scaffold_keys(graphs) -> list[str]:
     """Canonical key for each molecule's ring systems plus linkers.
 
-    The molecules are read as one ``molgraph.stack``; an atom is on a ring
-    when a ring edge ends at it. Side chains are pruned by repeatedly deleting
-    non-ring atoms with at most one kept neighbor; the result does not depend
-    on the deletion order, so every molecule is pruned at once. The remainder
-    is hashed with iterated neighborhood refinement (``fingerprint.refine``,
-    one call per round for the whole corpus) over (atom type, bond order): a
-    molecule with k kept atoms runs k rounds, then its key is the hash of k
-    and its sorted codes. Isomorphic scaffolds share a key and acyclic
+    The molecules are read as one stack (``molgraph.corpus_stack``); an atom
+    is on a ring when a ring edge ends at it. Side chains are pruned by
+    repeatedly deleting non-ring atoms with at most one kept neighbor; the
+    result does not depend on the deletion order, so every molecule is pruned
+    at once. The remainder is hashed with iterated neighborhood refinement
+    (``fingerprint.refine``, one call per round for the whole corpus) over
+    (atom type, bond order): a molecule with k kept atoms runs k rounds, then
+    its key is the hash of k and its sorted codes. Isomorphic scaffolds share a key and acyclic
     molecules map to the empty key.
     """
     graphs = list(graphs)
     if not graphs:
         return []
-    s = stack(graphs)
+    s = corpus_stack(graphs)
     src, dst, order = s.src, s.dst, s.order
     n = len(s.mol)
     on_ring = np.bincount(dst[s.ring], minlength=n) > 0

@@ -8,7 +8,9 @@ replaced, the one-pass parser and graph constructor via the token-object parser
 and the validate-then-build constructor they replaced, the corpus-wide
 rule-matching kernel via the per-atom closure matcher it replaced,
 ``molgraph.stack`` via the edge stacker, the narrow-typed rule-matching corpus
-and the bond-loop ring marks it replaced, and mask eligibility via the
+and the bond-loop ring marks it replaced, the corpus stack that
+``read_dataset`` builds and each graph's views of it via the per-molecule
+arrays and their concatenation they replaced, and mask eligibility via the
 per-motif BFS it replaced, table-based mask planning via the
 decomposition-based planner it replaced, and the masked-row decoders via the
 full decoder and the gathering loss they replaced.
@@ -395,20 +397,39 @@ def molgraph_oracle(atoms, bonds) -> MolGraph:
         Bond(u, v, order if order is not None else "single" if bridge[i] else "aromatic",
              in_ring=not bridge[i])
         for i, (u, v, order) in enumerate(specs))
-    x = np.array([[a.atom_type, a.chirality] for a in atoms], dtype=np.int64)
-    x.setflags(write=False)
-    g._X = x
+    g._corpus = g._index = None
+    g._views = graph_arrays_oracle(g)
+    return g
+
+
+def graph_arrays_oracle(g: MolGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The former per-molecule arrays: read-only ``X``, ``edges`` and
+    ``ring_edges`` built from nested lists over the graph's atoms, bonds and
+    sorted adjacency lists, as each graph built them before the corpus stack."""
+    x = np.array([[a.atom_type, a.chirality] for a in g.atoms], dtype=np.int64)
     codes = [BOND_ORDER_INDEX[b.order] for b in g.bonds]
     nbrs = g._adjacency
     e = np.array([[u for a in nbrs for u, _ in a],
                   [v for v, a in enumerate(nbrs) for _ in a],
                   [codes[i] for a in nbrs for _, i in a]], dtype=np.int64)
-    e.setflags(write=False)
-    g._edges = e
     ring = np.array([g.bonds[i].in_ring for a in nbrs for _, i in a], dtype=bool)
-    ring.setflags(write=False)
-    g._ring_edges = ring
-    return g
+    for a in (x, e, ring):
+        a.setflags(write=False)
+    return x, e, ring
+
+
+def stack_oracle(graphs) -> Stack:
+    """The former ``molgraph.stack``, over ``graph_arrays_oracle``'s arrays:
+    every molecule's arrays concatenated, node ids offset by the atoms before."""
+    arrays = [graph_arrays_oracle(g) for g in graphs]
+    sizes = [len(x) for x, _, _ in arrays]
+    starts = np.cumsum([0] + sizes[:-1])
+    edges = np.concatenate([e for _, e, _ in arrays], axis=1)
+    shift = np.repeat(starts, [e.shape[1] for _, e, _ in arrays])
+    return Stack(np.concatenate([x for x, _, _ in arrays]),
+                 np.repeat(np.arange(len(graphs), dtype=np.int64), sizes), starts,
+                 edges[0] + shift, edges[1] + shift, edges[2],
+                 np.concatenate([r for _, _, r in arrays]))
 
 
 def tokenize_oracle(smiles: str) -> list[SmilesToken]:

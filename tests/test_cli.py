@@ -1,5 +1,6 @@
 import csv
 import os
+import pickle
 import re
 import struct
 import subprocess
@@ -17,13 +18,15 @@ from moama.config import DEFAULTS, RunConfig, build_section, effective_config
 from moama.datagen import write_corpus_csv
 from moama.gin import MAX_EMBED_DIM, MAX_LAYERS, EncoderConfig, ParamStore, init_params
 from moama import autodiff as ad
-from moama.errors import DataError, NumericsError, csv_text, write_output
+from moama import fingerprint, molgraph, motif, train
+from moama.errors import (DataError, MoamaError, NumericsError, SmilesError, csv_text,
+                          write_output)
 from moama.masking import MaskConfig, build_plan, motif_tables, plan_rng
 from moama.motif import default_rules
 from moama.smiles import parse
 from moama.train import load_checkpoint, save_checkpoint
 
-from conftest import build_plan_oracle, write_checkpoint_naming_twice
+from conftest import build_plan_oracle, stack_oracle, write_checkpoint_naming_twice
 
 
 @pytest.fixture()
@@ -31,6 +34,23 @@ def mols_csv(tmp_path):
     p = tmp_path / "mols.csv"
     p.write_text("smiles\nCCOC(=O)c1ccccc1\nCCNc1ccccc1\nCCOc1ccncc1\n")
     return p
+
+
+def _error_classes(cls=MoamaError):
+    """``cls`` and every subclass of it, depth first."""
+    return [cls, *(c for sub in cls.__subclasses__() for c in _error_classes(sub))]
+
+
+def test_every_package_error_survives_a_pickle_round_trip():
+    # influence sends a forked child's exception to its parent pickled
+    classes = _error_classes()
+    assert SmilesError in classes and NumericsError in classes
+    for cls in classes:
+        err = cls("bad", 3) if issubclass(cls, SmilesError) else cls("bad")
+        back = pickle.loads(pickle.dumps(err, pickle.HIGHEST_PROTOCOL))
+        assert type(back) is cls and str(back) == str(err)
+        assert getattr(back, "offset", None) == getattr(err, "offset", None)
+    assert str(pickle.loads(pickle.dumps(SmilesError("bad", 3)))) == "bad at offset 3"
 
 
 def _read_rows(path):
@@ -57,6 +77,43 @@ def test_mask_preview_columns(mols_csv, tmp_path):
     assert feasible
     for r in feasible:
         assert 0.15 < float(r["realized_alpha"]) < 0.25
+
+
+def _no_concatenation(graphs):
+    raise AssertionError("a corpus kernel concatenated a parsed corpus")
+
+
+def test_corpus_kernels_keep_the_concatenating_oracle_s_bytes(tmp_path, monkeypatch):
+    # each command once as it runs, with the prep commands barred from
+    # concatenating, and once with the corpus kernels on the oracle stack
+    labeled, data = tmp_path / "labeled.csv", tmp_path / "skips.csv"
+    write_corpus_csv(labeled, 60, seed=11, labeled=True)
+    rows = []
+    for i, row in enumerate(_read_rows(labeled)):
+        if i % 9 == 4:
+            rows.append(["C1CC", 1])   # an unclosed ring: a skipped row
+        rows.append([row["smiles"], row["label"]])
+    data.write_text(csv_text(["smiles", "label"], rows))
+    runs = [("decompose", "motifs.csv"), ("fingerprint", "fingerprints.csv"),
+            ("mask-preview", "mask_plans.csv"), ("finetune", "auc_report.csv")]
+    seen = []
+    for i, oracle in enumerate((False, True)):
+        outputs = []
+        with monkeypatch.context() as m:
+            if oracle:
+                for module in (motif, fingerprint, train):
+                    m.setattr(module, "corpus_stack", stack_oracle)
+            for command, name in runs:
+                out = tmp_path / f"{i}-{command}"
+                with monkeypatch.context() as bar:
+                    if command != "finetune":
+                        bar.setattr(molgraph, "stack", _no_concatenation)
+                    assert main([command, "--out", str(out), "--set", f"data.input={data}",
+                                 "--set", "run.finetune_epochs=3"]) == 0
+                outputs.append((out / name).read_bytes())
+        seen.append(outputs)
+    assert seen[0] == seen[1]
+    assert seen[0][0].count(b"\r\n") == 1 + 60   # the header and the 60 parsed rows
 
 
 def test_mask_preview_plans_are_the_one_plan_helpers(tmp_path):

@@ -5,7 +5,7 @@ from moama import parse, read_dataset, tokenize
 from moama import molgraph
 from moama import smiles as smiles_module
 from moama.datagen import generate_corpus
-from moama.errors import DataError, SmilesError
+from moama.errors import DataError, SmilesError, csv_text
 from moama.molgraph import (
     CHIRALITY_NONE,
     CHIRALITY_OTHER,
@@ -13,10 +13,19 @@ from moama.molgraph import (
     CHIRALITY_TET2,
     AtomAttr,
     MolGraph,
+    Stack,
+    corpus_stack,
 )
 from moama.smiles import _TOKEN_RE, ATOM_CODE
 
-from conftest import ODD_SMILES, graph_state, parse_oracle, tokenize_oracle
+from conftest import (
+    ODD_SMILES,
+    graph_arrays_oracle,
+    graph_state,
+    parse_oracle,
+    stack_oracle,
+    tokenize_oracle,
+)
 
 
 def test_single_carbon():
@@ -355,3 +364,80 @@ def test_read_dataset_parses_each_row_once(tmp_path, monkeypatch):
     ds = read_dataset(p)
     assert calls == ["CCO", "C(", "c1ccccc1", "C.C"]
     assert [r.smiles for r in ds.records] == ["CCO", "c1ccccc1"] and ds.skipped == 2
+
+
+# --- the corpus stack that read_dataset lays out from what it parsed ----------
+
+def _assert_stacks_equal(got: Stack, want: Stack):
+    for name in Stack._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), name
+
+
+def _check_corpus_stack(ds, smiles):
+    """``ds``'s stack against the concatenating oracle, each graph's arrays
+    against the per-molecule oracle, and each record against its row."""
+    graphs = ds.graphs()
+    assert [r.smiles for r in ds.records] == smiles
+    _assert_stacks_equal(ds.stack, stack_oracle(graphs))
+    _assert_stacks_equal(ds.stack, stack_oracle([parse(smi) for smi in smiles]))
+    assert corpus_stack(graphs) is ds.stack
+    # the corpus out of order, or a part of it, is not the corpus
+    for part in (graphs[::-1], graphs[:-1], graphs[1:]):
+        if part:
+            _assert_stacks_equal(corpus_stack(part), stack_oracle(part))
+    for g in graphs:
+        for got, want in zip((g.X, g.edges, g.ring_edges), graph_arrays_oracle(g)):
+            assert (got.tobytes(), got.shape, got.dtype) == (want.tobytes(), want.shape, want.dtype)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[(0,) * got.ndim] = 1
+    for a in ds.stack:
+        assert not a.flags.writeable
+
+
+def test_read_dataset_stack_equals_the_concatenating_oracle(tmp_path):
+    corpora = {"corpus500": generate_corpus(500, seed=42), "ring_cases": RING_CASES,
+               "odd_smiles": ODD_SMILES}
+    for seed in (1, 2, 3):
+        corpora[f"seed{seed}"] = generate_corpus(200, seed=seed)
+    for name, smiles in corpora.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(csv_text(["smiles"], [[smi] for smi in smiles]))
+        _check_corpus_stack(read_dataset(path), smiles)
+
+
+def test_read_dataset_stack_keeps_records_aligned_past_skipped_rows(tmp_path):
+    good = generate_corpus(40, seed=7)
+    rows = []
+    for i, smi in enumerate(good):
+        if i % 6 == 1:
+            rows.append([f"bad{i}", "C1CC" if i % 12 == 1 else "C.C", "1"])
+        rows.append([f"mol{i}", smi, str(i % 2)])
+    path = tmp_path / "labelled.csv"
+    path.write_text(csv_text(["id", "smiles", "y"], rows))
+    ds = read_dataset(path, label="y")
+    assert ds.skipped == 7
+    assert [r.label for r in ds.records] == [float(i % 2) for i in range(len(good))]
+    # molecule i of the stack is record i's own SMILES, parsed alone
+    _check_corpus_stack(ds, good)
+
+
+def test_a_dataset_with_no_molecule_has_an_empty_stack(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(csv_text(["smiles"], [["C("], ["C.C"]]))
+    ds = read_dataset(path)
+    assert ds.records == () and ds.skipped == 2
+    assert [len(a) for a in ds.stack] == [0] * len(Stack._fields)
+    assert ds.stack.x.shape == (0, 2)
+
+
+def test_a_graph_made_alone_is_a_corpus_of_one():
+    g = parse("c1ccccc1C(=O)O")
+    _assert_stacks_equal(corpus_stack([g]), stack_oracle([g]))
+    assert corpus_stack([g]) is corpus_stack([g])
+    for got, want in zip((g.X, g.edges, g.ring_edges), graph_arrays_oracle(g)):
+        assert np.array_equal(got, want) and not got.flags.writeable
+    # a run of molecules that is not one whole corpus is concatenated
+    graphs = [parse("CCO"), g, parse("C")]
+    _assert_stacks_equal(corpus_stack(graphs), stack_oracle(graphs))

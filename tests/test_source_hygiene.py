@@ -239,7 +239,9 @@ def test_function_import_check_flags_every_nested_import():
     assert function_imports(source) == ["4:.smiles", "6:json", "6:numpy", "11:.."]
 
 
-# molgraph.stack is the one reader of each molecule's edge arrays
+# molgraph alone reads a graph's edge arrays: they are views of the corpus
+# stack that molgraph.build_stack lays out for each corpus read_dataset
+# parses, and molgraph.stack, which concatenates them, is their one reader
 _EDGE_ARRAYS = {"edges", "ring_edges"}
 
 
@@ -270,6 +272,78 @@ def test_edge_array_check_flags_every_read():
     assert edge_array_reads(source) == ["2:edges", "3:ring_edges", "5:ring_edges", "5:edges"]
 
 
+# The callers of molgraph.stack, the concatenation of molecules' arrays: a
+# batch, whose molecules are drawn from across a corpus, and corpus_stack for
+# molecules that are not one whole corpus. The corpus kernels read the stack
+# their corpus was built into through corpus_stack, and concatenate nothing.
+_STACK_CALLERS = {"gin:TensorGraph.from_graphs", "molgraph:corpus_stack"}
+
+
+def scoped_nodes(tree):
+    """Each node below ``tree`` that is not a def or a class, with the dotted
+    name of its enclosing defs and classes (``<module>`` at top level)."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, child.name if scope == "<module>"
+                                 else f"{scope}.{child.name}")
+                continue
+            yield child, scope
+            yield from visit(child, scope)
+
+    return visit(tree, "<module>")
+
+
+def stack_callers(module: str, source: str) -> list[str]:
+    """``module:function`` for each read of ``molgraph.stack`` in a module
+    named ``module``, sorted and each once: the attribute ``molgraph.stack``,
+    or the name ``stack`` where the module is molgraph or imports ``stack``
+    from it. ``function`` is the dotted name of the enclosing defs and
+    classes (``<module>`` at top level)."""
+    tree = ast.parse(source)
+    local = "stack" if module == "molgraph" else None
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and node.module in ("molgraph", "moama.molgraph") and node.level <= 1):
+            local = next((a.asname or a.name for a in node.names if a.name == "stack"), local)
+    return sorted({f"{module}:{scope}" for node, scope in scoped_nodes(tree)
+                   if (isinstance(node, ast.Name) and node.id == local
+                       and isinstance(node.ctx, ast.Load))
+                   or (isinstance(node, ast.Attribute) and node.attr == "stack"
+                       and isinstance(node.value, ast.Name) and node.value.id == "molgraph")})
+
+
+def test_no_corpus_kernel_concatenates_a_stacked_corpus():
+    found = set()
+    for path in ALL_MODULES:
+        found.update(stack_callers(path.stem, path.read_text("utf-8")))
+    assert found == _STACK_CALLERS
+
+
+def test_stack_caller_check_flags_every_new_caller():
+    kernel = ("from .molgraph import corpus_stack, stack as concat\n"
+              "from . import molgraph\n"
+              "def keys(graphs):\n"
+              "    return concat(graphs).x\n"
+              "class Batch:\n"
+              "    def build(self, graphs):\n"
+              "        join = concat\n"
+              "        return molgraph.stack(graphs), corpus_stack(graphs), join\n"
+              "def bits(graphs, stack=None):\n"
+              "    return corpus_stack(graphs), stack\n")
+    assert stack_callers("kernel", kernel) == ["kernel:Batch.build", "kernel:keys"]
+    tape = ("def backward(t):\n"
+            "    stack = [t]\n"
+            "    while stack:\n"
+            "        stack.pop()\n")
+    assert stack_callers("autodiff", tape) == []
+    home = ("def stack(graphs):\n"
+            "    return graphs\n"
+            "def corpus_stack(graphs):\n"
+            "    return stack(graphs)\n")
+    assert stack_callers("molgraph", home) == ["molgraph:corpus_stack"]
+
+
 # autodiff's two gradient sinks: the functions that may scatter rows into a
 # gradient, and those that may store one
 _GRADIENT_SINKS = {"_scatter_add": {"_scatter_grad", "_segment_sum_values"},
@@ -282,24 +356,16 @@ def stray_gradient_writes(source: str) -> list[str]:
     ``_GRADIENT_SINKS`` allows, in source order. ``function`` is the dotted
     name of the enclosing defs and classes (``<module>`` at top level)."""
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
-                continue
-            if isinstance(child, ast.Name) and child.id == "_scatter_add":
-                name = child.id
-            elif (isinstance(child, ast.Attribute) and child.attr == "grad"
-                  and isinstance(child.ctx, ast.Store)):
-                name = child.attr
-            else:
-                name = None
-            if name is not None and scope not in _GRADIENT_SINKS[name]:
-                found.append((child.lineno, child.col_offset, f"{scope}:{name}"))
-            visit(child, scope)
-
-    visit(ast.parse(source), "<module>")
+    for node, scope in scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "_scatter_add":
+            name = node.id
+        elif (isinstance(node, ast.Attribute) and node.attr == "grad"
+              and isinstance(node.ctx, ast.Store)):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and scope not in _GRADIENT_SINKS[name]:
+            found.append((node.lineno, node.col_offset, f"{scope}:{name}"))
     return [f"{line}:{what}" for line, _, what in sorted(found)]
 
 
